@@ -34,9 +34,6 @@ class Group:
         """Well-formedness of x as a normal-form element of this group."""
         raise NotImplementedError
 
-    def eq(self, a: Element, b: Element) -> bool:
-        return a == b
-
     def commutes(self, a: Element, b: Element) -> bool:
         return self.mul(a, b) == self.mul(b, a)
 

@@ -140,6 +140,19 @@ class FiniteTable(Group):
                         frontier.append(z)
         return out
 
+    def h_classes(self, helems) -> list[list[int]]:
+        """The H-conjugacy classes {h g h^-1 : h in H}, each sorted, in the
+        order of their least elements; helems lists the elements of H."""
+        seen: set[int] = set()
+        classes = []
+        for g in range(self.n):
+            if g in seen:
+                continue
+            orbit = sorted({self.conj(h, g) for h in helems})
+            seen.update(orbit)
+            classes.append(orbit)
+        return classes
+
     def all_subgroups(self) -> list[frozenset[int]]:
         """Every subgroup, as frozensets of element indices (deterministic order)."""
         found = {frozenset([self.e])}

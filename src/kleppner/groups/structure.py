@@ -22,7 +22,7 @@ from .finite import FiniteTable
 from .free import FreeGroup
 from .heisenberg import Heisenberg
 from .product import DirectProduct
-from .subgroups import (AsGroup, Classification, CoordinateZeroDesc, FreeCyclicDesc,
+from .subgroups import (Classification, CoordinateZeroDesc, FreeCyclicDesc,
                         FullDesc, GeneratedDesc, HeisCongruenceDesc, ProductDesc,
                         Subgroup, TrivialDesc, finite_class, infinite_class,
                         unknown_class)
@@ -55,10 +55,7 @@ def h_conjugacy_class(g: Element, H: Subgroup, cap: int = DEFAULT_ORBIT_CAP,
         return finite_class([g])
 
     if isinstance(G, FiniteTable):
-        elems = H.enumerate_elements()
-        if elems is None:
-            elems = list(_bfs_subgroup_elements(G, H))
-        orbit = sorted({G.conj(h, g) for h in elems})
+        orbit = sorted({G.conj(h, g) for h in H.enumerate_elements()})
         return finite_class(orbit)
 
     if isinstance(G, FreeAbelian):
@@ -137,11 +134,6 @@ def _orbit_bfs(g: Element, H: Subgroup, cap: int, depth_cap: int) -> Classificat
     return finite_class(sorted(seen, key=G.element_key))
 
 
-def _bfs_subgroup_elements(G: FiniteTable, H: Subgroup) -> set:
-    gens = _generators_or_none(H) or ()
-    return G.closure(set(gens))
-
-
 # ---------------------------------------------------------------------------
 # centralizers
 # ---------------------------------------------------------------------------
@@ -153,10 +145,7 @@ def centralizer_generators(H: Subgroup, g: Element) -> Optional[tuple]:
     H = _product_form(H)
 
     if isinstance(G, FiniteTable):
-        elems = H.enumerate_elements()
-        if elems is None:
-            elems = sorted(_bfs_subgroup_elements(G, H))
-        cents = [h for h in elems if G.commutes(h, g)]
+        cents = [h for h in H.enumerate_elements() if G.commutes(h, g)]
         return Subgroup.finite_subset(G, cents).generators()
 
     if isinstance(G, FreeAbelian):
@@ -219,8 +208,6 @@ def centralizer_of_subgroup(G: Group, H: Subgroup) -> Optional[Subgroup]:
 
     if isinstance(G, FiniteTable):
         elems = H.enumerate_elements()
-        if elems is None:
-            elems = sorted(_bfs_subgroup_elements(G, H))
         cents = [x for x in G.elements() if all(G.commutes(x, h) for h in elems)]
         return Subgroup.finite_subset(G, cents)
 
@@ -380,8 +367,6 @@ def is_normal(H: Subgroup) -> TriBool:
 
     if isinstance(G, FiniteTable):
         elems = H.enumerate_elements()
-        if elems is None:
-            elems = sorted(_bfs_subgroup_elements(G, H))
         eset = set(elems)
         for s in G.elements():
             for h in elems:
@@ -474,10 +459,6 @@ def is_cstar_simple(G: Group) -> TriBool:
         return _tri_and(is_cstar_simple(G.left), is_cstar_simple(G.right),
                         "a product is C*-simple iff both factors are")
     return tb.unknown(f"no C*-simplicity rule for {G.name}")
-
-
-def subgroup_as_group(H: Subgroup) -> Optional[AsGroup]:
-    return H.as_group()
 
 
 def subgroup_predicate(H: Subgroup, predicate) -> TriBool:

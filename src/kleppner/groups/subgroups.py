@@ -1,10 +1,11 @@
 """Described subgroups of catalog groups.
 
-Each description carries exactly the structure the decision procedures can
-exploit: membership, generators, enumeration (finite cases), normality and
-index, plus conversion of the subgroup to a standalone catalog group together
-with the embedding (``as_group``).  GeneratedBy subgroups of infinite groups
-may legitimately have undecided membership; queries then return None.
+Each description kind carries exactly the structure the decision procedures
+can exploit and answers the queries in its own class: membership, generators,
+enumeration (finite cases), index, plus conversion of the subgroup to a
+standalone catalog group together with the embedding (``as_group``).
+Generated subgroups of infinite groups may legitimately have undecided
+membership; queries then return None.
 """
 
 from __future__ import annotations
@@ -88,11 +89,51 @@ class AsGroup(NamedTuple):
     retract: Optional[Callable[[Element], Element]]  # parent element of H -> subgroup-group element
 
 
+def _trivial_as_group(e: Element) -> AsGroup:
+    """The one-element group, embedded as the identity e of the parent."""
+    one = FiniteTable(((0,),), ("e",), name="1")
+    return AsGroup(one, lambda x: e, lambda x: 0)
+
+
 class SubgroupDesc:
+    """A kind of subgroup description; each kind answers the queries it can.
+
+    Every query takes the parent group.  The defaults are the undecided
+    answers: membership None, no enumeration, index None, no standalone form,
+    and neither full nor trivial.
+    """
+
     kind = "abstract"
 
     def describe(self, parent: Group) -> str:
         return self.kind
+
+    def _validate(self, parent: Group) -> None:
+        pass
+
+    def lattice(self, parent: Group) -> RowLattice:
+        raise GroupError("not a sublattice subgroup")
+
+    def contains(self, parent: Group, x: Element) -> bool | None:
+        return None
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        raise GroupError("no generators for this description")
+
+    def enumerate_elements(self, parent: Group) -> list[Element] | None:
+        return None
+
+    def index(self, parent: Group) -> int | Infinite | None:
+        return None
+
+    def as_group(self, parent: Group) -> AsGroup | None:
+        return None
+
+    def is_full(self, parent: Group) -> bool:
+        return False
+
+    def is_trivial_subgroup(self, parent: Group) -> bool:
+        return False
 
 
 class FullDesc(SubgroupDesc):
@@ -101,12 +142,48 @@ class FullDesc(SubgroupDesc):
     def describe(self, parent: Group) -> str:
         return f"the full group {parent.name}"
 
+    def contains(self, parent: Group, x: Element) -> bool:
+        return True
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        return parent.generators()
+
+    def enumerate_elements(self, parent: Group) -> list[Element] | None:
+        return list(parent.elements()) if parent.is_finite else None
+
+    def index(self, parent: Group) -> int:
+        return 1
+
+    def as_group(self, parent: Group) -> AsGroup:
+        return AsGroup(parent, lambda x: x, lambda x: x)
+
+    def is_full(self, parent: Group) -> bool:
+        return True
+
 
 class TrivialDesc(SubgroupDesc):
     kind = "trivial"
 
     def describe(self, parent: Group) -> str:
         return "the trivial subgroup"
+
+    def contains(self, parent: Group, x: Element) -> bool:
+        return x == parent.identity()
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        return ()
+
+    def enumerate_elements(self, parent: Group) -> list[Element]:
+        return [parent.identity()]
+
+    def index(self, parent: Group) -> int | Infinite:
+        return parent.order if parent.is_finite else INFINITE
+
+    def as_group(self, parent: Group) -> AsGroup:
+        return _trivial_as_group(parent.identity())
+
+    def is_trivial_subgroup(self, parent: Group) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -119,6 +196,44 @@ class FiniteSubsetDesc(SubgroupDesc):
         inner = ", ".join(parent.element_str(x) for x in self.elements)
         return f"finite subgroup {{{inner}}}"
 
+    def _validate(self, parent: Group) -> None:
+        s = set(self.elements)
+        if parent.identity() not in s:
+            raise GroupError("finite subset must contain the identity")
+        for a in s:
+            parent.check_element(a)
+            if parent.inv(a) not in s:
+                raise GroupError(f"finite subset not closed under inverse at {parent.element_str(a)}")
+            for b in s:
+                if parent.mul(a, b) not in s:
+                    raise GroupError("finite subset not closed under multiplication")
+
+    def contains(self, parent: Group, x: Element) -> bool:
+        return x in self.elements
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        return _subset_generators(parent, self.elements)
+
+    def enumerate_elements(self, parent: Group) -> list[Element]:
+        return list(self.elements)
+
+    def index(self, parent: Group) -> int | Infinite:
+        return parent.order // len(self.elements) if parent.is_finite else INFINITE
+
+    def as_group(self, parent: Group) -> AsGroup:
+        elems = list(self.elements)
+        index = {x: i for i, x in enumerate(elems)}
+        table = [[index[parent.mul(a, b)] for b in elems] for a in elems]
+        names = [parent.element_str(x) for x in elems]
+        g = FiniteTable(table, names, name=f"sub({parent.name})")
+        return AsGroup(g, lambda i: elems[i], lambda x: index[x])
+
+    def is_full(self, parent: Group) -> bool:
+        return parent.is_finite and len(self.elements) == parent.order
+
+    def is_trivial_subgroup(self, parent: Group) -> bool:
+        return len(self.elements) == 1
+
 
 @dataclass(frozen=True)
 class SublatticeDesc(SubgroupDesc):
@@ -129,6 +244,48 @@ class SublatticeDesc(SubgroupDesc):
     def describe(self, parent: Group) -> str:
         cols = ", ".join(str(tuple(c)) for c in self.columns)
         return f"sublattice generated by {cols}"
+
+    def _validate(self, parent: Group) -> None:
+        if not isinstance(parent, FreeAbelian):
+            raise GroupError("sublattice descriptions require a free abelian parent")
+        for c in self.columns:
+            if len(c) != parent.rank:
+                raise GroupError("sublattice generator has wrong length")
+
+    def lattice(self, parent: Group) -> RowLattice:
+        lat = RowLattice(parent.rank)
+        for c in self.columns:
+            lat.add(c)
+        return lat
+
+    def contains(self, parent: Group, x: Element) -> bool:
+        return self.lattice(parent).contains(x)
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        return tuple(tuple(r) for r in self.lattice(parent).rows)
+
+    def enumerate_elements(self, parent: Group) -> list[Element] | None:
+        return None if self.lattice(parent).rows else [parent.identity()]
+
+    def index(self, parent: Group) -> int | Infinite:
+        idx = self.lattice(parent).index_in_ambient()
+        return INFINITE if idx is None else idx
+
+    def as_group(self, parent: Group) -> AsGroup:
+        basis = self.lattice(parent).basis()
+        n = parent.rank
+
+        def embed(c):
+            return tuple(sum(ci * bi[k] for ci, bi in zip(c, basis)) for k in range(n))
+
+        return AsGroup(FreeAbelian(len(basis)), embed,
+                       lambda x: _solve_integer_combination(basis, x))
+
+    def is_full(self, parent: Group) -> bool:
+        return self.lattice(parent).index_in_ambient() == 1
+
+    def is_trivial_subgroup(self, parent: Group) -> bool:
+        return self.lattice(parent).is_trivial()
 
 
 @dataclass(frozen=True)
@@ -141,6 +298,47 @@ class CoordinateZeroDesc(SubgroupDesc):
         pattern = ["0" if i in self.zero_coords else f"a{i + 1}" for i in range(3)]
         return "{(" + ", ".join(pattern) + ")}"
 
+    def _validate(self, parent: Group) -> None:
+        if not isinstance(parent, Heisenberg):
+            raise GroupError("coordinate-zero descriptions apply to the Heisenberg parent")
+        s = self.zero_coords
+        if not s <= {0, 1, 2}:
+            raise GroupError("coordinate indices must lie in {0,1,2}")
+        if 2 in s and not (0 in s or 1 in s):
+            # third coordinate picks up a1*b2; not closed unless one of them dies
+            raise GroupError("{(a1, a2, 0)} is not closed under the Heisenberg product")
+
+    def contains(self, parent: Group, x: Element) -> bool:
+        return all(x[i] == 0 for i in self.zero_coords)
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        return tuple(tuple(1 if j == i else 0 for j in range(3))
+                     for i in range(3) if i not in self.zero_coords)
+
+    def index(self, parent: Group) -> int | Infinite:
+        return 1 if not self.zero_coords else INFINITE
+
+    def as_group(self, parent: Group) -> AsGroup:
+        free = sorted(set(range(3)) - self.zero_coords)
+        if len(free) == 3:
+            return AsGroup(parent, lambda x: x, lambda x: x)
+        if not free:
+            return _trivial_as_group(parent.identity())
+
+        def embed(c):
+            out = [0, 0, 0]
+            for pos, coord in enumerate(free):
+                out[coord] = c[pos]
+            return tuple(out)
+
+        return AsGroup(FreeAbelian(len(free)), embed, lambda x: tuple(x[i] for i in free))
+
+    def is_full(self, parent: Group) -> bool:
+        return not self.zero_coords
+
+    def is_trivial_subgroup(self, parent: Group) -> bool:
+        return self.zero_coords == {0, 1, 2}
+
 
 @dataclass(frozen=True)
 class HeisCongruenceDesc(SubgroupDesc):
@@ -150,6 +348,19 @@ class HeisCongruenceDesc(SubgroupDesc):
 
     def describe(self, parent: Group) -> str:
         return f"{{(a1, a2, a3) : {self.modulus} | a1}}"
+
+    def _validate(self, parent: Group) -> None:
+        if not isinstance(parent, Heisenberg) or self.modulus < 2:
+            raise GroupError("congruence description needs Heisenberg parent and modulus >= 2")
+
+    def contains(self, parent: Group, x: Element) -> bool:
+        return x[0] % self.modulus == 0
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        return ((self.modulus, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def index(self, parent: Group) -> int:
+        return self.modulus
 
 
 @dataclass(frozen=True)
@@ -166,7 +377,6 @@ class HeisPlaneDesc(SubgroupDesc):
         return (1, 2) if self.plane == 0 else (0, 2)
 
     def describe(self, parent: Group) -> str:
-        i, j = self.free_coords()
         gens = ", ".join(str(self.lift(r)) for r in self.rows)
         return f"plane sublattice generated by {gens}"
 
@@ -175,6 +385,42 @@ class HeisPlaneDesc(SubgroupDesc):
         i, j = self.free_coords()
         out[i], out[j] = pair
         return tuple(out)
+
+    def _validate(self, parent: Group) -> None:
+        if not isinstance(parent, Heisenberg) or self.plane not in (0, 1):
+            raise GroupError("plane lattice needs a Heisenberg parent and plane 0 or 1")
+
+    def contains(self, parent: Group, x: Element) -> bool:
+        if x[self.plane] != 0:  # plane 0 kills a1, plane 1 kills a2
+            return False
+        i, j = self.free_coords()
+        return RowLattice(2, self.rows).contains((x[i], x[j]))
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        return tuple(self.lift(r) for r in self.rows)
+
+    def enumerate_elements(self, parent: Group) -> list[Element] | None:
+        return None if self.rows else [parent.identity()]
+
+    def index(self, parent: Group) -> Infinite:
+        return INFINITE
+
+    def as_group(self, parent: Group) -> AsGroup:
+        rows = self.rows
+        if not rows:
+            return _trivial_as_group(parent.identity())
+        i, j = self.free_coords()
+
+        def embed(c):
+            return self.lift(tuple(sum(ci * r[k] for ci, r in zip(c, rows)) for k in range(2)))
+
+        def retract(x):
+            return _solve_integer_combination([tuple(r) for r in rows], (x[i], x[j]))
+
+        return AsGroup(FreeAbelian(len(rows)), embed, retract)
+
+    def is_trivial_subgroup(self, parent: Group) -> bool:
+        return not self.rows
 
 
 @dataclass(frozen=True)
@@ -187,9 +433,75 @@ class ProductDesc(SubgroupDesc):
     def describe(self, parent: Group) -> str:
         return f"({self.left.describe_desc()}) x ({self.right.describe_desc()})"
 
+    def _validate(self, parent: Group) -> None:
+        if not isinstance(parent, DirectProduct):
+            raise GroupError("product subgroup needs a direct product parent")
+        if self.left.parent is not parent.left or self.right.parent is not parent.right:
+            raise GroupError("product subgroup factors must describe the parent factors")
+
+    def contains(self, parent: Group, x: Element) -> bool | None:
+        lc = self.left.contains(x[0])
+        rc = self.right.contains(x[1])
+        if lc is None or rc is None:
+            return None if (lc is not False and rc is not False) else False
+        return lc and rc
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        el, er = parent.left.identity(), parent.right.identity()
+        return (tuple((g, er) for g in self.left.generators())
+                + tuple((el, g) for g in self.right.generators()))
+
+    def enumerate_elements(self, parent: Group) -> list[Element] | None:
+        le = self.left.enumerate_elements()
+        re_ = self.right.enumerate_elements()
+        if le is None or re_ is None:
+            return None
+        return [(a, b) for a in le for b in re_]
+
+    def index(self, parent: Group) -> int | Infinite | None:
+        li = self.left.index()
+        ri = self.right.index()
+        if li is None or ri is None:
+            return None
+        if li is INFINITE or ri is INFINITE:
+            return INFINITE
+        return li * ri
+
+    def as_group(self, parent: Group) -> AsGroup | None:
+        lg = self.left.as_group()
+        rg = self.right.as_group()
+        if lg is None or rg is None:
+            return None
+        if self.left.is_trivial_subgroup():
+            el = parent.left.identity()
+            return AsGroup(rg.group, lambda y: (el, rg.embed(y)),
+                           (lambda p: rg.retract(p[1])) if rg.retract else None)
+        if self.right.is_trivial_subgroup():
+            er = parent.right.identity()
+            return AsGroup(lg.group, lambda y: (lg.embed(y), er),
+                           (lambda p: lg.retract(p[0])) if lg.retract else None)
+
+        def embed(pair):
+            return (lg.embed(pair[0]), rg.embed(pair[1]))
+
+        retract = None
+        if lg.retract and rg.retract:
+            def retract(pair):
+                return (lg.retract(pair[0]), rg.retract(pair[1]))
+
+        return AsGroup(DirectProduct(lg.group, rg.group), embed, retract)
+
+    def is_full(self, parent: Group) -> bool:
+        return self.left.is_full() and self.right.is_full()
+
+    def is_trivial_subgroup(self, parent: Group) -> bool:
+        return self.left.is_trivial_subgroup() and self.right.is_trivial_subgroup()
+
 
 @dataclass(frozen=True)
 class GeneratedDesc(SubgroupDesc):
+    """Generators only; membership may stay undecided (None)."""
+
     gens: tuple
 
     kind = "generated"
@@ -197,6 +509,16 @@ class GeneratedDesc(SubgroupDesc):
     def describe(self, parent: Group) -> str:
         inner = ", ".join(parent.element_str(g) for g in self.gens)
         return f"subgroup generated by {inner}"
+
+    def _validate(self, parent: Group) -> None:
+        if isinstance(parent, FiniteTable):
+            # this keeps enumerate_elements() a list for every subgroup of a table
+            raise GroupError("subgroups of a finite table are described by their elements")
+        for g in self.gens:
+            parent.check_element(g)
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        return self.gens
 
 
 @dataclass(frozen=True)
@@ -208,14 +530,40 @@ class FreeCyclicDesc(SubgroupDesc):
     def describe(self, parent: Group) -> str:
         return f"cyclic subgroup <{parent.element_str(self.word)}>"
 
+    def _validate(self, parent: Group) -> None:
+        if not isinstance(parent, FreeGroup) or not self.word:
+            raise GroupError("cyclic word description needs a free parent and nontrivial word")
+
+    def contains(self, parent: Group, x: Element) -> bool:
+        return parent.power_of(x, self.word) is not None
+
+    def generators(self, parent: Group) -> tuple[Element, ...]:
+        return (self.word,)
+
+    def index(self, parent: Group) -> Infinite:
+        return INFINITE  # proper finite-index subgroups of F_k are never cyclic
+
+    def as_group(self, parent: Group) -> AsGroup:
+        w = self.word
+
+        def retract(x):
+            k = parent.power_of(x, w)
+            if k is None:
+                raise GroupError("element outside cyclic subgroup")
+            return (k,)
+
+        return AsGroup(FreeAbelian(1), lambda c: parent.power(w, c[0]), retract)
+
 
 class Subgroup:
-    """A described subgroup of a catalog group."""
+    """A described subgroup of a catalog group; the queries forward to the
+    description.  For a finite table parent, enumerate_elements() is never
+    None."""
 
     def __init__(self, parent: Group, desc: SubgroupDesc) -> None:
         self.parent = parent
         self.desc = desc
-        self._validate()
+        desc._validate(parent)
 
     # -- construction helpers --------------------------------------------
     @staticmethod
@@ -273,359 +621,34 @@ class Subgroup:
             return Subgroup.full(parent)
         return Subgroup(parent, HeisCongruenceDesc(modulus))
 
-    # -- validation ---------------------------------------------------------
-    def _validate(self) -> None:
-        parent, desc = self.parent, self.desc
-        if isinstance(desc, FiniteSubsetDesc):
-            s = set(desc.elements)
-            if parent.identity() not in s:
-                raise GroupError("finite subset must contain the identity")
-            for a in s:
-                parent.check_element(a)
-                if parent.inv(a) not in s:
-                    raise GroupError(f"finite subset not closed under inverse at {parent.element_str(a)}")
-                for b in s:
-                    if parent.mul(a, b) not in s:
-                        raise GroupError("finite subset not closed under multiplication")
-        elif isinstance(desc, SublatticeDesc):
-            if not isinstance(parent, FreeAbelian):
-                raise GroupError("sublattice descriptions require a free abelian parent")
-            for c in desc.columns:
-                if len(c) != parent.rank:
-                    raise GroupError("sublattice generator has wrong length")
-        elif isinstance(desc, CoordinateZeroDesc):
-            if not isinstance(parent, Heisenberg):
-                raise GroupError("coordinate-zero descriptions apply to the Heisenberg parent")
-            s = desc.zero_coords
-            if not s <= {0, 1, 2}:
-                raise GroupError("coordinate indices must lie in {0,1,2}")
-            if 2 in s and not (0 in s or 1 in s):
-                # third coordinate picks up a1*b2; not closed unless one of them dies
-                raise GroupError("{(a1, a2, 0)} is not closed under the Heisenberg product")
-        elif isinstance(desc, HeisCongruenceDesc):
-            if not isinstance(parent, Heisenberg) or desc.modulus < 2:
-                raise GroupError("congruence description needs Heisenberg parent and modulus >= 2")
-        elif isinstance(desc, HeisPlaneDesc):
-            if not isinstance(parent, Heisenberg) or desc.plane not in (0, 1):
-                raise GroupError("plane lattice needs a Heisenberg parent and plane 0 or 1")
-        elif isinstance(desc, ProductDesc):
-            if not isinstance(parent, DirectProduct):
-                raise GroupError("product subgroup needs a direct product parent")
-            if desc.left.parent is not parent.left or desc.right.parent is not parent.right:
-                raise GroupError("product subgroup factors must describe the parent factors")
-        elif isinstance(desc, GeneratedDesc):
-            for g in desc.gens:
-                parent.check_element(g)
-        elif isinstance(desc, FreeCyclicDesc):
-            if not isinstance(parent, FreeGroup) or not desc.word:
-                raise GroupError("cyclic word description needs a free parent and nontrivial word")
-
-    # -- lattice access (free abelian parents) -----------------------------
+    # -- queries -------------------------------------------------------------
     def lattice(self) -> RowLattice:
-        if not isinstance(self.desc, SublatticeDesc):
-            raise GroupError("not a sublattice subgroup")
-        lat = RowLattice(self.parent.rank)
-        for c in self.desc.columns:
-            lat.add(c)
-        return lat
+        """The sublattice of a free abelian parent."""
+        return self.desc.lattice(self.parent)
 
-    # -- membership ----------------------------------------------------------
     def contains(self, x: Element) -> bool | None:
-        parent, desc = self.parent, self.desc
-        parent.check_element(x)
-        if isinstance(desc, FullDesc):
-            return True
-        if isinstance(desc, TrivialDesc):
-            return x == parent.identity()
-        if isinstance(desc, FiniteSubsetDesc):
-            return x in desc.elements
-        if isinstance(desc, SublatticeDesc):
-            return self.lattice().contains(x)
-        if isinstance(desc, CoordinateZeroDesc):
-            return all(x[i] == 0 for i in desc.zero_coords)
-        if isinstance(desc, HeisCongruenceDesc):
-            return x[0] % desc.modulus == 0
-        if isinstance(desc, HeisPlaneDesc):
-            dead = 0 if desc.plane == 0 else 1
-            if x[dead] != 0:
-                return False
-            i, j = desc.free_coords()
-            lat = RowLattice(2, desc.rows)
-            return lat.contains((x[i], x[j]))
-        if isinstance(desc, ProductDesc):
-            lc = desc.left.contains(x[0])
-            rc = desc.right.contains(x[1])
-            if lc is None or rc is None:
-                return None if (lc is not False and rc is not False) else False
-            return lc and rc
-        if isinstance(desc, HeisPlaneDesc):
-            rows = desc.rows
-            if not rows:
-                one = FiniteTable(((0,),), ("e",), name="1")
-                return AsGroup(one, lambda x: (0, 0, 0), lambda x: 0)
-            amb = FreeAbelian(len(rows))
+        self.parent.check_element(x)
+        return self.desc.contains(self.parent, x)
 
-            def embed(c, _d=desc, _rows=rows):
-                pair = tuple(sum(ci * r[k] for ci, r in zip(c, _rows)) for k in range(2))
-                return _d.lift(pair)
-
-            def retract(x, _d=desc, _rows=rows):
-                i, j = _d.free_coords()
-                return _solve_integer_combination([tuple(r) for r in _rows], (x[i], x[j]))
-
-            return AsGroup(amb, embed, retract)
-        if isinstance(desc, FreeCyclicDesc):
-            return parent.power_of(x, desc.word) is not None
-        return None  # GeneratedDesc in an infinite group: possibly undecided
-
-    # -- generators ----------------------------------------------------------
     def generators(self) -> tuple[Element, ...]:
-        parent, desc = self.parent, self.desc
-        if isinstance(desc, FullDesc):
-            return parent.generators()
-        if isinstance(desc, TrivialDesc):
-            return ()
-        if isinstance(desc, FiniteSubsetDesc):
-            return _subset_generators(parent, desc.elements)
-        if isinstance(desc, SublatticeDesc):
-            return tuple(tuple(r) for r in self.lattice().rows)
-        if isinstance(desc, CoordinateZeroDesc):
-            gens = []
-            for i in range(3):
-                if i not in desc.zero_coords:
-                    gens.append(tuple(1 if j == i else 0 for j in range(3)))
-            return tuple(gens)
-        if isinstance(desc, HeisCongruenceDesc):
-            return ((desc.modulus, 0, 0), (0, 1, 0), (0, 0, 1))
-        if isinstance(desc, HeisPlaneDesc):
-            return tuple(desc.lift(r) for r in desc.rows)
-        if isinstance(desc, ProductDesc):
-            el, er = parent.left.identity(), parent.right.identity()
-            out = [(g, er) for g in desc.left.generators()]
-            out += [(el, g) for g in desc.right.generators()]
-            return tuple(out)
-        if isinstance(desc, GeneratedDesc):
-            return desc.gens
-        if isinstance(desc, HeisPlaneDesc):
-            rows = desc.rows
-            if not rows:
-                one = FiniteTable(((0,),), ("e",), name="1")
-                return AsGroup(one, lambda x: (0, 0, 0), lambda x: 0)
-            amb = FreeAbelian(len(rows))
+        return self.desc.generators(self.parent)
 
-            def embed(c, _d=desc, _rows=rows):
-                pair = tuple(sum(ci * r[k] for ci, r in zip(c, _rows)) for k in range(2))
-                return _d.lift(pair)
-
-            def retract(x, _d=desc, _rows=rows):
-                i, j = _d.free_coords()
-                return _solve_integer_combination([tuple(r) for r in _rows], (x[i], x[j]))
-
-            return AsGroup(amb, embed, retract)
-        if isinstance(desc, FreeCyclicDesc):
-            return (desc.word,)
-        raise GroupError("no generators for this description")
-
-    # -- enumeration -----------------------------------------------------------
     def enumerate_elements(self) -> list[Element] | None:
-        parent, desc = self.parent, self.desc
-        if isinstance(desc, FullDesc):
-            return list(parent.elements()) if parent.is_finite else None
-        if isinstance(desc, TrivialDesc):
-            return [parent.identity()]
-        if isinstance(desc, FiniteSubsetDesc):
-            return list(desc.elements)
-        if isinstance(desc, ProductDesc):
-            le = desc.left.enumerate_elements()
-            re_ = desc.right.enumerate_elements()
-            if le is None or re_ is None:
-                return None
-            return [(a, b) for a in le for b in re_]
-        if isinstance(desc, SublatticeDesc) and not self.lattice().rows:
-            return [parent.identity()]
-        if isinstance(desc, HeisPlaneDesc) and not desc.rows:
-            return [parent.identity()]
-        return None
+        return self.desc.enumerate_elements(self.parent)
 
-    # -- structural queries ------------------------------------------------------
     def is_full(self) -> bool:
-        if isinstance(self.desc, FullDesc):
-            return True
-        if isinstance(self.desc, FiniteSubsetDesc) and self.parent.is_finite:
-            return len(self.desc.elements) == self.parent.order
-        if isinstance(self.desc, SublatticeDesc):
-            return self.lattice().index_in_ambient() == 1
-        if isinstance(self.desc, ProductDesc):
-            return self.desc.left.is_full() and self.desc.right.is_full()
-        if isinstance(self.desc, CoordinateZeroDesc):
-            return not self.desc.zero_coords
-        return False
+        return self.desc.is_full(self.parent)
 
     def is_trivial_subgroup(self) -> bool:
-        if isinstance(self.desc, TrivialDesc):
-            return True
-        if isinstance(self.desc, FiniteSubsetDesc):
-            return len(self.desc.elements) == 1
-        if isinstance(self.desc, SublatticeDesc):
-            return self.lattice().is_trivial()
-        if isinstance(self.desc, CoordinateZeroDesc):
-            return self.desc.zero_coords == {0, 1, 2}
-        if isinstance(self.desc, ProductDesc):
-            return self.desc.left.is_trivial_subgroup() and self.desc.right.is_trivial_subgroup()
-        if isinstance(self.desc, HeisPlaneDesc):
-            return not self.desc.rows
-        return False
+        return self.desc.is_trivial_subgroup(self.parent)
 
     def index(self) -> int | Infinite | None:
         """[G : H]; INFINITE or None (undecided)."""
-        parent, desc = self.parent, self.desc
-        if isinstance(desc, FullDesc):
-            return 1
-        if isinstance(desc, TrivialDesc):
-            return parent.order if parent.is_finite else INFINITE
-        if isinstance(desc, FiniteSubsetDesc):
-            if parent.is_finite:
-                return parent.order // len(desc.elements)
-            return INFINITE
-        if isinstance(desc, SublatticeDesc):
-            idx = self.lattice().index_in_ambient()
-            return INFINITE if idx is None else idx
-        if isinstance(desc, CoordinateZeroDesc):
-            return 1 if not desc.zero_coords else INFINITE
-        if isinstance(desc, HeisCongruenceDesc):
-            return desc.modulus
-        if isinstance(desc, ProductDesc):
-            li = desc.left.index()
-            ri = desc.right.index()
-            if li is None or ri is None:
-                return None
-            if li is INFINITE or ri is INFINITE:
-                return INFINITE
-            return li * ri
-        if isinstance(desc, HeisPlaneDesc):
-            rows = desc.rows
-            if not rows:
-                one = FiniteTable(((0,),), ("e",), name="1")
-                return AsGroup(one, lambda x: (0, 0, 0), lambda x: 0)
-            amb = FreeAbelian(len(rows))
-
-            def embed(c, _d=desc, _rows=rows):
-                pair = tuple(sum(ci * r[k] for ci, r in zip(c, _rows)) for k in range(2))
-                return _d.lift(pair)
-
-            def retract(x, _d=desc, _rows=rows):
-                i, j = _d.free_coords()
-                return _solve_integer_combination([tuple(r) for r in _rows], (x[i], x[j]))
-
-            return AsGroup(amb, embed, retract)
-        if isinstance(desc, FreeCyclicDesc):
-            return INFINITE  # proper finite-index subgroups of F_k are never cyclic
-        if isinstance(desc, HeisPlaneDesc):
-            return INFINITE
-        return None
+        return self.desc.index(self.parent)
 
     def as_group(self) -> AsGroup | None:
         """The subgroup as a standalone catalog group with its embedding."""
-        parent, desc = self.parent, self.desc
-        if isinstance(desc, FullDesc):
-            return AsGroup(parent, lambda x: x, lambda x: x)
-        if isinstance(desc, TrivialDesc):
-            one = FiniteTable(((0,),), ("e",), name="1")
-            e = parent.identity()
-            return AsGroup(one, lambda x: e, lambda x: 0)
-        if isinstance(desc, FiniteSubsetDesc):
-            elems = list(desc.elements)
-            index = {x: i for i, x in enumerate(elems)}
-            table = [[index[parent.mul(a, b)] for b in elems] for a in elems]
-            names = [parent.element_str(x) for x in elems]
-            g = FiniteTable(table, names, name=f"sub({parent.name})")
-            return AsGroup(g, lambda i: elems[i], lambda x: index[x])
-        if isinstance(desc, SublatticeDesc):
-            basis = self.lattice().basis()
-            r = len(basis)
-            amb = FreeAbelian(r)
-
-            def embed(c, _b=basis, _n=self.parent.rank):
-                return tuple(sum(ci * bi[k] for ci, bi in zip(c, _b)) for k in range(_n))
-
-            def retract(x, _b=basis, _n=self.parent.rank, _r=r):
-                return _solve_integer_combination(_b, x)
-
-            return AsGroup(amb, embed, retract)
-        if isinstance(desc, CoordinateZeroDesc):
-            free = sorted(set(range(3)) - desc.zero_coords)
-            if len(free) == 3:
-                return AsGroup(parent, lambda x: x, lambda x: x)
-            if not free:
-                one = FiniteTable(((0,),), ("e",), name="1")
-                return AsGroup(one, lambda x: (0, 0, 0), lambda x: 0)
-            amb = FreeAbelian(len(free))
-
-            def embed(c, _free=free):
-                out = [0, 0, 0]
-                for pos, coord in enumerate(_free):
-                    out[coord] = c[pos]
-                return tuple(out)
-
-            def retract(x, _free=free):
-                return tuple(x[i] for i in _free)
-
-            return AsGroup(amb, embed, retract)
-        if isinstance(desc, ProductDesc):
-            lg = desc.left.as_group()
-            rg = desc.right.as_group()
-            if lg is None or rg is None:
-                return None
-            if desc.left.is_trivial_subgroup():
-                el = parent.left.identity()
-                return AsGroup(rg.group, lambda y, _e=el, _em=rg.embed: (_e, _em(y)),
-                               (lambda p, _re=rg.retract: _re(p[1])) if rg.retract else None)
-            if desc.right.is_trivial_subgroup():
-                er = parent.right.identity()
-                return AsGroup(lg.group, lambda y, _e=er, _em=lg.embed: (_em(y), _e),
-                               (lambda p, _re=lg.retract: _re(p[0])) if lg.retract else None)
-            gg = DirectProduct(lg.group, rg.group)
-
-            def embed(pair, _l=lg.embed, _r=rg.embed):
-                return (_l(pair[0]), _r(pair[1]))
-
-            retract = None
-            if lg.retract and rg.retract:
-                def retract(pair, _l=lg.retract, _r=rg.retract):
-                    return (_l(pair[0]), _r(pair[1]))
-
-            return AsGroup(gg, embed, retract)
-        if isinstance(desc, HeisPlaneDesc):
-            rows = desc.rows
-            if not rows:
-                one = FiniteTable(((0,),), ("e",), name="1")
-                return AsGroup(one, lambda x: (0, 0, 0), lambda x: 0)
-            amb = FreeAbelian(len(rows))
-
-            def embed(c, _d=desc, _rows=rows):
-                pair = tuple(sum(ci * r[k] for ci, r in zip(c, _rows)) for k in range(2))
-                return _d.lift(pair)
-
-            def retract(x, _d=desc, _rows=rows):
-                i, j = _d.free_coords()
-                return _solve_integer_combination([tuple(r) for r in _rows], (x[i], x[j]))
-
-            return AsGroup(amb, embed, retract)
-        if isinstance(desc, FreeCyclicDesc):
-            amb = FreeAbelian(1)
-            w = desc.word
-
-            def embed(c, _p=parent, _w=w):
-                return _p.power(_w, c[0])
-
-            def retract(x, _p=parent, _w=w):
-                k = _p.power_of(x, _w)
-                if k is None:
-                    raise GroupError("element outside cyclic subgroup")
-                return (k,)
-
-            return AsGroup(amb, embed, retract)
-        return None
+        return self.desc.as_group(self.parent)
 
     def describe_desc(self) -> str:
         return self.desc.describe(self.parent)

@@ -289,24 +289,12 @@ def _verify_solution(rep: RegularRep, hgens: list[int], f: dict) -> bool:
 # route B: regular class counting
 # ---------------------------------------------------------------------------
 
-def _h_classes(G: FiniteTable, helems: list[int]) -> list[list[int]]:
-    seen: set[int] = set()
-    classes = []
-    for g in G.elements():
-        if g in seen:
-            continue
-        orbit = sorted({G.conj(h, g) for h in helems})
-        seen.update(orbit)
-        classes.append(orbit)
-    return classes
-
-
 def _route_b(rep: RegularRep, helems: list[int]) -> tuple[int, list[list[int]]]:
     G = rep.group
     val = rep.int_values
     table = G.table
     regular = []
-    for orbit in _h_classes(G, helems):
+    for orbit in G.h_classes(helems):
         g = orbit[0]
         ok = True
         for h in helems:
@@ -341,8 +329,6 @@ def relative_commutant_dim(G: FiniteTable, H: Subgroup, sigma: Cocycle,
     if rep is None:
         rep = build_regular_rep(G, sigma, verify_pairs=False)
     helems = H.enumerate_elements()
-    if helems is None:
-        helems = sorted(G.closure(set(H.generators())))
     hgens = list(Subgroup.finite_subset(G, helems).generators()) or [G.identity()]
     sol = _route_a(rep, hgens)
     count, regular = _route_b(rep, helems)

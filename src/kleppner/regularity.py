@@ -222,25 +222,17 @@ def _class_witness(w: Element, H: Subgroup, cap: int = 10_000) -> Classification
 
 def _finite_table_relative(G: FiniteTable, H: Subgroup, sigma: Cocycle) -> TriBool:
     helems = H.enumerate_elements()
-    if helems is None:
-        helems = sorted(G.closure(set(H.generators())))
     e = G.identity()
-    seen: set[int] = set()
-    bad: list[Classification] = []
-    for g in G.elements():
-        if g in seen:
-            continue
-        orbit = sorted({G.conj(h, g) for h in helems})
-        seen.update(orbit)
+    # classes come in increasing order of their least element, so the first
+    # regular one is the minimal witness
+    for orbit in G.h_classes(helems):
         if orbit == [e]:
             continue
         rep = orbit[0]
         cent = [h for h in helems if G.commutes(h, rep)]
         if all(commutation_phase(sigma, rep, h).is_one() for h in cent):
-            bad.append(finite_class(orbit))
-    if bad:
-        witness = min(bad, key=lambda c: G.element_key(c.elements[0]))
-        return tb.fails(witness, "(a) finite enumeration: a nontrivial regular class exists")
+            return tb.fails(finite_class(orbit),
+                            "(a) finite enumeration: a nontrivial regular class exists")
     return tb.holds("(a) finite enumeration: every nontrivial H-class fails regularity")
 
 
@@ -412,10 +404,7 @@ def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle,
     full = Subgroup.full(G)
 
     if isinstance(G, FiniteTable):
-        helems = H.enumerate_elements()
-        if helems is None:
-            helems = sorted(G.closure(set(H.generators())))
-        for h in sorted(helems, key=G.element_key):
+        for h in sorted(H.enumerate_elements(), key=G.element_key):
             r_h = is_sigma_regular(h, H, sigma)
             r_g = is_sigma_regular(h, full, sigma)
             if r_h.holds and r_g.fails:

@@ -34,12 +34,6 @@ def _witness_str(G: Group, witness: Any) -> Any:
         if witness.finite:
             return {"class": [G.element_str(x) for x in witness.elements]}
         return {"certificate": witness.certificate or witness.reason}
-    if isinstance(witness, tuple) and len(witness) == 2 and all(
-            not isinstance(w, (int, str)) or True for w in witness):
-        try:
-            return G.element_str(witness)
-        except Exception:
-            return str(witness)
     try:
         return G.element_str(witness)
     except Exception:

@@ -69,9 +69,3 @@ def fails(witness: Any = None, *notes: str) -> TriBool:
 
 def unknown(reason: str, *notes: str) -> TriBool:
     return TriBool(UNKNOWN, reason=reason, notes=tuple(notes))
-
-
-def tri_from_bool(value: bool, witness: Any = None, *notes: str) -> TriBool:
-    if value:
-        return TriBool(HOLDS, notes=tuple(notes))
-    return TriBool(FAILS, witness=witness, notes=tuple(notes))

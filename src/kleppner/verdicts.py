@@ -63,8 +63,37 @@ class Verdict:
         return f"Verdict({self.conclusion}; {rules})"
 
 
-def _step(rule: str, statement: str, *premises: tuple[str, str]) -> RuleStep:
-    return RuleStep(rule, statement, tuple(premises))
+# rule key -> the statement the rule applies, as reported in every verdict
+_RULES = {
+    "kleppner-center": "for FC-hypercentral groups, twisted simplicity is equivalent to "
+                       "Kleppner's condition",
+    "untwisted-cstar-simple": "a C*-simple group stays C*-simple under every two-cocycle",
+    "kleppner-necessary": "Kleppner's condition is necessary for twisted simplicity",
+    "normality-gate": "the normal-subgroup criteria do not apply",
+    **dict.fromkeys(("finite-exact-kleppner", "abelian-exact-kleppner"),
+                    "H is FC-hypercentral, so the inclusion is irreducible-with-simple-"
+                    "intermediates exactly when the relative Kleppner condition holds; "
+                    "decided by exact kernel computation"),
+    "csimple-twisted-centralizer": "for C*-simple normal H, the inclusion is irreducible "
+                                   "iff the twisted centralizer of H is trivial",
+    "prime-fch-twisted-centralizer": "for prime FC-hypercentral normal H: irreducible iff "
+                                     "(H, sigma|_H) satisfies Kleppner and the twisted "
+                                     "centralizer is trivial",
+    "prime-twisted-centralizer": "for prime normal H: irreducible iff (H, sigma|_H) is "
+                                 "C*-simple and the twisted centralizer is trivial",
+    "untwisted-irreducible-lifts": "an irreducible untwisted normal inclusion stays "
+                                   "irreducible under every two-cocycle",
+    "fch-or-csimple-relative-kleppner": "for FC-hypercentral or C*-simple normal H, the "
+                                        "inclusion is irreducible iff the relative Kleppner "
+                                        "condition holds",
+    "simple-plus-relative-kleppner": "for normal H the inclusion is irreducible iff "
+                                     "(H, sigma|_H) is C*-simple and the relative Kleppner "
+                                     "condition holds",
+}
+
+
+def _step(rule: str, *premises: tuple[str, str]) -> RuleStep:
+    return RuleStep(rule, _RULES[rule], tuple(premises))
 
 
 def _tri_str(t: TriBool) -> str:
@@ -87,8 +116,6 @@ def twisted_simplicity(G: Group, sigma: Cocycle) -> Verdict:
     if fch.holds:
         k = kleppner(G, sigma)
         step = _step("kleppner-center",
-                     "for FC-hypercentral groups, twisted simplicity is equivalent to "
-                     "Kleppner's condition",
                      ("FC-hypercentral", _tri_str(fch)), ("kleppner", _tri_str(k)))
         if k.decided:
             chain.append(step)
@@ -98,17 +125,13 @@ def twisted_simplicity(G: Group, sigma: Cocycle) -> Verdict:
 
     cs = is_cstar_simple(G)
     if cs.holds:
-        chain.append(_step("untwisted-cstar-simple",
-                           "a C*-simple group stays C*-simple under every two-cocycle",
-                           ("C*-simple", _tri_str(cs))))
+        chain.append(_step("untwisted-cstar-simple", ("C*-simple", _tri_str(cs))))
         return Verdict(HOLDS, tuple(chain), notes=tuple(cs.notes))
 
     if k is None:
         k = kleppner(G, sigma)
     if k.fails:
-        chain.append(_step("kleppner-necessary",
-                           "Kleppner's condition is necessary for twisted simplicity",
-                           ("kleppner", _tri_str(k))))
+        chain.append(_step("kleppner-necessary", ("kleppner", _tri_str(k))))
         return Verdict(FAILS, tuple(chain), witness=k.witness, notes=tuple(k.notes))
 
     notes.append(f"missing premises: FC-hypercentral={fch.status}, "
@@ -157,9 +180,7 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
     nrm = is_normal(H)
     if not nrm.holds:
         return Verdict(INCONCLUSIVE,
-                       (_step("normality-gate",
-                              "the normal-subgroup criteria do not apply",
-                              ("H normal in G", _tri_str(nrm))),),
+                       (_step("normality-gate", ("H normal in G", _tri_str(nrm))),),
                        notes=("the characterization can fail for non-normal subgroups, "
                               "so no verdict is emitted without normality",))
 
@@ -187,9 +208,6 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
         if r.decided:
             rule = "finite-exact-kleppner" if isinstance(G, FiniteTable) else "abelian-exact-kleppner"
             chain.append(_step(rule,
-                               "H is FC-hypercentral, so the inclusion is irreducible-with-"
-                               "simple-intermediates exactly when the relative Kleppner "
-                               "condition holds; decided by exact kernel computation",
                                ("H FC-hypercentral", _tri_str(fch_h)),
                                ("relative-kleppner", _tri_str(r))))
             notes.extend(r.notes)
@@ -204,8 +222,6 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
         s = sc()
         if s.is_trivial.decided:
             chain.append(_step("csimple-twisted-centralizer",
-                               "for C*-simple normal H, the inclusion is irreducible "
-                               "iff the twisted centralizer of H is trivial",
                                ("H C*-simple", _tri_str(cs_h)),
                                ("twisted centralizer trivial", _tri_str(s.is_trivial))))
             if s.is_trivial.holds:
@@ -222,9 +238,6 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
         inner = _inner_kleppner(H, sigma)
         if s.is_trivial.fails:
             chain.append(_step("prime-fch-twisted-centralizer",
-                               "for prime FC-hypercentral normal H: irreducible iff "
-                               "(H, sigma|_H) satisfies Kleppner and the twisted "
-                               "centralizer is trivial",
                                ("H prime", _tri_str(prime_h)),
                                ("H FC-hypercentral", _tri_str(fch_h)),
                                ("twisted centralizer trivial", _tri_str(s.is_trivial))))
@@ -232,9 +245,6 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
                            notes=tuple(notes) + tuple(s.is_trivial.notes))
         if inner is not None and inner.fails:
             chain.append(_step("prime-fch-twisted-centralizer",
-                               "for prime FC-hypercentral normal H: irreducible iff "
-                               "(H, sigma|_H) satisfies Kleppner and the twisted "
-                               "centralizer is trivial",
                                ("H prime", _tri_str(prime_h)),
                                ("H FC-hypercentral", _tri_str(fch_h)),
                                ("kleppner for (H, sigma|_H)", _tri_str(inner))))
@@ -242,9 +252,6 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
                            notes=tuple(notes) + tuple(inner.notes))
         if inner is not None and inner.holds and s.is_trivial.holds:
             chain.append(_step("prime-fch-twisted-centralizer",
-                               "for prime FC-hypercentral normal H: irreducible iff "
-                               "(H, sigma|_H) satisfies Kleppner and the twisted "
-                               "centralizer is trivial",
                                ("H prime", _tri_str(prime_h)),
                                ("H FC-hypercentral", _tri_str(fch_h)),
                                ("kleppner for (H, sigma|_H)", _tri_str(inner)),
@@ -259,22 +266,16 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
         ts = twisted_simplicity_subgroup(H, sigma)
         if s.is_trivial.fails:
             chain.append(_step("prime-twisted-centralizer",
-                               "for prime normal H: irreducible iff (H, sigma|_H) is "
-                               "C*-simple and the twisted centralizer is trivial",
                                ("H prime", _tri_str(prime_h)),
                                ("twisted centralizer trivial", _tri_str(s.is_trivial))))
             return Verdict(FAILS, tuple(chain), witness=s.is_trivial.witness, notes=tuple(notes))
         if ts.fails:
             chain.append(_step("prime-twisted-centralizer",
-                               "for prime normal H: irreducible iff (H, sigma|_H) is "
-                               "C*-simple and the twisted centralizer is trivial",
                                ("H prime", _tri_str(prime_h)),
                                ("(H, sigma|_H) C*-simple", ts.conclusion)))
             return Verdict(FAILS, tuple(chain), witness=ts.witness, notes=tuple(notes))
         if ts.holds and s.is_trivial.holds:
             chain.append(_step("prime-twisted-centralizer",
-                               "for prime normal H: irreducible iff (H, sigma|_H) is "
-                               "C*-simple and the twisted centralizer is trivial",
                                ("H prime", _tri_str(prime_h)),
                                ("(H, sigma|_H) C*-simple", ts.conclusion),
                                ("twisted centralizer trivial", _tri_str(s.is_trivial))))
@@ -285,8 +286,6 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
         untw = cstar_irreducible(G, H, TrivialCocycle(G))
         if untw.holds:
             chain.append(_step("untwisted-irreducible-lifts",
-                               "an irreducible untwisted normal inclusion stays "
-                               "irreducible under every two-cocycle",
                                ("untwisted inclusion irreducible", untw.conclusion)))
             return Verdict(HOLDS, tuple(chain), notes=tuple(notes))
 
@@ -295,8 +294,6 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
         r = rk()
         if r.decided:
             chain.append(_step("fch-or-csimple-relative-kleppner",
-                               "for FC-hypercentral or C*-simple normal H, the inclusion "
-                               "is irreducible iff the relative Kleppner condition holds",
                                ("H FC-hypercentral", _tri_str(fch_h)),
                                ("H C*-simple", _tri_str(cs_h)),
                                ("relative-kleppner", _tri_str(r))))
@@ -312,15 +309,11 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
     if ts.fails or r.fails:
         src = ts if ts.fails else r
         chain.append(_step("simple-plus-relative-kleppner",
-                           "for normal H the inclusion is irreducible iff (H, sigma|_H) "
-                           "is C*-simple and the relative Kleppner condition holds",
                            ("(H, sigma|_H) C*-simple", ts.conclusion),
                            ("relative-kleppner", _tri_str(r))))
         return Verdict(FAILS, tuple(chain), witness=src.witness, notes=tuple(notes))
     if ts.holds and r.holds:
         chain.append(_step("simple-plus-relative-kleppner",
-                           "for normal H the inclusion is irreducible iff (H, sigma|_H) "
-                           "is C*-simple and the relative Kleppner condition holds",
                            ("(H, sigma|_H) C*-simple", ts.conclusion),
                            ("relative-kleppner", _tri_str(r))))
         return Verdict(HOLDS, tuple(chain), notes=tuple(notes))
@@ -393,7 +386,7 @@ def intermediate_lattice(G: Group, H: Subgroup, sigma: Cocycle,
                              f"(verdict: {verdict.conclusion})")
 
     if isinstance(G, FiniteTable):
-        helems = set(H.enumerate_elements() or [])
+        helems = set(H.enumerate_elements())
         entries = []
         for s in G.all_subgroups():
             if helems <= s:

@@ -8,6 +8,7 @@ from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, GroupError, 
                              h_conjugacy_class, is_cstar_simple, is_fc_hypercentral,
                              is_normal, is_prime)
 from kleppner.groups.free import reduce_by_stack
+from kleppner.groups.subgroups import GeneratedDesc, SubgroupDesc
 
 ALL_BUILTIN_NAMES = ["Z_1", "Z_2", "Z_6", "Z_12", "Z_2 x Z_2", "Z_3 x Z_4",
                      "D_4", "D_3", "Q8", "S_3", "S_4"]
@@ -232,6 +233,46 @@ def test_index():
     half = Subgroup.finite_subset(z22, [0, 2])
     assert half.index() == 2
     assert Subgroup.heis_congruence(heis, 5).index() == 5
+    plane = Subgroup.generated(heis, [(0, 2, 0), (0, 0, 3)])
+    assert plane.index() is INFINITE
+    z1 = FreeAbelian(1)
+    assert Subgroup.product(DirectProduct(heis, z1), plane,
+                            Subgroup.full(z1)).index() is INFINITE
+
+
+def test_subgroup_description_contracts():
+    z3, heis, f2 = FreeAbelian(3), Heisenberg(), FreeGroup(2)
+    d4 = from_name("D_4")
+    hz = DirectProduct(heis, FreeAbelian(1))
+    subgroups = [  # one of each description kind
+        Subgroup.full(d4),
+        Subgroup.trivial(heis),
+        Subgroup.finite_subset(d4, d4.closure({1})),
+        Subgroup.sublattice(z3, [(2, 0, 0), (0, 3, 1)]),
+        Subgroup.coordinate_zero(heis, {1, 2}),
+        Subgroup.heis_congruence(heis, 3),
+        Subgroup.generated(heis, [(0, 2, 0), (0, 0, 3)]),
+        Subgroup.product(hz, Subgroup.coordinate_zero(heis, {0}), Subgroup.full(hz.right)),
+        Subgroup.generated(f2, [f2.gen("a"), f2.gen("b")]),
+        Subgroup.generated(f2, [f2.parse_element("ab")]),
+    ]
+    assert {type(H.desc) for H in subgroups} == set(SubgroupDesc.__subclasses__())
+    for H in subgroups:
+        gens = H.generators()
+        for g in gens:
+            # membership may stay undecided only for generated subgroups
+            assert H.contains(g) is (None if H.desc.kind == "generated" else True), H
+        elems = H.enumerate_elements()
+        if elems is not None:
+            assert all(H.contains(x) for x in elems), H
+        idx = H.index()
+        assert idx is None or idx is INFINITE or type(idx) is int, H
+        if H.is_full():
+            assert idx == 1, H
+        ag = H.as_group()
+        if ag is not None and ag.retract is not None:
+            for g in gens:
+                assert ag.embed(ag.retract(g)) == g, H
 
 
 def test_predicate_catalog():
@@ -279,6 +320,8 @@ def test_finite_subset_validation():
         Subgroup.finite_subset(z4, [0, 1])  # not closed
     sub = Subgroup.finite_subset(z4, [0, 2])
     assert sub.contains(2) and not sub.contains(1)
+    with pytest.raises(GroupError):
+        Subgroup(z4, GeneratedDesc((1,)))  # table subgroups are stored by their elements
 
 
 def test_coordinate_zero_validation():

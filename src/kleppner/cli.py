@@ -1,7 +1,8 @@
 """Batch front end: read an instance config, run the analyses, print a report.
 
 Exit codes: 0 = analyses completed (verdict content does not matter),
-1 = usage or config error, 2 = internal oracle mismatch.
+1 = usage, config or input error (one line on stderr), 2 = internal oracle
+mismatch.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .cocycles import CocycleError
 from .config import ConfigError, parse_config
-from .oracle import OracleMismatchError
+from .groups.base import GroupError
+from .oracle import OracleError, OracleMismatchError
 from .report import run
 
 
@@ -55,6 +58,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleMismatchError as exc:
         print(f"ORACLE MISMATCH: {exc}", file=sys.stderr)
         return 2
+    except (OracleError, GroupError, CocycleError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         print(report.to_json())
     else:

@@ -14,6 +14,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .groups.base import Element, Group
@@ -23,7 +24,7 @@ from .groups.free import FreeGroup
 from .groups.heisenberg import Heisenberg
 from .groups.product import DirectProduct
 from .groups.subgroups import AsGroup, Subgroup
-from .phases import EMPTY_BASIS, IrrationalBasis, Phase
+from .phases import EMPTY_BASIS, IrrationalBasis, Phase, _make
 
 
 class CocycleError(ValueError):
@@ -106,16 +107,16 @@ class BicharacterCocycle(Cocycle):
         self.group = group
         self.basis = basis if basis is not None else EMPTY_BASIS
         self.matrix = tuple(tuple(row) for row in matrix)
+        # per phase slot, the nonzero terms (j, k, m) of the integer matrix den * B
+        self.den = lcm(*(p.den for row in self.matrix for p in row))
+        self.forms = tuple(
+            tuple((j, k, p.nums[s] * (self.den // p.den))
+                  for j, row in enumerate(self.matrix) for k, p in enumerate(row) if p.nums[s])
+            for s in range(1 + len(self.basis.symbols)))
 
     def value(self, x, y) -> Phase:
-        acc = self.zero()
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            for k, yk in enumerate(y):
-                if yk:
-                    acc = acc + self.matrix[j][k] * (xj * yk)
-        return acc
+        return _make(self.basis, self.den,
+                     [sum(m * x[j] * y[k] for j, k, m in form) for form in self.forms])
 
     def is_trivial_like(self) -> bool:
         return all(p.is_one() for row in self.matrix for p in row)
@@ -216,7 +217,11 @@ class F2Z2Cocycle(Cocycle):
 
 
 class PhaseTableCocycle(Cocycle):
-    """Tabulated cocycle on a finite table group; rational phases only."""
+    """Tabulated cocycle on a finite table group; rational phases only.
+
+    Besides the phases it holds their integer form: ``ints[g][h]`` is ``den``
+    times the exponent of sigma(g, h), ``den`` the least common denominator.
+    """
 
     kind = "table"
 
@@ -228,7 +233,7 @@ class PhaseTableCocycle(Cocycle):
             raise CocycleError(f"phase table must be {n}x{n}")
         for row in table:
             for p in row:
-                if not isinstance(p, Phase) or p.coeffs:
+                if not isinstance(p, Phase) or any(p.nums[1:]):
                     raise CocycleError("phase table entries must be rational phases")
         e = group.identity()
         for g in range(n):
@@ -237,6 +242,9 @@ class PhaseTableCocycle(Cocycle):
         self.group = group
         self.basis = EMPTY_BASIS
         self.table = tuple(tuple(row) for row in table)
+        self.den = lcm(*(p.den for row in self.table for p in row))
+        self.ints = tuple(tuple(p.nums[0] * (self.den // p.den) for p in row)
+                          for row in self.table)
 
     def value(self, g, h) -> Phase:
         return self.table[g][h]
@@ -504,14 +512,10 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
 
 def _validate_table_fast(sigma: "PhaseTableCocycle") -> ValidationResult:
     """Exhaustive table validation on integers modulo the common denominator."""
-    from math import gcd
     G = sigma.group
     n = G.order
-    den = 1
-    for row in sigma.table:
-        for p in row:
-            den = den * p.rational.denominator // gcd(den, p.rational.denominator)
-    t = [[int(p.rational * den) for p in row] for row in sigma.table]
+    den = sigma.den
+    t = sigma.ints
     mul = G.table
     e = G.identity()
     checks = 0

@@ -288,6 +288,11 @@ def _parse_group(sections: _Sections, path: str) -> Group:
             if (name is None) == (table is None):
                 raise ConfigError(f"finite group needs exactly one of name/table in [{path}]",
                                   sections.lines[path])
+            if table is not None and not (isinstance(table, list) and all(
+                    isinstance(row, list) and len(row) == len(table)
+                    and all(type(x) is int for x in row) for row in table)):
+                raise ConfigError(f"table in [{path}] must be a square list of integer lists",
+                                  view.line_of("table"))
             g = from_name(name) if name else FiniteTable(table, name="custom")
         elif kind == "product":
             g = DirectProduct(_parse_group(sections, path + ".left"),
@@ -398,6 +403,9 @@ def _parse_cocycle(sections: _Sections, path: str, group: Group,
             if rows is None:
                 raise ConfigError(f"table cocycle needs table = [[...]] in [{path}]",
                                   sections.lines[path])
+            if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+                raise ConfigError(f"table in [{path}] must be a list of lists",
+                                  view.line_of("table"))
             mat = [[parse_phase(str(x), basis, params) for x in row] for row in rows]
             c = PhaseTableCocycle(group, mat)
         elif kind == "product":

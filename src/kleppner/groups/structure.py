@@ -351,7 +351,7 @@ def _subgroup_is_central(G: Group, S: Subgroup) -> Optional[bool]:
 def is_normal(H: Subgroup) -> TriBool:
     G = H.parent
     desc = H.desc
-    if isinstance(desc, (FullDesc, TrivialDesc)):
+    if H.is_full() or H.is_trivial_subgroup():
         return tb.holds("full and trivial subgroups are normal")
     if G.is_abelian:
         return tb.holds("parent group is abelian")

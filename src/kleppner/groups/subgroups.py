@@ -88,6 +88,17 @@ class AsGroup(NamedTuple):
     embed: Callable[[Element], Element]      # subgroup-group element -> parent element
     retract: Optional[Callable[[Element], Element]]  # parent element of H -> subgroup-group element
 
+    def lift(self, witness, parent: Group):
+        """A witness found in the standalone group, carried into the parent: a
+        finite class becomes its embedded elements in the parent's order, an
+        element its image; an infinite or unknown classification is unchanged."""
+        if isinstance(witness, Classification):
+            if witness.finite:
+                return finite_class(sorted(map(self.embed, witness.elements),
+                                           key=parent.element_key))
+            return witness
+        return self.embed(witness)
+
 
 def _trivial_as_group(e: Element) -> AsGroup:
     """The one-element group, embedded as the identity e of the parent."""
@@ -500,7 +511,9 @@ class ProductDesc(SubgroupDesc):
 
 @dataclass(frozen=True)
 class GeneratedDesc(SubgroupDesc):
-    """Generators only; membership may stay undecided (None)."""
+    """Generators only.  Membership is True for the elements known to lie in
+    the subgroup (the identity, the generators, their inverses and the
+    commutators of those) and undecided (None) for every other element."""
 
     gens: tuple
 
@@ -519,6 +532,22 @@ class GeneratedDesc(SubgroupDesc):
 
     def generators(self, parent: Group) -> tuple[Element, ...]:
         return self.gens
+
+    def contains(self, parent: Group, x: Element) -> bool | None:
+        steps = self.gens + tuple(parent.inv(g) for g in self.gens)
+        if x == parent.identity() or x in steps:
+            return True
+        for a in steps:
+            for b in steps:
+                if x == parent.mul(parent.mul(a, b), parent.mul(parent.inv(a), parent.inv(b))):
+                    return True
+        return None
+
+    def index(self, parent: Group) -> int | None:
+        return 1 if self.is_full(parent) else None
+
+    def is_full(self, parent: Group) -> bool:
+        return all(self.contains(parent, s) for s in parent.generators())
 
 
 @dataclass(frozen=True)

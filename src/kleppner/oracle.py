@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
-from .cocycles import Cocycle
+from .cocycles import Cocycle, CocycleError, PhaseTableCocycle
 from .groups.finite import FiniteTable
 from .groups.subgroups import Subgroup
 from .phases import Phase
@@ -101,28 +100,28 @@ class MonomialMatrix:
         return hash((self.row_of_col, self.phase_of_col))
 
 
-def _rational_value(sigma: Cocycle, g, h) -> Fraction:
+def _rational_phase(sigma: Cocycle, g, h) -> Phase:
     p = sigma.value(g, h)
     if p.coeffs:
         raise OracleError("the finite-dimensional oracle needs root-of-unity phases; "
                           f"sigma({g},{h}) carries formal irrationals")
-    return p.rational
+    return p
 
 
 @dataclass
 class RegularRep:
     """lam(g) acting on functions on G: (lam(g) xi)(h) = sigma(g, g^-1 h) xi(g^-1 h).
 
-    Besides the matrices, the cocycle values are cached as integers modulo a
-    common denominator, so the elimination and counting routes run on exact
-    integer arithmetic.
+    Besides the matrices it keeps the integer table of the cocycle
+    (``PhaseTableCocycle.ints`` over ``den``), so the elimination and counting
+    routes run on exact integer arithmetic.
     """
 
     group: FiniteTable
     sigma: Cocycle
     matrices: dict
     den: int
-    int_values: list  # int_values[g][h] = den * phase exponent of sigma(g, h)
+    int_values: tuple  # int_values[g][h] = den * phase exponent of sigma(g, h)
 
     def matrix(self, g: int) -> MonomialMatrix:
         return self.matrices[g]
@@ -136,22 +135,23 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None 
     n = G.order
     if n > ORDER_CAP:
         raise OracleError(f"order {n} exceeds the oracle cap {ORDER_CAP}")
-    values = [[_rational_value(sigma, g, k) for k in G.elements()] for g in G.elements()]
-    den = 1
-    for row in values:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-    int_values = [[int(v * den) % den if den > 1 else 0 for v in row] for row in values]
+    if isinstance(sigma, PhaseTableCocycle):
+        table = sigma
+    else:
+        phases = [[_rational_phase(sigma, g, k) for k in G.elements()] for g in G.elements()]
+        try:
+            table = PhaseTableCocycle(G, phases)
+        except CocycleError:
+            raise OracleError("lam(e) is not the identity; cocycle is not normalized") from None
+    den = table.den
+    values = [[Fraction(v, den) for v in row] for row in table.ints]
     mats = {}
     for g in G.elements():
         rows = []
         for k in G.elements():
             rows.append(G.mul(g, k))
         mats[g] = MonomialMatrix(tuple(rows), tuple(values[g]))
-    rep = RegularRep(G, sigma, mats, den, int_values)
-    e = G.identity()
-    if mats[e] != MonomialMatrix.identity(n):
-        raise OracleError("lam(e) is not the identity; cocycle is not normalized")
+    rep = RegularRep(G, sigma, mats, den, table.ints)
     if verify_pairs is None:
         verify_pairs = n <= 12
     if verify_pairs:
@@ -159,7 +159,7 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None 
     else:
         pairs = ((g, h) for g in G.generators() for h in G.elements())
     for g, h in pairs:
-        expected = mats[G.mul(g, h)].scaled(_rational_value(sigma, g, h))
+        expected = mats[G.mul(g, h)].scaled(values[g][h])
         if mats[g] @ mats[h] != expected:
             raise OracleError(f"projective relation fails at ({g},{h})")
     return rep
@@ -268,7 +268,7 @@ def _verify_solution(rep: RegularRep, hgens: list[int], f: dict) -> bool:
         u = G.mul(r, G.inv(k))
         if u not in f:
             return None
-        return (f[u].rational + _rational_value(sigma, u, k)) % 1
+        return (f[u].rational + _rational_phase(sigma, u, k).rational) % 1
 
     for h in hgens:
         lam_h = rep.matrix(h)

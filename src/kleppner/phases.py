@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction, str]
@@ -78,60 +79,76 @@ EMPTY_BASIS = IrrationalBasis(())
 class Phase:
     """Value of the circle group, written additively and reduced mod 1.
 
-    Immutable; equality is structural on (rational part, symbol coefficients).
-    The rational part lives in [0, 1) and no zero coefficients are stored,
-    so structural equality is semantic equality.
+    Immutable.  Stored as one positive denominator ``den`` and an integer
+    tuple ``nums``, the rational slot first and then one slot per basis
+    symbol: the exponent is (nums[0] + sum_i nums[i] * symbol_i) / den.  The
+    tuple is fully reduced (nums[0] in [0, den) and gcd(den, *nums) == 1), so
+    equal values over one basis have equal (den, nums).  ``rational`` (in
+    [0, 1)) and ``coeffs`` (the nonzero symbol coefficients, sorted by
+    symbol) are read off on demand; equality and the hash are those of the
+    pair (rational, coeffs), so phases over different bases compare by value.
     """
 
-    __slots__ = ("basis", "rational", "coeffs", "_hash")
+    __slots__ = ("basis", "den", "nums", "_hash")
 
     def __init__(self, rational: Rat = 0, coeffs: Mapping[str, Rat] | None = None,
                  basis: IrrationalBasis = EMPTY_BASIS) -> None:
-        r = Fraction(rational)
-        items = []
+        syms = basis.symbols
+        vals = [Fraction(rational)] + [Fraction(0)] * len(syms)
         if coeffs:
             for sym in sorted(coeffs):
                 if sym not in basis:
                     raise ValueError(f"symbol {sym!r} not in basis {basis.symbols}")
-                c = Fraction(coeffs[sym])
-                if c != 0:
-                    items.append((sym, c))
+                vals[syms.index(sym) + 1] = Fraction(coeffs[sym])
+        den = lcm(*(v.denominator for v in vals))
         self.basis = basis
-        self.rational = r - (r.numerator // r.denominator)  # reduce into [0,1)
-        self.coeffs = tuple(items)
-        self._hash = hash((self.rational, self.coeffs))
+        self.den, self.nums = _reduced(den, [v.numerator * (den // v.denominator) for v in vals])
+
+    @property
+    def rational(self) -> Fraction:
+        return Fraction(self.nums[0], self.den)
+
+    @property
+    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+        den = self.den
+        return tuple((sym, Fraction(c, den))
+                     for sym, c in sorted(zip(self.basis.symbols, self.nums[1:])) if c)
 
     def is_one(self) -> bool:
         """True iff the represented circle value equals 1 (exponent is integral)."""
-        return self.rational == 0 and not self.coeffs
+        return not any(self.nums)
 
     def coeff(self, symbol: str) -> Fraction:
-        for sym, c in self.coeffs:
-            if sym == symbol:
-                return c
+        syms = self.basis.symbols
+        if symbol in syms:
+            return Fraction(self.nums[syms.index(symbol) + 1], self.den)
         return Fraction(0)
 
     def _require_same_basis(self, other: "Phase") -> None:
-        if self.basis != other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise BasisMismatchError(
                 f"phases over different bases: {self.basis.symbols} vs {other.basis.symbols}")
+
+    def _combine(self, other: "Phase", sign: int) -> "Phase":
+        """self + sign * other, over the least common denominator."""
+        self._require_same_basis(other)
+        a, b = self.den, other.den
+        g = gcd(a, b)
+        fa, fb = b // g, sign * (a // g)
+        return _make(self.basis, a * fa, [x * fa + y * fb for x, y in zip(self.nums, other.nums)])
 
     def __add__(self, other: "Phase") -> "Phase":
         if not isinstance(other, Phase):
             return NotImplemented
-        self._require_same_basis(other)
-        acc = dict(self.coeffs)
-        for sym, c in other.coeffs:
-            acc[sym] = acc.get(sym, Fraction(0)) + c
-        return Phase(self.rational + other.rational, acc, self.basis)
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Phase":
-        return Phase(-self.rational, {s: -c for s, c in self.coeffs}, self.basis)
+        return _make(self.basis, self.den, [-x for x in self.nums])
 
     def __sub__(self, other: "Phase") -> "Phase":
         if not isinstance(other, Phase):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def conjugate(self) -> "Phase":
         """Exponent of the complex conjugate circle value."""
@@ -141,28 +158,44 @@ class Phase:
         """The same value over a basis containing all used symbols."""
         if basis == self.basis:
             return self
-        return Phase(self.rational, dict(self.coeffs), basis)
+        nums = [self.nums[0]] + [0] * len(basis.symbols)
+        for sym, c in sorted(zip(self.basis.symbols, self.nums[1:])):
+            if c:
+                if sym not in basis:
+                    raise ValueError(f"symbol {sym!r} not in basis {basis.symbols}")
+                nums[basis.symbols.index(sym) + 1] = c
+        return _make(basis, self.den, nums)
 
     def __mul__(self, scalar: Rat) -> "Phase":
+        if isinstance(scalar, int):
+            return _make(self.basis, self.den, [x * scalar for x in self.nums])
         if isinstance(scalar, Phase):
             raise TypeError("phases multiply circle values via +; use p + q")
         k = Fraction(scalar)
-        return Phase(self.rational * k, {s: c * k for s, c in self.coeffs}, self.basis)
+        return _make(self.basis, self.den * k.denominator, [x * k.numerator for x in self.nums])
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Phase) and self.rational == other.rational
-                and self.coeffs == other.coeffs)
+        if not isinstance(other, Phase):
+            return False
+        if self.basis is other.basis or self.basis == other.basis:
+            return self.den == other.den and self.nums == other.nums
+        return self.rational == other.rational and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.rational, self.coeffs))
+            return self._hash
 
     def __str__(self) -> str:
+        rational, coeffs = self.rational, self.coeffs
         parts = []
-        if self.rational != 0 or not self.coeffs:
-            parts.append(str(self.rational))
-        for sym, c in self.coeffs:
+        if rational != 0 or not coeffs:
+            parts.append(str(rational))
+        for sym, c in coeffs:
             if c == 1:
                 parts.append(sym)
             else:
@@ -171,6 +204,25 @@ class Phase:
 
     def __repr__(self) -> str:
         return f"Phase({self})"
+
+
+def _reduced(den: int, nums: list[int]) -> tuple[int, tuple[int, ...]]:
+    """(den, nums) in lowest terms with the rational slot taken mod 1."""
+    nums[0] %= den
+    g = gcd(den, *nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple([x // g for x in nums])
+
+
+def _make(basis: IrrationalBasis, den: int, nums: list[int]) -> Phase:
+    """The phase (nums[0] + sum_i nums[i] * symbol_i) / den over ``basis``, for any
+    integer list ``nums`` of length 1 + len(basis.symbols) and den > 0, built
+    without a Fraction."""
+    p = object.__new__(Phase)
+    p.basis = basis
+    p.den, p.nums = _reduced(den, nums)
+    return p
 
 
 def phase_add(p: Phase, q: Phase) -> Phase:

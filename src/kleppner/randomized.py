@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cocycles import PhaseTableCocycle, TableBeta
 from .groups.finite import FiniteTable
-from .phases import Phase
+from .phases import EMPTY_BASIS, Phase, _make
 
 DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
 
@@ -32,34 +32,30 @@ def random_table_cocycle(G: FiniteTable, rng: random.Random,
     """A pullback of a random bicharacter along the abelianization coordinates,
     twisted by a random coboundary.  Always a valid normalized cocycle."""
     n = G.order
-    values = [[Fraction(0)] * n for _ in range(n)]
-
+    bichar = {}  # (j, l) -> (numerator, denominator) of the bicharacter entry
     if G.ab_coords is not None:
         coords, moduli = G.ab_coords
         k = len(moduli)
-        bichar = [[Fraction(0)] * k for _ in range(k)]
         for j in range(k):
             for l in range(k):
                 g_ = gcd(moduli[j], moduli[l])
                 if g_ > 1:
-                    bichar[j][l] = Fraction(rng.randrange(g_), g_)
-        for g in range(n):
-            cg = coords[g]
-            for h in range(n):
-                ch = coords[h]
-                acc = Fraction(0)
-                for j in range(k):
-                    if cg[j]:
-                        for l in range(k):
-                            if ch[l]:
-                                acc += cg[j] * ch[l] * bichar[j][l]
-                values[g][h] = acc
-
+                    bichar[j, l] = (rng.randrange(g_), g_)
     beta = random_beta_table(G, rng)
-    for g in range(n):
-        bg = beta(g).rational
-        for h in range(n):
-            values[g][h] += bg + beta(h).rational - beta(G.mul(g, h)).rational
+    betas = [beta(g) for g in G.elements()]
 
-    table = [[Phase(values[g][h]) for h in range(n)] for g in range(n)]
+    # every value as an integer over one common denominator
+    den = lcm(*(d for _, d in bichar.values()), *(p.den for p in betas))
+    b = [p.nums[0] * (den // p.den) for p in betas]
+    terms = [(j, l, m * (den // d)) for (j, l), (m, d) in bichar.items() if m]
+    table = []
+    for g in range(n):
+        row = []
+        for h in range(n):
+            acc = b[g] + b[h] - b[G.mul(g, h)]
+            if terms:
+                cg, ch = coords[g], coords[h]
+                acc += sum(cg[j] * ch[l] * m for j, l, m in terms)
+            row.append(_make(EMPTY_BASIS, den, [acc]))
+        table.append(row)
     return PhaseTableCocycle(G, table)

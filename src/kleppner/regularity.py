@@ -299,12 +299,7 @@ def _strategy_normal_prime(G, H, sigma, notes, cap: int = 10_000) -> Optional[Tr
                         f"{reason_tag}: C_G^sigma(H) contains {G.element_str(w)}")
     inner = relative_kleppner(asg.group, Subgroup.full(asg.group), restricted, cap)
     if inner.fails:
-        w = inner.witness
-        if isinstance(w, Classification):
-            lifted = [asg.embed(x) for x in w.elements]
-        else:
-            lifted = [asg.embed(w)]
-        return tb.fails(finite_class(sorted(lifted, key=G.element_key)),
+        return tb.fails(asg.lift(inner.witness, G),
                         f"{reason_tag}: Kleppner fails for (H, sigma|_H)")
     if inner.holds and sc.is_trivial.holds:
         return tb.holds(f"{reason_tag}: (H, sigma|_H) satisfies Kleppner's condition "

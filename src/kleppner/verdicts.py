@@ -152,17 +152,7 @@ def twisted_simplicity_subgroup(H: Subgroup, sigma: Cocycle) -> Verdict:
     v = twisted_simplicity(asg.group, restricted)
     if v.witness is None or asg.group is H.parent:
         return v
-    return Verdict(v.conclusion, v.chain, _lift_witness(asg, H.parent, v.witness), v.notes)
-
-
-def _lift_witness(asg, parent: Group, witness: Any) -> Any:
-    from .groups.subgroups import Classification, finite_class
-    if isinstance(witness, Classification):
-        if witness.finite:
-            return finite_class(sorted((asg.embed(x) for x in witness.elements),
-                                       key=parent.element_key))
-        return witness
-    return asg.embed(witness)
+    return Verdict(v.conclusion, v.chain, asg.lift(v.witness, H.parent), v.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +320,8 @@ def _inner_kleppner(H: Subgroup, sigma: Cocycle) -> Optional[TriBool]:
         return None
     restricted, asg = tr
     inner = kleppner(asg.group, restricted)
-    if inner.fails and inner.witness is not None:
-        from .groups.subgroups import Classification, finite_class
-        w = inner.witness
-        if isinstance(w, Classification) and w.finite:
-            lifted = sorted((asg.embed(x) for x in w.elements), key=H.parent.element_key)
-            return tb.fails(finite_class(lifted), *inner.notes)
+    if inner.fails:
+        return tb.fails(asg.lift(inner.witness, H.parent), *inner.notes)
     return inner
 
 

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kleppner.cocycles import (CocycleError, F2Z2Cocycle, HeisenbergCocycle,
+from kleppner.cocycles import (BicharacterCocycle, CocycleError, F2Z2Cocycle, HeisenbergCocycle,
                                PhaseTableCocycle, ProductCocycle, RestrictionCocycle,
                                SeededBeta, TrivialCocycle, ValidationBudget, ZeroBeta,
                                check_twist_identities, commutation_phase, conj_twist,
@@ -12,6 +14,7 @@ from kleppner.cocycles import (CocycleError, F2Z2Cocycle, HeisenbergCocycle,
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
                              from_name)
 from kleppner.phases import IrrationalBasis, Phase
+from kleppner.randomized import random_beta_table, random_table_cocycle
 
 B = IrrationalBasis(["theta"])
 TH = B.symbol("theta")
@@ -166,3 +169,63 @@ def test_transport_matches_pointwise():
         x = asg.group.random_element(rng)
         y = asg.group.random_element(rng)
         assert restricted(x, y) == rot(asg.embed(x), asg.embed(y))
+
+
+# -- the integer forms against the phases they were built from ---------------
+
+FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+B2 = IrrationalBasis(["t1", "t2"])
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_bicharacter_value_matches_naive_sum(data):
+    n = data.draw(st.integers(1, 4))
+    phase = st.builds(lambda r, c1, c2: Phase(r, {"t1": c1, "t2": c2}, B2), FRACS, FRACS, FRACS)
+    matrix = data.draw(st.lists(st.lists(phase, min_size=n, max_size=n), min_size=n, max_size=n))
+    vec = st.tuples(*[st.integers(-20, 20)] * n)
+    x, y = data.draw(vec), data.draw(vec)
+    sigma = BicharacterCocycle(FreeAbelian(n), matrix)
+    naive = B2.zero()
+    for j in range(n):
+        for k in range(n):
+            naive = naive + matrix[j][k] * (x[j] * y[k])
+    assert sigma.value(x, y) == naive
+
+
+def _table_by_fractions(G, seed):
+    """random_table_cocycle's values computed on Fractions, drawing from the rng
+    in the same order: the bicharacter entries, then the coboundary."""
+    rng = random.Random(seed)
+    n = G.order
+    values = [[Fraction(0)] * n for _ in range(n)]
+    if G.ab_coords is not None:
+        coords, moduli = G.ab_coords
+        k = len(moduli)
+        bichar = [[Fraction(0)] * k for _ in range(k)]
+        for j in range(k):
+            for l in range(k):
+                g_ = gcd(moduli[j], moduli[l])
+                if g_ > 1:
+                    bichar[j][l] = Fraction(rng.randrange(g_), g_)
+        for g in range(n):
+            for h in range(n):
+                values[g][h] = sum((coords[g][j] * coords[h][l] * bichar[j][l]
+                                    for j in range(k) for l in range(k)), Fraction(0))
+    beta = random_beta_table(G, rng)
+    return [[Phase(values[g][h] + beta(g).rational + beta(h).rational
+                   - beta(G.mul(g, h)).rational) for h in range(n)] for g in range(n)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["Z_6", "Z_2 x Z_2", "Z_2 x Z_4", "S_3", "D_4", "Q8"]),
+       st.integers(0, 10 ** 6))
+def test_table_integer_form_agrees_with_table(name, seed):
+    G = from_name(name)
+    sigma = random_table_cocycle(G, random.Random(seed))
+    assert [list(row) for row in sigma.table] == _table_by_fractions(G, seed)
+    dens = [p.rational.denominator for row in sigma.table for p in row]
+    assert sigma.den == lcm(*dens)
+    for row, ints in zip(sigma.table, sigma.ints):
+        for p, v in zip(row, ints):
+            assert 0 <= v < sigma.den and Fraction(v, sigma.den) == p.rational

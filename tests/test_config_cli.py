@@ -193,3 +193,28 @@ analyses = validate kleppner oracle
     assert report.payload["kleppner"]["status"] == "fails"
     assert report.payload["oracle"]["route_a"] == 2
     assert report.payload["oracle"]["route_b"] == 2
+
+
+def test_cli_rejects_malformed_finite_table(tmp_path, capsys):
+    bad = tmp_path / "table5.tomlish"
+    bad.write_text("[group]\nkind = finite\ntable = 5\n")
+    assert main(["--input", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 3" in err
+    ragged = tmp_path / "ragged.tomlish"
+    ragged.write_text("[group]\nkind = finite\ntable = [[0, 1], [1]]\n")
+    assert main(["--input", str(ragged)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    cocycle = tmp_path / "cocycle5.tomlish"
+    cocycle.write_text('[group]\nkind = finite\nname = "Z_2"\n\n[cocycle]\nkind = table\ntable = 5\n')
+    assert main(["--input", str(cocycle)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 7" in err
+
+
+def test_cli_reports_oracle_cap_in_one_line(tmp_path, capsys):
+    big = tmp_path / "s5.tomlish"
+    big.write_text('[group]\nkind = finite\nname = "S_5"\n\n[run]\nanalyses = oracle\n')
+    assert main(["--input", str(big)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "oracle cap" in err

@@ -260,8 +260,7 @@ def test_subgroup_description_contracts():
     for H in subgroups:
         gens = H.generators()
         for g in gens:
-            # membership may stay undecided only for generated subgroups
-            assert H.contains(g) is (None if H.desc.kind == "generated" else True), H
+            assert H.contains(g) is True, H
         elems = H.enumerate_elements()
         if elems is not None:
             assert all(H.contains(x) for x in elems), H
@@ -366,3 +365,24 @@ def test_generated_heisenberg_plane_membership():
     ag = plane.as_group()
     assert ag.group.rank == 2
     assert plane.contains(ag.embed((3, -1)))
+
+
+def test_generated_subgroup_membership_and_normality():
+    heis, f2 = Heisenberg(), FreeGroup(2)
+    a, b = f2.gen("a"), f2.gen("b")
+    for G, gens in ((heis, [(1, 0, 0), (0, 1, 0)]), (f2, [a, b])):
+        H = Subgroup.generated(G, gens)
+        assert H.desc.kind == "generated"
+        assert H.contains(G.identity()) is True
+        for g in gens:
+            assert H.contains(g) is True and H.contains(G.inv(g)) is True
+        # the commutator of the generators is a member too
+        x, y = gens
+        assert H.contains(G.mul(G.mul(x, y), G.mul(G.inv(x), G.inv(y)))) is True
+        assert H.is_full() and H.index() == 1
+        assert is_normal(H).holds
+    # a proper generated subgroup: other elements stay undecided, never guessed
+    ab = Subgroup.generated(f2, [f2.parse_element("ab"), f2.parse_element("ba")])
+    assert ab.desc.kind == "generated"
+    assert ab.contains(f2.parse_element("abba")) is None
+    assert not ab.is_full() and ab.index() is None

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kleppner.phases import (BasisMismatchError, IrrationalBasis, Phase, PhaseParseError,
                              parse_phase, phase_add, phase_is_one, qdim)
@@ -146,3 +147,87 @@ def test_qdim_invariances():
     assert qdim(shuffled) == base
     scaled = [v * Fraction(3, 7) for v in vals]
     assert qdim(scaled) == base
+
+
+# -- property tests against a (Fraction, {symbol: Fraction}) reference model ---
+
+BASES = [IrrationalBasis(()), IrrationalBasis(["a"]), IrrationalBasis(["a", "b"]),
+         IrrationalBasis(["b", "a", "c"])]
+FRACS = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+SCALARS = st.one_of(st.integers(-9, 9), FRACS)
+
+
+def ref_of(rational, coeffs):
+    """The reference value: rational part mod 1, zero coefficients dropped."""
+    r = Fraction(rational)
+    return r - (r.numerator // r.denominator), {s: Fraction(c) for s, c in coeffs.items() if c}
+
+
+def ref_add(x, y):
+    r, c = x[0] + y[0], dict(x[1])
+    for s, v in y[1].items():
+        c[s] = c.get(s, 0) + v
+    return ref_of(r, c)
+
+
+def ref_scale(x, k):
+    return ref_of(x[0] * k, {s: v * k for s, v in x[1].items()})
+
+
+def ref_str(x):
+    r, c = x
+    parts = [str(r)] if r != 0 or not c else []
+    parts += [s if v == 1 else f"({v}){s}" for s, v in sorted(c.items())]
+    return " + ".join(parts)
+
+
+@st.composite
+def phase_pairs(draw, basis=None):
+    """(Phase, reference) over ``basis`` or a drawn one."""
+    basis = basis if basis is not None else draw(st.sampled_from(BASES))
+    rational = draw(FRACS)
+    coeffs = {s: draw(FRACS) for s in basis.symbols}
+    return Phase(rational, coeffs, basis), ref_of(rational, coeffs)
+
+
+def assert_matches(p, ref):
+    r, c = ref
+    assert p.rational == r and 0 <= p.rational < 1
+    assert p.coeffs == tuple(sorted(c.items()))
+    assert hash(p) == hash((r, tuple(sorted(c.items()))))
+    assert str(p) == ref_str(ref)
+    assert p.is_one() == (r == 0 and not c)
+    for s in ("a", "b", "c", "zeta"):
+        assert p.coeff(s) == c.get(s, 0)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_phase_matches_reference_model(data):
+    basis = data.draw(st.sampled_from(BASES))
+    (p, rp), (q, rq) = data.draw(phase_pairs(basis)), data.draw(phase_pairs(basis))
+    k = data.draw(SCALARS)
+    assert_matches(p, rp)
+    assert_matches(p + q, ref_add(rp, rq))
+    assert_matches(p - q, ref_add(rp, ref_scale(rq, -1)))
+    assert_matches(-p, ref_scale(rp, -1))
+    assert_matches(p * k, ref_scale(rp, k))
+    assert_matches(k * p, ref_scale(rp, k))
+    assert (p == q) == (rp == rq)
+    assert (p != q) == (rp != rq)
+
+
+@settings(deadline=None)
+@given(phase_pairs(), st.sampled_from(BASES))
+def test_phase_equality_and_with_basis_across_bases(pair, other_basis):
+    p, (r, c) = pair
+    q = Phase(r, c, other_basis) if set(c) <= set(other_basis.symbols) else None
+    if q is None:
+        with pytest.raises(ValueError):
+            p.with_basis(other_basis)
+        return
+    moved = p.with_basis(other_basis)
+    assert moved.basis == other_basis
+    assert moved == q and moved == p and q == p
+    assert hash(moved) == hash(p)
+    assert_matches(moved, (r, c))

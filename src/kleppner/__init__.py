@@ -24,7 +24,7 @@ from .groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, Group, 
 from .oracle import (CommutantReport, MonomialMatrix, OracleMismatchError, RegularRep,
                      build_regular_rep, canonical_trace, center_dim,
                      relative_commutant_dim, span_trace)
-from .phases import IrrationalBasis, Phase, parse_phase, phase_add, phase_is_one, qdim
+from .phases import IrrationalBasis, Phase, parse_phase, qdim
 from .regularity import (SigmaCentralizerResult, is_sigma_regular, kleppner,
                          relative_icc, relative_kleppner, sigma_centralizer,
                          sigma_regular_subgroup)

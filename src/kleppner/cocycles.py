@@ -336,16 +336,6 @@ class Beta:
         raise NotImplementedError
 
 
-class ZeroBeta(Beta):
-    label = "0"
-
-    def __init__(self, basis: IrrationalBasis = EMPTY_BASIS) -> None:
-        self.basis = basis
-
-    def __call__(self, g) -> Phase:
-        return Phase(0, {}, self.basis)
-
-
 class TableBeta(Beta):
     def __init__(self, group: Group, mapping: dict, label: str = "table") -> None:
         self.group = group
@@ -361,6 +351,8 @@ class SeededBeta(Beta):
 
     def __init__(self, group: Group, seed: int, denominator: int = 8,
                  basis: IrrationalBasis = EMPTY_BASIS) -> None:
+        if denominator < 1:
+            raise CocycleError(f"beta denominator must be at least 1, got {denominator}")
         self.group = group
         self.seed = seed
         self.den = denominator
@@ -373,15 +365,6 @@ class SeededBeta(Beta):
         token = f"{self.seed}|{self.group.element_str(g)}".encode()
         k = int.from_bytes(hashlib.sha256(token).digest()[:4], "big") % self.den
         return Phase(Fraction(k, self.den), {}, self.basis)
-
-
-class FuncBeta(Beta):
-    def __init__(self, fn: Callable[[Element], Phase], label: str = "function") -> None:
-        self.fn = fn
-        self.label = label
-
-    def __call__(self, g) -> Phase:
-        return self.fn(g)
 
 
 class SimilarityCocycle(Cocycle):
@@ -446,7 +429,7 @@ def transport(sigma: Cocycle, H: Subgroup) -> Optional[tuple[Cocycle, AsGroup]]:
     if H.parent is not sigma.group:
         raise CocycleError("subgroup must describe the cocycle's group")
     if H.is_full():
-        ident = AsGroup(sigma.group, lambda x: x, lambda x: x)
+        ident = AsGroup(sigma.group, lambda x: x)
         return sigma, ident
     asg = H.as_group()
     if asg is None:
@@ -474,12 +457,16 @@ def commutation_phase(sigma: Cocycle, g: Element, h: Element) -> Phase:
 # validation
 # ---------------------------------------------------------------------------
 
+# domains of at most EXHAUSTIVE_LIMIT elements are checked on every triple;
+# larger ones on sampled words of length at most WORD_SIZE
+EXHAUSTIVE_LIMIT = 64
+WORD_SIZE = 8
+
+
 @dataclass(frozen=True)
 class ValidationBudget:
     samples: int = 2000
-    word_size: int = 8
     seed: int = 0
-    exhaustive_limit: int = 64
 
 
 @dataclass(frozen=True)
@@ -497,7 +484,7 @@ class ValidationResult:
 
 def _triples(sigma: Cocycle, budget: ValidationBudget):
     elems = sigma.domain_elements()
-    if elems is not None and len(elems) <= budget.exhaustive_limit:
+    if elems is not None and len(elems) <= EXHAUSTIVE_LIMIT:
         for g in elems:
             for h in elems:
                 for k in elems:
@@ -505,9 +492,9 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
         return
     rng = random.Random(budget.seed)
     for _ in range(budget.samples):
-        yield (sigma.random_domain_element(rng, budget.word_size),
-               sigma.random_domain_element(rng, budget.word_size),
-               sigma.random_domain_element(rng, budget.word_size))
+        yield (sigma.random_domain_element(rng, WORD_SIZE),
+               sigma.random_domain_element(rng, WORD_SIZE),
+               sigma.random_domain_element(rng, WORD_SIZE))
 
 
 def _validate_table_fast(sigma: "PhaseTableCocycle") -> ValidationResult:
@@ -543,11 +530,11 @@ def _validate_table_fast(sigma: "PhaseTableCocycle") -> ValidationResult:
 def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
     """Normalization plus the cocycle identity, exhaustive on small finite groups."""
     G = sigma.group
-    if isinstance(sigma, PhaseTableCocycle) and G.order <= budget.exhaustive_limit:
+    if isinstance(sigma, PhaseTableCocycle) and G.order <= EXHAUSTIVE_LIMIT:
         return _validate_table_fast(sigma)
     e = G.identity()
     dom = sigma.domain_elements()
-    mode = ("exhaustive" if dom is not None and len(dom) <= budget.exhaustive_limit
+    mode = ("exhaustive" if dom is not None and len(dom) <= EXHAUSTIVE_LIMIT
             else "sampled")
     checks = 0
     triples = 0

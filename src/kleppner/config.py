@@ -39,6 +39,7 @@ are rejected with the offending line.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -174,6 +175,21 @@ class _SectionView:
             raise ConfigError(f"{key} is not valid JSON: {exc.msg}",
                               self.entries[key].line, exc.colno) from None
 
+    def get_list(self, key: str, rows: bool = False, ints: bool = False) -> list | None:
+        """The JSON array under ``key`` (None when absent): an array of arrays
+        when ``rows``, with integer entries when ``ints``."""
+        v = self.get_json(key)
+        if v is None:
+            return None
+        ok = isinstance(v, list) and (not rows or all(isinstance(r, list) for r in v))
+        if ok and ints:
+            ok = all(type(x) is int for x in (itertools.chain(*v) if rows else v))
+        if not ok:
+            shape = ("list of lists" if rows else "list") + (" of integers" if ints else "")
+            raise ConfigError(f"{key} in [{self.name}] must be a JSON {shape}",
+                              self.entries[key].line)
+        return v
+
     def line_of(self, key: str) -> int | None:
         e = self.entries.get(key)
         return e.line if e else None
@@ -284,15 +300,12 @@ def _parse_group(sections: _Sections, path: str) -> Group:
             g = Heisenberg()
         elif kind == "finite":
             name = view.get("name")
-            table = view.get_json("table")
+            table = view.get_list("table", rows=True, ints=True)
             if (name is None) == (table is None):
                 raise ConfigError(f"finite group needs exactly one of name/table in [{path}]",
                                   sections.lines[path])
-            if table is not None and not (isinstance(table, list) and all(
-                    isinstance(row, list) and len(row) == len(table)
-                    and all(type(x) is int for x in row) for row in table)):
-                raise ConfigError(f"table in [{path}] must be a square list of integer lists",
-                                  view.line_of("table"))
+            if table is not None and any(len(row) != len(table) for row in table):
+                raise ConfigError(f"table in [{path}] must be square", view.line_of("table"))
             g = from_name(name) if name else FiniteTable(table, name="custom")
         elif kind == "product":
             g = DirectProduct(_parse_group(sections, path + ".left"),
@@ -317,13 +330,13 @@ def _parse_subgroup(sections: _Sections, path: str, group: Group) -> Subgroup:
         elif kind == "trivial":
             sub = Subgroup.trivial(group)
         elif kind == "sublattice":
-            cols = view.get_json("columns")
+            cols = view.get_list("columns", rows=True, ints=True)
             if cols is None:
                 raise ConfigError(f"sublattice needs columns = [[...]] in [{path}]",
                                   sections.lines[path])
             sub = Subgroup.sublattice(group, [tuple(c) for c in cols])
         elif kind == "coordinate_zero":
-            coords = view.get_json("coords")
+            coords = view.get_list("coords", ints=True)
             if coords is None:
                 raise ConfigError(f"coordinate_zero needs coords = [...] in [{path}]",
                                   sections.lines[path])
@@ -331,13 +344,13 @@ def _parse_subgroup(sections: _Sections, path: str, group: Group) -> Subgroup:
         elif kind == "congruence":
             sub = Subgroup.heis_congruence(group, view.get_int("modulus", 1))
         elif kind == "finite_subset":
-            elems = view.get_json("elements")
+            elems = view.get_list("elements")
             if elems is None:
                 raise ConfigError(f"finite_subset needs elements = [...] in [{path}]",
                                   sections.lines[path])
             sub = Subgroup.finite_subset(group, [group.parse_element(str(e)) for e in elems])
         elif kind == "generated":
-            gens = view.get_json("generators")
+            gens = view.get_list("generators")
             if gens is None:
                 raise ConfigError(f"generated needs generators = [...] in [{path}]",
                                   sections.lines[path])
@@ -379,7 +392,7 @@ def _parse_cocycle(sections: _Sections, path: str, group: Group,
         if kind == "trivial":
             c: Cocycle = TrivialCocycle(group, basis)
         elif kind == "bicharacter":
-            rows = view.get_json("matrix")
+            rows = view.get_list("matrix", rows=True)
             if rows is None:
                 raise ConfigError(f"bicharacter needs matrix = [[...]] in [{path}]",
                                   sections.lines[path])
@@ -388,7 +401,7 @@ def _parse_cocycle(sections: _Sections, path: str, group: Group,
         elif kind == "rotation":
             c = rotation_cocycle(group, _phase(view, "theta", basis, params))
         elif kind == "three_torus":
-            raw = view.get_json("thetas")
+            raw = view.get_list("thetas")
             if raw is None or len(raw) != 3:
                 raise ConfigError(f"three_torus needs thetas = [t1, t2, t3] in [{path}]",
                                   sections.lines[path])
@@ -399,13 +412,10 @@ def _parse_cocycle(sections: _Sections, path: str, group: Group,
         elif kind == "f2z2":
             c = F2Z2Cocycle(group, view.get_int("j", 1))
         elif kind == "table":
-            rows = view.get_json("table")
+            rows = view.get_list("table", rows=True)
             if rows is None:
                 raise ConfigError(f"table cocycle needs table = [[...]] in [{path}]",
                                   sections.lines[path])
-            if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-                raise ConfigError(f"table in [{path}] must be a list of lists",
-                                  view.line_of("table"))
             mat = [[parse_phase(str(x), basis, params) for x in row] for row in rows]
             c = PhaseTableCocycle(group, mat)
         elif kind == "product":

@@ -73,9 +73,9 @@ def parse_int_vector(text: str, rank: int) -> tuple[int, ...]:
     t = text.strip()
     if t.startswith("(") and t.endswith(")"):
         t = t[1:-1]
-    if not re.match(r"^[-+0-9,\s]*$", t):
-        raise GroupError(f"cannot parse integer vector from {text!r}")
     parts = [p for p in re.split(r"[,\s]+", t.strip()) if p]
+    if not all(re.fullmatch(r"[-+]?[0-9]+", p) for p in parts):
+        raise GroupError(f"cannot parse integer vector from {text!r}")
     if len(parts) != rank:
         raise GroupError(f"expected {rank} coordinates in {text!r}")
     return tuple(int(p) for p in parts)

@@ -20,9 +20,8 @@ Table = tuple[tuple[int, ...], ...]
 
 class FiniteTable(Group):
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None,
-                 name: str = "finite", validate: bool = True,
-                 ab_coords: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None,
-                 rng_seed: int = 0) -> None:
+                 name: str = "finite",
+                 ab_coords: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None) -> None:
         self.table: Table = tuple(tuple(int(x) for x in row) for row in table)
         self.n = len(self.table)
         self.name = name
@@ -34,13 +33,12 @@ class FiniteTable(Group):
         # ab_coords: per-element coordinate tuples plus their moduli; the map
         # element -> coords must be a homomorphism onto prod Z_{m_i}
         self.ab_coords = ab_coords
-        if validate:
-            self._validate(rng_seed)
+        self._validate()
         self.e = self._find_identity()
         self.inv_table = self._build_inverses()
 
     # -- validation -------------------------------------------------------
-    def _validate(self, rng_seed: int) -> None:
+    def _validate(self) -> None:
         n = self.n
         if n == 0:
             raise GroupError("empty table")
@@ -62,7 +60,7 @@ class FiniteTable(Group):
                         if tab[c] != ta[tb[c]]:
                             raise GroupError(f"not associative at ({a},{b},{c})")
         else:
-            rng = random.Random(rng_seed)
+            rng = random.Random(0)
             for _ in range(20000):
                 a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
                 if t[t[a][b]][c] != t[a][t[b][c]]:

@@ -11,8 +11,7 @@ membership; queries then return None.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..intlinalg import RowLattice
 from .abelian import FreeAbelian
@@ -85,8 +84,7 @@ def unknown_class(reason: str) -> Classification:
 
 class AsGroup(NamedTuple):
     group: Group
-    embed: Callable[[Element], Element]      # subgroup-group element -> parent element
-    retract: Optional[Callable[[Element], Element]]  # parent element of H -> subgroup-group element
+    embed: Callable[[Element], Element]  # subgroup-group element -> parent element
 
     def lift(self, witness, parent: Group):
         """A witness found in the standalone group, carried into the parent: a
@@ -103,7 +101,7 @@ class AsGroup(NamedTuple):
 def _trivial_as_group(e: Element) -> AsGroup:
     """The one-element group, embedded as the identity e of the parent."""
     one = FiniteTable(((0,),), ("e",), name="1")
-    return AsGroup(one, lambda x: e, lambda x: 0)
+    return AsGroup(one, lambda x: e)
 
 
 class SubgroupDesc:
@@ -166,7 +164,7 @@ class FullDesc(SubgroupDesc):
         return 1
 
     def as_group(self, parent: Group) -> AsGroup:
-        return AsGroup(parent, lambda x: x, lambda x: x)
+        return AsGroup(parent, lambda x: x)
 
     def is_full(self, parent: Group) -> bool:
         return True
@@ -237,7 +235,7 @@ class FiniteSubsetDesc(SubgroupDesc):
         table = [[index[parent.mul(a, b)] for b in elems] for a in elems]
         names = [parent.element_str(x) for x in elems]
         g = FiniteTable(table, names, name=f"sub({parent.name})")
-        return AsGroup(g, lambda i: elems[i], lambda x: index[x])
+        return AsGroup(g, lambda i: elems[i])
 
     def is_full(self, parent: Group) -> bool:
         return parent.is_finite and len(self.elements) == parent.order
@@ -289,8 +287,7 @@ class SublatticeDesc(SubgroupDesc):
         def embed(c):
             return tuple(sum(ci * bi[k] for ci, bi in zip(c, basis)) for k in range(n))
 
-        return AsGroup(FreeAbelian(len(basis)), embed,
-                       lambda x: _solve_integer_combination(basis, x))
+        return AsGroup(FreeAbelian(len(basis)), embed)
 
     def is_full(self, parent: Group) -> bool:
         return self.lattice(parent).index_in_ambient() == 1
@@ -332,7 +329,7 @@ class CoordinateZeroDesc(SubgroupDesc):
     def as_group(self, parent: Group) -> AsGroup:
         free = sorted(set(range(3)) - self.zero_coords)
         if len(free) == 3:
-            return AsGroup(parent, lambda x: x, lambda x: x)
+            return AsGroup(parent, lambda x: x)
         if not free:
             return _trivial_as_group(parent.identity())
 
@@ -342,7 +339,7 @@ class CoordinateZeroDesc(SubgroupDesc):
                 out[coord] = c[pos]
             return tuple(out)
 
-        return AsGroup(FreeAbelian(len(free)), embed, lambda x: tuple(x[i] for i in free))
+        return AsGroup(FreeAbelian(len(free)), embed)
 
     def is_full(self, parent: Group) -> bool:
         return not self.zero_coords
@@ -420,15 +417,11 @@ class HeisPlaneDesc(SubgroupDesc):
         rows = self.rows
         if not rows:
             return _trivial_as_group(parent.identity())
-        i, j = self.free_coords()
 
         def embed(c):
             return self.lift(tuple(sum(ci * r[k] for ci, r in zip(c, rows)) for k in range(2)))
 
-        def retract(x):
-            return _solve_integer_combination([tuple(r) for r in rows], (x[i], x[j]))
-
-        return AsGroup(FreeAbelian(len(rows)), embed, retract)
+        return AsGroup(FreeAbelian(len(rows)), embed)
 
     def is_trivial_subgroup(self, parent: Group) -> bool:
         return not self.rows
@@ -485,22 +478,15 @@ class ProductDesc(SubgroupDesc):
             return None
         if self.left.is_trivial_subgroup():
             el = parent.left.identity()
-            return AsGroup(rg.group, lambda y: (el, rg.embed(y)),
-                           (lambda p: rg.retract(p[1])) if rg.retract else None)
+            return AsGroup(rg.group, lambda y: (el, rg.embed(y)))
         if self.right.is_trivial_subgroup():
             er = parent.right.identity()
-            return AsGroup(lg.group, lambda y: (lg.embed(y), er),
-                           (lambda p: lg.retract(p[0])) if lg.retract else None)
+            return AsGroup(lg.group, lambda y: (lg.embed(y), er))
 
         def embed(pair):
             return (lg.embed(pair[0]), rg.embed(pair[1]))
 
-        retract = None
-        if lg.retract and rg.retract:
-            def retract(pair):
-                return (lg.retract(pair[0]), rg.retract(pair[1]))
-
-        return AsGroup(DirectProduct(lg.group, rg.group), embed, retract)
+        return AsGroup(DirectProduct(lg.group, rg.group), embed)
 
     def is_full(self, parent: Group) -> bool:
         return self.left.is_full() and self.right.is_full()
@@ -574,14 +560,7 @@ class FreeCyclicDesc(SubgroupDesc):
 
     def as_group(self, parent: Group) -> AsGroup:
         w = self.word
-
-        def retract(x):
-            k = parent.power_of(x, w)
-            if k is None:
-                raise GroupError("element outside cyclic subgroup")
-            return (k,)
-
-        return AsGroup(FreeAbelian(1), lambda c: parent.power(w, c[0]), retract)
+        return AsGroup(FreeAbelian(1), lambda c: parent.power(w, c[0]))
 
 
 class Subgroup:
@@ -729,39 +708,3 @@ def _free_cyclic_normalize(parent: FreeGroup, gens: tuple) -> tuple | None:
         return None
     return parent.power(root, d)
 
-
-def _solve_integer_combination(basis: list[tuple[int, ...]], target) -> tuple[int, ...]:
-    """Coefficients c with sum c_i * basis_i = target (basis independent)."""
-    n = len(target)
-    r = len(basis)
-    aug = [[Fraction(basis[i][k]) for i in range(r)] + [Fraction(target[k])] for k in range(n)]
-    coeffs = [Fraction(0)] * r
-    row = 0
-    for col in range(r):
-        piv = next((i for i in range(row, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        row += 1
-    # consistency + integrality
-    col_of_row = []
-    rr = 0
-    for col in range(r):
-        if rr < n and aug[rr][col] == 1 and all(aug[i][col] == 0 for i in range(n) if i != rr):
-            col_of_row.append(col)
-            rr += 1
-    for i in range(rr, n):
-        if aug[i][r] != 0:
-            raise GroupError("element outside sublattice span")
-    for i, col in enumerate(col_of_row):
-        val = aug[i][r]
-        if val.denominator != 1:
-            raise GroupError("element outside sublattice")
-        coeffs[col] = val
-    return tuple(int(c) for c in coeffs)

@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
+from .intlinalg import rational_kernel_lattice
+
 Rat = Union[int, Fraction, str]
 
 
@@ -225,14 +227,6 @@ def _make(basis: IrrationalBasis, den: int, nums: list[int]) -> Phase:
     return p
 
 
-def phase_add(p: Phase, q: Phase) -> Phase:
-    return p + q
-
-
-def phase_is_one(p: Phase) -> bool:
-    return p.is_one()
-
-
 _TERM_RE = re.compile(
     r"^\(?(?P<coef>[+-]?\d+(?:/\d+)?)\)?\s*(?P<sym>[A-Za-z_][A-Za-z_0-9]*)?$")
 
@@ -277,7 +271,10 @@ def parse_phase(text: str, basis: IrrationalBasis = EMPTY_BASIS,
             m = _TERM_RE.match(body)
             if not m:
                 raise PhaseParseError(f"cannot parse term {chunk!r} in {text!r}")
-            coef = Fraction(m.group("coef"))
+            try:
+                coef = Fraction(m.group("coef"))
+            except ZeroDivisionError:
+                raise PhaseParseError(f"zero denominator in {text!r}") from None
             sym = m.group("sym")
         if neg:
             coef = -coef
@@ -292,39 +289,11 @@ def parse_phase(text: str, basis: IrrationalBasis = EMPTY_BASIS,
     return out
 
 
-def _rank_over_q(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix of Fractions by plain Gaussian elimination."""
-    if not rows:
-        return 0
-    m = [row[:] for row in rows]
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col] != 0:
-                factor = m[i][col] / pv
-                for j in range(col, ncols):
-                    m[i][j] -= factor * m[rank][j]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def qdim(values: Sequence[Phase]) -> int:
     """Dimension over Q of span({1} union values), the values read as real exponents.
 
     Rational parts fall into the span of 1, so the answer is 1 plus the rank
-    of the symbol-coefficient matrix.
+    of the symbol-coefficient matrix, read off its rational null space.
     """
     vals = list(values)
     if not vals:
@@ -335,6 +304,4 @@ def qdim(values: Sequence[Phase]) -> int:
             raise BasisMismatchError("qdim needs all values over one basis")
     syms = basis.symbols
     rows = [[v.coeff(s) for s in syms] for v in vals]
-    if not syms:
-        return 1
-    return 1 + _rank_over_q(rows)
+    return 1 + len(syms) - rational_kernel_lattice(rows, len(syms)).rank

@@ -14,21 +14,19 @@ from .phases import EMPTY_BASIS, Phase, _make
 DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
 
 
-def random_beta_table(G: FiniteTable, rng: random.Random,
-                      denominators=DENOMINATORS) -> TableBeta:
+def random_beta_table(G: FiniteTable, rng: random.Random) -> TableBeta:
     mapping = {}
     e = G.identity()
     for g in G.elements():
         if g == e:
             mapping[g] = Phase(0)
         else:
-            d = rng.choice(denominators)
+            d = rng.choice(DENOMINATORS)
             mapping[g] = Phase(Fraction(rng.randrange(d), d))
     return TableBeta(G, mapping, label="random table")
 
 
-def random_table_cocycle(G: FiniteTable, rng: random.Random,
-                         denominators=DENOMINATORS) -> PhaseTableCocycle:
+def random_table_cocycle(G: FiniteTable, rng: random.Random) -> PhaseTableCocycle:
     """A pullback of a random bicharacter along the abelianization coordinates,
     twisted by a random coboundary.  Always a valid normalized cocycle."""
     n = G.order

@@ -389,8 +389,13 @@ def relative_icc(G: Group, H: Subgroup, cap: int = 10_000) -> TriBool:
 # sigma-regular subgroups
 # ---------------------------------------------------------------------------
 
-def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle,
-                           search_len: int = 4, search_cap: int = 300) -> TriBool:
+# the counterexample search walks words of length at most SEARCH_LEN in the
+# generators of H and stops after SEARCH_CAP distinct elements
+SEARCH_LEN = 4
+SEARCH_CAP = 300
+
+
+def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
     """Is every h in H that is regular w.r.t. H also regular w.r.t. G?"""
     if H.parent is not G or sigma.group is not G:
         raise GroupError("group, subgroup and cocycle must be aligned")
@@ -422,7 +427,7 @@ def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle,
     seen = {G.identity()}
     frontier = [G.identity()]
     steps = list(gens) + [G.inv(g) for g in gens]
-    for _ in range(search_len):
+    for _ in range(SEARCH_LEN):
         new = []
         for x in frontier:
             for s in steps:
@@ -430,7 +435,7 @@ def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle,
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
-                    if len(seen) > search_cap:
+                    if len(seen) > SEARCH_CAP:
                         new = []
                         frontier = []
                         break

@@ -16,7 +16,7 @@ from typing import Any
 from .cocycles import ValidationBudget, check_twist_identities, validate_cocycle
 from .config import InstanceConfig
 from .groups.base import Group
-from .groups.structure import centralizer_of_subgroup, is_normal
+from .groups.structure import is_normal
 from .groups.subgroups import INFINITE, Classification
 from .oracle import relative_commutant_dim
 from .regularity import kleppner, relative_kleppner, sigma_centralizer
@@ -82,7 +82,6 @@ class Report:
     seed: int
     payload: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
-    exit_code: int = 0
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {"schema": SCHEMA_VERSION, "instance": self.config_name, "seed": self.seed}
@@ -183,11 +182,8 @@ def run(config: InstanceConfig) -> Report:
                            "detail": ident.detail}
 
     if "centralizers" in config.analyses:
-        def centr():
-            plain = centralizer_of_subgroup(G, H)
-            tw = sigma_centralizer(G, H, sigma)
-            return plain, tw
-        plain, tw = timed("centralizers", centr)
+        tw = timed("centralizers", lambda: sigma_centralizer(G, H, sigma))
+        plain = tw.plain_centralizer
         p["centralizers"] = {
             "plain": plain.describe_desc() if plain else "unknown",
             "twisted": tw.description.describe_desc() if tw.description else "unknown",

@@ -5,9 +5,9 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kleppner.cocycles import (BicharacterCocycle, CocycleError, F2Z2Cocycle, HeisenbergCocycle,
+from kleppner.cocycles import (BicharacterCocycle, Cocycle, CocycleError, F2Z2Cocycle, HeisenbergCocycle,
                                PhaseTableCocycle, ProductCocycle, RestrictionCocycle,
-                               SeededBeta, TrivialCocycle, ValidationBudget, ZeroBeta,
+                               SeededBeta, TableBeta, TrivialCocycle, ValidationBudget,
                                check_twist_identities, commutation_phase, conj_twist,
                                rotation_cocycle, similarity_transform, three_torus_cocycle,
                                transport, validate_cocycle)
@@ -95,6 +95,58 @@ def test_validation_catches_corruption():
     assert lhs != rhs  # the witness replays
 
 
+class CubicForm(Cocycle):
+    """sigma(g, h) = g_1 h_1^2 / 3 on Z^2: normalized, but the cocycle identity
+    is off by -2 g_1 h_1 k_1 / 3, so it fails whenever 3 divides none of them."""
+
+    kind = "cubic form"
+
+    def __init__(self) -> None:
+        self.group = Z2
+        self.basis = B
+
+    def value(self, g, h) -> Phase:
+        return Phase(Fraction(g[0] * h[0] * h[0], 3), {}, B)
+
+
+def test_generic_validation_catches_non_cocycle():
+    sigma = CubicForm()
+    res = validate_cocycle(sigma, ValidationBudget(samples=200, seed=2))
+    assert not res.passed and res.mode == "sampled" and res.detail == "cocycle identity fails"
+    g, h, k = res.witness
+    lhs = sigma.value(g, h) + sigma.value(Z2.mul(g, h), k)
+    rhs = sigma.value(g, Z2.mul(h, k)) + sigma.value(h, k)
+    assert lhs != rhs  # the witness replays
+    assert not check_twist_identities(sigma, ValidationBudget(samples=200, seed=2)).passed
+
+
+def test_generic_validation_catches_unnormalized():
+    class Shifted(CubicForm):
+        def value(self, g, h) -> Phase:
+            return Phase(Fraction(1, 2), {}, B)
+
+    res = validate_cocycle(Shifted(), ValidationBudget(samples=20, seed=0))
+    assert not res.passed and res.detail == "normalization fails"
+    assert res.witness[1:] == (Z2.identity(), Z2.identity())
+
+
+# normalized non-cocycle tables, one per reachable failure of the twist
+# identities: {index: exponent} entries on top of the zero table
+@pytest.mark.parametrize("name, entries, detail", [
+    ("Z_4", {(2, 3): Fraction(2, 3)}, "left-product identity fails"),
+    ("Z_2 x Z_2", {(1, 3): Fraction(2, 3), (3, 2): Fraction(2, 3)},
+     "right-product identity fails"),
+    ("Z_3", {(2, 1): Fraction(2, 3)}, "power right-product identity fails"),
+])
+def test_twist_identities_catch_non_cocycles(name, entries, detail):
+    G = from_name(name)
+    rows = [[Phase(entries.get((g, h), 0)) for h in G.elements()] for g in G.elements()]
+    sigma = PhaseTableCocycle(G, rows)
+    assert not validate_cocycle(sigma).passed
+    res = check_twist_identities(sigma)
+    assert not res.passed and res.detail == detail and len(res.witness) == 3
+
+
 def test_normalization_enforced_at_construction():
     z2t = from_name("Z_2")
     with pytest.raises(CocycleError):
@@ -121,7 +173,7 @@ def test_twist_identities_all_variants():
 
 def test_similarity_zero_beta_is_pointwise_identity():
     rot = rotation_cocycle(Z2, TH)
-    same = similarity_transform(rot, ZeroBeta(B))
+    same = similarity_transform(rot, SeededBeta(Z2, 4, denominator=1))
     rng = random.Random(4)
     for _ in range(50):
         g, h = Z2.random_element(rng), Z2.random_element(rng)
@@ -130,9 +182,8 @@ def test_similarity_zero_beta_is_pointwise_identity():
 
 def test_similarity_requires_normalized_beta():
     rot = rotation_cocycle(Z2, TH)
-    from kleppner.cocycles import FuncBeta
     with pytest.raises(CocycleError):
-        similarity_transform(rot, FuncBeta(lambda g: Phase(Fraction(1, 2)), "bad"))
+        similarity_transform(rot, TableBeta(Z2, {Z2.identity(): Phase(Fraction(1, 2))}))
 
 
 def test_similarity_preserves_commutation_phase():

@@ -218,3 +218,55 @@ def test_cli_reports_oracle_cap_in_one_line(tmp_path, capsys):
     assert main(["--input", str(big)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "oracle cap" in err
+
+
+_Z2 = "[group]\nkind = free_abelian\nrank = 2\n"
+_HEIS = "[group]\nkind = heisenberg\n"
+# malformed values that once escaped the front door as a Python traceback
+MALFORMED = {
+    "columns-not-list": _Z2 + "[subgroup]\nkind = sublattice\ncolumns = 5\n",
+    "columns-not-int": _Z2 + '[subgroup]\nkind = sublattice\ncolumns = [["a","b"]]\n',
+    "elements-not-list": '[group]\nkind = finite\nname = "Z_4"\n'
+                         "[subgroup]\nkind = finite_subset\nelements = 3\n",
+    "coords-not-list": _HEIS + "[subgroup]\nkind = coordinate_zero\ncoords = 5\n",
+    "thetas-not-list": "[group]\nkind = free_abelian\nrank = 3\n"
+                       "[cocycle]\nkind = three_torus\nthetas = 3\n",
+    "matrix-not-list": _Z2 + "[cocycle]\nkind = bicharacter\nmatrix = 3\n",
+    "matrix-flat": _Z2 + "[cocycle]\nkind = bicharacter\nmatrix = [1, 2]\n",
+    "generator-bad-int": _Z2 + '[subgroup]\nkind = generated\ngenerators = ["(1+, 2)"]\n',
+    "element-bad-int": _HEIS + '[subgroup]\nkind = finite_subset\nelements = ["(--1, 0, 0)"]\n',
+    "theta-zero-den": _Z2 + "[cocycle]\nkind = rotation\ntheta = 1/0\n",
+    "param-zero-den": "[params]\nt = 1/0\n" + _Z2,
+    "matrix-zero-den": _Z2 + '[cocycle]\nkind = bicharacter\nmatrix = [["0","1/0"],["0","0"]]\n',
+    "table-zero-den": '[group]\nkind = finite\nname = "Z_2"\n'
+                      '[cocycle]\nkind = table\ntable = [["0","0"],["0","1/0"]]\n',
+    "beta-den-zero": _Z2 + "[cocycle]\nkind = similarity\nbeta_denominator = 0\n"
+                     "[cocycle.base]\nkind = trivial\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_cli_rejects_malformed_value_in_one_line(tmp_path, capsys, case):
+    bad = tmp_path / f"{case}.tomlish"
+    bad.write_text(MALFORMED[case])
+    assert main(["--input", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "line " in err
+
+
+def test_report_flags_non_cocycle_table():
+    text = """
+[group]
+kind = finite
+name = "Z_3"
+
+[cocycle]
+kind = table
+table = [["0","0","0"],["0","0","0"],["0","2/3","0"]]
+"""
+    config = parse_config(text)
+    payload = run(config).payload
+    assert payload["validate"]["passed"] is False
+    names = {config.group.element_str(x) for x in config.group.elements()}
+    witness = payload["validate"]["witness"]
+    assert len(witness) == 3 and set(witness) <= names

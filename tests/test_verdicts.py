@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, SeededBeta, TrivialCocycle,
                                rotation_cocycle, similarity_transform, three_torus_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
@@ -8,7 +10,9 @@ from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, 
                              subgroup_predicate)
 from kleppner.oracle import center_dim, relative_commutant_dim
 from kleppner.phases import IrrationalBasis, Phase
+from kleppner.groups.subgroups import Classification
 from kleppner.randomized import random_table_cocycle
+from kleppner.regularity import is_sigma_regular
 from kleppner.verdicts import cstar_irreducible, intermediate_lattice, twisted_simplicity
 
 B = IrrationalBasis(["theta"])
@@ -17,6 +21,7 @@ Z2 = FreeAbelian(2)
 HEIS = Heisenberg()
 F2 = FreeGroup(2)
 F2Z2 = DirectProduct(F2, from_name("Z_2"))
+F2Z = DirectProduct(F2, FreeAbelian(1))
 HF = Subgroup.product(F2Z2, Subgroup.full(F2), Subgroup.trivial(F2Z2.right))
 
 
@@ -82,6 +87,28 @@ def test_f2z2_verdicts():
         assert v.holds and v.chain[0].rule == "csimple-twisted-centralizer"
     vt = cstar_irreducible(F2Z2, HF, TrivialCocycle(F2Z2))
     assert vt.fails and vt.witness == (F2.identity(), 1)
+
+
+# (G, H) with the trivial cocycle on which each rule decides the verdict
+LATE_RULES = {
+    "prime-twisted-centralizer": (F2Z, Subgroup.full(F2Z)),
+    "fch-or-csimple-relative-kleppner":
+        (F2Z2, Subgroup.product(F2Z2, Subgroup.trivial(F2), Subgroup.full(F2Z2.right))),
+    "simple-plus-relative-kleppner": (F2Z2, Subgroup.full(F2Z2)),
+}
+
+
+@pytest.mark.parametrize("rule", list(LATE_RULES))
+def test_late_verdict_rules_fail_with_regular_witness(rule):
+    G, H = LATE_RULES[rule]
+    sigma = TrivialCocycle(G)
+    v = cstar_irreducible(G, H, sigma)
+    assert v.fails and v.chain[-1].rule == rule
+    w = v.witness
+    elems = w.elements if isinstance(w, Classification) else (w,)
+    assert elems
+    for g in elems:
+        assert g != G.identity() and is_sigma_regular(g, H, sigma).holds
 
 
 def test_nonnormal_refusal():

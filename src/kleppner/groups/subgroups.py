@@ -260,6 +260,8 @@ class SublatticeDesc(SubgroupDesc):
         for c in self.columns:
             if len(c) != parent.rank:
                 raise GroupError("sublattice generator has wrong length")
+            if not all(isinstance(x, int) for x in c):
+                raise GroupError(f"sublattice generator {tuple(c)} has a non-integer entry")
 
     def lattice(self, parent: Group) -> RowLattice:
         lat = RowLattice(parent.rank)
@@ -589,7 +591,7 @@ class Subgroup:
 
     @staticmethod
     def sublattice(parent: Group, columns: Sequence[Sequence[int]]) -> "Subgroup":
-        return Subgroup(parent, SublatticeDesc(tuple(tuple(int(x) for x in c) for c in columns)))
+        return Subgroup(parent, SublatticeDesc(tuple(tuple(c) for c in columns)))
 
     @staticmethod
     def coordinate_zero(parent: Group, zero_coords) -> "Subgroup":

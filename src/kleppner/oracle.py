@@ -112,19 +112,20 @@ def _rational_phase(sigma: Cocycle, g, h) -> Phase:
 class RegularRep:
     """lam(g) acting on functions on G: (lam(g) xi)(h) = sigma(g, g^-1 h) xi(g^-1 h).
 
-    Besides the matrices it keeps the integer table of the cocycle
-    (``PhaseTableCocycle.ints`` over ``den``), so the elimination and counting
-    routes run on exact integer arithmetic.
+    Held as the integer table of the cocycle (``PhaseTableCocycle.ints`` over
+    ``den``): column k of lam(g) has its one entry in row g k, with phase
+    exponent int_values[g][k] / den.  Both routes read the table; ``matrix``
+    builds the MonomialMatrix on request.
     """
 
     group: FiniteTable
     sigma: Cocycle
-    matrices: dict
     den: int
     int_values: tuple  # int_values[g][h] = den * phase exponent of sigma(g, h)
 
     def matrix(self, g: int) -> MonomialMatrix:
-        return self.matrices[g]
+        return MonomialMatrix(self.group.table[g],
+                              tuple(Fraction(v, self.den) for v in self.int_values[g]))
 
 
 def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None = None) -> RegularRep:
@@ -143,30 +144,22 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None 
             table = PhaseTableCocycle(G, phases)
         except CocycleError:
             raise OracleError("lam(e) is not the identity; cocycle is not normalized") from None
-    den = table.den
-    values = [[Fraction(v, den) for v in row] for row in table.ints]
-    mats = {}
-    for g in G.elements():
-        rows = []
-        for k in G.elements():
-            rows.append(G.mul(g, k))
-        mats[g] = MonomialMatrix(tuple(rows), tuple(values[g]))
-    rep = RegularRep(G, sigma, mats, den, table.ints)
+    den, val, mul = table.den, table.ints, G.table
     if verify_pairs is None:
         verify_pairs = n <= 12
-    if verify_pairs:
-        pairs = ((g, h) for g in G.elements() for h in G.elements())
-    else:
-        pairs = ((g, h) for g in G.generators() for h in G.elements())
-    for g, h in pairs:
-        expected = mats[G.mul(g, h)].scaled(values[g][h])
-        if mats[g] @ mats[h] != expected:
-            raise OracleError(f"projective relation fails at ({g},{h})")
-    return rep
+    # lam(g) lam(h) = sigma(g, h) lam(gh): both sides put column k in row g h k,
+    # with exponents val[h][k] + val[g][h k] and val[g][h] + val[g h][k]
+    for g in (G.elements() if verify_pairs else G.generators()):
+        vg, mg = val[g], mul[g]
+        for h in G.elements():
+            vh, mh, vgh, s = val[h], mul[h], val[mg[h]], vg[h]
+            if any((vh[k] + vg[mh[k]] - s - vgh[k]) % den for k in range(n)):
+                raise OracleError(f"projective relation fails at ({g},{h})")
+    return RegularRep(G, sigma, den, val)
 
 
 # ---------------------------------------------------------------------------
-# route A: exact commutant via the matrices
+# route A: exact commutant, entrywise on the integer table
 # ---------------------------------------------------------------------------
 
 class _ScalingUnionFind:
@@ -259,27 +252,29 @@ def _route_a(rep: RegularRep, hgens: list[int]) -> CommutantSolution:
 
 
 def _verify_solution(rep: RegularRep, hgens: list[int], f: dict) -> bool:
-    """Substitute T_f into the commutation equations, entry by entry."""
+    """Substitute T_f into the commutation equations, entry by entry, as
+    exponents over den; a value of f off that grid fails."""
     G = rep.group
-    n = G.order
-    sigma = rep.sigma
+    den, val, table, inv = rep.den, rep.int_values, G.table, G.inv_table
+    coeff = {}
+    for u, p in f.items():
+        if any(p.nums[1:]) or den % p.den:
+            return False
+        coeff[u] = p.nums[0] * (den // p.den)
 
-    def t_entry(r: int, k: int) -> Optional[Fraction]:
-        u = G.mul(r, G.inv(k))
-        if u not in f:
-            return None
-        return (f[u].rational + _rational_phase(sigma, u, k).rational) % 1
+    def t_entry(r: int, k: int) -> Optional[int]:
+        u = table[r][inv[k]]
+        return coeff[u] + val[u][k] if u in coeff else None
 
     for h in hgens:
-        lam_h = rep.matrix(h)
-        for k in range(n):
-            for r in range(n):
-                m = G.mul(G.inv(h), r)
+        for k in range(G.order):
+            for r in range(G.order):
+                m = table[inv[h]][r]
                 left_t = t_entry(m, k)
-                lhs = None if left_t is None else (lam_h.entry(r, m) + left_t) % 1
-                mp = G.mul(h, k)
+                lhs = None if left_t is None else (val[h][m] + left_t) % den
+                mp = table[h][k]
                 right_t = t_entry(r, mp)
-                rhs = None if right_t is None else (right_t + lam_h.entry(mp, k)) % 1
+                rhs = None if right_t is None else (right_t + val[h][k]) % den
                 if lhs != rhs:
                     return False
     return True
@@ -326,10 +321,14 @@ def relative_commutant_dim(G: FiniteTable, H: Subgroup, sigma: Cocycle,
                            verify: bool = False,
                            rep: RegularRep | None = None) -> CommutantReport:
     """Dimension of {T in span lam(G) : T commutes with lam(H)}, both routes."""
+    if H.parent is not G:
+        raise OracleError("H must be a subgroup of G")
     if rep is None:
         rep = build_regular_rep(G, sigma, verify_pairs=False)
+    elif rep.group is not G or rep.sigma is not sigma:
+        raise OracleError("rep was built for another group or cocycle")
     helems = H.enumerate_elements()
-    hgens = list(Subgroup.finite_subset(G, helems).generators()) or [G.identity()]
+    hgens = list(H.generators()) or [G.identity()]
     sol = _route_a(rep, hgens)
     count, regular = _route_b(rep, helems)
     if verify:

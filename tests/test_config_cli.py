@@ -162,14 +162,20 @@ def test_cli_seed_and_cap_override(capsys):
 
 def test_cli_oracle_mismatch_exit_code(monkeypatch, capsys):
     import kleppner.oracle as oracle_mod
+    from kleppner.cocycles import TrivialCocycle
+    from kleppner.groups import Subgroup, from_name
 
     def broken_route_b(rep, helems):
         return 999, []
 
     monkeypatch.setattr(oracle_mod, "_route_b", broken_route_b)
+    z2 = from_name("Z_2")
+    with pytest.raises(oracle_mod.OracleMismatchError):
+        oracle_mod.relative_commutant_dim(z2, Subgroup.full(z2), TrivialCocycle(z2))
     code = main(["--input", str(FIXTURES / "z2z2_oracle.tomlish")])
     assert code == 2
-    assert "ORACLE MISMATCH" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ORACLE MISMATCH: ")
 
 
 def test_explicit_finite_table_config():

@@ -240,6 +240,13 @@ def test_index():
                             Subgroup.full(z1)).index() is INFINITE
 
 
+def test_sublattice_refuses_non_integer_entries():
+    z2 = FreeAbelian(2)
+    for columns in ([(1.5, 0)], [(2, 0), (0, 1.0)], [("1", 0)]):
+        with pytest.raises(GroupError, match="non-integer entry"):
+            Subgroup.sublattice(z2, columns)
+
+
 def test_subgroup_description_contracts():
     z3, heis, f2 = FreeAbelian(3), Heisenberg(), FreeGroup(2)
     d4 = from_name("D_4")

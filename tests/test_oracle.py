@@ -161,3 +161,54 @@ def test_order_cap():
     big = cyclic(65)
     with pytest.raises(OracleError):
         build_regular_rep(big, TrivialCocycle(big))
+
+
+def test_projective_relation_failure_is_reported():
+    # normalized but not a cocycle: sigma(1,1) = 1/3 alone on Z_3
+    z3 = from_name("Z_3")
+    tbl = [[Phase(Fraction(1, 3) if (g, h) == (1, 1) else 0) for h in range(3)]
+           for g in range(3)]
+    for verify_pairs in (True, False):
+        with pytest.raises(OracleError, match=r"projective relation fails at \(1,1\)"):
+            build_regular_rep(z3, PhaseTableCocycle(z3, tbl), verify_pairs=verify_pairs)
+
+
+@pytest.mark.parametrize("shift", [Fraction(1, 2), Fraction(1, 4)], ids=["on-grid", "off-grid"])
+def test_corrupted_route_a_basis_fails_substitution(monkeypatch, shift):
+    import kleppner.oracle as oracle_mod
+    # a coboundary on S_3 with den 2; the transposition class {1, 2, 5} is
+    # one basis element of the center with every coefficient 0
+    s3 = from_name("S_3")
+    b = {g: Fraction(1, 2) if g == 3 else Fraction(0) for g in s3.elements()}
+    sig = PhaseTableCocycle(s3, [[Phase(b[g] + b[h] - b[s3.mul(g, h)]) for h in s3.elements()]
+                                 for g in s3.elements()])
+    real_route_a = oracle_mod._route_a
+
+    def corrupted_route_a(rep, hgens):
+        sol = real_route_a(rep, hgens)
+        f = next(f for f in sol.basis if 1 in f)
+        assert rep.den == 2 and f == {1: Phase(0), 2: Phase(0), 5: Phase(0)}
+        f[1] = f[1] + Phase(shift)
+        return sol
+
+    monkeypatch.setattr(oracle_mod, "_route_a", corrupted_route_a)
+    with pytest.raises(OracleError, match="route A basis element fails substitution"):
+        relative_commutant_dim(s3, Subgroup.full(s3), sig, verify=True)
+
+
+def test_rep_of_another_cocycle_is_refused():
+    z22, sig = anticommute_z22()
+    untwisted = build_regular_rep(z22, TrivialCocycle(z22))
+    with pytest.raises(OracleError, match="another group or cocycle"):
+        relative_commutant_dim(z22, Subgroup.full(z22), sig, rep=untwisted)
+    with pytest.raises(OracleError, match="another group or cocycle"):
+        center_dim(z22, sig, rep=untwisted)
+    assert center_dim(z22, sig, rep=build_regular_rep(z22, sig)) == 1
+
+
+def test_subgroup_of_another_group_is_refused():
+    z22, sig = anticommute_z22()
+    z4 = from_name("Z_4")
+    for H in (Subgroup.full(z4), Subgroup.finite_subset(z4, [2])):
+        with pytest.raises(OracleError, match="H must be a subgroup of G"):
+            relative_commutant_dim(z22, H, sig)

@@ -5,10 +5,21 @@ from __future__ import annotations
 import random
 import re
 
-from .base import Group, GroupError, vector_key
+from .. import tribool as tb
+from ..intlinalg import RowLattice, invert_unimodular, mat_mul_vec, smith_normal_form
+from .base import (FCInfo, Group, GroupError, LatticeEntry, LatticeResult, finite_class,
+                   vector_key)
+from .finite import FiniteTable
 
 
 class FreeAbelian(Group):
+    exact_kernel = "abelian"
+    facts = {
+        "prime": (tb.HOLDS, "free abelian groups are torsion-free"),
+        "fc_hypercentral": (tb.HOLDS, "finitely generated nilpotent, hence of polynomial growth"),
+        "cstar_simple": (tb.FAILS, "abelian groups are not icc"),
+    }
+
     def __init__(self, rank: int) -> None:
         if rank < 0:
             raise GroupError("rank must be >= 0")
@@ -68,6 +79,72 @@ class FreeAbelian(Group):
     def describe(self) -> str:
         return f"free abelian group Z^{self.rank}"
 
+    # -- structure queries: every class is a singleton ---------------------
+    def h_conjugacy_class(self, g, H, cap, depth_cap):
+        return finite_class([g])
+
+    def centralizer_generators(self, H, g):
+        return H.generators()
+
+    def centralizer_of_subgroup(self, H):
+        from .subgroups import Subgroup
+        return Subgroup.full(self)
+
+    def fc_centralizer(self, H):
+        from .subgroups import Subgroup
+        return FCInfo(Subgroup.full(self), central=True, note="abelian group")
+
+    def intermediate_subgroups(self, H, max_entries):
+        from .subgroups import FullDesc, Subgroup, SublatticeDesc, TrivialDesc
+        if not isinstance(H.desc, (SublatticeDesc, FullDesc, TrivialDesc)):
+            return super().intermediate_subgroups(H, max_entries)
+        n = self.rank
+        if isinstance(H.desc, FullDesc) or n == 0:
+            return LatticeResult("ok", (LatticeEntry("the full group", Subgroup.full(self), 1),))
+        if isinstance(H.desc, TrivialDesc):
+            return LatticeResult("unknown", (), "quotient Z^n: infinitely many intermediate "
+                                                "sublattices in rank >= 1, not a recognized chain")
+        basis = H.lattice().basis()
+        r = len(basis)
+        cols = [[basis[i][k] for i in range(r)] for k in range(n)] if r else [[0] for _ in range(n)]
+        u, d, _v = smith_normal_form(cols)
+        diag = [d[i][i] if i < min(len(d), r) else 0 for i in range(n)]
+        uinv = invert_unimodular(u)
+
+        if all(x != 0 for x in diag):
+            # finite quotient: enumerate subgroups of prod Z_diag and lift
+            coords = _mixed_radix(diag)
+            index = {c: i for i, c in enumerate(coords)}
+            table = [[index[tuple((a + b) % m for a, b, m in zip(x, y, diag))]
+                      for y in coords] for x in coords]
+            q = FiniteTable(table, [str(c) for c in coords], name="quotient")
+            entries = []
+            for s in q.all_subgroups():
+                gens = list(basis)
+                for i in sorted(s):
+                    v = mat_mul_vec(uinv, coords[i])
+                    if any(v):
+                        gens.append(v)
+                sub = Subgroup.sublattice(self, RowLattice(n, gens).basis())
+                entries.append(LatticeEntry(f"index-{sub.index()} sublattice", sub, sub.index()))
+            entries.sort(key=lambda e: (-e.index_in_g, e.label))
+            return LatticeResult("ok", tuple(entries))
+
+        free_positions = [i for i, x in enumerate(diag) if x == 0]
+        if len(free_positions) == 1 and all(x == 1 for x in diag if x != 0):
+            # quotient is a copy of Z: a chain indexed by n >= 0
+            gen = mat_mul_vec(uinv, tuple(1 if i == free_positions[0] else 0 for i in range(n)))
+            entries = [LatticeEntry("Gamma_0 (= H)", H, None),
+                       LatticeEntry("Gamma_1 (= G)", Subgroup.sublattice(self, basis + [gen]), 1)]
+            for k in range(2, max_entries + 1):
+                gens = basis + [tuple(k * x for x in gen)]
+                entries.append(LatticeEntry(f"Gamma_{k}", Subgroup.sublattice(self, gens), None))
+            return LatticeResult("truncated", tuple(entries),
+                                 f"one entry for each n >= 0; truncated at n = {max_entries}")
+
+        return LatticeResult("unknown", (),
+                             "quotient mixes free and torsion parts; not a recognized chain")
+
 
 def parse_int_vector(text: str, rank: int) -> tuple[int, ...]:
     t = text.strip()
@@ -79,3 +156,10 @@ def parse_int_vector(text: str, rank: int) -> tuple[int, ...]:
     if len(parts) != rank:
         raise GroupError(f"expected {rank} coordinates in {text!r}")
     return tuple(int(p) for p in parts)
+
+
+def _mixed_radix(moduli: list[int]) -> list[tuple[int, ...]]:
+    out = [()]
+    for m in moduli:
+        out = [c + (i,) for c in out for i in range(m)]
+    return out

@@ -3,12 +3,23 @@
 Elements are plain immutable Python values in a variant-specific normal form
 (int index, int tuple, reduced word, pair); the Group object owns the
 operations.  Everything is pure and safe to share.
+
+Each kind also answers the structure queries that ``structure.py`` exposes
+(H-classes, centralizers, FC-centralizers, normality, catalog predicates,
+intermediate subgroups); the Group base class gives the undecided answers.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Optional, Sequence
+
+from .. import tribool as tb
+from ..tribool import TriBool
+
+if TYPE_CHECKING:
+    from .subgroups import Subgroup
 
 Element = Any
 
@@ -17,8 +28,114 @@ class GroupError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class Classification:
+    """Outcome of an orbit computation: explicit list, infinity certificate, or cap."""
+
+    status: str  # "finite" | "infinite" | "unknown"
+    elements: tuple = ()
+    certificate: str = ""
+    reason: str = ""
+
+    @property
+    def finite(self) -> bool:
+        return self.status == "finite"
+
+    @property
+    def infinite(self) -> bool:
+        return self.status == "infinite"
+
+    @property
+    def unknown(self) -> bool:
+        return self.status == "unknown"
+
+    @property
+    def size(self) -> int | None:
+        return len(self.elements) if self.finite else None
+
+    def __repr__(self) -> str:
+        if self.finite:
+            return f"FiniteClass{{{', '.join(str(x) for x in self.elements)}}}"
+        if self.infinite:
+            return f"InfiniteClass({self.certificate})"
+        return f"UnknownClass({self.reason})"
+
+
+def finite_class(elements) -> Classification:
+    return Classification("finite", tuple(elements))
+
+
+def infinite_class(certificate: str) -> Classification:
+    return Classification("infinite", certificate=certificate)
+
+
+def unknown_class(reason: str) -> Classification:
+    return Classification("unknown", reason=reason)
+
+
+@dataclass(frozen=True)
+class FCInfo:
+    """FC_G(H) = elements with finite H-class, as far as the catalog knows it."""
+
+    subgroup: Optional["Subgroup"]    # None = unknown
+    central: Optional[bool] = None    # subgroup known to lie in the center of G?
+    note: str = ""
+
+    @property
+    def known(self) -> bool:
+        return self.subgroup is not None
+
+    @property
+    def trivial(self) -> Optional[bool]:
+        if self.subgroup is None:
+            return None
+        return self.subgroup.is_trivial_subgroup()
+
+    def finite_elements(self) -> Optional[list]:
+        if self.subgroup is None:
+            return None
+        return self.subgroup.enumerate_elements()
+
+
+@dataclass(frozen=True)
+class LatticeEntry:
+    label: str
+    subgroup: Optional["Subgroup"]
+    index_in_g: Any  # int | INFINITE | None
+
+
+@dataclass(frozen=True)
+class LatticeResult:
+    status: str  # "ok" | "truncated" | "unknown"
+    entries: tuple[LatticeEntry, ...]
+    note: str = ""
+
+    @property
+    def complete(self) -> bool:
+        return self.status == "ok"
+
+    @property
+    def count(self) -> Optional[int]:
+        return len(self.entries) if self.status == "ok" else None
+
+
+# the one-element group, of whatever kind, overrides its kind's facts
+TRIVIAL_FACTS = {
+    "prime": (tb.HOLDS, "trivial group"),
+    "cstar_simple": (tb.FAILS, "trivial group: reported not C*-simple by convention "
+                               "(no icc structure; the algebra is C)"),
+}
+
+
 class Group:
     name: str = "group"
+    # "finite" (enumerate every H-class) or "abelian" (solve the phase-linear
+    # system of a lattice) when the decision procedures decide every subgroup
+    # of this kind exactly
+    exact_kernel: str | None = None
+    # the kind's catalog predicates, "prime", "fc_hypercentral" and
+    # "cstar_simple", as (status, note); a missing predicate is unknown
+    facts: dict[str, tuple[str, str]] = {}
 
     # -- core operations -------------------------------------------------
     def mul(self, a: Element, b: Element) -> Element:
@@ -96,6 +213,84 @@ class Group:
 
     def __repr__(self) -> str:
         return f"<{self.describe()}>"
+
+    # -- structure queries ------------------------------------------------
+    # Each kind overrides the queries it answers in closed form; these
+    # defaults are the undecided answers.
+
+    def h_conjugacy_class(self, g: Element, H, cap: int, depth_cap: int) -> Classification:
+        """{h g h^-1 : h in H} by a conjugation search over H's generators,
+        unknown beyond cap elements or depth_cap rounds."""
+        gens = H.generators()
+        conjugators = list(gens) + [self.inv(h) for h in gens]
+        seen = {g}
+        frontier = [g]
+        depth = 0
+        while frontier and depth < depth_cap:
+            depth += 1
+            new = []
+            for x in frontier:
+                for h in conjugators:
+                    y = self.conj(h, x)
+                    if y not in seen:
+                        seen.add(y)
+                        if len(seen) > cap:
+                            return unknown_class(
+                                f"conjugation orbit exceeded the search cap ({cap})")
+                        new.append(y)
+            frontier = new
+        if frontier:
+            return unknown_class(f"conjugation search reached depth cap ({depth_cap})")
+        return finite_class(sorted(seen, key=self.element_key))
+
+    def centralizer_generators(self, H, g: Element) -> Optional[tuple]:
+        """A finite generating set of C_H(g), or None."""
+        return None
+
+    def centralizer_of_subgroup(self, H):
+        """C_G(H) as a described subgroup, or None."""
+        return None
+
+    def fc_centralizer(self, H) -> FCInfo:
+        return FCInfo(None, note=f"no FC-centralizer rule for {self.name}")
+
+    def is_normal(self, H) -> TriBool:
+        """Conjugates of H's generators by the generators of G and their
+        inverses must stay inside H."""
+        gens, ggens = H.generators(), self.generators()
+        for s in list(ggens) + [self.inv(s) for s in ggens]:
+            for h in gens:
+                c = H.contains(self.conj(s, h))
+                if c is False:
+                    return tb.fails((s, h), f"conjugate of {self.element_str(h)} by "
+                                            f"{self.element_str(s)} leaves the subgroup")
+                if c is None:
+                    return tb.unknown("membership undecided during the conjugation check")
+        return tb.holds("generator conjugates stay inside (both directions)")
+
+    def fact(self, name: str) -> TriBool:
+        """This group's answer to the catalog predicate name ("prime",
+        "fc_hypercentral" or "cstar_simple")."""
+        facts = {**self.facts, **TRIVIAL_FACTS} if self.order == 1 else self.facts
+        if name not in facts:
+            return tb.unknown(f"no {name} rule for {self.name}")
+        status, note = facts[name]
+        return TriBool(status, notes=(note,))
+
+    def intermediate_subgroups(self, H, max_entries: int) -> LatticeResult:
+        """The subgroups between H and G: every one ("ok"), the first
+        max_entries of a recognized infinite family ("truncated"), or unknown."""
+        return LatticeResult("unknown", (), f"no quotient recognition rule for {self.name}")
+
+    def centralizer_lattice(self, cent):
+        """(dim, embed, always_regular) when the centralizer cent of a
+        subgroup is a lattice the twisted-centralizer solver can walk: embed
+        maps Z^dim into cent, and cent is generated by its image together
+        with always_regular, elements that every twist character kills."""
+        asg = cent.as_group()
+        if asg is not None and asg.group.exact_kernel == "abelian":
+            return asg.group.rank, asg.embed, ()
+        return None
 
 
 def int_key(c: int) -> tuple[int, int]:

@@ -13,12 +13,20 @@ import random
 import re
 from typing import Callable, Sequence
 
-from .base import Group, GroupError
+from .. import tribool as tb
+from .base import FCInfo, Group, GroupError, LatticeEntry, LatticeResult, finite_class
 
 Table = tuple[tuple[int, ...], ...]
 
 
 class FiniteTable(Group):
+    exact_kernel = "finite"
+    facts = {
+        "prime": (tb.FAILS, "a nontrivial finite group is a finite normal subgroup of itself"),
+        "fc_hypercentral": (tb.HOLDS, "finite groups are FC-hypercentral"),
+        "cstar_simple": (tb.FAILS, "nontrivial finite groups are not icc"),
+    }
+
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                  name: str = "finite",
                  ab_coords: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None) -> None:
@@ -189,6 +197,43 @@ class FiniteTable(Group):
 
     def describe(self) -> str:
         return f"{self.name} (finite, order {self.n})"
+
+    # -- structure queries: every subgroup is enumerated -------------------
+    def h_conjugacy_class(self, g, H, cap, depth_cap):
+        return finite_class(sorted({self.conj(h, g) for h in H.enumerate_elements()}))
+
+    def centralizer_generators(self, H, g):
+        from .subgroups import Subgroup
+        cents = [h for h in H.enumerate_elements() if self.commutes(h, g)]
+        return Subgroup.finite_subset(self, cents).generators()
+
+    def centralizer_of_subgroup(self, H):
+        from .subgroups import Subgroup
+        elems = H.enumerate_elements()
+        cents = [x for x in self.elements() if all(self.commutes(x, h) for h in elems)]
+        return Subgroup.finite_subset(self, cents)
+
+    def fc_centralizer(self, H):
+        from .subgroups import Subgroup
+        return FCInfo(Subgroup.full(self), central=self.is_abelian, note="finite group")
+
+    def is_normal(self, H):
+        elems = H.enumerate_elements()
+        eset = set(elems)
+        for s in self.elements():
+            for h in elems:
+                if self.conj(s, h) not in eset:
+                    return tb.fails((s, h), "explicit conjugate escapes the subgroup")
+        return tb.holds("checked all conjugations in the table")
+
+    def intermediate_subgroups(self, H, max_entries):
+        from .subgroups import Subgroup
+        helems = set(H.enumerate_elements())
+        entries = [LatticeEntry(f"order-{len(s)} subgroup", Subgroup.finite_subset(self, s),
+                                self.n // len(s))
+                   for s in self.all_subgroups() if helems <= s]
+        entries.sort(key=lambda e: (-e.index_in_g, e.label))
+        return LatticeResult("ok", tuple(entries))
 
 
 # -- builtin constructions ---------------------------------------------------

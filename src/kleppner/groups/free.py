@@ -12,7 +12,8 @@ import random
 import re
 import string
 
-from .base import Group, GroupError
+from .. import tribool as tb
+from .base import FCInfo, Group, GroupError, finite_class, infinite_class
 
 Word = tuple[tuple[int, int], ...]
 
@@ -31,6 +32,13 @@ def _merge(word: list[tuple[int, int]], letter: int, exp: int) -> None:
 
 
 class FreeGroup(Group):
+    facts = {
+        "prime": (tb.HOLDS, "free groups of rank >= 2 are icc"),
+        "fc_hypercentral": (tb.FAILS, "a free group of rank >= 2 is its own nontrivial "
+                                      "icc quotient"),
+        "cstar_simple": (tb.HOLDS, "free groups of rank >= 2 are C*-simple (Powers)"),
+    }
+
     def __init__(self, rank: int, letters: tuple[str, ...] | None = None) -> None:
         if rank < 2:
             raise GroupError("free group catalog requires rank >= 2")
@@ -198,6 +206,56 @@ class FreeGroup(Group):
 
     def describe(self) -> str:
         return f"free group F_{self.rank} on {', '.join(self.letters)}"
+
+    # -- structure queries: centralizers of nontrivial elements are cyclic --
+    def h_conjugacy_class(self, g, H, cap, depth_cap):
+        for h in H.generators():
+            if not self.commutes(h, g):
+                return infinite_class(
+                    f"{self.element_str(h)} does not commute with {self.element_str(g)}; "
+                    "iterated conjugates are pairwise distinct in a free group")
+        return finite_class([g])
+
+    def centralizer_generators(self, H, g):
+        from .subgroups import FreeCyclicDesc, FullDesc, TrivialDesc
+        if g == self.identity():
+            return H.generators()
+        if isinstance(H.desc, TrivialDesc):
+            return ()
+        if isinstance(H.desc, FullDesc):
+            return (self.centralizer_root(g),)
+        if isinstance(H.desc, FreeCyclicDesc):
+            return (H.desc.word,) if self.commutes(H.desc.word, g) else ()
+        return None
+
+    def centralizer_of_subgroup(self, H):
+        from .subgroups import FreeCyclicDesc, FullDesc, GeneratedDesc, Subgroup, TrivialDesc
+        if isinstance(H.desc, TrivialDesc):
+            return Subgroup.full(self)
+        if isinstance(H.desc, FullDesc):
+            return Subgroup.trivial(self)
+        if isinstance(H.desc, FreeCyclicDesc):
+            return Subgroup.generated(self, [self.centralizer_root(H.desc.word)])
+        if isinstance(H.desc, GeneratedDesc):
+            # normalization guarantees some pair of generators does not commute,
+            # so the centralizer meets two distinct maximal cyclic subgroups
+            return Subgroup.trivial(self)
+        return None
+
+    def fc_centralizer(self, H):
+        from .subgroups import FreeCyclicDesc, FullDesc, GeneratedDesc, Subgroup, TrivialDesc
+        if isinstance(H.desc, TrivialDesc):
+            return FCInfo(Subgroup.full(self), central=False)
+        if isinstance(H.desc, (FullDesc, GeneratedDesc)):
+            # a finite-index centralizer inside a noncyclic subgroup of a free
+            # group would be cyclic of finite index, which is impossible
+            return FCInfo(Subgroup.trivial(self), central=True,
+                          note="noncyclic subgroups of free groups act with infinite orbits")
+        if isinstance(H.desc, FreeCyclicDesc):
+            root = self.centralizer_root(H.desc.word)
+            return FCInfo(Subgroup.generated(self, [root]), central=False,
+                          note="finite classes meet the maximal cyclic centralizer")
+        return FCInfo(None)
 
 
 def reduce_by_stack(group: FreeGroup, tokens: list[int]) -> Word:

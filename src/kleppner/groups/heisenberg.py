@@ -8,9 +8,13 @@ a subgroup is controlled by the linear form (g1,g2) -> g1*x2 - g2*x1.
 from __future__ import annotations
 
 import random
+from math import gcd
 
+from .. import tribool as tb
+from ..intlinalg import RowLattice, integer_kernel
 from .abelian import parse_int_vector
-from .base import Group, vector_key
+from .base import (FCInfo, Group, LatticeEntry, LatticeResult, finite_class, infinite_class,
+                   vector_key)
 
 Triple = tuple[int, int, int]
 
@@ -18,6 +22,11 @@ Triple = tuple[int, int, int]
 class Heisenberg(Group):
     name = "Heisenberg"
     rank = 3
+    facts = {
+        "prime": (tb.HOLDS, "FC-center = center = {(0,0,t)}, a copy of Z"),
+        "fc_hypercentral": (tb.HOLDS, "finitely generated nilpotent, hence of polynomial growth"),
+        "cstar_simple": (tb.FAILS, "amenable with nontrivial center, not icc"),
+    }
 
     def mul(self, a: Triple, b: Triple) -> Triple:
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
@@ -59,3 +68,78 @@ class Heisenberg(Group):
 
     def describe(self) -> str:
         return "discrete Heisenberg group (Z^3, twisted product)"
+
+    # -- structure queries: everything goes through the commutation form ----
+    def h_conjugacy_class(self, g, H, cap, depth_cap):
+        # conjugation shifts only the third coordinate, by h1*g2 - h2*g1
+        d = 0
+        for h in H.generators():
+            d = gcd(d, h[0] * g[1] - h[1] * g[0])
+        if d == 0:
+            return finite_class([g])
+        return infinite_class(
+            f"orbit is {{({g[0]}, {g[1]}, {g[2]} + {d}*t) : t in Z}}, infinite")
+
+    def centralizer_generators(self, H, g):
+        """h commutes with g iff h1*g2 = h2*g1."""
+        from .subgroups import CoordinateZeroDesc, FullDesc, HeisCongruenceDesc, TrivialDesc
+        if isinstance(H.desc, TrivialDesc):
+            return ()
+        if not isinstance(H.desc, (FullDesc, CoordinateZeroDesc, HeisCongruenceDesc)):
+            return None
+        gens = H.generators()
+        # parametrize H by its generator exponents; the commutation form is
+        # linear in the (h1, h2) coordinates, which add under the product
+        kernel = integer_kernel([[h[0] * g[1] - h[1] * g[0] for h in gens]])
+        out = []
+        for vec in kernel:
+            h = self.identity()
+            for c, gen in zip(vec, gens):
+                h = self.mul(h, self.power(gen, c))
+            if h != self.identity():
+                out.append(h)
+        return tuple(out)
+
+    def centralizer_of_subgroup(self, H):
+        from .subgroups import Subgroup
+        rows = [[h[1], -h[0]] for h in H.generators()]  # h1*x2 - h2*x1 = 0 for all gens
+        kernel = integer_kernel(rows) if any(any(r) for r in rows) else [(1, 0), (0, 1)]
+        lat = RowLattice(2, kernel)
+        if lat.rank == 2 and lat.index_in_ambient() == 1:
+            return Subgroup.full(self)
+        if lat.rank == 0:
+            return Subgroup.coordinate_zero(self, {0, 1})
+        basis = lat.basis()
+        if len(basis) == 1:
+            v = basis[0]
+            if v in ((1, 0), (-1, 0)):
+                return Subgroup.coordinate_zero(self, {1})
+            if v in ((0, 1), (0, -1)):
+                return Subgroup.coordinate_zero(self, {0})
+        return None  # a slanted line of centralizers: outside the catalog
+
+    def fc_centralizer(self, H):
+        # a class is a singleton or infinite, so FC_G(H) = C_G(H)
+        c = self.centralizer_of_subgroup(H)
+        if c is None:
+            return FCInfo(None, note="centralizer outside catalog")
+        central = all(self.commutes(s, t) for s in c.generators() for t in self.generators())
+        return FCInfo(c, central=central, note="Heisenberg classes are singletons or infinite")
+
+    def intermediate_subgroups(self, H, max_entries):
+        from .subgroups import CoordinateZeroDesc, Subgroup
+        if H.desc != CoordinateZeroDesc(frozenset({0})):
+            return super().intermediate_subgroups(H, max_entries)
+        entries = [LatticeEntry("Gamma_0 (= H)", H, None),
+                   LatticeEntry("Gamma_1 (= G)", Subgroup.full(self), 1)]
+        for n in range(2, max_entries + 1):
+            entries.append(LatticeEntry(f"Gamma_{n}", Subgroup.heis_congruence(self, n), n))
+        return LatticeResult("truncated", tuple(entries),
+                             f"one entry for each n >= 0; truncated at n = {max_entries}")
+
+    def centralizer_lattice(self, cent):
+        if cent.is_full():
+            # C_G(H) = G happens only for central H; twist characters kill the
+            # commutator direction (0,0,1), so solve over the abelianized coords
+            return 2, lambda v: (v[0], v[1], 0), ((0, 0, 1),)
+        return super().centralizer_lattice(cent)

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from ..intlinalg import RowLattice
 from .abelian import FreeAbelian
-from .base import Element, Group, GroupError
+from .base import Classification, Element, Group, GroupError, finite_class
 from .finite import FiniteTable
 from .free import FreeGroup
 from .heisenberg import Heisenberg
@@ -35,51 +35,6 @@ class Infinite:
 
 
 INFINITE = Infinite()
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Outcome of an orbit computation: explicit list, infinity certificate, or cap."""
-
-    status: str  # "finite" | "infinite" | "unknown"
-    elements: tuple = ()
-    certificate: str = ""
-    reason: str = ""
-
-    @property
-    def finite(self) -> bool:
-        return self.status == "finite"
-
-    @property
-    def infinite(self) -> bool:
-        return self.status == "infinite"
-
-    @property
-    def unknown(self) -> bool:
-        return self.status == "unknown"
-
-    @property
-    def size(self) -> int | None:
-        return len(self.elements) if self.finite else None
-
-    def __repr__(self) -> str:
-        if self.finite:
-            return f"FiniteClass{{{', '.join(str(x) for x in self.elements)}}}"
-        if self.infinite:
-            return f"InfiniteClass({self.certificate})"
-        return f"UnknownClass({self.reason})"
-
-
-def finite_class(elements) -> Classification:
-    return Classification("finite", tuple(elements))
-
-
-def infinite_class(certificate: str) -> Classification:
-    return Classification("infinite", certificate=certificate)
-
-
-def unknown_class(reason: str) -> Classification:
-    return Classification("unknown", reason=reason)
 
 
 class AsGroup(NamedTuple):
@@ -169,6 +124,9 @@ class FullDesc(SubgroupDesc):
     def is_full(self, parent: Group) -> bool:
         return True
 
+    def is_trivial_subgroup(self, parent: Group) -> bool:
+        return parent.order == 1
+
 
 class TrivialDesc(SubgroupDesc):
     kind = "trivial"
@@ -190,6 +148,9 @@ class TrivialDesc(SubgroupDesc):
 
     def as_group(self, parent: Group) -> AsGroup:
         return _trivial_as_group(parent.identity())
+
+    def is_full(self, parent: Group) -> bool:
+        return parent.order == 1
 
     def is_trivial_subgroup(self, parent: Group) -> bool:
         return True

@@ -25,14 +25,11 @@ from typing import Optional
 
 from . import tribool as tb
 from .cocycles import Cocycle, commutation_phase, transport
-from .groups.abelian import FreeAbelian
 from .groups.base import Element, Group, GroupError
-from .groups.finite import FiniteTable
-from .groups.heisenberg import Heisenberg
 from .groups.structure import (centralizer_generators, centralizer_of_subgroup,
                                fc_centralizer, h_conjugacy_class, is_normal, is_prime,
                                subgroup_predicate)
-from .groups.subgroups import Classification, Subgroup, finite_class
+from .groups.subgroups import Subgroup, finite_class
 from .intlinalg import RowLattice, kernel_mod, rational_kernel_lattice
 from .phases import Phase
 from .tribool import TriBool
@@ -108,6 +105,20 @@ def solve_pairing_lattice(rows: list[list[Phase]], dim: int) -> RowLattice:
     return out
 
 
+def _regular_lattice(sigma: Cocycle, hgens, dim: int, embed,
+                     least: Optional[Element] = None) -> tuple[list, Optional[Element]]:
+    """The x in Z^dim whose image embed(x) is regular for sigma against every
+    h in hgens: the images of a basis of that lattice, and the given least
+    regular element or else the least nonzero image (None when only 0 solves)."""
+    rows = [[commutation_phase(sigma, embed(_unit(dim, j)), h) for j in range(dim)]
+            for h in hgens]
+    lat = solve_pairing_lattice(rows, dim)
+    gens = [embed(v) for v in lat.basis()]
+    if least is None and gens:
+        least = embed(lat.small_nonzero())
+    return gens, least
+
+
 # ---------------------------------------------------------------------------
 # twisted centralizer C_G^sigma(H)
 # ---------------------------------------------------------------------------
@@ -133,10 +144,7 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizer
         return SigmaCentralizerResult(None, tb.unknown("C_G(H) outside the catalog"))
     if cent.is_trivial_subgroup():
         return SigmaCentralizerResult(cent, tb.holds("already C_G(H) = {e}"), cent)
-    try:
-        hgens = H.generators()
-    except GroupError:
-        return SigmaCentralizerResult(None, tb.unknown("H has no generator list"), cent)
+    hgens = H.generators()
 
     if sigma.is_trivial_like():
         # every element is regular, so the twisted centralizer is C_G(H) itself
@@ -158,7 +166,7 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizer
                 desc, tb.fails(w, f"{G.element_str(w)} centralizes H and is regular"), cent)
         return SigmaCentralizerResult(desc, tb.holds("enumerated C_G(H)"), cent)
 
-    lattice_data = _centralizer_lattice_setup(G, cent)
+    lattice_data = G.centralizer_lattice(cent)
     if lattice_data is None:
         # last resort: a regular nontrivial generator of C_G(H) is a witness
         for g in sorted(cent.generators(), key=G.element_key):
@@ -169,23 +177,17 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizer
         return SigmaCentralizerResult(None, tb.unknown(
             f"no exact twisted-centralizer route for C_G(H) = {cent.describe_desc()}"), cent)
     dim, embed, always_regular = lattice_data
-    rows = [[commutation_phase(sigma, embed(_unit(dim, j)), h) for j in range(dim)]
-            for h in hgens]
-    lat = solve_pairing_lattice(rows, dim)
     for extra in always_regular:
         # elements regular for free (e.g. a central commutator direction)
         for h in hgens:
             if not commutation_phase(sigma, extra, h).is_one():
                 raise AssertionError("claimed-regular element fails the pairing")
-    if lat.is_trivial() and not always_regular:
+    gens, w = _regular_lattice(sigma, hgens, dim, embed,
+                               min(always_regular, key=G.element_key, default=None))
+    if w is None:
         return SigmaCentralizerResult(Subgroup.trivial(G), tb.holds(
             "phase-linear system has only the zero solution"), cent)
-    gens = [embed(v) for v in lat.basis()] + list(always_regular)
-    desc = Subgroup.generated(G, gens)
-    if always_regular:
-        w = min(always_regular, key=G.element_key)
-    else:
-        w = embed(lat.small_nonzero())
+    desc = Subgroup.generated(G, gens + list(always_regular))
     return SigmaCentralizerResult(desc, tb.fails(
         w, f"{G.element_str(w)} centralizes H and is regular"), cent)
 
@@ -194,33 +196,11 @@ def _unit(dim: int, j: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(dim))
 
 
-def _centralizer_lattice_setup(G: Group, cent: Subgroup):
-    """(dim, embed, always_regular) when C_G(H) is a lattice the solver can walk."""
-    asg = cent.as_group()
-    if asg is not None and isinstance(asg.group, FreeAbelian):
-        return asg.group.rank, asg.embed, ()
-    if isinstance(G, Heisenberg) and cent.is_full():
-        # C_G(H) = G happens only for central H; twist characters kill the
-        # commutator direction (0,0,1), so solve over the abelianized coords
-        def embed(v):
-            return (v[0], v[1], 0)
-
-        return 2, embed, ((0, 0, 1),)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # relative Kleppner condition
 # ---------------------------------------------------------------------------
 
-def _class_witness(w: Element, H: Subgroup, cap: int = 10_000) -> Classification:
-    cls = h_conjugacy_class(w, H, cap=cap)
-    if cls.finite:
-        return cls
-    return finite_class([w])  # fallback: at least return the element
-
-
-def _finite_table_relative(G: FiniteTable, H: Subgroup, sigma: Cocycle) -> TriBool:
+def _finite_table_relative(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
     helems = H.enumerate_elements()
     e = G.identity()
     # classes come in increasing order of their least element, so the first
@@ -243,7 +223,7 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle,
         raise GroupError("group, subgroup and cocycle must be aligned")
 
     # (a) finite table: exact enumeration
-    if isinstance(G, FiniteTable):
+    if G.exact_kernel == "finite":
         return _finite_table_relative(G, H, sigma)
 
     notes: list[str] = []
@@ -260,7 +240,7 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle,
             return step_c
 
     # (d) abelian ambient group: exact phase-linear system
-    if isinstance(G, FreeAbelian):
+    if G.exact_kernel == "abelian":
         return _strategy_abelian(G, H, sigma)
 
     # (x) catalog-described FC-centralizer
@@ -295,7 +275,8 @@ def _strategy_normal_prime(G, H, sigma, notes, cap: int = 10_000) -> Optional[Tr
     sc = sigma_centralizer(G, H, sigma)
     if sc.is_trivial.fails:
         w = sc.is_trivial.witness
-        return tb.fails(_class_witness(w, H, cap),
+        # w centralizes H, so its H-class is {w}
+        return tb.fails(finite_class([w]),
                         f"{reason_tag}: C_G^sigma(H) contains {G.element_str(w)}")
     inner = relative_kleppner(asg.group, Subgroup.full(asg.group), restricted, cap)
     if inner.fails:
@@ -309,18 +290,10 @@ def _strategy_normal_prime(G, H, sigma, notes, cap: int = 10_000) -> Optional[Tr
     return None
 
 
-def _strategy_abelian(G: FreeAbelian, H: Subgroup, sigma) -> TriBool:
-    try:
-        hgens = H.generators()
-    except GroupError:
-        return tb.unknown("(d) H has no generator list")
-    dim = G.rank
-    rows = [[commutation_phase(sigma, _unit(dim, j), h) for j in range(dim)]
-            for h in hgens]
-    lat = solve_pairing_lattice(rows, dim)
-    if lat.is_trivial():
+def _strategy_abelian(G: Group, H: Subgroup, sigma) -> TriBool:
+    _gens, w = _regular_lattice(sigma, H.generators(), G.rank, lambda v: v)
+    if w is None:
         return tb.holds("(d) abelian system: only 0 is regular for sigma against H")
-    w = lat.small_nonzero(key=G.element_key)
     return tb.fails(finite_class([w]),
                     f"(d) abelian system: {G.element_str(w)} is a nontrivial regular "
                     "singleton class")
@@ -352,20 +325,12 @@ def _strategy_fc_catalog(G, H, sigma, fci, notes, cap: int = 10_000) -> Optional
 
     if fci.central is True:
         asg = fci.subgroup.as_group()
-        try:
-            hgens = H.generators()
-        except GroupError:
-            notes.append("(x) skipped: H has no generator list")
-            return None
-        if asg is not None and isinstance(asg.group, FreeAbelian):
-            dim = asg.group.rank
-            rows = [[commutation_phase(sigma, asg.embed(_unit(dim, j)), h) for j in range(dim)]
-                    for h in hgens]
-            lat = solve_pairing_lattice(rows, dim)
-            if lat.is_trivial():
+        if asg is not None and asg.group.exact_kernel == "abelian":
+            _gens, w = _regular_lattice(sigma, H.generators(), asg.group.rank, asg.embed)
+            if w is None:
                 return tb.holds("(x) central FC-centralizer: only e is regular")
-            w = asg.embed(lat.small_nonzero())
-            return tb.fails(_class_witness(w, H, cap),
+            # w is central, so its H-class is {w}
+            return tb.fails(finite_class([w]),
                             "(x) central FC-centralizer: nontrivial regular element")
         notes.append("(x) skipped: central FC-centralizer has no lattice form")
         return None
@@ -403,7 +368,7 @@ def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
         return tb.holds("H = G: the two regularity notions coincide")
     full = Subgroup.full(G)
 
-    if isinstance(G, FiniteTable):
+    if G.exact_kernel == "finite":
         for h in sorted(H.enumerate_elements(), key=G.element_key):
             r_h = is_sigma_regular(h, H, sigma)
             r_g = is_sigma_regular(h, full, sigma)
@@ -420,10 +385,7 @@ def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
                             "w.r.t. H, and e is regular w.r.t. G")
 
     # bounded counterexample search over short words in the generators of H
-    try:
-        gens = H.generators()
-    except GroupError:
-        return tb.unknown("H has no generator list to search")
+    gens = H.generators()
     seen = {G.identity()}
     frontier = [G.identity()]
     steps = list(gens) + [G.inv(g) for g in gens]

@@ -16,16 +16,10 @@ from typing import Any, Optional
 
 from . import tribool as tb
 from .cocycles import Cocycle, TrivialCocycle, transport
-from .groups.abelian import FreeAbelian
-from .groups.base import Group, GroupError
-from .groups.finite import FiniteTable
-from .groups.heisenberg import Heisenberg
-from .groups.product import DirectProduct
+from .groups.base import Group, GroupError, LatticeResult
 from .groups.structure import (is_cstar_simple, is_fc_hypercentral, is_normal, is_prime,
                                subgroup_predicate)
-from .groups.subgroups import (CoordinateZeroDesc, FullDesc, ProductDesc, SublatticeDesc,
-                               Subgroup, TrivialDesc)
-from .intlinalg import invert_unimodular, mat_mul_vec, smith_normal_form
+from .groups.subgroups import Subgroup
 from .regularity import SigmaCentralizerResult, kleppner, relative_kleppner, sigma_centralizer
 from .tribool import TriBool
 
@@ -193,11 +187,10 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
     prime_h = subgroup_predicate(H, is_prime)
 
     # 1. exact kernel decisions
-    if isinstance(G, (FiniteTable, FreeAbelian)) and fch_h.holds:
+    if G.exact_kernel and fch_h.holds:
         r = rk()
         if r.decided:
-            rule = "finite-exact-kleppner" if isinstance(G, FiniteTable) else "abelian-exact-kleppner"
-            chain.append(_step(rule,
+            chain.append(_step(f"{G.exact_kernel}-exact-kleppner",
                                ("H FC-hypercentral", _tri_str(fch_h)),
                                ("relative-kleppner", _tri_str(r))))
             notes.extend(r.notes)
@@ -329,32 +322,6 @@ def _inner_kleppner(H: Subgroup, sigma: Cocycle) -> Optional[TriBool]:
 # the intermediate lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeEntry:
-    label: str
-    subgroup: Optional[Subgroup]
-    index_in_g: Any  # int | INFINITE | None
-
-    def describe(self) -> str:
-        d = self.subgroup.describe_desc() if self.subgroup else "?"
-        return f"{self.label}: twisted algebra of {d}"
-
-
-@dataclass(frozen=True)
-class LatticeResult:
-    status: str  # "ok" | "truncated" | "unknown"
-    entries: tuple[LatticeEntry, ...]
-    note: str = ""
-
-    @property
-    def complete(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def count(self) -> Optional[int]:
-        return len(self.entries) if self.status == "ok" else None
-
-
 def intermediate_lattice(G: Group, H: Subgroup, sigma: Cocycle,
                          max_entries: int = 8,
                          verdict: Optional[Verdict] = None) -> LatticeResult:
@@ -370,125 +337,4 @@ def intermediate_lattice(G: Group, H: Subgroup, sigma: Cocycle,
         return LatticeResult("unknown", (),
                              f"lattice correspondence needs an irreducible inclusion "
                              f"(verdict: {verdict.conclusion})")
-
-    if isinstance(G, FiniteTable):
-        helems = set(H.enumerate_elements())
-        entries = []
-        for s in G.all_subgroups():
-            if helems <= s:
-                sub = Subgroup.finite_subset(G, s)
-                entries.append(LatticeEntry(f"order-{len(s)} subgroup", sub,
-                                            G.order // len(s)))
-        entries.sort(key=lambda e: (-e.index_in_g, e.label))
-        return LatticeResult("ok", tuple(entries))
-
-    if isinstance(G, FreeAbelian) and isinstance(H.desc, (SublatticeDesc, FullDesc, TrivialDesc)):
-        return _abelian_lattice(G, H, max_entries)
-
-    if isinstance(G, Heisenberg) and isinstance(H.desc, CoordinateZeroDesc) \
-            and H.desc.zero_coords == frozenset({0}):
-        entries = [LatticeEntry("Gamma_0 (= H)", H, None)]
-        entries.append(LatticeEntry("Gamma_1 (= G)", Subgroup.full(G), 1))
-        for n in range(2, max_entries + 1):
-            entries.append(LatticeEntry(f"Gamma_{n}", Subgroup.heis_congruence(G, n), n))
-        return LatticeResult("truncated", tuple(entries),
-                             "one entry for each n >= 0; truncated at "
-                             f"n = {max_entries}")
-
-    if isinstance(G, DirectProduct) and isinstance(H.desc, ProductDesc):
-        if H.desc.left.is_full():
-            inner = intermediate_lattice(G.right, H.desc.right,
-                                         _factor_cocycle(sigma, G, "right"), max_entries,
-                                         verdict=Verdict(HOLDS, ()))
-            if inner.status != "unknown":
-                entries = tuple(LatticeEntry(e.label,
-                                             Subgroup.product(G, Subgroup.full(G.left),
-                                                              e.subgroup) if e.subgroup else None,
-                                             e.index_in_g) for e in inner.entries)
-                return LatticeResult(inner.status, entries, inner.note)
-        if H.desc.right.is_full():
-            inner = intermediate_lattice(G.left, H.desc.left,
-                                         _factor_cocycle(sigma, G, "left"), max_entries,
-                                         verdict=Verdict(HOLDS, ()))
-            if inner.status != "unknown":
-                entries = tuple(LatticeEntry(e.label,
-                                             Subgroup.product(G, e.subgroup,
-                                                              Subgroup.full(G.right)) if e.subgroup else None,
-                                             e.index_in_g) for e in inner.entries)
-                return LatticeResult(inner.status, entries, inner.note)
-        return LatticeResult("unknown", (),
-                             "intermediate subgroups of a product inclusion need not be "
-                             "products of factor subgroups; outside the catalog")
-
-    return LatticeResult("unknown", (), f"no quotient recognition rule for {G.name}")
-
-
-def _factor_cocycle(sigma: Cocycle, G: DirectProduct, side: str) -> Cocycle:
-    from .cocycles import PullbackCocycle
-    if side == "right":
-        el = G.left.identity()
-        return PullbackCocycle(sigma, G.right, lambda y: (el, y), label="right factor")
-    er = G.right.identity()
-    return PullbackCocycle(sigma, G.left, lambda x: (x, er), label="left factor")
-
-
-def _abelian_lattice(G: FreeAbelian, H: Subgroup, max_entries: int) -> LatticeResult:
-    n = G.rank
-    if isinstance(H.desc, FullDesc) or n == 0:
-        return LatticeResult("ok", (LatticeEntry("the full group", Subgroup.full(G), 1),))
-    if isinstance(H.desc, TrivialDesc):
-        return LatticeResult("unknown", (), "quotient Z^n: infinitely many intermediate "
-                                            "sublattices in rank >= 1, not a recognized chain")
-    lat = H.lattice()
-    basis = lat.basis()
-    r = len(basis)
-    cols = [[basis[i][k] for i in range(r)] for k in range(n)] if r else [[0] for _ in range(n)]
-    u, d, _v = smith_normal_form(cols)
-    diag = [d[i][i] if i < min(len(d), r) else 0 for i in range(n)]
-    uinv = invert_unimodular(u)
-
-    if all(x != 0 for x in diag):
-        # finite quotient: enumerate subgroups of prod Z_diag and lift
-        from .groups.finite import FiniteTable as FT
-        moduli = [x for x in diag]
-        coords = _mixed_radix(moduli)
-        index = {c: i for i, c in enumerate(coords)}
-        table = [[index[tuple((a + b) % m for a, b, m in zip(x, y, moduli))]
-                  for y in coords] for x in coords]
-        q = FT(table, [str(c) for c in coords], name="quotient")
-        entries = []
-        for s in q.all_subgroups():
-            gens = list(basis)
-            for i in sorted(s):
-                v = mat_mul_vec(uinv, coords[i])
-                if any(v):
-                    gens.append(v)
-            from .intlinalg import RowLattice
-            reduced = RowLattice(n, gens)
-            sub = Subgroup.sublattice(G, reduced.basis())
-            entries.append(LatticeEntry(f"index-{sub.index()} sublattice", sub, sub.index()))
-        entries.sort(key=lambda e: (-e.index_in_g, e.label))
-        return LatticeResult("ok", tuple(entries))
-
-    free_positions = [i for i, x in enumerate(diag) if x == 0]
-    if len(free_positions) == 1 and all(x == 1 for x in diag if x != 0):
-        # quotient is a copy of Z: a chain indexed by n >= 0
-        gen = mat_mul_vec(uinv, tuple(1 if i == free_positions[0] else 0 for i in range(n)))
-        entries = [LatticeEntry("Gamma_0 (= H)", H, None)]
-        full_gens = list(basis) + [gen]
-        entries.append(LatticeEntry("Gamma_1 (= G)", Subgroup.sublattice(G, full_gens), 1))
-        for k in range(2, max_entries + 1):
-            gens = list(basis) + [tuple(k * x for x in gen)]
-            entries.append(LatticeEntry(f"Gamma_{k}", Subgroup.sublattice(G, gens), None))
-        return LatticeResult("truncated", tuple(entries),
-                             f"one entry for each n >= 0; truncated at n = {max_entries}")
-
-    return LatticeResult("unknown", (),
-                         "quotient mixes free and torsion parts; not a recognized chain")
-
-
-def _mixed_radix(moduli: list[int]) -> list[tuple[int, ...]]:
-    out = [()]
-    for m in moduli:
-        out = [c + (i,) for c in out for i in range(m)]
-    return [tuple(c) for c in out]
+    return G.intermediate_subgroups(H, max_entries)

@@ -276,3 +276,20 @@ table = [["0","0","0"],["0","0","0"],["0","2/3","0"]]
     names = {config.group.element_str(x) for x in config.group.elements()}
     witness = payload["validate"]["witness"]
     assert len(witness) == 3 and set(witness) <= names
+
+
+# F_2 x 1 is F_2, which is C*-simple, and its centralizer in itself is trivial
+_F2_TIMES = "[group]\nkind = product\n[group.left]\nkind = free\nrank = 2\n"
+TRIVIAL_FACTORS = {"z0": "[group.right]\nkind = free_abelian\nrank = 0\n",
+                   "table": "[group.right]\nkind = finite\ntable = [[0]]\n"}
+
+
+@pytest.mark.parametrize("case", list(TRIVIAL_FACTORS))
+def test_cli_product_with_trivial_factor(tmp_path, capsys, case):
+    path = tmp_path / f"{case}.tomlish"
+    path.write_text(_F2_TIMES + TRIVIAL_FACTORS[case] + "[run]\nanalyses = centralizers verdict\n")
+    assert main(["--input", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["centralizers"]["trivial"]["status"] == "holds"
+    assert payload["verdict"]["conclusion"] == "holds"
+    assert [s["rule"] for s in payload["verdict"]["chain"]] == ["csimple-twisted-centralizer"]

@@ -1,9 +1,11 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, GroupError, Heisenberg,
-                             INFINITE, Subgroup, centralizer_generators,
+from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, GroupError,
+                             Heisenberg, INFINITE, Subgroup, centralizer_generators,
                              centralizer_of_subgroup, fc_centralizer, from_name,
                              h_conjugacy_class, is_cstar_simple, is_fc_hypercentral,
                              is_normal, is_prime)
@@ -300,6 +302,95 @@ def test_predicate_catalog():
     assert is_prime(f2xf2).holds and is_cstar_simple(f2xf2).holds
     assert is_prime(f2xz2).fails and is_cstar_simple(f2xz2).fails
     assert is_fc_hypercentral(f2xz2).fails
+
+
+def test_trivial_factor_is_neutral():
+    f2 = FreeGroup(2)
+    for one in (FreeAbelian(0), FiniteTable([[0]])):
+        # the one-element group: full and trivial are the same subgroup
+        assert Subgroup.full(one).is_trivial_subgroup() and Subgroup.trivial(one).is_full()
+        for pred in (is_prime, is_fc_hypercentral, is_cstar_simple):
+            assert pred(DirectProduct(f2, one)).status == pred(f2).status
+            assert pred(DirectProduct(one, f2)).status == pred(f2).status
+            assert pred(DirectProduct(one, one)).status == pred(one).status
+    assert is_cstar_simple(DirectProduct(f2, from_name("Z_1"))) == is_cstar_simple(f2)
+
+
+# DirectProduct(A, B) against the same group flattened into one table
+PRODUCT_PAIRS = [("S_3", "Z_2"), ("Q8", "Z_2"), ("D_4", "Z_3"), ("Z_2", "S_3"), ("S_3", "S_3")]
+
+
+def _flattened(P: DirectProduct) -> tuple[FiniteTable, dict]:
+    elems = P.elements()
+    index = {x: i for i, x in enumerate(elems)}
+    return FiniteTable([[index[P.mul(a, b)] for b in elems] for a in elems]), index
+
+
+@pytest.mark.parametrize("names", PRODUCT_PAIRS, ids=" x ".join)
+def test_product_structure_matches_flattened_table(names):
+    A, B = (from_name(n) for n in names)
+    P = DirectProduct(A, B)
+    T, index = _flattened(P)
+
+    def image(elems):
+        return sorted(index[x] for x in elems)
+
+    def closure(gens):
+        return sorted(T.closure(set(gens)))
+
+    for pred in (is_prime, is_fc_hypercentral, is_cstar_simple):
+        assert pred(P).status == pred(T).status
+    for left in A.all_subgroups():
+        for right in B.all_subgroups():
+            H = Subgroup.product(P, Subgroup.finite_subset(A, left),
+                                 Subgroup.finite_subset(B, right))
+            HT = Subgroup.finite_subset(T, image(H.enumerate_elements()))
+            assert is_normal(H).status == is_normal(HT).status
+            assert (image(centralizer_of_subgroup(P, H).enumerate_elements())
+                    == centralizer_of_subgroup(T, HT).enumerate_elements())
+            fc, fct = fc_centralizer(P, H), fc_centralizer(T, HT)
+            assert image(fc.finite_elements()) == fct.finite_elements()
+            assert fc.central == fct.central
+            for g in P.elements():
+                assert (image(h_conjugacy_class(g, H).elements)
+                        == list(h_conjugacy_class(index[g], HT).elements))
+                assert (closure(index[x] for x in centralizer_generators(H, g))
+                        == closure(centralizer_generators(HT, index[g])))
+
+
+# README row label -> groups of that kind
+README_ROWS = {
+    "trivial group": [from_name("Z_1"), FreeAbelian(0)],
+    "`FiniteTable`, order > 1": [from_name("Z_4"), from_name("S_3"), from_name("Q8")],
+    "`FreeAbelian(n)`, n >= 1": [FreeAbelian(1), FreeAbelian(3)],
+    "`Heisenberg`": [Heisenberg()],
+    "`FreeGroup(k)`, k >= 2": [FreeGroup(2), FreeGroup(3)],
+}
+
+
+def test_readme_predicate_table_matches_class_data():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    header = "| group | prime | FC-hypercentral | C*-simple |"
+    lines = readme[readme.index(header):].splitlines()[2:]
+    rows = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[0]] = [re.match(r"\w+", c).group() for c in cells[1:]]
+    preds = (is_prime, is_fc_hypercentral, is_cstar_simple)
+    assert set(rows) == set(README_ROWS) | {"`DirectProduct(A, B)`"}
+    for label, groups in README_ROWS.items():
+        for G in groups:
+            assert [pred(G).status for pred in preds] == rows[label], (label, G)
+    assert rows["`DirectProduct(A, B)`"] == ["both"] * 3
+    leaves = [G for groups in README_ROWS.values() for G in groups if G.order != 1]
+    for A in leaves:
+        for B in leaves:
+            for pred in preds:
+                a, b, ab = pred(A), pred(B), pred(DirectProduct(A, B))
+                want = "fails" if a.fails or b.fails else "holds"
+                assert ab.status == want, (pred.__name__, A, B)
 
 
 def test_subgroup_as_group_round_trip():

@@ -28,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's sampling seed")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="override the config's search cap")
     return parser
 
 
@@ -49,8 +47,6 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(text, name=path.stem)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        if args.cap is not None:
-            config = replace(config, cap=args.cap)
         report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ Grammar (one file = one instance):
 
     [run]
     analyses = validate kleppner relative-kleppner centralizers verdict lattice oracle
-    seed = 0 ; cap = 10000 ; budget = 2000 ; max_lattice = 8
+    seed = 0 ; budget = 2000 ; max_lattice = 8
 
 Values are bare words, quoted strings, or JSON arrays.  Unknown keys and kinds
 are rejected with the offending line.
@@ -211,7 +211,6 @@ class InstanceConfig:
     cocycle: Cocycle
     analyses: tuple[str, ...]
     seed: int
-    cap: int
     budget: int
     max_lattice: int
     name: str = "instance"
@@ -232,7 +231,7 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
     cocycle = _parse_cocycle(sections, "cocycle", group, basis, params)
     run = sections.section("run")
     analyses: tuple[str, ...] = ("validate", "verdict")
-    seed, cap, budget, max_lattice = 0, 10_000, 2000, 8
+    seed, budget, max_lattice = 0, 2000, 8
     if run is not None:
         view = _SectionView("run", run)
         raw = view.get("analyses")
@@ -244,7 +243,6 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
                                       view.line_of("analyses"))
             analyses = parts
         seed = view.get_int("seed", seed)
-        cap = view.get_int("cap", cap)
         budget = view.get_int("budget", budget)
         max_lattice = view.get_int("max_lattice", max_lattice)
         view.check_unknown()
@@ -252,7 +250,7 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
         raise ConfigError("the oracle analysis needs a finite group",
                           sections.lines.get("run"))
     return InstanceConfig(basis, params, group, subgroup, cocycle, analyses,
-                          seed, cap, budget, max_lattice, name)
+                          seed, budget, max_lattice, name)
 
 
 def _parse_basis(sections: _Sections) -> IrrationalBasis:

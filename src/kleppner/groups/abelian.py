@@ -134,11 +134,11 @@ class FreeAbelian(Group):
         if len(free_positions) == 1 and all(x == 1 for x in diag if x != 0):
             # quotient is a copy of Z: a chain indexed by n >= 0
             gen = mat_mul_vec(uinv, tuple(1 if i == free_positions[0] else 0 for i in range(n)))
-            entries = [LatticeEntry("Gamma_0 (= H)", H, None),
+            entries = [LatticeEntry("Gamma_0 (= H)", H, H.index()),
                        LatticeEntry("Gamma_1 (= G)", Subgroup.sublattice(self, basis + [gen]), 1)]
             for k in range(2, max_entries + 1):
-                gens = basis + [tuple(k * x for x in gen)]
-                entries.append(LatticeEntry(f"Gamma_{k}", Subgroup.sublattice(self, gens), None))
+                sub = Subgroup.sublattice(self, basis + [tuple(k * x for x in gen)])
+                entries.append(LatticeEntry(f"Gamma_{k}", sub, sub.index()))
             return LatticeResult("truncated", tuple(entries),
                                  f"one entry for each n >= 0; truncated at n = {max_entries}")
 

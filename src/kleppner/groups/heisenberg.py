@@ -130,10 +130,11 @@ class Heisenberg(Group):
         from .subgroups import CoordinateZeroDesc, Subgroup
         if H.desc != CoordinateZeroDesc(frozenset({0})):
             return super().intermediate_subgroups(H, max_entries)
-        entries = [LatticeEntry("Gamma_0 (= H)", H, None),
+        entries = [LatticeEntry("Gamma_0 (= H)", H, H.index()),
                    LatticeEntry("Gamma_1 (= G)", Subgroup.full(self), 1)]
         for n in range(2, max_entries + 1):
-            entries.append(LatticeEntry(f"Gamma_{n}", Subgroup.heis_congruence(self, n), n))
+            sub = Subgroup.heis_congruence(self, n)
+            entries.append(LatticeEntry(f"Gamma_{n}", sub, sub.index()))
         return LatticeResult("truncated", tuple(entries),
                              f"one entry for each n >= 0; truncated at n = {max_entries}")
 

@@ -216,8 +216,7 @@ def _finite_table_relative(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
     return tb.holds("(a) finite enumeration: every nontrivial H-class fails regularity")
 
 
-def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle,
-                      cap: int = 10_000) -> TriBool:
+def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
     """Is every nontrivial H-conjugacy class in G that is regular for sigma infinite?"""
     if H.parent is not G or sigma.group is not G:
         raise GroupError("group, subgroup and cocycle must be aligned")
@@ -235,7 +234,7 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle,
 
     # (c) normal prime subgroup reduction
     if not H.is_full():
-        step_c = _strategy_normal_prime(G, H, sigma, notes, cap)
+        step_c = _strategy_normal_prime(G, H, sigma, notes)
         if step_c is not None:
             return step_c
 
@@ -245,7 +244,7 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle,
 
     # (x) catalog-described FC-centralizer
     if fci.known:
-        step_x = _strategy_fc_catalog(G, H, sigma, fci, notes, cap)
+        step_x = _strategy_fc_catalog(G, H, sigma, fci, notes)
         if step_x is not None:
             return step_x
 
@@ -253,7 +252,7 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle,
     return tb.unknown(reason, "(e) undecided")
 
 
-def _strategy_normal_prime(G, H, sigma, notes, cap: int = 10_000) -> Optional[TriBool]:
+def _strategy_normal_prime(G, H, sigma, notes) -> Optional[TriBool]:
     nrm = is_normal(H)
     if not nrm.holds:
         notes.append(f"(c) skipped: normality of H {nrm.status}")
@@ -278,7 +277,7 @@ def _strategy_normal_prime(G, H, sigma, notes, cap: int = 10_000) -> Optional[Tr
         # w centralizes H, so its H-class is {w}
         return tb.fails(finite_class([w]),
                         f"{reason_tag}: C_G^sigma(H) contains {G.element_str(w)}")
-    inner = relative_kleppner(asg.group, Subgroup.full(asg.group), restricted, cap)
+    inner = relative_kleppner(asg.group, Subgroup.full(asg.group), restricted)
     if inner.fails:
         return tb.fails(asg.lift(inner.witness, G),
                         f"{reason_tag}: Kleppner fails for (H, sigma|_H)")
@@ -299,7 +298,7 @@ def _strategy_abelian(G: Group, H: Subgroup, sigma) -> TriBool:
                     "singleton class")
 
 
-def _strategy_fc_catalog(G, H, sigma, fci, notes, cap: int = 10_000) -> Optional[TriBool]:
+def _strategy_fc_catalog(G, H, sigma, fci, notes) -> Optional[TriBool]:
     elems = fci.finite_elements()
     if elems is not None:
         e = G.identity()
@@ -307,7 +306,7 @@ def _strategy_fc_catalog(G, H, sigma, fci, notes, cap: int = 10_000) -> Optional
         for s in sorted(elems, key=G.element_key):
             if s == e:
                 continue
-            cls = h_conjugacy_class(s, H, cap=cap)
+            cls = h_conjugacy_class(s, H)
             if cls.infinite:
                 continue
             if cls.unknown:
@@ -339,15 +338,15 @@ def _strategy_fc_catalog(G, H, sigma, fci, notes, cap: int = 10_000) -> Optional
     return None
 
 
-def kleppner(G: Group, sigma: Cocycle, cap: int = 10_000) -> TriBool:
+def kleppner(G: Group, sigma: Cocycle) -> TriBool:
     """No nontrivial finite sigma-regular conjugacy class in G."""
-    return relative_kleppner(G, Subgroup.full(G), sigma, cap)
+    return relative_kleppner(G, Subgroup.full(G), sigma)
 
 
-def relative_icc(G: Group, H: Subgroup, cap: int = 10_000) -> TriBool:
+def relative_icc(G: Group, H: Subgroup) -> TriBool:
     """Every nontrivial H-conjugacy class in G is infinite (trivial-cocycle case)."""
     from .cocycles import TrivialCocycle
-    return relative_kleppner(G, H, TrivialCocycle(G), cap)
+    return relative_kleppner(G, H, TrivialCocycle(G))
 
 
 # ---------------------------------------------------------------------------

@@ -191,12 +191,11 @@ def run(config: InstanceConfig) -> Report:
         }
 
     if "kleppner" in config.analyses:
-        t = timed("kleppner", lambda: kleppner(G, sigma, cap=config.cap))
+        t = timed("kleppner", lambda: kleppner(G, sigma))
         p["kleppner"] = _tribool_dict(G, t)
 
     if "relative-kleppner" in config.analyses:
-        t = timed("relative-kleppner",
-                  lambda: relative_kleppner(G, H, sigma, cap=config.cap))
+        t = timed("relative-kleppner", lambda: relative_kleppner(G, H, sigma))
         p["relative-kleppner"] = _tribool_dict(G, t)
 
     verdict = None

@@ -1,9 +1,9 @@
 """Inference rules over kernel facts: twisted simplicity, irreducibility of the
 inclusion, and the intermediate-subgroup lattice.
 
-Every verdict carries a chain of applied rules whose premises are plain kernel
-facts, so any conclusion can be replayed.  Rule priority: exact kernel
-decisions (finite tables, free abelian groups) first, then the twisted-
+A decided verdict carries the one rule that decided it, whose premises are
+plain kernel facts, so any conclusion can be replayed.  Rule priority: exact
+kernel decisions (finite tables, free abelian groups) first, then the twisted-
 centralizer criteria, the lifting rule, the relative-Kleppner criteria, and
 the general normal-subgroup criterion last; the first rule with all premises
 decided wins, and anything undecided stays inconclusive rather than guessed.
@@ -11,16 +11,16 @@ decided wins, and anything undecided stays inconclusive rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, replace
+from functools import cache
+from typing import Any, Iterable, Optional
 
-from . import tribool as tb
 from .cocycles import Cocycle, TrivialCocycle, transport
 from .groups.base import Group, GroupError, LatticeResult
 from .groups.structure import (is_cstar_simple, is_fc_hypercentral, is_normal, is_prime,
                                subgroup_predicate)
 from .groups.subgroups import Subgroup
-from .regularity import SigmaCentralizerResult, kleppner, relative_kleppner, sigma_centralizer
+from .regularity import kleppner, relative_kleppner, sigma_centralizer
 from .tribool import TriBool
 
 HOLDS, FAILS, INCONCLUSIVE = "holds", "fails", "inconclusive"
@@ -86,12 +86,25 @@ _RULES = {
 }
 
 
-def _step(rule: str, *premises: tuple[str, str]) -> RuleStep:
-    return RuleStep(rule, _RULES[rule], tuple(premises))
+def _verdict(conclusion: str, rule: str, premises: Iterable[tuple[str, str]],
+             witness: Any = None, notes: Iterable[str] = ()) -> Verdict:
+    """A verdict decided by one rule, whose premises are (fact, outcome) pairs."""
+    return Verdict(conclusion, (RuleStep(rule, _RULES[rule], tuple(premises)),),
+                   witness, tuple(notes))
 
 
-def _tri_str(t: TriBool) -> str:
-    return t.status
+def _on_standalone(H: Subgroup, sigma: Cocycle, decide):
+    """decide(group, cocycle) on H's standalone group and sigma|_H, with its
+    witness lifted back into the ambient group; None when H has no standalone
+    catalog form."""
+    tr = transport(sigma, H)
+    if tr is None:
+        return None
+    restricted, asg = tr
+    out = decide(asg.group, restricted)
+    if out.witness is None or asg.group is H.parent:
+        return out
+    return replace(out, witness=asg.lift(out.witness, H.parent))
 
 
 # ---------------------------------------------------------------------------
@@ -102,35 +115,31 @@ def twisted_simplicity(G: Group, sigma: Cocycle) -> Verdict:
     """Simplicity of the twisted group algebra of (G, sigma), by catalog rules."""
     if sigma.group is not G:
         raise GroupError("cocycle must live on the group")
-    chain: list[RuleStep] = []
     notes: list[str] = []
     k: Optional[TriBool] = None
 
     fch = is_fc_hypercentral(G)
     if fch.holds:
         k = kleppner(G, sigma)
-        step = _step("kleppner-center",
-                     ("FC-hypercentral", _tri_str(fch)), ("kleppner", _tri_str(k)))
         if k.decided:
-            chain.append(step)
-            concl = HOLDS if k.holds else FAILS
-            return Verdict(concl, tuple(chain), witness=k.witness, notes=tuple(k.notes))
+            return _verdict(HOLDS if k.holds else FAILS, "kleppner-center",
+                            [("FC-hypercentral", fch.status), ("kleppner", k.status)],
+                            k.witness, k.notes)
         notes.append("Kleppner's condition undecided despite FC-hypercentrality")
 
     cs = is_cstar_simple(G)
     if cs.holds:
-        chain.append(_step("untwisted-cstar-simple", ("C*-simple", _tri_str(cs))))
-        return Verdict(HOLDS, tuple(chain), notes=tuple(cs.notes))
+        return _verdict(HOLDS, "untwisted-cstar-simple", [("C*-simple", cs.status)],
+                        notes=cs.notes)
 
     if k is None:
         k = kleppner(G, sigma)
     if k.fails:
-        chain.append(_step("kleppner-necessary", ("kleppner", _tri_str(k))))
-        return Verdict(FAILS, tuple(chain), witness=k.witness, notes=tuple(k.notes))
+        return _verdict(FAILS, "kleppner-necessary", [("kleppner", k.status)], k.witness, k.notes)
 
     notes.append(f"missing premises: FC-hypercentral={fch.status}, "
                  f"C*-simple={cs.status}, kleppner={k.status}")
-    return Verdict(INCONCLUSIVE, tuple(chain), notes=tuple(notes))
+    return Verdict(INCONCLUSIVE, (), notes=tuple(notes))
 
 
 def twisted_simplicity_subgroup(H: Subgroup, sigma: Cocycle) -> Verdict:
@@ -138,15 +147,11 @@ def twisted_simplicity_subgroup(H: Subgroup, sigma: Cocycle) -> Verdict:
 
     Witnesses are lifted back into the ambient group.
     """
-    tr = transport(sigma, H)
-    if tr is None:
+    v = _on_standalone(H, sigma, twisted_simplicity)
+    if v is None:
         return Verdict(INCONCLUSIVE, (),
                        notes=(f"{H.describe_desc()} has no standalone catalog form",))
-    restricted, asg = tr
-    v = twisted_simplicity(asg.group, restricted)
-    if v.witness is None or asg.group is H.parent:
-        return v
-    return Verdict(v.conclusion, v.chain, asg.lift(v.witness, H.parent), v.notes)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -163,159 +168,105 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
         raise GroupError("group, subgroup and cocycle must be aligned")
     nrm = is_normal(H)
     if not nrm.holds:
-        return Verdict(INCONCLUSIVE,
-                       (_step("normality-gate", ("H normal in G", _tri_str(nrm))),),
-                       notes=("the characterization can fail for non-normal subgroups, "
-                              "so no verdict is emitted without normality",))
+        return _verdict(INCONCLUSIVE, "normality-gate", [("H normal in G", nrm.status)],
+                        notes=["the characterization can fail for non-normal subgroups, "
+                               "so no verdict is emitted without normality"])
 
-    chain: list[RuleStep] = []
     notes: list[str] = []
-    lazy: dict[str, Any] = {}
-
-    def rk() -> TriBool:
-        if "rk" not in lazy:
-            lazy["rk"] = relative_kleppner(G, H, sigma)
-        return lazy["rk"]
-
-    def sc() -> SigmaCentralizerResult:
-        if "sc" not in lazy:
-            lazy["sc"] = sigma_centralizer(G, H, sigma)
-        return lazy["sc"]
+    rk = cache(lambda: relative_kleppner(G, H, sigma))
+    sc = cache(lambda: sigma_centralizer(G, H, sigma).is_trivial)
 
     fch_h = subgroup_predicate(H, is_fc_hypercentral)
     cs_h = subgroup_predicate(H, is_cstar_simple)
     prime_h = subgroup_predicate(H, is_prime)
+    fch_fact = ("H FC-hypercentral", fch_h.status)
+    cs_fact = ("H C*-simple", cs_h.status)
+    prime_fact = ("H prime", prime_h.status)
+    fch_dixmier = ("the inclusion also has the relative Dixmier property "
+                   "(unique trace available for FC-hypercentral H)")
 
     # 1. exact kernel decisions
     if G.exact_kernel and fch_h.holds:
         r = rk()
         if r.decided:
-            chain.append(_step(f"{G.exact_kernel}-exact-kleppner",
-                               ("H FC-hypercentral", _tri_str(fch_h)),
-                               ("relative-kleppner", _tri_str(r))))
-            notes.extend(r.notes)
-            if r.holds:
-                notes.append("the inclusion also has the relative Dixmier property "
-                             "(unique trace available for FC-hypercentral H)")
-            return Verdict(HOLDS if r.holds else FAILS, tuple(chain), witness=r.witness,
-                           notes=tuple(notes))
+            return _verdict(HOLDS if r.holds else FAILS, f"{G.exact_kernel}-exact-kleppner",
+                            [fch_fact, ("relative-kleppner", r.status)], r.witness,
+                            r.notes + ((fch_dixmier,) if r.holds else ()))
 
     # 2. C*-simple H: twisted centralizer criterion
     if cs_h.holds:
         s = sc()
-        if s.is_trivial.decided:
-            chain.append(_step("csimple-twisted-centralizer",
-                               ("H C*-simple", _tri_str(cs_h)),
-                               ("twisted centralizer trivial", _tri_str(s.is_trivial))))
-            if s.is_trivial.holds:
-                notes.append("the inclusion also has the relative Dixmier property "
-                             "(C*-simple subgroups carry a unique trace)")
-                return Verdict(HOLDS, tuple(chain), notes=tuple(notes))
-            return Verdict(FAILS, tuple(chain), witness=s.is_trivial.witness,
-                           notes=tuple(notes) + tuple(s.is_trivial.notes))
+        premises = [cs_fact, ("twisted centralizer trivial", s.status)]
+        if s.holds:
+            return _verdict(HOLDS, "csimple-twisted-centralizer", premises,
+                            notes=["the inclusion also has the relative Dixmier property "
+                                   "(C*-simple subgroups carry a unique trace)"])
+        if s.fails:
+            return _verdict(FAILS, "csimple-twisted-centralizer", premises, s.witness, s.notes)
         notes.append("twisted centralizer undecided for C*-simple H")
 
     # 3. prime + FC-hypercentral H: Kleppner for H plus twisted centralizer
     if prime_h.holds and fch_h.holds:
         s = sc()
-        inner = _inner_kleppner(H, sigma)
-        if s.is_trivial.fails:
-            chain.append(_step("prime-fch-twisted-centralizer",
-                               ("H prime", _tri_str(prime_h)),
-                               ("H FC-hypercentral", _tri_str(fch_h)),
-                               ("twisted centralizer trivial", _tri_str(s.is_trivial))))
-            return Verdict(FAILS, tuple(chain), witness=s.is_trivial.witness,
-                           notes=tuple(notes) + tuple(s.is_trivial.notes))
-        if inner is not None and inner.fails:
-            chain.append(_step("prime-fch-twisted-centralizer",
-                               ("H prime", _tri_str(prime_h)),
-                               ("H FC-hypercentral", _tri_str(fch_h)),
-                               ("kleppner for (H, sigma|_H)", _tri_str(inner))))
-            return Verdict(FAILS, tuple(chain), witness=inner.witness,
-                           notes=tuple(notes) + tuple(inner.notes))
-        if inner is not None and inner.holds and s.is_trivial.holds:
-            chain.append(_step("prime-fch-twisted-centralizer",
-                               ("H prime", _tri_str(prime_h)),
-                               ("H FC-hypercentral", _tri_str(fch_h)),
-                               ("kleppner for (H, sigma|_H)", _tri_str(inner)),
-                               ("twisted centralizer trivial", _tri_str(s.is_trivial))))
-            notes.append("the inclusion also has the relative Dixmier property "
-                         "(unique trace available for FC-hypercentral H)")
-            return Verdict(HOLDS, tuple(chain), notes=tuple(notes))
+        inner = _on_standalone(H, sigma, kleppner)
+        rule, trivial_fact = "prime-fch-twisted-centralizer", ("twisted centralizer trivial",
+                                                                s.status)
+        if s.fails:
+            return _verdict(FAILS, rule, [prime_fact, fch_fact, trivial_fact], s.witness,
+                            notes + list(s.notes))
+        if inner is not None and inner.decided:
+            inner_fact = ("kleppner for (H, sigma|_H)", inner.status)
+            if inner.fails:
+                return _verdict(FAILS, rule, [prime_fact, fch_fact, inner_fact], inner.witness,
+                                notes + list(inner.notes))
+            if s.holds:
+                return _verdict(HOLDS, rule, [prime_fact, fch_fact, inner_fact, trivial_fact],
+                                notes=notes + [fch_dixmier])
 
     # 4. prime H: twisted simplicity of H plus twisted centralizer
     if prime_h.holds:
         s = sc()
         ts = twisted_simplicity_subgroup(H, sigma)
-        if s.is_trivial.fails:
-            chain.append(_step("prime-twisted-centralizer",
-                               ("H prime", _tri_str(prime_h)),
-                               ("twisted centralizer trivial", _tri_str(s.is_trivial))))
-            return Verdict(FAILS, tuple(chain), witness=s.is_trivial.witness, notes=tuple(notes))
+        rule, trivial_fact = "prime-twisted-centralizer", ("twisted centralizer trivial",
+                                                            s.status)
+        simple_fact = ("(H, sigma|_H) C*-simple", ts.conclusion)
+        if s.fails:
+            return _verdict(FAILS, rule, [prime_fact, trivial_fact], s.witness, notes)
         if ts.fails:
-            chain.append(_step("prime-twisted-centralizer",
-                               ("H prime", _tri_str(prime_h)),
-                               ("(H, sigma|_H) C*-simple", ts.conclusion)))
-            return Verdict(FAILS, tuple(chain), witness=ts.witness, notes=tuple(notes))
-        if ts.holds and s.is_trivial.holds:
-            chain.append(_step("prime-twisted-centralizer",
-                               ("H prime", _tri_str(prime_h)),
-                               ("(H, sigma|_H) C*-simple", ts.conclusion),
-                               ("twisted centralizer trivial", _tri_str(s.is_trivial))))
-            return Verdict(HOLDS, tuple(chain), notes=tuple(notes))
+            return _verdict(FAILS, rule, [prime_fact, simple_fact], ts.witness, notes)
+        if ts.holds and s.holds:
+            return _verdict(HOLDS, rule, [prime_fact, simple_fact, trivial_fact], notes=notes)
 
     # 5. lift of an untwisted irreducible inclusion
     if not sigma.is_trivial_like():
         untw = cstar_irreducible(G, H, TrivialCocycle(G))
         if untw.holds:
-            chain.append(_step("untwisted-irreducible-lifts",
-                               ("untwisted inclusion irreducible", untw.conclusion)))
-            return Verdict(HOLDS, tuple(chain), notes=tuple(notes))
+            return _verdict(HOLDS, "untwisted-irreducible-lifts",
+                            [("untwisted inclusion irreducible", untw.conclusion)], notes=notes)
 
     # 6. FC-hypercentral or C*-simple H: relative Kleppner alone decides
     if fch_h.holds or cs_h.holds:
         r = rk()
         if r.decided:
-            chain.append(_step("fch-or-csimple-relative-kleppner",
-                               ("H FC-hypercentral", _tri_str(fch_h)),
-                               ("H C*-simple", _tri_str(cs_h)),
-                               ("relative-kleppner", _tri_str(r))))
-            notes.extend(r.notes)
-            if r.holds:
-                notes.append("the inclusion also has the relative Dixmier property")
-            return Verdict(HOLDS if r.holds else FAILS, tuple(chain), witness=r.witness,
-                           notes=tuple(notes))
+            dixmier = ["the inclusion also has the relative Dixmier property"] if r.holds else []
+            return _verdict(HOLDS if r.holds else FAILS, "fch-or-csimple-relative-kleppner",
+                            [fch_fact, cs_fact, ("relative-kleppner", r.status)], r.witness,
+                            notes + list(r.notes) + dixmier)
 
     # 7. general normal case: twisted simplicity of H plus relative Kleppner
     ts = twisted_simplicity_subgroup(H, sigma)
     r = rk()
+    premises = [("(H, sigma|_H) C*-simple", ts.conclusion), ("relative-kleppner", r.status)]
     if ts.fails or r.fails:
-        src = ts if ts.fails else r
-        chain.append(_step("simple-plus-relative-kleppner",
-                           ("(H, sigma|_H) C*-simple", ts.conclusion),
-                           ("relative-kleppner", _tri_str(r))))
-        return Verdict(FAILS, tuple(chain), witness=src.witness, notes=tuple(notes))
+        return _verdict(FAILS, "simple-plus-relative-kleppner", premises,
+                        (ts if ts.fails else r).witness, notes)
     if ts.holds and r.holds:
-        chain.append(_step("simple-plus-relative-kleppner",
-                           ("(H, sigma|_H) C*-simple", ts.conclusion),
-                           ("relative-kleppner", _tri_str(r))))
-        return Verdict(HOLDS, tuple(chain), notes=tuple(notes))
+        return _verdict(HOLDS, "simple-plus-relative-kleppner", premises, notes=notes)
 
     notes.append(f"missing premises: (H,sigma|_H) C*-simple={ts.conclusion}, "
                  f"relative-kleppner={r.status}, H prime={prime_h.status}, "
                  f"H FC-hypercentral={fch_h.status}, H C*-simple={cs_h.status}")
-    return Verdict(INCONCLUSIVE, tuple(chain), notes=tuple(notes))
-
-
-def _inner_kleppner(H: Subgroup, sigma: Cocycle) -> Optional[TriBool]:
-    tr = transport(sigma, H)
-    if tr is None:
-        return None
-    restricted, asg = tr
-    inner = kleppner(asg.group, restricted)
-    if inner.fails:
-        return tb.fails(asg.lift(inner.witness, H.parent), *inner.notes)
-    return inner
+    return Verdict(INCONCLUSIVE, (), notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

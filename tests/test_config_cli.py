@@ -158,6 +158,8 @@ def test_cli_seed_and_cap_override(capsys):
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["seed"] == 42
+    # there is no search-cap option: argparse rejects it as a usage error
+    assert main(["--input", str(FIXTURES / "nct_pq.tomlish"), "--cap", "5"]) == 1
 
 
 def test_cli_oracle_mismatch_exit_code(monkeypatch, capsys):
@@ -228,7 +230,7 @@ def test_cli_reports_oracle_cap_in_one_line(tmp_path, capsys):
 
 _Z2 = "[group]\nkind = free_abelian\nrank = 2\n"
 _HEIS = "[group]\nkind = heisenberg\n"
-# malformed values that once escaped the front door as a Python traceback
+# malformed values (most of which once escaped the front door as a Python traceback)
 MALFORMED = {
     "columns-not-list": _Z2 + "[subgroup]\nkind = sublattice\ncolumns = 5\n",
     "columns-not-int": _Z2 + '[subgroup]\nkind = sublattice\ncolumns = [["a","b"]]\n',
@@ -248,6 +250,8 @@ MALFORMED = {
                       '[cocycle]\nkind = table\ntable = [["0","0"],["0","1/0"]]\n',
     "beta-den-zero": _Z2 + "[cocycle]\nkind = similarity\nbeta_denominator = 0\n"
                      "[cocycle.base]\nkind = trivial\n",
+    # no computation reads a search cap, so `cap` is not a [run] key
+    "run-cap": _Z2 + "[run]\ncap = 5\n",
 }
 
 
@@ -258,6 +262,7 @@ def test_cli_rejects_malformed_value_in_one_line(tmp_path, capsys, case):
     assert main(["--input", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "line " in err
+    assert err.startswith("config error: ")
 
 
 def test_report_flags_non_cocycle_table():

@@ -10,7 +10,7 @@ from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, 
                              subgroup_predicate)
 from kleppner.oracle import center_dim, relative_commutant_dim
 from kleppner.phases import IrrationalBasis, Phase
-from kleppner.groups.subgroups import Classification
+from kleppner.groups.subgroups import INFINITE, Classification
 from kleppner.randomized import random_table_cocycle
 from kleppner.regularity import is_sigma_regular
 from kleppner.verdicts import cstar_irreducible, intermediate_lattice, twisted_simplicity
@@ -243,3 +243,21 @@ def test_verdict_similarity_invariance_smoke():
         tw = similarity_transform(sig, SeededBeta(Z2, seed, 8))
         v = cstar_irreducible(Z2, H, tw)
         assert v.conclusion == base.conclusion
+
+
+def test_chain_lattice_indices():
+    # H = Gamma_0 has infinite index, and G / Gamma_k is Z_k
+    z3 = FreeAbelian(3)
+    h = Subgroup.sublattice(z3, [(1, 0, 0), (0, 1, 0)])
+    b3 = IrrationalBasis(["t1", "t2", "t3"])
+    sig = three_torus_cocycle(z3, [b3.symbol("t1"), b3.symbol("t2"), b3.symbol("t3")])
+    bh = IrrationalBasis(["gamma", "theta"])
+    chains = [(intermediate_lattice(z3, h, sig, max_entries=6), 6),
+              (intermediate_lattice(HEIS, Subgroup.coordinate_zero(HEIS, {0}),
+                                    HeisenbergCocycle(HEIS, bh.symbol("gamma"),
+                                                      bh.symbol("theta")), max_entries=5), 5)]
+    for lat, top in chains:
+        assert lat.status == "truncated"
+        assert [e.index_in_g for e in lat.entries] == [INFINITE] + list(range(1, top + 1))
+        for e in lat.entries:
+            assert e.index_in_g == e.subgroup.index()

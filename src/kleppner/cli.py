@@ -1,13 +1,14 @@
 """Batch front end: read an instance config, run the analyses, print a report.
 
 Exit codes: 0 = analyses completed (verdict content does not matter),
-1 = usage, config or input error (one line on stderr), 2 = internal oracle
-mismatch.
+1 = usage, config or input error, or standard output closed before the report
+was written (one line on stderr), 2 = internal oracle mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -57,10 +58,16 @@ def main(argv: list[str] | None = None) -> int:
     except (OracleError, GroupError, CocycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    try:
+        print(report.to_json() if args.format == "json" else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head -1`); what is still buffered goes
+        # to the null device, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the report was written",
+              file=sys.stderr)
+        return 1
     return 0
 
 

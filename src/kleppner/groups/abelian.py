@@ -79,6 +79,10 @@ class FreeAbelian(Group):
     def describe(self) -> str:
         return f"free abelian group Z^{self.rank}"
 
+    def generated_subgroup(self, gens):
+        from .subgroups import Subgroup
+        return Subgroup.sublattice(self, gens)
+
     # -- structure queries: every class is a singleton ---------------------
     def h_conjugacy_class(self, g, H, cap, depth_cap):
         return finite_class([g])
@@ -95,13 +99,13 @@ class FreeAbelian(Group):
         return FCInfo(Subgroup.full(self), central=True, note="abelian group")
 
     def intermediate_subgroups(self, H, max_entries):
-        from .subgroups import FullDesc, Subgroup, SublatticeDesc, TrivialDesc
-        if not isinstance(H.desc, (SublatticeDesc, FullDesc, TrivialDesc)):
+        from .subgroups import FullSubgroup, Subgroup, Sublattice, TrivialSubgroup
+        if not isinstance(H, (Sublattice, FullSubgroup, TrivialSubgroup)):
             return super().intermediate_subgroups(H, max_entries)
         n = self.rank
-        if isinstance(H.desc, FullDesc) or n == 0:
+        if isinstance(H, FullSubgroup) or n == 0:
             return LatticeResult("ok", (LatticeEntry("the full group", Subgroup.full(self), 1),))
-        if isinstance(H.desc, TrivialDesc):
+        if isinstance(H, TrivialSubgroup):
             return LatticeResult("unknown", (), "quotient Z^n: infinitely many intermediate "
                                                 "sublattices in rank >= 1, not a recognized chain")
         basis = H.lattice().basis()

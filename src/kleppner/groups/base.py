@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .. import tribool as tb
+from ..intlinalg import vector_key  # the element ordering of the lattice-like kinds
 from ..tribool import TriBool
 
 if TYPE_CHECKING:
@@ -194,9 +195,39 @@ class Group:
     def elements(self) -> Sequence[Element]:
         raise GroupError(f"{self.name} is not enumerable")
 
+    def closure(self, seed) -> set:
+        """The subgroup generated by seed, as a set; it must be finite."""
+        out = set(seed) | {self.identity()}
+        frontier = list(out)
+        while frontier:
+            x = frontier.pop()
+            for y in list(out):
+                for z in (self.mul(x, y), self.mul(y, x), self.inv(x)):
+                    if z not in out:
+                        out.add(z)
+                        frontier.append(z)
+        return out
+
+    def generating_subset(self, elements) -> tuple:
+        """The elements that the earlier ones do not generate, in order: a
+        generating set of the finite subgroup that elements generate."""
+        gens: list = []
+        reached = {self.identity()}
+        for x in elements:
+            if x not in reached:
+                gens.append(x)
+                reached = self.closure(reached | {x})
+        return tuple(gens)
+
+    def generated_subgroup(self, gens: tuple) -> "Subgroup":
+        """The subgroup generated by gens (nontrivial, checked elements), in
+        the most specific subgroup kind this group recognizes."""
+        from .subgroups import GeneratedSubgroup
+        return GeneratedSubgroup(self, gens)
+
     # -- presentation -----------------------------------------------------
     def element_key(self, x: Element):
-        """Total-order key on normal forms; witnesses are minimal under it."""
+        """Total-order key on normal forms; enumerated witnesses are least under it."""
         raise NotImplementedError
 
     def element_str(self, x: Element) -> str:
@@ -292,10 +323,3 @@ class Group:
             return asg.group.rank, asg.embed, ()
         return None
 
-
-def int_key(c: int) -> tuple[int, int]:
-    return (abs(c), 1 if c < 0 else 0)
-
-
-def vector_key(v: Sequence[int]):
-    return (sum(abs(c) for c in v), tuple(int_key(c) for c in v))

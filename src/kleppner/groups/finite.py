@@ -121,20 +121,11 @@ class FiniteTable(Group):
         return range(self.n)
 
     def generators(self) -> tuple[int, ...]:
-        return self.small_generating_set()
-
-    def small_generating_set(self) -> tuple[int, ...]:
-        gens: list[int] = []
-        reach = {self.e}
-        for x in range(self.n):
-            if x not in reach:
-                gens.append(x)
-                reach = self.closure(reach | {x})
-                if len(reach) == self.n:
-                    break
-        return tuple(gens)
+        return self.generating_subset(range(self.n))
 
     def closure(self, seed) -> set[int]:
+        # Group.closure read straight off the tables: the generic mul and inv
+        # calls cost the sweep's set-up time
         out = set(seed) | {self.e}
         frontier = list(out)
         while frontier:
@@ -158,6 +149,10 @@ class FiniteTable(Group):
             seen.update(orbit)
             classes.append(orbit)
         return classes
+
+    def generated_subgroup(self, gens):
+        from .subgroups import Subgroup
+        return Subgroup.finite_subset(self, self.closure(gens))
 
     def all_subgroups(self) -> list[frozenset[int]]:
         """Every subgroup, as frozensets of element indices (deterministic order)."""

@@ -8,9 +8,11 @@ reduction plus minimal-period extraction.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import string
+from math import gcd
 
 from .. import tribool as tb
 from .base import FCInfo, Group, GroupError, finite_class, infinite_class
@@ -216,43 +218,58 @@ class FreeGroup(Group):
                     "iterated conjugates are pairwise distinct in a free group")
         return finite_class([g])
 
+    def generated_subgroup(self, gens):
+        """Commuting generators share a primitive root r and generate the
+        cyclic subgroup <r^d>, d the gcd of their exponents; other generators
+        generate a noncyclic subgroup."""
+        from .subgroups import FreeCyclic
+        if not all(self.commutes(a, b) for a, b in itertools.combinations(gens, 2)):
+            return super().generated_subgroup(gens)
+        root, _ = self.primitive_root(gens[0])
+        d = 0
+        for g in gens:
+            d = gcd(d, self.power_of(g, root))
+        return FreeCyclic(self, self.power(root, d))
+
     def centralizer_generators(self, H, g):
-        from .subgroups import FreeCyclicDesc, FullDesc, TrivialDesc
+        from .subgroups import FreeCyclic, FullSubgroup, TrivialSubgroup
         if g == self.identity():
             return H.generators()
-        if isinstance(H.desc, TrivialDesc):
+        if isinstance(H, TrivialSubgroup):
             return ()
-        if isinstance(H.desc, FullDesc):
+        if isinstance(H, FullSubgroup):
             return (self.centralizer_root(g),)
-        if isinstance(H.desc, FreeCyclicDesc):
-            return (H.desc.word,) if self.commutes(H.desc.word, g) else ()
+        if isinstance(H, FreeCyclic):
+            return (H.word,) if self.commutes(H.word, g) else ()
         return None
 
     def centralizer_of_subgroup(self, H):
-        from .subgroups import FreeCyclicDesc, FullDesc, GeneratedDesc, Subgroup, TrivialDesc
-        if isinstance(H.desc, TrivialDesc):
+        from .subgroups import (FreeCyclic, FullSubgroup, GeneratedSubgroup, Subgroup,
+                                TrivialSubgroup)
+        if isinstance(H, TrivialSubgroup):
             return Subgroup.full(self)
-        if isinstance(H.desc, FullDesc):
+        if isinstance(H, FullSubgroup):
             return Subgroup.trivial(self)
-        if isinstance(H.desc, FreeCyclicDesc):
-            return Subgroup.generated(self, [self.centralizer_root(H.desc.word)])
-        if isinstance(H.desc, GeneratedDesc):
-            # normalization guarantees some pair of generators does not commute,
-            # so the centralizer meets two distinct maximal cyclic subgroups
+        if isinstance(H, FreeCyclic):
+            return Subgroup.generated(self, [self.centralizer_root(H.word)])
+        if isinstance(H, GeneratedSubgroup):
+            # generated_subgroup guarantees some pair of generators does not
+            # commute, so the centralizer meets two distinct maximal cyclic subgroups
             return Subgroup.trivial(self)
         return None
 
     def fc_centralizer(self, H):
-        from .subgroups import FreeCyclicDesc, FullDesc, GeneratedDesc, Subgroup, TrivialDesc
-        if isinstance(H.desc, TrivialDesc):
+        from .subgroups import (FreeCyclic, FullSubgroup, GeneratedSubgroup, Subgroup,
+                                TrivialSubgroup)
+        if isinstance(H, TrivialSubgroup):
             return FCInfo(Subgroup.full(self), central=False)
-        if isinstance(H.desc, (FullDesc, GeneratedDesc)):
+        if isinstance(H, (FullSubgroup, GeneratedSubgroup)):
             # a finite-index centralizer inside a noncyclic subgroup of a free
             # group would be cyclic of finite index, which is impossible
             return FCInfo(Subgroup.trivial(self), central=True,
                           note="noncyclic subgroups of free groups act with infinite orbits")
-        if isinstance(H.desc, FreeCyclicDesc):
-            root = self.centralizer_root(H.desc.word)
+        if isinstance(H, FreeCyclic):
+            root = self.centralizer_root(H.word)
             return FCInfo(Subgroup.generated(self, [root]), central=False,
                           note="finite classes meet the maximal cyclic centralizer")
         return FCInfo(None)

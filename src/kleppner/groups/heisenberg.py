@@ -69,6 +69,16 @@ class Heisenberg(Group):
     def describe(self) -> str:
         return "discrete Heisenberg group (Z^3, twisted product)"
 
+    def generated_subgroup(self, gens):
+        # generators inside an abelian coordinate plane generate a plane lattice
+        from .subgroups import HeisPlane
+        for plane in (0, 1):
+            if all(g[plane] == 0 for g in gens):
+                i, j = (1, 2) if plane == 0 else (0, 2)
+                lat = RowLattice(2, [(g[i], g[j]) for g in gens])
+                return HeisPlane(self, plane, tuple(lat.basis()))
+        return super().generated_subgroup(gens)
+
     # -- structure queries: everything goes through the commutation form ----
     def h_conjugacy_class(self, g, H, cap, depth_cap):
         # conjugation shifts only the third coordinate, by h1*g2 - h2*g1
@@ -82,10 +92,10 @@ class Heisenberg(Group):
 
     def centralizer_generators(self, H, g):
         """h commutes with g iff h1*g2 = h2*g1."""
-        from .subgroups import CoordinateZeroDesc, FullDesc, HeisCongruenceDesc, TrivialDesc
-        if isinstance(H.desc, TrivialDesc):
+        from .subgroups import CoordinateZero, FullSubgroup, HeisCongruence, TrivialSubgroup
+        if isinstance(H, TrivialSubgroup):
             return ()
-        if not isinstance(H.desc, (FullDesc, CoordinateZeroDesc, HeisCongruenceDesc)):
+        if not isinstance(H, (FullSubgroup, CoordinateZero, HeisCongruence)):
             return None
         gens = H.generators()
         # parametrize H by its generator exponents; the commutation form is
@@ -127,8 +137,8 @@ class Heisenberg(Group):
         return FCInfo(c, central=central, note="Heisenberg classes are singletons or infinite")
 
     def intermediate_subgroups(self, H, max_entries):
-        from .subgroups import CoordinateZeroDesc, Subgroup
-        if H.desc != CoordinateZeroDesc(frozenset({0})):
+        from .subgroups import Subgroup
+        if H != Subgroup.coordinate_zero(self, {0}):
             return super().intermediate_subgroups(H, max_entries)
         entries = [LatticeEntry("Gamma_0 (= H)", H, H.index()),
                    LatticeEntry("Gamma_1 (= G)", Subgroup.full(self), 1)]

@@ -93,12 +93,12 @@ class DirectProduct(Group):
     def _factors(self, H):
         """(left, right) when H is a product of factor subgroups, counting a
         full or trivial H; None otherwise."""
-        from .subgroups import FullDesc, ProductDesc, Subgroup, TrivialDesc
-        if isinstance(H.desc, ProductDesc):
-            return H.desc.left, H.desc.right
-        if isinstance(H.desc, FullDesc):
+        from .subgroups import FullSubgroup, ProductSubgroup, Subgroup, TrivialSubgroup
+        if isinstance(H, ProductSubgroup):
+            return H.left, H.right
+        if isinstance(H, FullSubgroup):
             return Subgroup.full(self.left), Subgroup.full(self.right)
-        if isinstance(H.desc, TrivialDesc):
+        if isinstance(H, TrivialSubgroup):
             return Subgroup.trivial(self.left), Subgroup.trivial(self.right)
         return None
 
@@ -184,14 +184,14 @@ class DirectProduct(Group):
         return tb.unknown(a.reason or b.reason or "undecided factor", note)
 
     def intermediate_subgroups(self, H, max_entries):
-        from .subgroups import ProductDesc, Subgroup
-        if not isinstance(H.desc, ProductDesc):
+        from .subgroups import ProductSubgroup, Subgroup
+        if not isinstance(H, ProductSubgroup):
             return super().intermediate_subgroups(H, max_entries)
         # with one factor subgroup full, the intermediate subgroups are those
         # of the other factor inclusion
-        sides = ((H.desc.left, H.desc.right,
+        sides = ((H.left, H.right,
                   lambda s: Subgroup.product(self, Subgroup.full(self.left), s)),
-                 (H.desc.right, H.desc.left,
+                 (H.right, H.left,
                   lambda s: Subgroup.product(self, s, Subgroup.full(self.right))))
         for full, other, lift in sides:
             if full.is_full():

@@ -14,6 +14,15 @@ from typing import Iterable, Sequence
 IntVec = tuple[int, ...]
 
 
+def int_key(c: int) -> tuple[int, int]:
+    return (abs(c), 1 if c < 0 else 0)
+
+
+def vector_key(v: Sequence[int]):
+    """Total order on integer vectors: L1 norm first, then entrywise int_key."""
+    return (sum(abs(c) for c in v), tuple(int_key(c) for c in v))
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0 unless both 0."""
     x, next_x = 1, 0
@@ -121,24 +130,40 @@ class RowLattice:
     def basis(self) -> list[IntVec]:
         return [tuple(r) for r in self.rows]
 
-    def small_nonzero(self, key=None, radius: int = 3) -> IntVec | None:
-        """Deterministic small nonzero vector: minimal over bounded basis combos."""
-        if not self.rows:
+    def small_nonzero(self) -> IntVec | None:
+        """The nonzero lattice vector least under vector_key, None for the
+        zero lattice.
+
+        Exact branch and bound over the echelon rows: once the coefficients
+        of rows 0..i are fixed, every column before the pivot of row i+1 is
+        final, so the L1 norm of those columns bounds the L1 norm of every
+        completion from below.
+        """
+        rows, r = self.rows, len(self.rows)
+        if not r:
             return None
-        if key is None:
-            key = lambda v: (sum(abs(x) for x in v), tuple((abs(x), x < 0) for x in v))
-        best = None
-        from itertools import product
-        r = len(self.rows)
-        for coeffs in product(range(-radius, radius + 1), repeat=r):
-            if not any(coeffs):
-                continue
-            v = tuple(sum(c * row[k] for c, row in zip(coeffs, self.rows))
-                      for k in range(self.n))
-            if not any(v):
-                continue
-            if best is None or key(v) < key(best):
-                best = v
+        piv = [next(k for k, x in enumerate(row) if x) for row in rows] + [self.n]
+        best = min((tuple(row) for row in rows), key=vector_key)
+        bound = sum(map(abs, best))
+
+        def search(i: int, v: list[int], l1: int) -> None:
+            # v combines rows 0..i-1; its columns before piv[i] have L1 norm l1
+            nonlocal best, bound
+            if i == r:
+                if any(v) and vector_key(v) < vector_key(best):
+                    best, bound = tuple(v), l1
+                return
+            row, p, x = rows[i], rows[i][piv[i]], v[piv[i]]
+            # the pivot column alone must stay within the bound: |x + c p| <= slack
+            slack = bound - l1
+            coeffs = range(-((slack + x) // p), (slack - x) // p + 1)
+            for c in sorted(coeffs, key=int_key):
+                w = [a + c * b for a, b in zip(v, row)]
+                cost = l1 + sum(abs(w[k]) for k in range(piv[i], piv[i + 1]))
+                if cost <= bound:
+                    search(i + 1, w, cost)
+
+        search(0, [0] * self.n, 0)
         return best
 
 

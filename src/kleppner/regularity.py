@@ -12,8 +12,10 @@ The relative Kleppner decision runs a fixed, reported strategy chain:
       decide the finitely/lattice-many candidate classes;
   (e) unknown, with the blocking reason.
 
-Witnesses are minimal under each group's element ordering; failure witnesses
-are returned as explicit finite classes replayable through the kernels.
+Failure witnesses are explicit finite classes replayable through the kernels.
+Enumerated witnesses are least under the group's element ordering; lattice and
+standalone-group witnesses are least in those coordinates (README, "Decision
+procedures").
 """
 
 from __future__ import annotations

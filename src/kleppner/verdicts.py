@@ -175,6 +175,7 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
     notes: list[str] = []
     rk = cache(lambda: relative_kleppner(G, H, sigma))
     sc = cache(lambda: sigma_centralizer(G, H, sigma).is_trivial)
+    ts = cache(lambda: twisted_simplicity_subgroup(H, sigma))
 
     fch_h = subgroup_predicate(H, is_fc_hypercentral)
     cs_h = subgroup_predicate(H, is_cstar_simple)
@@ -208,12 +209,12 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
     # 3. prime + FC-hypercentral H: Kleppner for H plus twisted centralizer
     if prime_h.holds and fch_h.holds:
         s = sc()
-        inner = _on_standalone(H, sigma, kleppner)
         rule, trivial_fact = "prime-fch-twisted-centralizer", ("twisted centralizer trivial",
                                                                 s.status)
         if s.fails:
             return _verdict(FAILS, rule, [prime_fact, fch_fact, trivial_fact], s.witness,
                             notes + list(s.notes))
+        inner = _on_standalone(H, sigma, kleppner)
         if inner is not None and inner.decided:
             inner_fact = ("kleppner for (H, sigma|_H)", inner.status)
             if inner.fails:
@@ -226,15 +227,15 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
     # 4. prime H: twisted simplicity of H plus twisted centralizer
     if prime_h.holds:
         s = sc()
-        ts = twisted_simplicity_subgroup(H, sigma)
         rule, trivial_fact = "prime-twisted-centralizer", ("twisted centralizer trivial",
                                                             s.status)
-        simple_fact = ("(H, sigma|_H) C*-simple", ts.conclusion)
         if s.fails:
             return _verdict(FAILS, rule, [prime_fact, trivial_fact], s.witness, notes)
-        if ts.fails:
-            return _verdict(FAILS, rule, [prime_fact, simple_fact], ts.witness, notes)
-        if ts.holds and s.holds:
+        t = ts()
+        simple_fact = ("(H, sigma|_H) C*-simple", t.conclusion)
+        if t.fails:
+            return _verdict(FAILS, rule, [prime_fact, simple_fact], t.witness, notes)
+        if t.holds and s.holds:
             return _verdict(HOLDS, rule, [prime_fact, simple_fact, trivial_fact], notes=notes)
 
     # 5. lift of an untwisted irreducible inclusion
@@ -254,16 +255,15 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
                             notes + list(r.notes) + dixmier)
 
     # 7. general normal case: twisted simplicity of H plus relative Kleppner
-    ts = twisted_simplicity_subgroup(H, sigma)
-    r = rk()
-    premises = [("(H, sigma|_H) C*-simple", ts.conclusion), ("relative-kleppner", r.status)]
-    if ts.fails or r.fails:
+    t, r = ts(), rk()
+    premises = [("(H, sigma|_H) C*-simple", t.conclusion), ("relative-kleppner", r.status)]
+    if t.fails or r.fails:
         return _verdict(FAILS, "simple-plus-relative-kleppner", premises,
-                        (ts if ts.fails else r).witness, notes)
-    if ts.holds and r.holds:
+                        (t if t.fails else r).witness, notes)
+    if t.holds and r.holds:
         return _verdict(HOLDS, "simple-plus-relative-kleppner", premises, notes=notes)
 
-    notes.append(f"missing premises: (H,sigma|_H) C*-simple={ts.conclusion}, "
+    notes.append(f"missing premises: (H,sigma|_H) C*-simple={t.conclusion}, "
                  f"relative-kleppner={r.status}, H prime={prime_h.status}, "
                  f"H FC-hypercentral={fch_h.status}, H C*-simple={cs_h.status}")
     return Verdict(INCONCLUSIVE, (), notes=tuple(notes))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,3 +301,22 @@ def test_cli_product_with_trivial_factor(tmp_path, capsys, case):
     assert payload["centralizers"]["trivial"]["status"] == "holds"
     assert payload["verdict"]["conclusion"] == "holds"
     assert [s["rule"] for s in payload["verdict"]["chain"]] == ["csimple-twisted-centralizer"]
+
+
+def test_cli_closed_stdout_ends_in_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "kleppner.cli", "--input",
+                               str(FIXTURES / "nct_pq.tomlish")],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: standard output was closed")
+    assert "Traceback" not in proc.stderr

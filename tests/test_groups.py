@@ -10,7 +10,7 @@ from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup,
                              h_conjugacy_class, is_cstar_simple, is_fc_hypercentral,
                              is_normal, is_prime)
 from kleppner.groups.free import reduce_by_stack
-from kleppner.groups.subgroups import GeneratedDesc, SubgroupDesc
+from kleppner.groups.subgroups import GeneratedSubgroup
 
 ALL_BUILTIN_NAMES = ["Z_1", "Z_2", "Z_6", "Z_12", "Z_2 x Z_2", "Z_3 x Z_4",
                      "D_4", "D_3", "Q8", "S_3", "S_4"]
@@ -265,7 +265,7 @@ def test_subgroup_description_contracts():
         Subgroup.generated(f2, [f2.gen("a"), f2.gen("b")]),
         Subgroup.generated(f2, [f2.parse_element("ab")]),
     ]
-    assert {type(H.desc) for H in subgroups} == set(SubgroupDesc.__subclasses__())
+    assert {type(H) for H in subgroups} == set(Subgroup.__subclasses__())
     for H in subgroups:
         gens = H.generators()
         for g in gens:
@@ -403,7 +403,7 @@ def test_subgroup_as_group_round_trip():
 
     f = FreeGroup(2)
     cyc = Subgroup.generated(f, [f.parse_element("ab"), f.parse_element("abab")])
-    assert cyc.desc.kind == "cyclic"  # normalized: generators commute
+    assert cyc.kind == "cyclic"  # normalized: generators commute
     agc = cyc.as_group()
     assert agc.embed((3,)) == f.parse_element("ababab")
 
@@ -415,7 +415,7 @@ def test_finite_subset_validation():
     sub = Subgroup.finite_subset(z4, [0, 2])
     assert sub.contains(2) and not sub.contains(1)
     with pytest.raises(GroupError):
-        Subgroup(z4, GeneratedDesc((1,)))  # table subgroups are stored by their elements
+        GeneratedSubgroup(z4, (1,))  # table subgroups are stored by their elements
 
 
 def test_coordinate_zero_validation():
@@ -430,7 +430,7 @@ def test_heisenberg_generated_subgroups_use_closed_form():
     # the gcd formula decides classes for any generated subgroup of Heisenberg
     heis = Heisenberg()
     crooked = Subgroup.generated(heis, [(1, 0, 0), (0, 1, 0)])
-    assert crooked.desc.kind == "generated"
+    assert crooked.kind == "generated"
     central = h_conjugacy_class((0, 0, 5), crooked)
     assert central.finite and central.elements == ((0, 0, 5),)
     assert h_conjugacy_class((1, 0, 0), crooked).infinite
@@ -441,7 +441,7 @@ def test_orbit_bfs_fallback_paths():
     f = FreeGroup(2)
     g = DirectProduct(f, from_name("Z_2"))
     diag = Subgroup.generated(g, [(f.gen("a"), 1)])
-    assert diag.desc.kind == "generated"
+    assert diag.kind == "generated"
     fixed = h_conjugacy_class((f.identity(), 1), diag)
     assert fixed.finite and len(fixed.elements) == 1
     runaway = h_conjugacy_class((f.gen("b"), 0), diag, cap=50, depth_cap=6)
@@ -452,7 +452,7 @@ def test_orbit_bfs_fallback_paths():
 def test_generated_heisenberg_plane_membership():
     heis = Heisenberg()
     plane = Subgroup.generated(heis, [(0, 2, 0), (0, 0, 2)])
-    assert plane.desc.kind == "heisenberg-plane-lattice"
+    assert plane.kind == "heisenberg-plane-lattice"
     assert plane.contains((0, 4, -2))
     assert plane.contains((0, 0, 0))
     assert not plane.contains((0, 1, 0))
@@ -467,7 +467,7 @@ def test_generated_subgroup_membership_and_normality():
     a, b = f2.gen("a"), f2.gen("b")
     for G, gens in ((heis, [(1, 0, 0), (0, 1, 0)]), (f2, [a, b])):
         H = Subgroup.generated(G, gens)
-        assert H.desc.kind == "generated"
+        assert H.kind == "generated"
         assert H.contains(G.identity()) is True
         for g in gens:
             assert H.contains(g) is True and H.contains(G.inv(g)) is True
@@ -478,6 +478,6 @@ def test_generated_subgroup_membership_and_normality():
         assert is_normal(H).holds
     # a proper generated subgroup: other elements stay undecided, never guessed
     ab = Subgroup.generated(f2, [f2.parse_element("ab"), f2.parse_element("ba")])
-    assert ab.desc.kind == "generated"
+    assert ab.kind == "generated"
     assert ab.contains(f2.parse_element("abba")) is None
     assert not ab.is_full() and ab.index() is None

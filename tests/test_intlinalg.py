@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 from kleppner.intlinalg import (RowLattice, integer_kernel, invert_unimodular, kernel_mod,
-                                rational_kernel_lattice, smith_normal_form, xgcd)
+                                rational_kernel_lattice, smith_normal_form, vector_key, xgcd)
 
 
 def mm(x, y):
@@ -110,3 +110,34 @@ def test_rational_kernel_lattice():
     assert lat.rank == 1
     assert lat.contains((2, 3))
     assert not lat.contains((1, 1))
+
+
+def _l1_ball(n, radius):
+    """Every integer vector of length n with L1 norm at most radius."""
+    if n == 0:
+        yield ()
+        return
+    for c in range(-radius, radius + 1):
+        for rest in _l1_ball(n - 1, radius - abs(c)):
+            yield (c,) + rest
+
+
+def test_small_nonzero_is_least_in_its_l1_box():
+    # brute force over every vector as short as the answer, in L1 norm
+    rng = random.Random(5)
+    for _ in range(250):
+        n = rng.randint(1, 4)
+        lat = RowLattice(n, [[rng.randint(-3, 3) for _ in range(n)]
+                             for _ in range(rng.randint(1, n))])
+        v = lat.small_nonzero()
+        if lat.is_trivial():
+            assert v is None
+            continue
+        members = [w for w in _l1_ball(n, sum(map(abs, v))) if any(w) and lat.contains(w)]
+        assert min(members, key=vector_key) == v, lat.rows
+
+
+def test_small_nonzero_looks_past_small_coefficients():
+    # the least vector is the second row plus 6 times the third
+    lat = RowLattice(4, [[1, 6, -2, -4], [0, 3, -36, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
+    assert lat.small_nonzero() == (0, 3, 0, 0)

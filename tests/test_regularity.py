@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, PhaseTableCocycle,
@@ -332,3 +333,12 @@ def test_pointwise_regularity_similarity_invariant():
     for _ in range(60):
         g = HEIS.random_element(rng, 4)
         assert is_sigma_regular(g, hsub, hbase).status == is_sigma_regular(g, hsub, htw).status
+
+
+def test_kleppner_on_a_large_lattice_is_fast():
+    # the least regular element is found by branch and bound, not a box search
+    G = FreeAbelian(10)
+    t0 = time.perf_counter()
+    k = kleppner(G, TrivialCocycle(G))
+    assert time.perf_counter() - t0 < 1.0
+    assert k.fails and k.witness.elements == ((0,) * 9 + (1,),)

@@ -217,7 +217,7 @@ def test_finite_lattice_and_oracle_consistency():
             lat = intermediate_lattice(g, H, sig)
             assert lat.complete
             for e in lat.entries:
-                assert set(hset) <= set(e.subgroup.desc.elements)
+                assert set(hset) <= set(e.subgroup.elements)
 
 
 def test_verdict_chain_premises_replay():

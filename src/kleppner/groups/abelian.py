@@ -1,4 +1,4 @@
-"""Free abelian groups Z^n; elements are int tuples."""
+"""Free abelian groups Z^n and their sublattices; elements are int tuples."""
 
 from __future__ import annotations
 
@@ -7,9 +7,10 @@ import re
 
 from .. import tribool as tb
 from ..intlinalg import RowLattice, invert_unimodular, mat_mul_vec, smith_normal_form
-from .base import (FCInfo, Group, GroupError, LatticeEntry, LatticeResult, finite_class,
-                   vector_key)
+from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult,
+                   finite_class, vector_key)
 from .finite import FiniteTable
+from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
 
 class FreeAbelian(Group):
@@ -80,35 +81,29 @@ class FreeAbelian(Group):
         return f"free abelian group Z^{self.rank}"
 
     def generated_subgroup(self, gens):
-        from .subgroups import Subgroup
         return Subgroup.sublattice(self, gens)
 
     # -- structure queries: every class is a singleton ---------------------
-    def h_conjugacy_class(self, g, H, cap, depth_cap):
+    def h_conjugacy_class(self, g, H):
         return finite_class([g])
 
     def centralizer_generators(self, H, g):
         return H.generators()
 
     def centralizer_of_subgroup(self, H):
-        from .subgroups import Subgroup
         return Subgroup.full(self)
 
     def fc_centralizer(self, H):
-        from .subgroups import Subgroup
         return FCInfo(Subgroup.full(self), central=True, note="abelian group")
 
     def intermediate_subgroups(self, H, max_entries):
-        from .subgroups import FullSubgroup, Subgroup, Sublattice, TrivialSubgroup
-        if not isinstance(H, (Sublattice, FullSubgroup, TrivialSubgroup)):
-            return super().intermediate_subgroups(H, max_entries)
         n = self.rank
-        if isinstance(H, FullSubgroup) or n == 0:
+        if H.is_full():
             return LatticeResult("ok", (LatticeEntry("the full group", Subgroup.full(self), 1),))
-        if isinstance(H, TrivialSubgroup):
+        if H.is_trivial_subgroup() and n >= 2:
             return LatticeResult("unknown", (), "quotient Z^n: infinitely many intermediate "
-                                                "sublattices in rank >= 1, not a recognized chain")
-        basis = H.lattice().basis()
+                                                "sublattices in rank >= 2, not a recognized chain")
+        basis = RowLattice(n, H.generators()).basis()
         r = len(basis)
         cols = [[basis[i][k] for i in range(r)] for k in range(n)] if r else [[0] for _ in range(n)]
         u, d, _v = smith_normal_form(cols)
@@ -148,6 +143,57 @@ class FreeAbelian(Group):
 
         return LatticeResult("unknown", (),
                              "quotient mixes free and torsion parts; not a recognized chain")
+
+
+@subgroup_kind
+class Sublattice(Subgroup):
+    columns: tuple  # generating integer vectors
+
+    kind = "sublattice"
+
+    def describe_desc(self) -> str:
+        cols = ", ".join(str(tuple(c)) for c in self.columns)
+        return f"sublattice generated by {cols}"
+
+    def _validate(self) -> None:
+        if not isinstance(self.parent, FreeAbelian):
+            raise GroupError("sublattice descriptions require a free abelian parent")
+        for c in self.columns:
+            if len(c) != self.parent.rank:
+                raise GroupError("sublattice generator has wrong length")
+            if not all(isinstance(x, int) for x in c):
+                raise GroupError(f"sublattice generator {tuple(c)} has a non-integer entry")
+
+    def lattice(self) -> RowLattice:
+        return RowLattice(self.parent.rank, self.columns)
+
+    def _contains(self, x: Element) -> bool:
+        return self.lattice().contains(x)
+
+    def generators(self) -> tuple[Element, ...]:
+        return tuple(tuple(r) for r in self.lattice().rows)
+
+    def enumerate_elements(self) -> list[Element] | None:
+        return None if self.lattice().rows else [self.parent.identity()]
+
+    def index(self) -> int | Infinite:
+        idx = self.lattice().index_in_ambient()
+        return INFINITE if idx is None else idx
+
+    def as_group(self) -> AsGroup:
+        basis = self.lattice().basis()
+        n = self.parent.rank
+
+        def embed(c):
+            return tuple(sum(ci * bi[k] for ci, bi in zip(c, basis)) for k in range(n))
+
+        return AsGroup(FreeAbelian(len(basis)), embed)
+
+    def is_full(self) -> bool:
+        return self.lattice().index_in_ambient() == 1
+
+    def is_trivial_subgroup(self) -> bool:
+        return self.lattice().is_trivial()
 
 
 def parse_int_vector(text: str, rank: int) -> tuple[int, ...]:

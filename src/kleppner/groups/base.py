@@ -120,6 +120,11 @@ class LatticeResult:
         return len(self.entries) if self.status == "ok" else None
 
 
+# the bounds of the conjugation search that the undecided default of
+# h_conjugacy_class runs: at most ORBIT_CAP elements or DEPTH_CAP rounds
+ORBIT_CAP = 10_000
+DEPTH_CAP = 24
+
 # the one-element group, of whatever kind, overrides its kind's facts
 TRIVIAL_FACTS = {
     "prime": (tb.HOLDS, "trivial group"),
@@ -249,15 +254,15 @@ class Group:
     # Each kind overrides the queries it answers in closed form; these
     # defaults are the undecided answers.
 
-    def h_conjugacy_class(self, g: Element, H, cap: int, depth_cap: int) -> Classification:
+    def h_conjugacy_class(self, g: Element, H) -> Classification:
         """{h g h^-1 : h in H} by a conjugation search over H's generators,
-        unknown beyond cap elements or depth_cap rounds."""
+        unknown beyond ORBIT_CAP elements or DEPTH_CAP rounds."""
         gens = H.generators()
         conjugators = list(gens) + [self.inv(h) for h in gens]
         seen = {g}
         frontier = [g]
         depth = 0
-        while frontier and depth < depth_cap:
+        while frontier and depth < DEPTH_CAP:
             depth += 1
             new = []
             for x in frontier:
@@ -265,13 +270,13 @@ class Group:
                     y = self.conj(h, x)
                     if y not in seen:
                         seen.add(y)
-                        if len(seen) > cap:
+                        if len(seen) > ORBIT_CAP:
                             return unknown_class(
-                                f"conjugation orbit exceeded the search cap ({cap})")
+                                f"conjugation orbit exceeded the search cap ({ORBIT_CAP})")
                         new.append(y)
             frontier = new
         if frontier:
-            return unknown_class(f"conjugation search reached depth cap ({depth_cap})")
+            return unknown_class(f"conjugation search reached depth cap ({DEPTH_CAP})")
         return finite_class(sorted(seen, key=self.element_key))
 
     def centralizer_generators(self, H, g: Element) -> Optional[tuple]:

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 from .. import tribool as tb
 from .base import FCInfo, Group, GroupError, LatticeEntry, LatticeResult, finite_class
+from .subgroups import Subgroup
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -151,7 +152,6 @@ class FiniteTable(Group):
         return classes
 
     def generated_subgroup(self, gens):
-        from .subgroups import Subgroup
         return Subgroup.finite_subset(self, self.closure(gens))
 
     def all_subgroups(self) -> list[frozenset[int]]:
@@ -194,22 +194,19 @@ class FiniteTable(Group):
         return f"{self.name} (finite, order {self.n})"
 
     # -- structure queries: every subgroup is enumerated -------------------
-    def h_conjugacy_class(self, g, H, cap, depth_cap):
+    def h_conjugacy_class(self, g, H):
         return finite_class(sorted({self.conj(h, g) for h in H.enumerate_elements()}))
 
     def centralizer_generators(self, H, g):
-        from .subgroups import Subgroup
         cents = [h for h in H.enumerate_elements() if self.commutes(h, g)]
         return Subgroup.finite_subset(self, cents).generators()
 
     def centralizer_of_subgroup(self, H):
-        from .subgroups import Subgroup
         elems = H.enumerate_elements()
         cents = [x for x in self.elements() if all(self.commutes(x, h) for h in elems)]
         return Subgroup.finite_subset(self, cents)
 
     def fc_centralizer(self, H):
-        from .subgroups import Subgroup
         return FCInfo(Subgroup.full(self), central=self.is_abelian, note="finite group")
 
     def is_normal(self, H):
@@ -222,7 +219,6 @@ class FiniteTable(Group):
         return tb.holds("checked all conjugations in the table")
 
     def intermediate_subgroups(self, H, max_entries):
-        from .subgroups import Subgroup
         helems = set(H.enumerate_elements())
         entries = [LatticeEntry(f"order-{len(s)} subgroup", Subgroup.finite_subset(self, s),
                                 self.n // len(s))

@@ -15,7 +15,9 @@ import string
 from math import gcd
 
 from .. import tribool as tb
-from .base import FCInfo, Group, GroupError, finite_class, infinite_class
+from .abelian import FreeAbelian
+from .base import Element, FCInfo, Group, GroupError, finite_class, infinite_class
+from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
 Word = tuple[tuple[int, int], ...]
 
@@ -210,7 +212,10 @@ class FreeGroup(Group):
         return f"free group F_{self.rank} on {', '.join(self.letters)}"
 
     # -- structure queries: centralizers of nontrivial elements are cyclic --
-    def h_conjugacy_class(self, g, H, cap, depth_cap):
+    # A subgroup is read off its generators: none (trivial), pairwise
+    # commuting ones (cyclic: powers of one primitive root), or a
+    # noncommuting pair (noncyclic).
+    def h_conjugacy_class(self, g, H):
         for h in H.generators():
             if not self.commutes(h, g):
                 return infinite_class(
@@ -218,61 +223,84 @@ class FreeGroup(Group):
                     "iterated conjugates are pairwise distinct in a free group")
         return finite_class([g])
 
+    def _common_root(self, gens) -> Word | None:
+        """The primitive root of the nontrivial words gens when they commute
+        pairwise, so that they generate a cyclic subgroup; None otherwise."""
+        if all(self.commutes(a, b) for a, b in itertools.combinations(gens, 2)):
+            return self.centralizer_root(gens[0])
+        return None
+
     def generated_subgroup(self, gens):
         """Commuting generators share a primitive root r and generate the
         cyclic subgroup <r^d>, d the gcd of their exponents; other generators
         generate a noncyclic subgroup."""
-        from .subgroups import FreeCyclic
-        if not all(self.commutes(a, b) for a, b in itertools.combinations(gens, 2)):
+        root = self._common_root(gens)
+        if root is None:
             return super().generated_subgroup(gens)
-        root, _ = self.primitive_root(gens[0])
         d = 0
         for g in gens:
             d = gcd(d, self.power_of(g, root))
         return FreeCyclic(self, self.power(root, d))
 
     def centralizer_generators(self, H, g):
-        from .subgroups import FreeCyclic, FullSubgroup, TrivialSubgroup
-        if g == self.identity():
-            return H.generators()
-        if isinstance(H, TrivialSubgroup):
-            return ()
-        if isinstance(H, FullSubgroup):
-            return (self.centralizer_root(g),)
-        if isinstance(H, FreeCyclic):
-            return (H.word,) if self.commutes(H.word, g) else ()
-        return None
+        gens = tuple(w for w in H.generators() if w)
+        if g == self.identity() or not gens:
+            return gens
+        root = self._common_root(gens)
+        if root is not None:
+            return gens if self.commutes(root, g) else ()
+        return (self.centralizer_root(g),) if H.is_full() else None
 
     def centralizer_of_subgroup(self, H):
-        from .subgroups import (FreeCyclic, FullSubgroup, GeneratedSubgroup, Subgroup,
-                                TrivialSubgroup)
-        if isinstance(H, TrivialSubgroup):
+        gens = tuple(w for w in H.generators() if w)
+        if not gens:
             return Subgroup.full(self)
-        if isinstance(H, FullSubgroup):
+        root = self._common_root(gens)
+        if root is None:
+            # two noncommuting elements lie in distinct maximal cyclic
+            # subgroups, and so do their centralizers
             return Subgroup.trivial(self)
-        if isinstance(H, FreeCyclic):
-            return Subgroup.generated(self, [self.centralizer_root(H.word)])
-        if isinstance(H, GeneratedSubgroup):
-            # generated_subgroup guarantees some pair of generators does not
-            # commute, so the centralizer meets two distinct maximal cyclic subgroups
-            return Subgroup.trivial(self)
-        return None
+        return Subgroup.generated(self, [root])
 
     def fc_centralizer(self, H):
-        from .subgroups import (FreeCyclic, FullSubgroup, GeneratedSubgroup, Subgroup,
-                                TrivialSubgroup)
-        if isinstance(H, TrivialSubgroup):
+        gens = tuple(w for w in H.generators() if w)
+        if not gens:
             return FCInfo(Subgroup.full(self), central=False)
-        if isinstance(H, (FullSubgroup, GeneratedSubgroup)):
+        root = self._common_root(gens)
+        if root is None:
             # a finite-index centralizer inside a noncyclic subgroup of a free
             # group would be cyclic of finite index, which is impossible
             return FCInfo(Subgroup.trivial(self), central=True,
                           note="noncyclic subgroups of free groups act with infinite orbits")
-        if isinstance(H, FreeCyclic):
-            root = self.centralizer_root(H.word)
-            return FCInfo(Subgroup.generated(self, [root]), central=False,
-                          note="finite classes meet the maximal cyclic centralizer")
-        return FCInfo(None)
+        return FCInfo(Subgroup.generated(self, [root]), central=False,
+                      note="finite classes meet the maximal cyclic centralizer")
+
+
+@subgroup_kind
+class FreeCyclic(Subgroup):
+    word: tuple  # nontrivial reduced word; the subgroup is <word>
+
+    kind = "cyclic"
+
+    def describe_desc(self) -> str:
+        return f"cyclic subgroup <{self.parent.element_str(self.word)}>"
+
+    def _validate(self) -> None:
+        if not isinstance(self.parent, FreeGroup) or not self.word:
+            raise GroupError("cyclic word description needs a free parent and nontrivial word")
+
+    def _contains(self, x: Element) -> bool:
+        return self.parent.power_of(x, self.word) is not None
+
+    def generators(self) -> tuple[Element, ...]:
+        return (self.word,)
+
+    def index(self) -> Infinite:
+        return INFINITE  # proper finite-index subgroups of F_k are never cyclic
+
+    def as_group(self) -> AsGroup:
+        parent, w = self.parent, self.word
+        return AsGroup(FreeAbelian(1), lambda c: parent.power(w, c[0]))
 
 
 def reduce_by_stack(group: FreeGroup, tokens: list[int]) -> Word:

@@ -1,8 +1,10 @@
-"""Direct products of two catalog groups; elements are pairs.
+"""Direct products of two catalog groups and their product subgroups;
+elements are pairs.
 
 The structure queries split a subgroup that is a product of factor subgroups
-and combine the factors' answers; any other subgroup gets the undecided
-defaults of the Group base class.
+(a ``ProductSubgroup``, or the full or trivial subgroup) and combine the
+factors' answers; any other subgroup gets the undecided defaults of the Group
+base class.
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ from __future__ import annotations
 import random
 
 from .. import tribool as tb
-from .base import (FCInfo, Group, GroupError, LatticeEntry, LatticeResult, finite_class,
-                   infinite_class, unknown_class)
+from .abelian import FreeAbelian
+from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult,
+                   finite_class, infinite_class, unknown_class)
+from .structure import is_normal
+from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
 # the rule that combines the factors' catalog predicates
 _COMBINE_NOTES = {
@@ -93,21 +98,20 @@ class DirectProduct(Group):
     def _factors(self, H):
         """(left, right) when H is a product of factor subgroups, counting a
         full or trivial H; None otherwise."""
-        from .subgroups import FullSubgroup, ProductSubgroup, Subgroup, TrivialSubgroup
         if isinstance(H, ProductSubgroup):
             return H.left, H.right
-        if isinstance(H, FullSubgroup):
+        if H.is_full():
             return Subgroup.full(self.left), Subgroup.full(self.right)
-        if isinstance(H, TrivialSubgroup):
+        if H.is_trivial_subgroup():
             return Subgroup.trivial(self.left), Subgroup.trivial(self.right)
         return None
 
-    def h_conjugacy_class(self, g, H, cap, depth_cap):
+    def h_conjugacy_class(self, g, H):
         parts = self._factors(H)
         if parts is None:
-            return super().h_conjugacy_class(g, H, cap, depth_cap)
-        left = self.left.h_conjugacy_class(g[0], parts[0], cap, depth_cap)
-        right = self.right.h_conjugacy_class(g[1], parts[1], cap, depth_cap)
+            return super().h_conjugacy_class(g, H)
+        left = self.left.h_conjugacy_class(g[0], parts[0])
+        right = self.right.h_conjugacy_class(g[1], parts[1])
         if left.infinite or right.infinite:
             side = "left" if left.infinite else "right"
             cert = left.certificate if left.infinite else right.certificate
@@ -129,7 +133,6 @@ class DirectProduct(Group):
         return tuple((x, er) for x in lg) + tuple((el, y) for y in rg)
 
     def centralizer_of_subgroup(self, H):
-        from .subgroups import Subgroup
         parts = self._factors(H)
         if parts is None:
             return None
@@ -140,7 +143,6 @@ class DirectProduct(Group):
         return Subgroup.product(self, cl, cr)
 
     def fc_centralizer(self, H):
-        from .subgroups import Subgroup
         parts = self._factors(H)
         if parts is None:
             return super().fc_centralizer(H)
@@ -155,7 +157,6 @@ class DirectProduct(Group):
                       note="componentwise")
 
     def is_normal(self, H):
-        from .structure import is_normal
         parts = self._factors(H)
         if parts is None:
             return super().is_normal(H)
@@ -184,7 +185,6 @@ class DirectProduct(Group):
         return tb.unknown(a.reason or b.reason or "undecided factor", note)
 
     def intermediate_subgroups(self, H, max_entries):
-        from .subgroups import ProductSubgroup, Subgroup
         if not isinstance(H, ProductSubgroup):
             return super().intermediate_subgroups(H, max_entries)
         # with one factor subgroup full, the intermediate subgroups are those
@@ -204,3 +204,77 @@ class DirectProduct(Group):
         return LatticeResult("unknown", (),
                              "intermediate subgroups of a product inclusion need not be "
                              "products of factor subgroups; outside the catalog")
+
+
+@subgroup_kind
+class ProductSubgroup(Subgroup):
+    left: Subgroup
+    right: Subgroup
+
+    kind = "product"
+
+    def describe_desc(self) -> str:
+        return f"({self.left.describe_desc()}) x ({self.right.describe_desc()})"
+
+    def _validate(self) -> None:
+        parent = self.parent
+        if not isinstance(parent, DirectProduct):
+            raise GroupError("product subgroup needs a direct product parent")
+        if self.left.parent is not parent.left or self.right.parent is not parent.right:
+            raise GroupError("product subgroup factors must describe the parent factors")
+
+    def _contains(self, x: Element) -> bool | None:
+        lc = self.left.contains(x[0])
+        rc = self.right.contains(x[1])
+        if lc is None or rc is None:
+            return None if (lc is not False and rc is not False) else False
+        return lc and rc
+
+    def generators(self) -> tuple[Element, ...]:
+        el, er = self.parent.left.identity(), self.parent.right.identity()
+        return (tuple((g, er) for g in self.left.generators())
+                + tuple((el, g) for g in self.right.generators()))
+
+    def enumerate_elements(self) -> list[Element] | None:
+        le = self.left.enumerate_elements()
+        re_ = self.right.enumerate_elements()
+        if le is None or re_ is None:
+            return None
+        return [(a, b) for a in le for b in re_]
+
+    def index(self) -> int | Infinite | None:
+        li = self.left.index()
+        ri = self.right.index()
+        if li is None or ri is None:
+            return None
+        if li is INFINITE or ri is INFINITE:
+            return INFINITE
+        return li * ri
+
+    def as_group(self) -> AsGroup | None:
+        lg = self.left.as_group()
+        rg = self.right.as_group()
+        if lg is None or rg is None:
+            return None
+        if self.left.is_trivial_subgroup():
+            el = self.parent.left.identity()
+            return AsGroup(rg.group, lambda y: (el, rg.embed(y)))
+        if self.right.is_trivial_subgroup():
+            er = self.parent.right.identity()
+            return AsGroup(lg.group, lambda y: (lg.embed(y), er))
+        if isinstance(lg.group, FreeAbelian) and isinstance(rg.group, FreeAbelian):
+            # Z^a x Z^b is Z^(a+b): the lattice routes then reach the product
+            a = lg.group.rank
+            return AsGroup(FreeAbelian(a + rg.group.rank),
+                           lambda c: (lg.embed(c[:a]), rg.embed(c[a:])))
+
+        def embed(pair):
+            return (lg.embed(pair[0]), rg.embed(pair[1]))
+
+        return AsGroup(DirectProduct(lg.group, rg.group), embed)
+
+    def is_full(self) -> bool:
+        return self.left.is_full() and self.right.is_full()
+
+    def is_trivial_subgroup(self) -> bool:
+        return self.left.is_trivial_subgroup() and self.right.is_trivial_subgroup()

@@ -20,17 +20,13 @@ from ..tribool import TriBool
 from .base import Element, FCInfo, Group, GroupError
 from .subgroups import Classification, Subgroup, finite_class
 
-DEFAULT_ORBIT_CAP = 10_000
-DEFAULT_DEPTH_CAP = 24
 
-
-def h_conjugacy_class(g: Element, H: Subgroup, cap: int = DEFAULT_ORBIT_CAP,
-                      depth_cap: int = DEFAULT_DEPTH_CAP) -> Classification:
+def h_conjugacy_class(g: Element, H: Subgroup) -> Classification:
     G = H.parent
     G.check_element(g)
     if g == G.identity():
         return finite_class([g])
-    return G.h_conjugacy_class(g, H, cap, depth_cap)
+    return G.h_conjugacy_class(g, H)
 
 
 def centralizer_generators(H: Subgroup, g: Element) -> Optional[tuple]:

@@ -38,6 +38,20 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
+def echelon_contains(rows: Sequence[Sequence[int]], vec0: Sequence[int]) -> bool:
+    """Whether vec0 lies in the lattice spanned by rows, an echelon basis."""
+    vec = list(vec0)
+    for row in rows:
+        j = next(i for i, x in enumerate(row) if x)
+        if vec[j]:
+            if vec[j] % row[j] != 0:
+                return False
+            q = vec[j] // row[j]
+            for k in range(len(vec)):
+                vec[k] -= q * row[k]
+    return not any(vec)
+
+
 class RowLattice:
     """Sublattice of Z^n kept as an integer row basis in echelon form."""
 
@@ -100,16 +114,7 @@ class RowLattice:
         self.rows = rows
 
     def contains(self, vec0: Sequence[int]) -> bool:
-        vec = list(vec0)
-        for row in self.rows:
-            j = next(i for i, x in enumerate(row) if x)
-            if vec[j]:
-                if vec[j] % row[j] != 0:
-                    return False
-                q = vec[j] // row[j]
-                for k in range(self.n):
-                    vec[k] -= q * row[k]
-        return not any(vec)
+        return echelon_contains(self.rows, vec0)
 
     @property
     def rank(self) -> int:

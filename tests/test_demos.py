@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 def test_demo_dir_is_populated():
@@ -12,5 +14,6 @@ def test_demo_dir_is_populated():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
+    # every demo is deterministic: its output is pinned byte for byte
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+    assert capsys.readouterr().out == (GOLDEN / f"{path.stem}.txt").read_text()

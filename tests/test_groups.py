@@ -426,6 +426,66 @@ def test_coordinate_zero_validation():
     Subgroup.coordinate_zero(heis, {1, 2})
 
 
+def test_coordinate_subgroups_are_plane_lattices():
+    # a coordinate subgroup and the lattice its unit vectors generate are one subgroup
+    heis = Heisenberg()
+    for zero, pattern in (({0}, "{(0, a2, a3)}"), ({1}, "{(a1, 0, a3)}"),
+                          ({0, 1}, "{(0, 0, a3)}"), ({0, 2}, "{(0, a2, 0)}"),
+                          ({1, 2}, "{(a1, 0, 0)}")):
+        units = [g for i, g in enumerate(heis.generators()) if i not in zero]
+        coord, gen = Subgroup.coordinate_zero(heis, zero), Subgroup.generated(heis, units)
+        assert coord == gen and coord.kind == "heisenberg-plane-lattice"
+        assert coord.describe_desc() == gen.describe_desc() == pattern
+    assert Subgroup.coordinate_zero(heis, set()) == Subgroup.full(heis)
+    assert Subgroup.coordinate_zero(heis, {0, 1, 2}) == Subgroup.trivial(heis)
+    with pytest.raises(GroupError):
+        Subgroup.coordinate_zero(FreeAbelian(3), {0})
+    with pytest.raises(GroupError):
+        Subgroup.coordinate_zero(heis, {3})
+    # one basis per plane lattice, whatever the generators
+    assert Subgroup.generated(heis, [(0, 1, 1), (0, 0, 1)]) == Subgroup.coordinate_zero(heis, {0})
+    assert Subgroup.generated(heis, [(3, 0, 5), (0, 0, 2)]).rows == ((3, 1), (0, 2))
+    # a plane lattice off the coordinate vectors keeps its generators
+    assert Subgroup.generated(heis, [(0, 2, 0), (0, 0, 3)]).describe_desc() == \
+        "plane sublattice generated by (0, 2, 0), (0, 0, 3)"
+
+
+def test_generated_plane_gets_the_coordinate_answers():
+    heis = Heisenberg()
+    generated = Subgroup.generated(heis, [(0, 1, 0), (0, 0, 1)])
+    for H in (Subgroup.coordinate_zero(heis, {0}), generated):
+        chain = heis.intermediate_subgroups(H, 4)
+        assert chain.status == "truncated"
+        assert [e.label for e in chain.entries] == ["Gamma_0 (= H)", "Gamma_1 (= G)",
+                                                    "Gamma_2", "Gamma_3", "Gamma_4"]
+        assert chain.entries[2].subgroup == Subgroup.heis_congruence(heis, 2)
+        assert centralizer_generators(H, (0, 1, 0)) == ((0, 1, 0), (0, 0, 1))
+
+
+def test_free_subgroups_are_read_off_their_generators():
+    f = FreeGroup(2)
+    a = f.gen("a")
+    # commuting generators: a cyclic subgroup, whatever kind describes it
+    H = GeneratedSubgroup(f, (a, f.power(a, 2)))
+    assert centralizer_of_subgroup(f, H) == Subgroup.generated(f, [a])
+    assert fc_centralizer(f, H).subgroup == Subgroup.generated(f, [a])
+    assert centralizer_generators(H, a) == H.generators()
+    assert centralizer_generators(H, f.gen("b")) == ()
+
+
+def test_free_abelian_intermediate_subgroups_read_the_lattice():
+    z1, z2 = FreeAbelian(1), FreeAbelian(2)
+    # {0} in Z: the quotient is Z, so the chain Gamma_n = nZ, whatever the form of {0}
+    for H in (Subgroup.trivial(z1), Subgroup.sublattice(z1, [])):
+        chain = z1.intermediate_subgroups(H, 3)
+        assert chain.status == "truncated"
+        assert [e.index_in_g for e in chain.entries][1:] == [1, 2, 3]
+    assert z2.intermediate_subgroups(Subgroup.trivial(z2), 3).status == "unknown"
+    # an index-1 sublattice is the full group
+    whole = z2.intermediate_subgroups(Subgroup.sublattice(z2, [(1, 1), (0, 1)]), 3)
+    assert [e.subgroup for e in whole.entries] == [Subgroup.full(z2)]
+
+
 def test_heisenberg_generated_subgroups_use_closed_form():
     # the gcd formula decides classes for any generated subgroup of Heisenberg
     heis = Heisenberg()
@@ -444,7 +504,7 @@ def test_orbit_bfs_fallback_paths():
     assert diag.kind == "generated"
     fixed = h_conjugacy_class((f.identity(), 1), diag)
     assert fixed.finite and len(fixed.elements) == 1
-    runaway = h_conjugacy_class((f.gen("b"), 0), diag, cap=50, depth_cap=6)
+    runaway = h_conjugacy_class((f.gen("b"), 0), diag)
     assert runaway.unknown
     assert "cap" in runaway.reason
 

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, PhaseTableCocycle,
-                               SeededBeta, TrivialCocycle, commutation_phase,
+                               ProductCocycle, SeededBeta, TrivialCocycle, commutation_phase,
                                rotation_cocycle, similarity_transform, three_torus_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
                              from_name, h_conjugacy_class)
@@ -162,6 +162,20 @@ def test_kleppner_examples():
         assert kleppner(F2Z2, F2Z2Cocycle(F2Z2, j)).holds
     assert kleppner(F2Z2, TrivialCocycle(F2Z2)).fails
     assert kleppner(F2, TrivialCocycle(F2)).holds  # icc
+
+
+def test_products_of_lattices_take_the_lattice_route():
+    # the FC-centralizer of Z^2 x Z^2 (of Heis x Heis: center x center) is a
+    # product of lattices, which is one lattice
+    for G, witness in ((DirectProduct(Z2, Z2), ((0, 0), (0, 1))),
+                       (DirectProduct(HEIS, HEIS), ((0, 0, 0), (0, 0, 1)))):
+        sigma = TrivialCocycle(G)
+        r = kleppner(G, sigma)
+        assert r.fails and r.witness.elements == (witness,)
+        assert is_sigma_regular(witness, Subgroup.full(G), sigma).holds
+    torus = DirectProduct(Z2, Z2)
+    rot = rotation_cocycle(Z2, TH)
+    assert kleppner(torus, ProductCocycle(torus, rot, rot)).holds
 
 
 def test_relative_icc_examples():

@@ -87,7 +87,7 @@ TWISTED = {
     "kleppner-center fails": lambda: (Z2, TrivialCocycle(Z2)),
     "untwisted-cstar-simple": lambda: (F2, TrivialCocycle(F2)),
     "kleppner-necessary": lambda: _trivially_twisted(F2Z),
-    "inconclusive": lambda: _trivially_twisted(DirectProduct(Z2, Z2)),
+    "inconclusive": lambda: _trivially_twisted(DirectProduct(HEIS, from_name("S_3"))),
 }
 
 SUBGROUP = {

@@ -3,6 +3,10 @@
 A cocycle assigns to each pair (g, h) a Phase p with sigma(g,h) = exp(2*pi*i*p);
 the defining identities become additive.  All variants are total functions
 given by formulas; the only tabulated variant lives on finite table groups.
+Each variant states its formula once, in integer form: ``int_value(g, h)`` is
+``den`` times the exponent, as the integer vector of a Phase over ``basis``
+(the rational slot first, then one slot per symbol).  ``value`` is derived from
+it, and the validators add and subtract these vectors instead of Phases.
 
 conj_twist(sigma, h, g) is the phase by which conjugation by h twists the
 canonical unitary of g:  sigma(h,g) - sigma(h g h^-1, h).
@@ -32,22 +36,26 @@ class CocycleError(ValueError):
 
 
 class Cocycle:
-    """Base class; subclasses implement value(g, h) -> Phase."""
+    """Base class; subclasses implement int_value(g, h) over the common
+    denominator ``den``."""
 
     group: Group
     basis: IrrationalBasis
+    den: int = 1
     kind: str = "abstract"
 
-    def value(self, g: Element, h: Element) -> Phase:
+    def int_value(self, g: Element, h: Element) -> list[int]:
+        """``den`` times the exponent of sigma(g, h): a new list of
+        1 + len(basis.symbols) integers, the rational slot first."""
         raise NotImplementedError
+
+    def value(self, g: Element, h: Element) -> Phase:
+        return _make(self.basis, self.den, self.int_value(g, h))
 
     def __call__(self, g: Element, h: Element) -> Phase:
         self.group.check_element(g)
         self.group.check_element(h)
         return self.value(g, h)
-
-    def zero(self) -> Phase:
-        return Phase(0, {}, self.basis)
 
     def is_trivial_like(self) -> bool:
         """Syntactically a coboundary of the trivial cocycle (sufficient check only)."""
@@ -77,8 +85,8 @@ class TrivialCocycle(Cocycle):
         self.group = group
         self.basis = basis
 
-    def value(self, g, h) -> Phase:
-        return self.zero()
+    def int_value(self, g, h) -> list[int]:
+        return [0] * (1 + len(self.basis.symbols))
 
     def is_trivial_like(self) -> bool:
         return True
@@ -107,16 +115,21 @@ class BicharacterCocycle(Cocycle):
         self.group = group
         self.basis = basis if basis is not None else EMPTY_BASIS
         self.matrix = tuple(tuple(row) for row in matrix)
-        # per phase slot, the nonzero terms (j, k, m) of the integer matrix den * B
+        # the integer matrix den * B as its nonzero entries (j, k, slots), where
+        # slots lists the nonzero (phase slot, multiplier) pairs of the entry
         self.den = lcm(*(p.den for row in self.matrix for p in row))
-        self.forms = tuple(
-            tuple((j, k, p.nums[s] * (self.den // p.den))
-                  for j, row in enumerate(self.matrix) for k, p in enumerate(row) if p.nums[s])
-            for s in range(1 + len(self.basis.symbols)))
+        self.terms = tuple(
+            (j, k, tuple((s, m * (self.den // p.den)) for s, m in enumerate(p.nums) if m))
+            for j, row in enumerate(self.matrix) for k, p in enumerate(row) if not p.is_one())
 
-    def value(self, x, y) -> Phase:
-        return _make(self.basis, self.den,
-                     [sum(m * x[j] * y[k] for j, k, m in form) for form in self.forms])
+    def int_value(self, x, y) -> list[int]:
+        out = [0] * (1 + len(self.basis.symbols))
+        for j, k, slots in self.terms:
+            xy = x[j] * y[k]
+            if xy:
+                for s, m in slots:
+                    out[s] += m * xy
+        return out
 
     def is_trivial_like(self) -> bool:
         return all(p.is_one() for row in self.matrix for p in row)
@@ -167,13 +180,17 @@ class HeisenbergCocycle(Cocycle):
         self.basis = gamma.basis
         self.gamma = gamma
         self.theta = theta
+        # gamma and theta as integer vectors over one denominator
+        self.den = lcm(gamma.den, theta.den)
+        self._pairs = tuple(zip((n * (self.den // gamma.den) for n in gamma.nums),
+                                (n * (self.den // theta.den) for n in theta.nums)))
 
-    def value(self, a, b) -> Phase:
+    def int_value(self, a, b) -> list[int]:
         a1, a2, _a3 = a
         _b1, b2, b3 = b
         gamma_mult = b3 * a1 + b2 * (a1 * (a1 - 1) // 2)
         theta_mult = a2 * (b3 + a1 * b2) + a1 * (b2 * (b2 - 1) // 2)
-        return self.gamma * gamma_mult + self.theta * theta_mult
+        return [gamma_mult * g + theta_mult * t for g, t in self._pairs]
 
     def is_trivial_like(self) -> bool:
         return self.gamma.is_one() and self.theta.is_one()
@@ -194,6 +211,7 @@ class F2Z2Cocycle(Cocycle):
     and the chosen exponent-sum statistic of the second argument's word is odd."""
 
     kind = "f2z2"
+    den = 2
 
     def __init__(self, group: DirectProduct, j: int) -> None:
         if (not isinstance(group, DirectProduct) or not isinstance(group.left, FreeGroup)
@@ -206,11 +224,9 @@ class F2Z2Cocycle(Cocycle):
         self.basis = EMPTY_BASIS
         self.j = j
 
-    def value(self, g, h) -> Phase:
+    def int_value(self, g, h) -> list[int]:
         (_x, k), (y, _l) = g, h
-        if k == 1 and _f2z2_statistic(y, self.j) % 2 == 1:
-            return Phase(Fraction(1, 2), {}, self.basis)
-        return self.zero()
+        return [1 if k == 1 and _f2z2_statistic(y, self.j) % 2 == 1 else 0]
 
     def describe(self) -> str:
         return f"sigma_{self.j} on F_2 x Z_2"
@@ -249,11 +265,23 @@ class PhaseTableCocycle(Cocycle):
     def value(self, g, h) -> Phase:
         return self.table[g][h]
 
+    def int_value(self, g, h) -> list[int]:
+        return [self.ints[g][h]]
+
     def is_trivial_like(self) -> bool:
         return all(p.is_one() for row in self.table for p in row)
 
     def describe(self) -> str:
         return f"phase table on {self.group.name}"
+
+
+def _slot_map(src: IrrationalBasis, dst: IrrationalBasis, mult: int) -> tuple:
+    """For each slot of an integer vector over ``src``, the slot of ``dst`` it
+    lands in and the factor that brings it to the new denominator."""
+    missing = [sym for sym in src.symbols if sym not in dst]
+    if missing:
+        raise CocycleError(f"symbols {missing} are not in the basis {dst.symbols}")
+    return ((0, mult),) + tuple((dst.symbols.index(sym) + 1, mult) for sym in src.symbols)
 
 
 class ProductCocycle(Cocycle):
@@ -270,11 +298,17 @@ class ProductCocycle(Cocycle):
         self.basis = left.basis if left.basis != EMPTY_BASIS else right.basis
         self.left = left
         self.right = right
+        self.den = lcm(left.den, right.den)
+        self._left_slots = _slot_map(left.basis, self.basis, self.den // left.den)
+        self._right_slots = _slot_map(right.basis, self.basis, self.den // right.den)
 
-    def value(self, g, h) -> Phase:
-        lv = self.left.value(g[0], h[0]).with_basis(self.basis)
-        rv = self.right.value(g[1], h[1]).with_basis(self.basis)
-        return lv + rv
+    def int_value(self, g, h) -> list[int]:
+        out = [0] * (1 + len(self.basis.symbols))
+        for (s, m), x in zip(self._left_slots, self.left.int_value(g[0], h[0])):
+            out[s] += m * x
+        for (s, m), x in zip(self._right_slots, self.right.int_value(g[1], h[1])):
+            out[s] += m * x
+        return out
 
     def is_trivial_like(self) -> bool:
         return self.left.is_trivial_like() and self.right.is_trivial_like()
@@ -295,8 +329,9 @@ class RestrictionCocycle(Cocycle):
         self.subgroup = subgroup
         self.group = base.group
         self.basis = base.basis
+        self.den = base.den
 
-    def value(self, g, h) -> Phase:
+    def int_value(self, g, h) -> list[int]:
         for x in (g, h):
             inside = self.subgroup.contains(x)
             if inside is False:
@@ -304,7 +339,7 @@ class RestrictionCocycle(Cocycle):
                     f"{self.group.element_str(x)} is outside {self.subgroup.describe_desc()}")
             if inside is None:
                 raise CocycleError("membership undecided for restriction argument")
-        return self.base.value(g, h)
+        return self.base.int_value(g, h)
 
     def is_trivial_like(self) -> bool:
         return self.base.is_trivial_like()
@@ -328,22 +363,36 @@ class RestrictionCocycle(Cocycle):
 
 
 class Beta:
-    """A map G -> phases with beta(e) = 0, used for similarity transforms."""
+    """A map G -> phases with beta(e) = 0, used for similarity transforms.
+
+    Subclasses implement int_value(g): ``den`` times the exponent of beta(g),
+    a new list of 1 + len(basis.symbols) integers."""
 
     label = "beta"
+    basis: IrrationalBasis
+    den: int
+
+    def int_value(self, g: Element) -> list[int]:
+        raise NotImplementedError
 
     def __call__(self, g: Element) -> Phase:
-        raise NotImplementedError
+        return _make(self.basis, self.den, self.int_value(g))
 
 
 class TableBeta(Beta):
     def __init__(self, group: Group, mapping: dict, label: str = "table") -> None:
+        bases = {p.basis for p in mapping.values()} - {EMPTY_BASIS}
+        if len(bases) > 1:
+            raise CocycleError("beta values must share one basis")
         self.group = group
-        self.mapping = dict(mapping)
         self.label = label
+        self.basis = bases.pop() if bases else EMPTY_BASIS
+        self.den = lcm(*(p.den for p in mapping.values()))
+        self.ints = {g: tuple(n * (self.den // p.den) for n in p.with_basis(self.basis).nums)
+                     for g, p in mapping.items()}
 
-    def __call__(self, g) -> Phase:
-        return self.mapping[g]
+    def int_value(self, g) -> list[int]:
+        return list(self.ints[g])
 
 
 class SeededBeta(Beta):
@@ -359,12 +408,12 @@ class SeededBeta(Beta):
         self.basis = basis
         self.label = f"seeded(seed={seed}, den={denominator})"
 
-    def __call__(self, g) -> Phase:
-        if g == self.group.identity():
-            return Phase(0, {}, self.basis)
-        token = f"{self.seed}|{self.group.element_str(g)}".encode()
-        k = int.from_bytes(hashlib.sha256(token).digest()[:4], "big") % self.den
-        return Phase(Fraction(k, self.den), {}, self.basis)
+    def int_value(self, g) -> list[int]:
+        out = [0] * (1 + len(self.basis.symbols))
+        if g != self.group.identity():
+            token = f"{self.seed}|{self.group.element_str(g)}".encode()
+            out[0] = int.from_bytes(hashlib.sha256(token).digest()[:4], "big") % self.den
+        return out
 
 
 class SimilarityCocycle(Cocycle):
@@ -381,13 +430,17 @@ class SimilarityCocycle(Cocycle):
         self.beta = beta
         self.group = base.group
         self.basis = base.basis
+        self.den = lcm(base.den, beta.den)
+        self._base_mult = self.den // base.den
+        self._beta_slots = _slot_map(beta.basis, self.basis, self.den // beta.den)
 
-    def value(self, g, h) -> Phase:
-        b = self.beta
-        prod = self.group.mul(g, h)
-        coboundary = (b(g).with_basis(self.basis) + b(h).with_basis(self.basis)
-                      - b(prod).with_basis(self.basis))
-        return coboundary + self.base.value(g, h)
+    def int_value(self, g, h) -> list[int]:
+        b = self.beta.int_value
+        coboundary = zip(b(g), b(h), b(self.group.mul(g, h)))
+        out = [self._base_mult * x for x in self.base.int_value(g, h)]
+        for (s, m), (x, y, z) in zip(self._beta_slots, coboundary):
+            out[s] += m * (x + y - z)
+        return out
 
     def is_trivial_like(self) -> bool:
         return self.base.is_trivial_like()
@@ -411,10 +464,11 @@ class PullbackCocycle(Cocycle):
         self.group = group
         self.embed = embed
         self.basis = base.basis
+        self.den = base.den
         self.label = label
 
-    def value(self, g, h) -> Phase:
-        return self.base.value(self.embed(g), self.embed(h))
+    def int_value(self, g, h) -> list[int]:
+        return self.base.int_value(self.embed(g), self.embed(h))
 
     def is_trivial_like(self) -> bool:
         return self.base.is_trivial_like()
@@ -442,15 +496,20 @@ def transport(sigma: Cocycle, H: Subgroup) -> Optional[tuple[Cocycle, AsGroup]]:
 # derived quantities
 # ---------------------------------------------------------------------------
 
+def _difference(sigma: Cocycle, u: list[int], v: list[int]) -> Phase:
+    """The phase of u - v, two integer values of sigma."""
+    return _make(sigma.basis, sigma.den, [x - y for x, y in zip(u, v)])
+
+
 def conj_twist(sigma: Cocycle, h: Element, g: Element) -> Phase:
     """Phase of conjugation: sigma(h,g) - sigma(h g h^-1, h)."""
     G = sigma.group
-    return sigma.value(h, g) - sigma.value(G.conj(h, g), h)
+    return _difference(sigma, sigma.int_value(h, g), sigma.int_value(G.conj(h, g), h))
 
 
 def commutation_phase(sigma: Cocycle, g: Element, h: Element) -> Phase:
     """sigma(g,h) - sigma(h,g); equals conj_twist(sigma, g, h) when g and h commute."""
-    return sigma.value(g, h) - sigma.value(h, g)
+    return _difference(sigma, sigma.int_value(g, h), sigma.int_value(h, g))
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +584,17 @@ def _validate_table_fast(sigma: "PhaseTableCocycle") -> ValidationResult:
     return ValidationResult(True, None, checks, "exhaustive", "", checks)
 
 
+def _is_zero(den: int, v: list[int]) -> bool:
+    """Whether the integer value v over den is the zero phase: its rational
+    slot is 0 mod den and it has no symbol part."""
+    return v[0] % den == 0 and not any(v[1:])
+
+
+def _vanishes(den: int, plus: list, minus: list) -> bool:
+    """Whether sum(plus) - sum(minus), integer values over den, is the zero phase."""
+    return _is_zero(den, [sum(p) - sum(m) for p, m in zip(zip(*plus), zip(*minus))])
+
+
 def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
     """Normalization plus the cocycle identity, exhaustive on small finite groups."""
     G = sigma.group
@@ -534,6 +604,7 @@ def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget
     dom = sigma.domain_elements()
     mode = ("exhaustive" if dom is not None and len(dom) <= EXHAUSTIVE_LIMIT
             else "sampled")
+    den, val = sigma.den, sigma.int_value
     checks = 0
     triples = 0
     seen_norm = set()
@@ -542,13 +613,12 @@ def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget
         for x in (g, h, k):
             if x not in seen_norm:
                 seen_norm.add(x)
-                if not sigma.value(x, e).is_one() or not sigma.value(e, x).is_one():
+                if not _is_zero(den, val(x, e)) or not _is_zero(den, val(e, x)):
                     return ValidationResult(False, (x, e, e), checks, mode,
                                             "normalization fails", triples)
-        lhs = sigma.value(g, h) + sigma.value(G.mul(g, h), k)
-        rhs = sigma.value(g, G.mul(h, k)) + sigma.value(h, k)
         checks += 1
-        if lhs != rhs:
+        if not _vanishes(den, [val(g, h), val(G.mul(g, h), k)],
+                         [val(g, G.mul(h, k)), val(h, k)]):
             return ValidationResult(False, (g, h, k), checks, mode,
                                     "cocycle identity fails", triples)
     return ValidationResult(True, None, checks, mode, "", triples)
@@ -558,33 +628,43 @@ def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = Validation
     """The left- and right-product conjugation-twist identities on every
     triple, and the right-product one on (r, s, s^2) when r and s commute.
     Their commuting-pair forms need no check of their own: on a commuting
-    triple they compare the same two phases as the general forms."""
+    triple they compare the same two phases as the general forms.
+
+    With tw(h, g) = sigma(h, g) - sigma(h g h^-1, h), the identities are
+      tw(rs, t)   = tw(r, s t s^-1) + tw(s, t)
+      tw(r, st)   = -sigma(s, t) + sigma(r s r^-1, r t r^-1) + tw(r, s) + tw(r, t)
+      tw(r, s^3)  = tw(r, s) + tw(r, s^2)           (r, s commuting)
+    and each is checked as one signed sum of integer values."""
     G = sigma.group
+    den, val = sigma.den, sigma.int_value
     checks = 0
     triples = 0
     for r, s, t in _triples(sigma, budget):
         triples += 1
+        rs, st = G.mul(r, s), G.mul(s, t)
         sts = G.conj(s, t)
-        lhs1 = conj_twist(sigma, G.mul(r, s), t)
-        rhs1 = conj_twist(sigma, r, sts) + conj_twist(sigma, s, t)
+        rstr = G.conj(rs, t)  # = r (s t s^-1) r^-1
+        v_st = val(s, t)
         checks += 1
-        if lhs1 != rhs1:
+        if not _vanishes(den, [val(rs, t), val(rstr, r), val(sts, s)],
+                         [val(rstr, rs), val(r, sts), v_st]):
             return ValidationResult(False, (r, s, t), checks, "identity",
                                     "left-product identity fails", triples)
-        lhs2 = conj_twist(sigma, r, G.mul(s, t))
-        rhs2 = (-sigma.value(s, t) + sigma.value(G.conj(r, s), G.conj(r, t))
-                + conj_twist(sigma, r, s) + conj_twist(sigma, r, t))
+        rsr, rtr = G.conj(r, s), G.conj(r, t)
+        v_rs, v_rsr_r = val(r, s), val(rsr, r)
         checks += 1
-        if lhs2 != rhs2:
+        if not _vanishes(den, [val(r, st), v_st, v_rsr_r, val(rtr, r)],
+                         [val(G.conj(r, st), r), val(rsr, rtr), v_rs, val(r, t)]):
             return ValidationResult(False, (r, s, t), checks, "identity",
                                     "right-product identity fails", triples)
-        # powers always commute: force coverage of the commuting-pair identity
+        # powers always commute: force coverage of the commuting-pair identity;
+        # r fixes every power of s under conjugation
         if G.commutes(r, s):
             s2 = G.mul(s, s)
-            lhs5 = conj_twist(sigma, r, G.mul(s, s2))
-            rhs5 = conj_twist(sigma, r, s) + conj_twist(sigma, r, s2)
+            s3 = G.mul(s, s2)
             checks += 1
-            if lhs5 != rhs5:
+            if not _vanishes(den, [val(r, s3), v_rsr_r, val(s2, r)],
+                             [val(s3, r), v_rs, val(r, s2)]):
                 return ValidationResult(False, (r, s, s2), checks, "identity",
                                         "power right-product identity fails", triples)
     return ValidationResult(True, None, checks, "identity", "", triples)

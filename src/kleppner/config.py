@@ -430,7 +430,7 @@ def _parse_cocycle(sections: _Sections, path: str, group: Group,
                 raise ConfigError(f"unknown beta style {style!r} (only 'seeded' is file-"
                                   "representable)", view.line_of("beta"))
             beta = SeededBeta(group, view.get_int("beta_seed", 0),
-                              view.get_int("beta_denominator", 8), basis)
+                              view.get_int("beta_denominator", 8), base.basis)
             c = similarity_transform(base, beta)
         elif kind == "restriction":
             base = _parse_cocycle(sections, path + ".base", group, basis, params)

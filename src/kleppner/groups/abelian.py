@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from functools import cached_property
 
 from .. import tribool as tb
 from ..intlinalg import RowLattice, invert_unimodular, mat_mul_vec, smith_normal_form
@@ -42,6 +43,9 @@ class FreeAbelian(Group):
 
     def commutes(self, a, b) -> bool:
         return True
+
+    def conj(self, g, x):
+        return x
 
     @property
     def is_abelian(self) -> bool:
@@ -164,24 +168,26 @@ class Sublattice(Subgroup):
             if not all(isinstance(x, int) for x in c):
                 raise GroupError(f"sublattice generator {tuple(c)} has a non-integer entry")
 
+    @cached_property
     def lattice(self) -> RowLattice:
+        """The echelon lattice of the columns, built once; callers only read it."""
         return RowLattice(self.parent.rank, self.columns)
 
     def _contains(self, x: Element) -> bool:
-        return self.lattice().contains(x)
+        return self.lattice.contains(x)
 
     def generators(self) -> tuple[Element, ...]:
-        return tuple(tuple(r) for r in self.lattice().rows)
+        return tuple(tuple(r) for r in self.lattice.rows)
 
     def enumerate_elements(self) -> list[Element] | None:
-        return None if self.lattice().rows else [self.parent.identity()]
+        return None if self.lattice.rows else [self.parent.identity()]
 
     def index(self) -> int | Infinite:
-        idx = self.lattice().index_in_ambient()
+        idx = self.lattice.index_in_ambient()
         return INFINITE if idx is None else idx
 
     def as_group(self) -> AsGroup:
-        basis = self.lattice().basis()
+        basis = self.lattice.basis()
         n = self.parent.rank
 
         def embed(c):
@@ -190,10 +196,10 @@ class Sublattice(Subgroup):
         return AsGroup(FreeAbelian(len(basis)), embed)
 
     def is_full(self) -> bool:
-        return self.lattice().index_in_ambient() == 1
+        return self.lattice.index_in_ambient() == 1
 
     def is_trivial_subgroup(self) -> bool:
-        return self.lattice().is_trivial()
+        return self.lattice.is_trivial()
 
 
 def parse_int_vector(text: str, rank: int) -> tuple[int, ...]:

@@ -199,10 +199,11 @@ class FreeGroup(Group):
 
     def random_element(self, rng: random.Random, size: int = 6) -> Word:
         length = rng.randrange(size + 1)
+        tokens = [s * (i + 1) for i in range(self.rank) for s in (1, -1)]
         flat: list[int] = []
         for _ in range(length):
             while True:
-                tok = rng.choice([s * (i + 1) for i in range(self.rank) for s in (1, -1)])
+                tok = rng.choice(tokens)
                 if not flat or flat[-1] != -tok:
                     break
             flat.append(tok)

@@ -40,11 +40,10 @@ def random_table_cocycle(G: FiniteTable, rng: random.Random) -> PhaseTableCocycl
                 if g_ > 1:
                     bichar[j, l] = (rng.randrange(g_), g_)
     beta = random_beta_table(G, rng)
-    betas = [beta(g) for g in G.elements()]
 
     # every value as an integer over one common denominator
-    den = lcm(*(d for _, d in bichar.values()), *(p.den for p in betas))
-    b = [p.nums[0] * (den // p.den) for p in betas]
+    den = lcm(*(d for _, d in bichar.values()), beta.den)
+    b = [beta.int_value(g)[0] * (den // beta.den) for g in G.elements()]
     terms = [(j, l, m * (den // d)) for (j, l), (m, d) in bichar.items() if m]
     table = []
     for g in range(n):

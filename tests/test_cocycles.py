@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kleppner.cocycles import (BicharacterCocycle, Cocycle, CocycleError, F2Z2Cocycle, HeisenbergCocycle,
-                               PhaseTableCocycle, ProductCocycle, RestrictionCocycle,
-                               SeededBeta, TableBeta, TrivialCocycle, ValidationBudget,
-                               check_twist_identities, commutation_phase, conj_twist,
+                               PhaseTableCocycle, ProductCocycle, PullbackCocycle,
+                               RestrictionCocycle, SeededBeta, SimilarityCocycle, TableBeta,
+                               TrivialCocycle, ValidationBudget, ValidationResult, _f2z2_statistic,
+                               _triples, check_twist_identities, commutation_phase, conj_twist,
                                rotation_cocycle, similarity_transform, three_torus_cocycle,
                                transport, validate_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
@@ -39,6 +40,7 @@ def all_shipped_variants():
     prod = DirectProduct(Z2, z4)
     rot = rotation_cocycle(Z2, TH)
     hsub = Subgroup.coordinate_zero(HEIS, {0})
+    pullback, _asg = transport(rot, Subgroup.sublattice(Z2, [(2, 0), (0, 3)]))
     return [
         TrivialCocycle(F2),
         rot,
@@ -52,7 +54,15 @@ def all_shipped_variants():
         ProductCocycle(prod, rot, TrivialCocycle(z4)),
         similarity_transform(rot, SeededBeta(Z2, seed=4, denominator=8)),
         RestrictionCocycle(HeisenbergCocycle(HEIS, bh.zero(), bh.symbol("theta")), hsub),
+        pullback,
     ]
+
+
+def corrupted_z22():
+    z22 = from_name("Z_2 x Z_2")
+    rows = [list(r) for r in anticommute_table(z22).table]
+    rows[1][2] = rows[1][2] + Phase(Fraction(1, 3))  # corrupt one entry
+    return z22, PhaseTableCocycle(z22, rows)
 
 
 def test_eval_examples():
@@ -81,11 +91,7 @@ def test_validation_passes_for_all_variants():
 
 
 def test_validation_catches_corruption():
-    z22 = from_name("Z_2 x Z_2")
-    good = anticommute_table(z22)
-    rows = [list(r) for r in good.table]
-    rows[1][2] = rows[1][2] + Phase(Fraction(1, 3))  # corrupt one entry
-    bad = PhaseTableCocycle(z22, rows)
+    z22, bad = corrupted_z22()
     res = validate_cocycle(bad)
     assert not res.passed
     assert res.witness is not None
@@ -100,13 +106,23 @@ class CubicForm(Cocycle):
     is off by -2 g_1 h_1 k_1 / 3, so it fails whenever 3 divides none of them."""
 
     kind = "cubic form"
+    den = 3
 
     def __init__(self) -> None:
         self.group = Z2
         self.basis = B
 
-    def value(self, g, h) -> Phase:
-        return Phase(Fraction(g[0] * h[0] * h[0], 3), {}, B)
+    def int_value(self, g, h) -> list[int]:
+        return [g[0] * h[0] * h[0], 0]
+
+
+class Shifted(CubicForm):
+    """The constant 1/2: not even normalized."""
+
+    den = 2
+
+    def int_value(self, g, h) -> list[int]:
+        return [1, 0]
 
 
 def test_generic_validation_catches_non_cocycle():
@@ -121,10 +137,6 @@ def test_generic_validation_catches_non_cocycle():
 
 
 def test_generic_validation_catches_unnormalized():
-    class Shifted(CubicForm):
-        def value(self, g, h) -> Phase:
-            return Phase(Fraction(1, 2), {}, B)
-
     res = validate_cocycle(Shifted(), ValidationBudget(samples=20, seed=0))
     assert not res.passed and res.detail == "normalization fails"
     assert res.witness[1:] == (Z2.identity(), Z2.identity())
@@ -132,16 +144,23 @@ def test_generic_validation_catches_unnormalized():
 
 # normalized non-cocycle tables, one per reachable failure of the twist
 # identities: {index: exponent} entries on top of the zero table
-@pytest.mark.parametrize("name, entries, detail", [
+TWIST_FAILURES = [
     ("Z_4", {(2, 3): Fraction(2, 3)}, "left-product identity fails"),
     ("Z_2 x Z_2", {(1, 3): Fraction(2, 3), (3, 2): Fraction(2, 3)},
      "right-product identity fails"),
     ("Z_3", {(2, 1): Fraction(2, 3)}, "power right-product identity fails"),
-])
-def test_twist_identities_catch_non_cocycles(name, entries, detail):
+]
+
+
+def twist_failure_table(name, entries):
     G = from_name(name)
     rows = [[Phase(entries.get((g, h), 0)) for h in G.elements()] for g in G.elements()]
-    sigma = PhaseTableCocycle(G, rows)
+    return PhaseTableCocycle(G, rows)
+
+
+@pytest.mark.parametrize("name, entries, detail", TWIST_FAILURES)
+def test_twist_identities_catch_non_cocycles(name, entries, detail):
+    sigma = twist_failure_table(name, entries)
     assert not validate_cocycle(sigma).passed
     res = check_twist_identities(sigma)
     assert not res.passed and res.detail == detail and len(res.witness) == 3
@@ -280,3 +299,124 @@ def test_table_integer_form_agrees_with_table(name, seed):
     for row, ints in zip(sigma.table, sigma.ints):
         for p, v in zip(row, ints):
             assert 0 <= v < sigma.den and Fraction(v, sigma.den) == p.rational
+
+
+# -- the integer validators against their Phase-arithmetic reference ---------
+
+def reference_validate(sigma, budget):
+    """validate_cocycle's generic path, on Phase values and Phase arithmetic."""
+    G = sigma.group
+    e = G.identity()
+    dom = sigma.domain_elements()
+    mode = "exhaustive" if dom is not None and len(dom) <= 64 else "sampled"
+    checks = triples = 0
+    seen_norm = set()
+    for g, h, k in _triples(sigma, budget):
+        triples += 1
+        for x in (g, h, k):
+            if x not in seen_norm:
+                seen_norm.add(x)
+                if not sigma.value(x, e).is_one() or not sigma.value(e, x).is_one():
+                    return ValidationResult(False, (x, e, e), checks, mode,
+                                            "normalization fails", triples)
+        lhs = sigma.value(g, h) + sigma.value(G.mul(g, h), k)
+        rhs = sigma.value(g, G.mul(h, k)) + sigma.value(h, k)
+        checks += 1
+        if lhs != rhs:
+            return ValidationResult(False, (g, h, k), checks, mode,
+                                    "cocycle identity fails", triples)
+    return ValidationResult(True, None, checks, mode, "", triples)
+
+
+def reference_twist_identities(sigma, budget):
+    """check_twist_identities on Phase values, each twist taken separately."""
+    G = sigma.group
+
+    def tw(h, g):
+        return sigma.value(h, g) - sigma.value(G.conj(h, g), h)
+
+    checks = triples = 0
+    for r, s, t in _triples(sigma, budget):
+        triples += 1
+        checks += 1
+        if tw(G.mul(r, s), t) != tw(r, G.conj(s, t)) + tw(s, t):
+            return ValidationResult(False, (r, s, t), checks, "identity",
+                                    "left-product identity fails", triples)
+        rhs2 = (-sigma.value(s, t) + sigma.value(G.conj(r, s), G.conj(r, t))
+                + tw(r, s) + tw(r, t))
+        checks += 1
+        if tw(r, G.mul(s, t)) != rhs2:
+            return ValidationResult(False, (r, s, t), checks, "identity",
+                                    "right-product identity fails", triples)
+        if G.commutes(r, s):
+            s2 = G.mul(s, s)
+            checks += 1
+            if tw(r, G.mul(s, s2)) != tw(r, s) + tw(r, s2):
+                return ValidationResult(False, (r, s, s2), checks, "identity",
+                                        "power right-product identity fails", triples)
+    return ValidationResult(True, None, checks, "identity", "", triples)
+
+
+def valid_cases():
+    """The shipped variants plus stacked and mixed-basis wrappers."""
+    rot = rotation_cocycle(Z2, TH)
+    bh = IrrationalBasis(["gamma", "theta"])
+    heis = HeisenbergCocycle(HEIS, bh.rational(Fraction(1, 4)), bh.symbol("theta"))
+    z22 = from_name("Z_2 x Z_2")
+    return all_shipped_variants() + [
+        similarity_transform(similarity_transform(rot, SeededBeta(Z2, 1, 4)),
+                             SeededBeta(Z2, 2, 8)),
+        similarity_transform(heis, SeededBeta(HEIS, 3, 12, bh)),
+        similarity_transform(anticommute_table(z22), random_beta_table(z22, random.Random(8))),
+        ProductCocycle(DirectProduct(F2, HEIS), TrivialCocycle(F2), heis),
+    ]
+
+
+def reference_cases():
+    return valid_cases() + [CubicForm(), Shifted(), corrupted_z22()[1]] + [
+        twist_failure_table(name, entries) for name, entries, _ in TWIST_FAILURES]
+
+
+def test_validators_match_phase_reference():
+    budget = ValidationBudget(samples=150, seed=11)
+    for sigma in reference_cases():
+        assert validate_cocycle(sigma, budget) == reference_validate(sigma, budget), \
+            sigma.describe()
+        assert check_twist_identities(sigma, budget) == reference_twist_identities(sigma, budget), \
+            sigma.describe()
+
+
+def phase_formula(sigma, g, h):
+    """sigma(g, h) by each kind's formula in Phase arithmetic."""
+    if isinstance(sigma, HeisenbergCocycle):
+        (a1, a2, _a3), (_b1, b2, b3) = g, h
+        return (sigma.gamma * (b3 * a1 + b2 * (a1 * (a1 - 1) // 2))
+                + sigma.theta * (a2 * (b3 + a1 * b2) + a1 * (b2 * (b2 - 1) // 2)))
+    if isinstance(sigma, F2Z2Cocycle):
+        odd = g[1] == 1 and _f2z2_statistic(h[0], sigma.j) % 2 == 1
+        return Phase(Fraction(1, 2) if odd else 0)
+    if isinstance(sigma, ProductCocycle):
+        return (phase_formula(sigma.left, g[0], h[0]).with_basis(sigma.basis)
+                + phase_formula(sigma.right, g[1], h[1]).with_basis(sigma.basis))
+    if isinstance(sigma, SimilarityCocycle):
+        b = sigma.beta
+        coboundary = (b(g).with_basis(sigma.basis) + b(h).with_basis(sigma.basis)
+                      - b(sigma.group.mul(g, h)).with_basis(sigma.basis))
+        return coboundary + phase_formula(sigma.base, g, h)
+    if isinstance(sigma, (RestrictionCocycle, PullbackCocycle)):
+        embed = getattr(sigma, "embed", lambda x: x)
+        return phase_formula(sigma.base, embed(g), embed(h))
+    if isinstance(sigma, BicharacterCocycle):
+        return sum((p * (g[j] * h[k]) for j, row in enumerate(sigma.matrix)
+                    for k, p in enumerate(row)), sigma.basis.zero())
+    if isinstance(sigma, TrivialCocycle):
+        return sigma.basis.zero()
+    return sigma.table[g][h]
+
+
+def test_integer_forms_match_phase_formulas():
+    rng = random.Random(12)
+    for sigma in valid_cases():
+        for _ in range(40):
+            g, h = sigma.random_domain_element(rng, 5), sigma.random_domain_element(rng, 5)
+            assert sigma.value(g, h) == phase_formula(sigma, g, h), sigma.describe()

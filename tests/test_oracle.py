@@ -149,8 +149,8 @@ def test_irrational_phase_rejected():
     b = IrrationalBasis(["theta"])
 
     class Fake(TrivialCocycle):
-        def value(self, g, h):
-            return Phase(0, {"theta": 1}, b) if (g, h) == (1, 1) else Phase(0, {}, b)
+        def int_value(self, g, h):
+            return [0, 1] if (g, h) == (1, 1) else [0, 0]
 
     with pytest.raises(OracleError):
         build_regular_rep(z2, Fake(z2, b))

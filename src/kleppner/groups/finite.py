@@ -99,6 +99,9 @@ class FiniteTable(Group):
     def inv(self, a: int) -> int:
         return self.inv_table[a]
 
+    def conj(self, g: int, x: int) -> int:
+        return self.table[self.table[g][x]][self.inv_table[g]]
+
     def identity(self) -> int:
         return self.e
 
@@ -141,12 +144,13 @@ class FiniteTable(Group):
     def h_classes(self, helems) -> list[list[int]]:
         """The H-conjugacy classes {h g h^-1 : h in H}, each sorted, in the
         order of their least elements; helems lists the elements of H."""
+        t, inv = self.table, self.inv_table
         seen: set[int] = set()
         classes = []
         for g in range(self.n):
             if g in seen:
                 continue
-            orbit = sorted({self.conj(h, g) for h in helems})
+            orbit = sorted({t[t[h][g]][inv[h]] for h in helems})
             seen.update(orbit)
             classes.append(orbit)
         return classes

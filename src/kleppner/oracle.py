@@ -6,10 +6,11 @@ leave that class and every computation is exact: an entry is either absent or
 a rational phase.  The relative commutant dimension is computed along two
 independent routes and any disagreement raises:
 
-  route A: solve T lam(h) = lam(h) T over T in the span of the lam(g), read
-           entrywise off the matrices; every entry equation relates exactly
-           two coefficients with root-of-unity factors, so exact elimination
-           is scaling propagation over components (contradiction => zero);
+  route A: solve T lam(h) = lam(h) T over T in the span of the lam(g) by
+           exact elimination on column e, checked on all entries under
+           verify=True; every entry equation relates exactly two
+           coefficients with root-of-unity factors, so exact elimination is
+           scaling propagation over components (contradiction => zero);
   route B: count the H-conjugacy classes that are regular for the cocycle.
 """
 
@@ -22,7 +23,7 @@ from typing import Optional
 from .cocycles import Cocycle, CocycleError, PhaseTableCocycle
 from .groups.finite import FiniteTable
 from .groups.subgroups import Subgroup
-from .phases import Phase
+from .phases import EMPTY_BASIS, Phase, _make
 
 ORDER_CAP = 64
 
@@ -159,7 +160,7 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None 
 
 
 # ---------------------------------------------------------------------------
-# route A: exact commutant, entrywise on the integer table
+# route A: exact elimination on column e, checked on all entries under verify=True
 # ---------------------------------------------------------------------------
 
 class _ScalingUnionFind:
@@ -217,36 +218,36 @@ class CommutantSolution:
 
 
 def _route_a(rep: RegularRep, hgens: list[int]) -> CommutantSolution:
+    """Solve T lam(h) = lam(h) T on column e only.
+
+    T and lam(h) lie in the twisted group algebra, so T lam(h) - lam(h) T
+    does too.  For a normalized sigma, lam(g) delta_e is a unit multiple of
+    delta_g, so an element sum_g c_g lam(g) is zero exactly when its column
+    at e is zero: the n equations with k = e are equivalent to all n^2, and
+    the other columns repeat them.  ``_verify_solution`` still substitutes
+    into all n^2 entries.
+    """
     G = rep.group
     n = G.order
-    den = max(rep.den, 1)
+    den = rep.den
     val = rep.int_values
     table = G.table
     inv = G.inv_table
+    e = G.identity()
     uf = _ScalingUnionFind(n, den)
 
     for h in hgens:
         hinv = inv[h]
-        for k in range(n):
-            # (T lam(h))[r,k] only sees column m' = h k of lam(h)
-            mp = table[h][k]
-            b_base = val[h][k]
-            kinv = inv[k]
-            mpinv = inv[mp]
-            row_m = table[hinv]
-            for r in range(n):
-                # (lam(h) T)[r,k]: lam(h)[r, m] nonzero only at m = h^-1 r
-                m = row_m[r]
-                u = table[m][kinv]
-                lhs = val[h][m] + val[u][k]
-                v = table[r][mpinv]
-                rhs = val[v][mp] + b_base
-                # equation: zeta^lhs f(u) = zeta^rhs f(v)
-                uf.relate(u, v, (rhs - lhs) % den)
+        row_m, vh = table[hinv], val[h]
+        for r in range(n):
+            # (lam(h) T)[r,e] = zeta^(vh[m] + val[m][e]) f(m) with m = h^-1 r;
+            # (T lam(h))[r,e] = zeta^(val[v][h] + vh[e]) f(v) with v = r h^-1
+            m, v = row_m[r], table[r][hinv]
+            uf.relate(m, v, (val[v][h] + vh[e] - vh[m] - val[m][e]) % den)
     comps = uf.alive_components()
     basis = []
     for root in sorted(comps):
-        f = {x: Phase(Fraction(pot, den)) for x, pot in sorted(comps[root])}
+        f = {x: _make(EMPTY_BASIS, den, [pot]) for x, pot in sorted(comps[root])}
         basis.append(f)
     return CommutantSolution(len(basis), tuple(basis))
 

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_acceptance import sweep_group_names
 
+import kleppner.oracle as oracle_mod
 from kleppner.cocycles import PhaseTableCocycle, TrivialCocycle, conj_twist
 from kleppner.groups import Subgroup, from_name
 from kleppner.oracle import (MonomialMatrix, OracleError, build_regular_rep, canonical_trace,
@@ -175,7 +177,6 @@ def test_projective_relation_failure_is_reported():
 
 @pytest.mark.parametrize("shift", [Fraction(1, 2), Fraction(1, 4)], ids=["on-grid", "off-grid"])
 def test_corrupted_route_a_basis_fails_substitution(monkeypatch, shift):
-    import kleppner.oracle as oracle_mod
     # a coboundary on S_3 with den 2; the transposition class {1, 2, 5} is
     # one basis element of the center with every coefficient 0
     s3 = from_name("S_3")
@@ -212,3 +213,63 @@ def test_subgroup_of_another_group_is_refused():
     for H in (Subgroup.full(z4), Subgroup.finite_subset(z4, [2])):
         with pytest.raises(OracleError, match="H must be a subgroup of G"):
             relative_commutant_dim(z22, H, sig)
+
+
+def _full_system_route_a(rep, hgens):
+    """Route A on every entry (r, k): the n^2 equations per generator that
+    column e alone decides.  A reference for the parity test only.  Column e
+    goes first, so each component keeps the root that the column e route
+    gives it and the two bases compare element by element."""
+    G = rep.group
+    n, den, val, table, inv = G.order, rep.den, rep.int_values, G.table, G.inv_table
+    e = G.identity()
+    uf = oracle_mod._ScalingUnionFind(n, den)
+    for h in hgens:
+        for k in [e] + [k for k in range(n) if k != e]:
+            mp = table[h][k]
+            for r in range(n):
+                m = table[inv[h]][r]
+                u = table[m][inv[k]]
+                v = table[r][inv[mp]]
+                lhs = val[h][m] + val[u][k]
+                rhs = val[v][mp] + val[h][k]
+                uf.relate(u, v, (rhs - lhs) % den)
+    return [{x: Phase(Fraction(pot, den)) for x, pot in members}
+            for members in uf.alive_components().values()]
+
+
+def _swept_groups():
+    return [from_name(name) for name in sweep_group_names() + ["S_4", "D_8"]]
+
+
+def test_column_e_route_matches_full_system():
+    rng = random.Random(11)
+    for g in _swept_groups():
+        subs = [Subgroup.finite_subset(g, s) for s in g.all_subgroups()]
+        for _ in range(3):
+            sig = random_table_cocycle(g, rng)
+            rep = build_regular_rep(g, sig)
+            for H in subs:
+                hgens = list(H.generators()) or [g.identity()]
+                full = _full_system_route_a(rep, hgens)
+                r = relative_commutant_dim(g, H, sig, verify=True, rep=rep)
+                assert r.dimension == len(full)
+                # the supports are disjoint, so the sets lose no element
+                assert ({frozenset(f.items()) for f in r.solution.basis}
+                        == {frozenset(f.items()) for f in full})
+
+
+def test_table_conjugation_matches_generic_formula():
+    for g in _swept_groups():
+        for s in g.elements():
+            for x in g.elements():
+                assert g.conj(s, x) == g.mul(g.mul(s, x), g.inv(s))
+        for hset in g.all_subgroups():
+            helems = Subgroup.finite_subset(g, hset).enumerate_elements()
+            seen, expected = set(), []
+            for x in g.elements():
+                if x not in seen:
+                    orbit = sorted({g.mul(g.mul(h, x), g.inv(h)) for h in helems})
+                    seen.update(orbit)
+                    expected.append(orbit)
+            assert g.h_classes(helems) == expected

@@ -13,7 +13,7 @@ All arithmetic is exact: rational phases plus formal irrational symbols.
 from .cocycles import (BicharacterCocycle, Cocycle, F2Z2Cocycle, HeisenbergCocycle,
                        PhaseTableCocycle, ProductCocycle, RestrictionCocycle, SeededBeta,
                        SimilarityCocycle, TableBeta, TrivialCocycle, ValidationBudget,
-                       check_twist_identities, commutation_phase, conj_twist,
+                       check_twist_identities, commutation_phase, commutation_trivial, conj_twist,
                        rotation_cocycle, similarity_transform, three_torus_cocycle,
                        transport, validate_cocycle)
 from .config import ConfigError, InstanceConfig, parse_config

@@ -18,7 +18,8 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .groups.base import Element, Group
@@ -235,41 +236,57 @@ class F2Z2Cocycle(Cocycle):
 class PhaseTableCocycle(Cocycle):
     """Tabulated cocycle on a finite table group; rational phases only.
 
-    Besides the phases it holds their integer form: ``ints[g][h]`` is ``den``
-    times the exponent of sigma(g, h), ``den`` the least common denominator.
+    Stored as integers only: ``ints[g][h]`` in [0, den) is ``den`` times the
+    exponent of sigma(g, h), ``den`` the least common denominator.  The
+    constructor converts a table of Phases to that form, ``from_ints`` takes
+    it as is; ``table`` and ``value`` build their Phases on request.
     """
 
     kind = "table"
 
     def __init__(self, group: FiniteTable, table: Sequence[Sequence[Phase]]) -> None:
-        if not isinstance(group, FiniteTable):
-            raise CocycleError("phase tables require a finite table group")
-        n = group.order
-        if len(table) != n or any(len(row) != n for row in table):
-            raise CocycleError(f"phase table must be {n}x{n}")
         for row in table:
             for p in row:
                 if not isinstance(p, Phase) or any(p.nums[1:]):
                     raise CocycleError("phase table entries must be rational phases")
+        den = lcm(*(p.den for row in table for p in row))
+        self._set_ints(group, den, [[p.nums[0] * (den // p.den) for p in row] for row in table])
+
+    @classmethod
+    def from_ints(cls, group: FiniteTable, den: int,
+                  ints: Sequence[Sequence[int]]) -> "PhaseTableCocycle":
+        """The table sigma(g, h) = ints[g][h] / den, for any integers and den > 0."""
+        sigma = cls.__new__(cls)
+        sigma._set_ints(group, den, ints)
+        return sigma
+
+    def _set_ints(self, group: FiniteTable, den: int, ints: Sequence[Sequence[int]]) -> None:
+        if not isinstance(group, FiniteTable):
+            raise CocycleError("phase tables require a finite table group")
+        n = group.order
+        if len(ints) != n or any(len(row) != n for row in ints):
+            raise CocycleError(f"phase table must be {n}x{n}")
+        # den / gcd(den, *ints) is the lcm of the reduced entry denominators
+        g = gcd(den, *(v for row in ints for v in row))
+        den //= g
+        rows = tuple(tuple([v // g % den for v in row]) for row in ints)
         e = group.identity()
-        for g in range(n):
-            if not table[e][g].is_one() or not table[g][e].is_one():
-                raise CocycleError("phase table is not normalized at the identity")
+        if any(rows[e]) or any(row[e] for row in rows):
+            raise CocycleError("phase table is not normalized at the identity")
         self.group = group
         self.basis = EMPTY_BASIS
-        self.table = tuple(tuple(row) for row in table)
-        self.den = lcm(*(p.den for row in self.table for p in row))
-        self.ints = tuple(tuple(p.nums[0] * (self.den // p.den) for p in row)
-                          for row in self.table)
+        self.den = den
+        self.ints = rows
 
-    def value(self, g, h) -> Phase:
-        return self.table[g][h]
+    @cached_property
+    def table(self) -> tuple[tuple[Phase, ...], ...]:
+        return tuple(tuple(_make(EMPTY_BASIS, self.den, [v]) for v in row) for row in self.ints)
 
     def int_value(self, g, h) -> list[int]:
         return [self.ints[g][h]]
 
     def is_trivial_like(self) -> bool:
-        return all(p.is_one() for row in self.table for p in row)
+        return not any(any(row) for row in self.ints)
 
     def describe(self) -> str:
         return f"phase table on {self.group.name}"
@@ -510,6 +527,13 @@ def conj_twist(sigma: Cocycle, h: Element, g: Element) -> Phase:
 def commutation_phase(sigma: Cocycle, g: Element, h: Element) -> Phase:
     """sigma(g,h) - sigma(h,g); equals conj_twist(sigma, g, h) when g and h commute."""
     return _difference(sigma, sigma.int_value(g, h), sigma.int_value(h, g))
+
+
+def commutation_trivial(sigma: Cocycle, g: Element, h: Element) -> bool:
+    """Whether sigma(g,h) = sigma(h,g), i.e. commutation_phase(sigma, g, h) is
+    trivial: tested on the integer values, with no Phase built."""
+    u, v = sigma.int_value(g, h), sigma.int_value(h, g)
+    return (u[0] - v[0]) % sigma.den == 0 and u[1:] == v[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .. import tribool as tb
@@ -125,6 +126,10 @@ class FiniteTable(Group):
         return range(self.n)
 
     def generators(self) -> tuple[int, ...]:
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
         return self.generating_subset(range(self.n))
 
     def closure(self, seed) -> set[int]:

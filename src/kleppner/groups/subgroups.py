@@ -17,6 +17,7 @@ modules import this one, so the constructors here import them on call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .base import Classification, Element, Group, GroupError, finite_class
@@ -263,6 +264,10 @@ class FiniteSubset(Subgroup):
         return x in self.elements
 
     def generators(self) -> tuple[Element, ...]:
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> tuple[Element, ...]:
         return self.parent.generating_subset(self.elements)
 
     def enumerate_elements(self) -> list[Element]:

@@ -16,6 +16,7 @@ independent routes and any disagreement raises:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -101,14 +102,6 @@ class MonomialMatrix:
         return hash((self.row_of_col, self.phase_of_col))
 
 
-def _rational_phase(sigma: Cocycle, g, h) -> Phase:
-    p = sigma.value(g, h)
-    if p.coeffs:
-        raise OracleError("the finite-dimensional oracle needs root-of-unity phases; "
-                          f"sigma({g},{h}) carries formal irrationals")
-    return p
-
-
 @dataclass
 class RegularRep:
     """lam(g) acting on functions on G: (lam(g) xi)(h) = sigma(g, g^-1 h) xi(g^-1 h).
@@ -140,9 +133,14 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None 
     if isinstance(sigma, PhaseTableCocycle):
         table = sigma
     else:
-        phases = [[_rational_phase(sigma, g, k) for k in G.elements()] for g in G.elements()]
+        vals = [[sigma.int_value(g, k) for k in G.elements()] for g in G.elements()]
+        for g, k in itertools.product(G.elements(), repeat=2):
+            if any(vals[g][k][1:]):
+                raise OracleError("the finite-dimensional oracle needs root-of-unity phases; "
+                                  f"sigma({g},{k}) carries formal irrationals")
         try:
-            table = PhaseTableCocycle(G, phases)
+            table = PhaseTableCocycle.from_ints(G, sigma.den,
+                                                [[v[0] for v in row] for row in vals])
         except CocycleError:
             raise OracleError("lam(e) is not the identity; cocycle is not normalized") from None
     den, val, mul = table.den, table.ints, G.table

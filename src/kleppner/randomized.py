@@ -9,26 +9,32 @@ from math import gcd, lcm
 
 from .cocycles import PhaseTableCocycle, TableBeta
 from .groups.finite import FiniteTable
-from .phases import EMPTY_BASIS, Phase, _make
+from .phases import Phase
 
 DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
 
 
-def random_beta_table(G: FiniteTable, rng: random.Random) -> TableBeta:
-    mapping = {}
+def _draw_beta(G: FiniteTable, rng: random.Random) -> list[tuple[int, int]]:
+    """A random beta as one (numerator, denominator) pair per element, with
+    beta(e) = (0, 1)."""
     e = G.identity()
+    out = [(0, 1)] * G.order
     for g in G.elements():
-        if g == e:
-            mapping[g] = Phase(0)
-        else:
+        if g != e:
             d = rng.choice(DENOMINATORS)
-            mapping[g] = Phase(Fraction(rng.randrange(d), d))
+            out[g] = (rng.randrange(d), d)
+    return out
+
+
+def random_beta_table(G: FiniteTable, rng: random.Random) -> TableBeta:
+    mapping = {g: Phase(Fraction(m, d)) for g, (m, d) in enumerate(_draw_beta(G, rng))}
     return TableBeta(G, mapping, label="random table")
 
 
 def random_table_cocycle(G: FiniteTable, rng: random.Random) -> PhaseTableCocycle:
     """A pullback of a random bicharacter along the abelianization coordinates,
-    twisted by a random coboundary.  Always a valid normalized cocycle."""
+    twisted by a random coboundary.  Always a valid normalized cocycle.  Built
+    as integers over one common denominator, with no Phase (``from_ints``)."""
     n = G.order
     bichar = {}  # (j, l) -> (numerator, denominator) of the bicharacter entry
     if G.ab_coords is not None:
@@ -39,20 +45,20 @@ def random_table_cocycle(G: FiniteTable, rng: random.Random) -> PhaseTableCocycl
                 g_ = gcd(moduli[j], moduli[l])
                 if g_ > 1:
                     bichar[j, l] = (rng.randrange(g_), g_)
-    beta = random_beta_table(G, rng)
+    beta = _draw_beta(G, rng)
 
     # every value as an integer over one common denominator
-    den = lcm(*(d for _, d in bichar.values()), beta.den)
-    b = [beta.int_value(g)[0] * (den // beta.den) for g in G.elements()]
+    den = lcm(*(d for _, d in bichar.values()), *(d for _, d in beta))
+    b = [m * (den // d) for m, d in beta]
     terms = [(j, l, m * (den // d)) for (j, l), (m, d) in bichar.items() if m]
+    mul = G.table
     table = []
     for g in range(n):
-        row = []
-        for h in range(n):
-            acc = b[g] + b[h] - b[G.mul(g, h)]
-            if terms:
-                cg, ch = coords[g], coords[h]
-                acc += sum(cg[j] * ch[l] * m for j, l, m in terms)
-            row.append(_make(EMPTY_BASIS, den, [acc]))
+        bg, mg = b[g], mul[g]
+        row = [bg + b[h] - b[mg[h]] for h in range(n)]
+        for j, l, m in terms:
+            cgm = coords[g][j] * m
+            if cgm:
+                row = [x + cgm * coords[h][l] for h, x in enumerate(row)]
         table.append(row)
-    return PhaseTableCocycle(G, table)
+    return PhaseTableCocycle.from_ints(G, den, table)

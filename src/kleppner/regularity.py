@@ -26,7 +26,7 @@ from math import gcd
 from typing import Optional
 
 from . import tribool as tb
-from .cocycles import Cocycle, commutation_phase, transport
+from .cocycles import Cocycle, commutation_phase, commutation_trivial, transport
 from .groups.base import Element, Group, GroupError
 from .groups.structure import (centralizer_generators, centralizer_of_subgroup,
                                fc_centralizer, h_conjugacy_class, is_normal, is_prime,
@@ -55,7 +55,7 @@ def is_sigma_regular(g: Element, H: Subgroup, sigma: Cocycle) -> TriBool:
     if gens is None:
         return tb.unknown(f"C_H(g) not computable for {H.describe_desc()}")
     for h in gens:
-        if not commutation_phase(sigma, g, h).is_one():
+        if not commutation_trivial(sigma, g, h):
             return tb.fails(h, f"sigma({G.element_str(g)}, h) != sigma(h, {G.element_str(g)}) "
                                f"at h = {G.element_str(h)}")
     return tb.holds(f"checked {len(gens)} generators of the centralizer of g in H")
@@ -159,7 +159,7 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizer
     elems = cent.enumerate_elements()
     if elems is not None:
         kept = [c for c in elems
-                if all(commutation_phase(sigma, c, h).is_one() for h in hgens)]
+                if all(commutation_trivial(sigma, c, h) for h in hgens)]
         desc = Subgroup.finite_subset(G, kept)
         nontrivial = [c for c in kept if c != G.identity()]
         if nontrivial:
@@ -172,7 +172,7 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizer
     if lattice_data is None:
         # last resort: a regular nontrivial generator of C_G(H) is a witness
         for g in sorted(cent.generators(), key=G.element_key):
-            if g != G.identity() and all(commutation_phase(sigma, g, h).is_one()
+            if g != G.identity() and all(commutation_trivial(sigma, g, h)
                                          for h in hgens):
                 return SigmaCentralizerResult(None, tb.fails(
                     g, f"{G.element_str(g)} centralizes H and is regular"), cent)
@@ -182,7 +182,7 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizer
     for extra in always_regular:
         # elements regular for free (e.g. a central commutator direction)
         for h in hgens:
-            if not commutation_phase(sigma, extra, h).is_one():
+            if not commutation_trivial(sigma, extra, h):
                 raise AssertionError("claimed-regular element fails the pairing")
     gens, w = _regular_lattice(sigma, hgens, dim, embed,
                                min(always_regular, key=G.element_key, default=None))
@@ -212,7 +212,7 @@ def _finite_table_relative(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
             continue
         rep = orbit[0]
         cent = [h for h in helems if G.commutes(h, rep)]
-        if all(commutation_phase(sigma, rep, h).is_one() for h in cent):
+        if all(commutation_trivial(sigma, rep, h) for h in cent):
             return tb.fails(finite_class(orbit),
                             "(a) finite enumeration: a nontrivial regular class exists")
     return tb.holds("(a) finite enumeration: every nontrivial H-class fails regularity")

@@ -9,7 +9,8 @@ from kleppner.cocycles import (BicharacterCocycle, Cocycle, CocycleError, F2Z2Co
                                PhaseTableCocycle, ProductCocycle, PullbackCocycle,
                                RestrictionCocycle, SeededBeta, SimilarityCocycle, TableBeta,
                                TrivialCocycle, ValidationBudget, ValidationResult, _f2z2_statistic,
-                               _triples, check_twist_identities, commutation_phase, conj_twist,
+                               _triples, check_twist_identities, commutation_phase,
+                               commutation_trivial, conj_twist,
                                rotation_cocycle, similarity_transform, three_torus_cocycle,
                                transport, validate_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
@@ -299,6 +300,74 @@ def test_table_integer_form_agrees_with_table(name, seed):
     for row, ints in zip(sigma.table, sigma.ints):
         for p, v in zip(row, ints):
             assert 0 <= v < sigma.den and Fraction(v, sigma.den) == p.rational
+
+
+def _normalized_int_table(G, rng, den, factor):
+    """A normalized, not necessarily cocycle, integer table whose entries are
+    multiples of factor, some negative and some beyond den."""
+    e = G.identity()
+    return [[0 if e in (g, h) else factor * rng.randrange(-den, 2 * den)
+             for h in G.elements()] for g in G.elements()]
+
+
+@pytest.mark.parametrize("name", ["Z_1", "Z_6", "Z_2 x Z_2", "S_3", "D_4", "Q8", "S_4"])
+def test_integer_and_phase_constructors_agree(name):
+    G = from_name(name)
+    rng = random.Random(name)
+    # (den, factor): a factor > 1 shares it with den, so den must be reduced
+    for den, factor in [(1, 1), (12, 1), (12, 2), (12, 6), (8, 4), (30, 15), (7, 0), (5, 5)]:
+        ints = _normalized_int_table(G, rng, den, factor)
+        by_ints = PhaseTableCocycle.from_ints(G, den, ints)
+        by_phases = PhaseTableCocycle(G, [[Phase(Fraction(v, den)) for v in row] for row in ints])
+        exact = [[Fraction(v, den) % 1 for v in row] for row in ints]
+        want_den = lcm(*(f.denominator for row in exact for f in row))
+        for sigma in (by_ints, by_phases):
+            assert sigma.den == want_den
+            assert sigma.ints == tuple(tuple(int(f * want_den) for f in row) for row in exact)
+            assert sigma.is_trivial_like() == (want_den == 1)
+        assert by_ints.table == by_phases.table
+        for g in G.elements():
+            for h in G.elements():
+                assert by_ints.value(g, h) == by_phases.value(g, h) == Phase(exact[g][h])
+                assert by_ints.int_value(g, h) == by_phases.int_value(g, h)
+    # an entry off the identity row or column is refused by both, in the same words
+    e = G.identity()
+    for g, h in [(e, G.order - 1), (G.order - 1, e)]:
+        ints = _normalized_int_table(G, rng, 4, 1)
+        ints[g][h] = 1
+        with pytest.raises(CocycleError) as by_ints:
+            PhaseTableCocycle.from_ints(G, 4, ints)
+        with pytest.raises(CocycleError) as by_phases:
+            PhaseTableCocycle(G, [[Phase(Fraction(v, 4)) for v in row] for row in ints])
+        assert str(by_ints.value) == str(by_phases.value) == (
+            "phase table is not normalized at the identity")
+
+
+def test_commutation_trivial_matches_commutation_phase():
+    """The integer test of sigma(g,h) = sigma(h,g) against the Phase one, on
+    sampled pairs of every shipped variant (plus commuting pairs, so both
+    answers occur) and on all pairs of drawn tables on S_4 and D_8."""
+    rng = random.Random(21)
+    seen = set()
+    for sigma in all_shipped_variants():
+        G = sigma.group
+        for _ in range(40):
+            g = sigma.random_domain_element(rng, 4)
+            h = sigma.random_domain_element(rng, 4)
+            for x, y in [(g, h), (g, G.mul(g, g)), (g, G.inv(g)), (g, G.identity())]:
+                same = commutation_trivial(sigma, x, y)
+                assert same == commutation_phase(sigma, x, y).is_one()
+                seen.add(same)
+    for name in ("S_4", "D_8"):
+        G = from_name(name)
+        for seed in range(3):
+            sigma = random_table_cocycle(G, random.Random(seed))
+            for g in G.elements():
+                for h in G.elements():
+                    same = commutation_trivial(sigma, g, h)
+                    assert same == commutation_phase(sigma, g, h).is_one()
+                    seen.add(same)
+    assert seen == {True, False}
 
 
 # -- the integer validators against their Phase-arithmetic reference ---------

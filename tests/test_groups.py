@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from test_acceptance import sweep_group_names
 
 from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, GroupError,
                              Heisenberg, INFINITE, Subgroup, centralizer_generators,
@@ -541,3 +542,28 @@ def test_generated_subgroup_membership_and_normality():
     assert ab.kind == "generated"
     assert ab.contains(f2.parse_element("abba")) is None
     assert not ab.is_full() and ab.index() is None
+
+
+def test_finite_generating_sets_are_found_once(monkeypatch):
+    """FiniteTable.generators() and FiniteSubset.generators() equal
+    generating_subset of the elements, generate the subgroup, and are not
+    recomputed on a second call."""
+    closures = []
+    closure = FiniteTable.closure
+
+    def counted(self, seed):
+        closures.append(seed)
+        return closure(self, seed)
+
+    monkeypatch.setattr(FiniteTable, "closure", counted)
+    for name in sweep_group_names() + ["S_4", "D_8"]:
+        G = from_name(name)
+        subs = [Subgroup.full(G)] + [Subgroup.finite_subset(G, s) for s in G.all_subgroups()]
+        for H in subs:
+            elems = H.enumerate_elements()
+            gens = H.generators()
+            assert gens == G.generating_subset(elems)
+            assert G.closure(gens) == set(elems)
+            before = len(closures)
+            assert H.generators() == gens
+            assert len(closures) == before

@@ -244,6 +244,9 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
             analyses = parts
         seed = view.get_int("seed", seed)
         budget = view.get_int("budget", budget)
+        if budget < 1:
+            # a sampled validation with no samples would pass on no checks
+            raise ConfigError("budget must be at least 1", view.line_of("budget"))
         max_lattice = view.get_int("max_lattice", max_lattice)
         view.check_unknown()
     if "oracle" in analyses and not group.is_finite:

@@ -8,7 +8,6 @@ the implementations favour clarity over asymptotics.  All arithmetic is exact
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -291,24 +290,6 @@ def kernel_mod(n_mat: Sequence[Sequence[int]], delta: int) -> list[IntVec]:
     ker = integer_kernel(aug)
     lat = RowLattice(d, (vec[:d] for vec in ker))
     return lat.basis()
-
-
-def rational_kernel_lattice(rows: Sequence[Sequence[Fraction]], n: int) -> RowLattice:
-    """Integer points of the rational null space of the given row constraints."""
-    cleaned: list[list[int]] = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        if any(ints):
-            cleaned.append(ints)
-    if not cleaned:
-        lat = RowLattice(n)
-        for i in range(n):
-            lat.add([1 if j == i else 0 for j in range(n)])
-        return lat
-    return RowLattice(n, integer_kernel(cleaned))
 
 
 def invert_unimodular(u: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .intlinalg import rational_kernel_lattice
+from .intlinalg import RowLattice
 
 Rat = Union[int, Fraction, str]
 
@@ -96,12 +96,12 @@ class Phase:
     def __init__(self, rational: Rat = 0, coeffs: Mapping[str, Rat] | None = None,
                  basis: IrrationalBasis = EMPTY_BASIS) -> None:
         syms = basis.symbols
-        vals = [Fraction(rational)] + [Fraction(0)] * len(syms)
+        vals = [_exact(rational)] + [Fraction(0)] * len(syms)
         if coeffs:
             for sym in sorted(coeffs):
                 if sym not in basis:
                     raise ValueError(f"symbol {sym!r} not in basis {basis.symbols}")
-                vals[syms.index(sym) + 1] = Fraction(coeffs[sym])
+                vals[syms.index(sym) + 1] = _exact(coeffs[sym])
         den = lcm(*(v.denominator for v in vals))
         self.basis = basis
         self.den, self.nums = _reduced(den, [v.numerator * (den // v.denominator) for v in vals])
@@ -173,7 +173,7 @@ class Phase:
             return _make(self.basis, self.den, [x * scalar for x in self.nums])
         if isinstance(scalar, Phase):
             raise TypeError("phases multiply circle values via +; use p + q")
-        k = Fraction(scalar)
+        k = _exact(scalar)
         return _make(self.basis, self.den * k.denominator, [x * k.numerator for x in self.nums])
 
     __rmul__ = __mul__
@@ -206,6 +206,13 @@ class Phase:
 
     def __repr__(self) -> str:
         return f"Phase({self})"
+
+
+def _exact(value: Rat) -> Fraction:
+    """value as a Fraction; a float is refused, since it is not an exact rational."""
+    if isinstance(value, float):
+        raise TypeError(f"phases take exact rationals, not the float {value!r}")
+    return Fraction(value)
 
 
 def _reduced(den: int, nums: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -293,7 +300,8 @@ def qdim(values: Sequence[Phase]) -> int:
     """Dimension over Q of span({1} union values), the values read as real exponents.
 
     Rational parts fall into the span of 1, so the answer is 1 plus the rank
-    of the symbol-coefficient matrix, read off its rational null space.
+    of the symbol-coefficient matrix; scaling a value by its denominator
+    leaves that rank alone, so the rank is read off the integer slots.
     """
     vals = list(values)
     if not vals:
@@ -302,6 +310,4 @@ def qdim(values: Sequence[Phase]) -> int:
     for v in vals[1:]:
         if v.basis != basis:
             raise BasisMismatchError("qdim needs all values over one basis")
-    syms = basis.symbols
-    rows = [[v.coeff(s) for s in syms] for v in vals]
-    return 1 + len(syms) - rational_kernel_lattice(rows, len(syms)).rank
+    return 1 + RowLattice(len(basis.symbols), (v.nums[1:] for v in vals)).rank

@@ -6,8 +6,8 @@ The relative Kleppner decision runs a fixed, reported strategy chain:
   (b) the catalog proves FC_G(H) trivial: holds;
   (c) H normal and prime (or the cocycle similar to trivial): reduce to
       [Kleppner for (H, sigma|_H)] and [triviality of the twisted centralizer];
-  (d) free abelian group: solve the phase-linear system for the sublattice of
-      regular elements, exact;
+  (d) free abelian group: solve the phase-linear system on the cocycle's
+      integer form for the sublattice of regular elements, exact;
   (x) the catalog computes FC_G(H) exactly (finite set, or a central subgroup):
       decide the finitely/lattice-many candidate classes;
   (e) unknown, with the blocking reason.
@@ -21,19 +21,17 @@ procedures").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
 from . import tribool as tb
-from .cocycles import Cocycle, commutation_phase, commutation_trivial, transport
+from .cocycles import Cocycle, commutation_trivial, transport
 from .groups.base import Element, Group, GroupError
 from .groups.structure import (centralizer_generators, centralizer_of_subgroup,
                                fc_centralizer, h_conjugacy_class, is_normal, is_prime,
                                subgroup_predicate)
 from .groups.subgroups import Subgroup, finite_class
-from .intlinalg import RowLattice, kernel_mod, rational_kernel_lattice
-from .phases import Phase
+from .intlinalg import RowLattice, integer_kernel, kernel_mod
 from .tribool import TriBool
 
 
@@ -65,46 +63,36 @@ def is_sigma_regular(g: Element, H: Subgroup, sigma: Cocycle) -> TriBool:
 # the phase-linear solver
 # ---------------------------------------------------------------------------
 
-def solve_pairing_lattice(rows: list[list[Phase]], dim: int) -> RowLattice:
-    """All x in Z^dim with sum_j x_j * rows[i][j] integral, for every row i.
+def solve_pairing_lattice(rows: list[list[list[int]]], den: int, dim: int) -> RowLattice:
+    """All x in Z^dim with sum_j x_j * rows[i][j] / den integral, for every row i.
 
-    Symbol coefficients give exact rational-kernel equations; the leftover
-    rational parts give congruences solved modulo their common denominator.
+    Each rows[i][j] is an integer vector over den, the rational slot first and
+    then one slot per symbol, as Cocycle.int_value gives it.  Each symbol slot
+    of a row is an exact integer equation; the rational slots, taken mod den,
+    are congruences modulo den on the integer kernel of those equations.
     """
     if dim == 0:
         return RowLattice(0)
-    sym_rows: list[list[Fraction]] = []
-    basis = None
-    for row in rows:
-        for p in row:
-            basis = p.basis
-            break
-        if basis is not None:
-            break
-    if basis is not None:
-        for row in rows:
-            for s in basis.symbols:
-                sym_rows.append([p.coeff(s) for p in row])
-    kernel = rational_kernel_lattice(sym_rows, dim)
+    eqs = [eq for row in rows for eq in zip(*(v[1:] for v in row)) if any(eq)]
+    kernel = RowLattice(dim, integer_kernel(eqs) if eqs else
+                        [_unit(dim, j) for j in range(dim)])
     base = kernel.basis()
-    if not base:
+    cong = [[sum(b * (v[0] % den) for b, v in zip(vec, row)) for vec in base]
+            for row in rows]
+    # den // g is the least common denominator of the congruences
+    g = gcd(den, *(x for r in cong for x in r))
+    if g == den:
         return kernel
-    cong: list[list[Fraction]] = []
-    for row in rows:
-        cong.append([sum(Fraction(b[j]) * row[j].rational for j in range(dim))
-                     for b in base])
-    den = 1
-    for r in cong:
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-    if den == 1:
-        return kernel
-    nmat = [[int(x * den) for x in r] for r in cong]
-    tbasis = kernel_mod(nmat, den)
-    out = RowLattice(dim)
-    for t in tbasis:
-        out.add([sum(t[a] * base[a][j] for a in range(len(base))) for j in range(dim)])
-    return out
+    tbasis = kernel_mod([[x // g for x in r] for r in cong], den // g)
+    return RowLattice(dim, ([sum(c * vec[j] for c, vec in zip(t, base)) for j in range(dim)]
+                            for t in tbasis))
+
+
+def pairing_rows(sigma: Cocycle, hgens, xs) -> list[list[list[int]]]:
+    """The integer form of commutation_phase(sigma, x, h) over sigma.den, one
+    row per h in hgens and one entry per x in xs."""
+    val = sigma.int_value
+    return [[[a - b for a, b in zip(val(x, h), val(h, x))] for x in xs] for h in hgens]
 
 
 def _regular_lattice(sigma: Cocycle, hgens, dim: int, embed,
@@ -112,9 +100,8 @@ def _regular_lattice(sigma: Cocycle, hgens, dim: int, embed,
     """The x in Z^dim whose image embed(x) is regular for sigma against every
     h in hgens: the images of a basis of that lattice, and the given least
     regular element or else the least nonzero image (None when only 0 solves)."""
-    rows = [[commutation_phase(sigma, embed(_unit(dim, j)), h) for j in range(dim)]
-            for h in hgens]
-    lat = solve_pairing_lattice(rows, dim)
+    rows = pairing_rows(sigma, hgens, [embed(_unit(dim, j)) for j in range(dim)])
+    lat = solve_pairing_lattice(rows, sigma.den, dim)
     gens = [embed(v) for v in lat.basis()]
     if least is None and gens:
         least = embed(lat.small_nonzero())

@@ -255,6 +255,9 @@ MALFORMED = {
                      "[cocycle.base]\nkind = trivial\n",
     # no computation reads a search cap, so `cap` is not a [run] key
     "run-cap": _Z2 + "[run]\ncap = 5\n",
+    # sampled validation on no samples would pass with no checks
+    "budget-zero": _Z2 + "[run]\nbudget = 0\n",
+    "budget-negative": _Z2 + "[run]\nbudget = -3\n",
 }
 
 

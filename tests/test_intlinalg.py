@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 from itertools import product
 
 from kleppner.intlinalg import (RowLattice, integer_kernel, invert_unimodular, kernel_mod,
-                                rational_kernel_lattice, smith_normal_form, vector_key, xgcd)
+                                smith_normal_form, vector_key, xgcd)
 
 
 def mm(x, y):
@@ -101,15 +100,6 @@ def test_kernel_mod():
     for t1 in range(-4, 5):
         for t2 in range(-4, 5):
             assert lat.contains((t1, t2)) == ((t1 + t2) % 2 == 0)
-
-
-def test_rational_kernel_lattice():
-    rows = [[Fraction(1, 2), Fraction(-1, 3)]]
-    lat = rational_kernel_lattice(rows, 2)
-    # x/2 = y/3  =>  (2, 3) direction
-    assert lat.rank == 1
-    assert lat.contains((2, 3))
-    assert not lat.contains((1, 1))
 
 
 def _l1_ball(n, radius):

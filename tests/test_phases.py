@@ -67,6 +67,15 @@ def test_scalar_mult():
     assert 3 * p == p + p + p
 
 
+def test_floats_are_refused():
+    # 0.1 is the binary fraction 3602879701896397/2**55, not 1/10
+    for build in (lambda: Phase(0.1), lambda: Phase(0, {"theta": 0.5}, B),
+                  lambda: B.symbol("theta") * 0.1, lambda: 0.5 * B.symbol("theta")):
+        with pytest.raises(TypeError):
+            build()
+    assert Phase("1/10") == Phase(Fraction(1, 10))
+
+
 def test_str_and_parse_round_trip():
     rng = random.Random(5)
     for _ in range(100):

@@ -1,15 +1,20 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
-from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, PhaseTableCocycle,
-                               ProductCocycle, SeededBeta, TrivialCocycle, commutation_phase,
-                               rotation_cocycle, similarity_transform, three_torus_cocycle)
+from kleppner import regularity
+from kleppner.cocycles import (BicharacterCocycle, F2Z2Cocycle, HeisenbergCocycle,
+                               PhaseTableCocycle, ProductCocycle, SeededBeta, TrivialCocycle,
+                               commutation_phase, rotation_cocycle, similarity_transform,
+                               three_torus_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
                              from_name, h_conjugacy_class)
 from kleppner.phases import IrrationalBasis, Phase
 from kleppner.randomized import random_table_cocycle
-from kleppner.regularity import (is_sigma_regular, kleppner, relative_icc,
+from kleppner.intlinalg import RowLattice, integer_kernel, kernel_mod
+from kleppner.regularity import (is_sigma_regular, kleppner, pairing_rows, relative_icc,
                                  relative_kleppner, sigma_centralizer,
                                  sigma_regular_subgroup, solve_pairing_lattice)
 
@@ -242,10 +247,121 @@ def test_similarity_invariance_smoke():
 
 
 def test_solve_pairing_lattice_edge_cases():
-    lat = solve_pairing_lattice([], 3)
+    lat = solve_pairing_lattice([], 1, 3)
     assert lat.rank == 3  # no constraints
-    lat0 = solve_pairing_lattice([[Phase(0, {"theta": 1}, B), Phase(0)]], 2)
+    # the pairings theta and 0, over den 1 and the basis (theta,)
+    lat0 = solve_pairing_lattice([[[0, 1], [0, 0]]], 1, 2)
     assert lat0.rank == 1 and lat0.contains((0, 5))
+
+
+def _pairs_vanish(rows, den, x):
+    """Whether sum_j x_j * rows[i][j] / den is an integer for every row i:
+    each symbol slot exactly 0, the rational slot 0 modulo den."""
+    for row in rows:
+        total = [sum(c * v[k] for c, v in zip(x, row)) for k in range(len(row[0]))]
+        if total[0] % den or any(total[1:]):
+            return False
+    return True
+
+
+def test_solve_pairing_lattice_against_brute_force():
+    # x/2 - y/3 as a symbol coefficient, over den 6: x/2 = y/3 on the lattice of (2, 3)
+    lat = solve_pairing_lattice([[[0, 3], [0, -2]]], 6, 2)
+    assert lat.rank == 1 and lat.contains((2, 3)) and not lat.contains((1, 1))
+    cases = [([[[0, 3], [0, -2]]], 6, 2)]
+    rng = random.Random(3)
+    for _ in range(300):
+        dim, nsym, den = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 12)
+        rows = [[[rng.randint(-2 * den, 2 * den)]
+                 + [rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in range(nsym)]
+                 for _ in range(dim)] for _ in range(rng.randint(0, 3))]
+        cases.append((rows, den, dim))
+    for rows, den, dim in cases:
+        lat = solve_pairing_lattice(rows, den, dim)
+        for x in product(range(-4, 5), repeat=dim):
+            assert lat.contains(x) == _pairs_vanish(rows, den, x), (rows, den, x)
+        # the rational slots are read modulo den, down to the basis
+        shifted = [[[v[0] + den * rng.randint(-3, 3)] + v[1:] for v in row] for row in rows]
+        assert solve_pairing_lattice(shifted, den, dim).basis() == lat.basis()
+
+
+def _fraction_solver(rows, dim):
+    """The phase-linear solver on Fractions, the reference for
+    solve_pairing_lattice: rows of Phases, each symbol equation cleared of its
+    own denominators, the congruences of their common denominator."""
+    if dim == 0:
+        return RowLattice(0)
+    eqs = []
+    for row in rows:
+        for sym in row[0].basis.symbols:
+            coeffs = [p.coeff(sym) for p in row]
+            d = lcm(*(c.denominator for c in coeffs))
+            if any(coeffs):
+                eqs.append([int(c * d) for c in coeffs])
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    kernel = RowLattice(dim, integer_kernel(eqs) if eqs else units)
+    base = kernel.basis()
+    cong = [[sum(b * p.rational for b, p in zip(vec, row)) for vec in base] for row in rows]
+    d = lcm(*(x.denominator for r in cong for x in r))
+    if d == 1:
+        return kernel
+    out = RowLattice(dim)
+    for t in kernel_mod([[int(x * d) for x in r] for r in cong], d):
+        out.add([sum(c * vec[j] for c, vec in zip(t, base)) for j in range(dim)])
+    return out
+
+
+def _lattice_instances(rng):
+    """Z^2..Z^5 bicharacters with 0-2 symbols on random sublattices, and
+    Heisenberg cocycles on each catalog subgroup kind."""
+    for r in (2, 3, 4, 5):
+        for nsym in (0, 1, 2):
+            basis = IrrationalBasis([f"t{i}" for i in range(nsym)])
+            G = FreeAbelian(r)
+            m = [[Phase(Fraction(rng.randrange(6), rng.choice((2, 3, 4, 6))),
+                        {s: rng.choice((0, -1, 1, 2)) for s in basis.symbols}, basis)
+                  for _ in range(r)] for _ in range(r)]
+            cols = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(rng.randint(1, r))]
+            for H in (Subgroup.full(G), Subgroup.sublattice(G, cols)):
+                yield G, H, BicharacterCocycle(G, m)
+    basis = IrrationalBasis(["gamma", "theta"])
+    for _ in range(3):
+        gamma, theta = (basis.rational(Fraction(rng.randrange(6), 6))
+                        + basis.symbol(s, rng.choice((0, 1, -2))) for s in basis.symbols)
+        for H in (Subgroup.coordinate_zero(HEIS, {0}), Subgroup.coordinate_zero(HEIS, {1}),
+                  Subgroup.coordinate_zero(HEIS, {0, 1}), Subgroup.heis_congruence(HEIS, 3),
+                  Subgroup.full(HEIS)):
+            yield HEIS, H, heis_cocycle(gamma, theta)
+
+
+def test_integer_solver_matches_the_fraction_solver(monkeypatch):
+    calls = []
+
+    def recording(sigma, hgens, xs):
+        calls.append((sigma, list(hgens), list(xs)))
+        return pairing_rows(sigma, hgens, xs)
+
+    monkeypatch.setattr(regularity, "pairing_rows", recording)
+    rng = random.Random(11)
+    for G, H, sigma in _lattice_instances(rng):
+        twin = similarity_transform(sigma, SeededBeta(G, rng.randrange(10**6),
+                                                      rng.choice((4, 6, 8, 12)), sigma.basis))
+        for s in (sigma, twin):
+            relative_kleppner(G, H, s)
+            sigma_centralizer(G, H, s)
+    assert len({len(xs) for _, _, xs in calls}) >= 4
+    for sigma, hgens, xs in calls:
+        rows = pairing_rows(sigma, hgens, xs)
+        phases = [[commutation_phase(sigma, x, h) for x in xs] for h in hgens]
+        syms = sigma.basis.symbols
+        for row, prow in zip(rows, phases):
+            for v, p in zip(row, prow):
+                assert p == Phase(Fraction(v[0], sigma.den),
+                                  {s: Fraction(c, sigma.den) for s, c in zip(syms, v[1:])},
+                                  sigma.basis)
+        # equal bases, not only equal lattices
+        got = solve_pairing_lattice(rows, sigma.den, len(xs)).basis()
+        assert got == _fraction_solver(phases, len(xs)).basis()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ Each variant states its formula once, in integer form: ``int_value(g, h)`` is
 ``den`` times the exponent, as the integer vector of a Phase over ``basis``
 (the rational slot first, then one slot per symbol).  ``value`` is derived from
 it, and the validators add and subtract these vectors instead of Phases.
+``commutation_int(g, h)`` is the integer form of sigma(g, h) - sigma(h, g),
+which regularity reads; kinds with a cheaper exact formula override it.
 
 conj_twist(sigma, h, g) is the phase by which conjugation by h twists the
 canonical unitary of g:  sigma(h,g) - sigma(h g h^-1, h).
@@ -52,6 +54,11 @@ class Cocycle:
 
     def value(self, g: Element, h: Element) -> Phase:
         return _make(self.basis, self.den, self.int_value(g, h))
+
+    def commutation_int(self, g: Element, h: Element) -> list[int]:
+        """``int_value(g, h) - int_value(h, g)``: ``den`` times the exponent
+        of sigma(g, h) - sigma(h, g), the integer form of commutation_phase."""
+        return [a - b for a, b in zip(self.int_value(g, h), self.int_value(h, g))]
 
     def __call__(self, g: Element, h: Element) -> Phase:
         self.group.check_element(g)
@@ -127,6 +134,15 @@ class BicharacterCocycle(Cocycle):
         out = [0] * (1 + len(self.basis.symbols))
         for j, k, slots in self.terms:
             xy = x[j] * y[k]
+            if xy:
+                for s, m in slots:
+                    out[s] += m * xy
+        return out
+
+    def commutation_int(self, x, y) -> list[int]:
+        out = [0] * (1 + len(self.basis.symbols))
+        for j, k, slots in self.terms:
+            xy = x[j] * y[k] - y[j] * x[k]
             if xy:
                 for s, m in slots:
                     out[s] += m * xy
@@ -284,6 +300,9 @@ class PhaseTableCocycle(Cocycle):
 
     def int_value(self, g, h) -> list[int]:
         return [self.ints[g][h]]
+
+    def commutation_int(self, g, h) -> list[int]:
+        return [self.ints[g][h] - self.ints[h][g]]
 
     def is_trivial_like(self) -> bool:
         return not any(any(row) for row in self.ints)
@@ -459,6 +478,19 @@ class SimilarityCocycle(Cocycle):
             out[s] += m * (x + y - z)
         return out
 
+    def commutation_int(self, g, h) -> list[int]:
+        """sigma'(g, h) - sigma'(h, g) = sigma(g, h) - sigma(h, g) + beta(hg) - beta(gh):
+        the beta(g) and beta(h) terms cancel, and beta(hg) - beta(gh) is 0 when
+        g and h commute, so beta is evaluated only on a non-commuting pair."""
+        out = [self._base_mult * x for x in self.base.commutation_int(g, h)]
+        mul = self.group.mul
+        gh, hg = mul(g, h), mul(h, g)
+        if gh != hg:
+            b = self.beta.int_value
+            for (s, m), x, y in zip(self._beta_slots, b(hg), b(gh)):
+                out[s] += m * (x - y)
+        return out
+
     def is_trivial_like(self) -> bool:
         return self.base.is_trivial_like()
 
@@ -486,6 +518,9 @@ class PullbackCocycle(Cocycle):
 
     def int_value(self, g, h) -> list[int]:
         return self.base.int_value(self.embed(g), self.embed(h))
+
+    def commutation_int(self, g, h) -> list[int]:
+        return self.base.commutation_int(self.embed(g), self.embed(h))
 
     def is_trivial_like(self) -> bool:
         return self.base.is_trivial_like()
@@ -531,9 +566,8 @@ def commutation_phase(sigma: Cocycle, g: Element, h: Element) -> Phase:
 
 def commutation_trivial(sigma: Cocycle, g: Element, h: Element) -> bool:
     """Whether sigma(g,h) = sigma(h,g), i.e. commutation_phase(sigma, g, h) is
-    trivial: tested on the integer values, with no Phase built."""
-    u, v = sigma.int_value(g, h), sigma.int_value(h, g)
-    return (u[0] - v[0]) % sigma.den == 0 and u[1:] == v[1:]
+    trivial: tested on sigma.commutation_int(g, h), with no Phase built."""
+    return _is_zero(sigma.den, sigma.commutation_int(g, h))
 
 
 # ---------------------------------------------------------------------------

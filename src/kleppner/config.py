@@ -56,6 +56,7 @@ from .groups.free import FreeGroup
 from .groups.heisenberg import Heisenberg
 from .groups.product import DirectProduct
 from .groups.subgroups import Subgroup
+from .oracle import ORDER_CAP
 from .phases import EMPTY_BASIS, IrrationalBasis, Phase, PhaseParseError, parse_phase
 
 ANALYSES = ("validate", "kleppner", "relative-kleppner", "centralizers",
@@ -248,12 +249,23 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
             # a sampled validation with no samples would pass on no checks
             raise ConfigError("budget must be at least 1", view.line_of("budget"))
         max_lattice = view.get_int("max_lattice", max_lattice)
+        if max_lattice < 1:
+            raise ConfigError("max_lattice must be at least 1", view.line_of("max_lattice"))
         view.check_unknown()
-    if "oracle" in analyses and not group.is_finite:
-        raise ConfigError("the oracle analysis needs a finite group",
-                          sections.lines.get("run"))
+        if "oracle" in analyses:
+            _check_oracle(group, view.line_of("analyses"))
     return InstanceConfig(basis, params, group, subgroup, cocycle, analyses,
                           seed, budget, max_lattice, name)
+
+
+def _check_oracle(group: Group, line: int | None) -> None:
+    """Refuse an oracle run that the oracle would refuse, before any analysis."""
+    if not group.is_finite:
+        raise ConfigError("the oracle analysis needs a finite group", line)
+    if not isinstance(group, FiniteTable):
+        raise ConfigError("the oracle analysis needs a finite table group, not a product", line)
+    if group.order > ORDER_CAP:
+        raise ConfigError(f"order {group.order} exceeds the oracle cap {ORDER_CAP}", line)
 
 
 def _parse_basis(sections: _Sections) -> IrrationalBasis:

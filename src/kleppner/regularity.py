@@ -67,7 +67,7 @@ def solve_pairing_lattice(rows: list[list[list[int]]], den: int, dim: int) -> Ro
     """All x in Z^dim with sum_j x_j * rows[i][j] / den integral, for every row i.
 
     Each rows[i][j] is an integer vector over den, the rational slot first and
-    then one slot per symbol, as Cocycle.int_value gives it.  Each symbol slot
+    then one slot per symbol, as Cocycle.commutation_int gives it.  Each symbol slot
     of a row is an exact integer equation; the rational slots, taken mod den,
     are congruences modulo den on the integer kernel of those equations.
     """
@@ -89,10 +89,11 @@ def solve_pairing_lattice(rows: list[list[list[int]]], den: int, dim: int) -> Ro
 
 
 def pairing_rows(sigma: Cocycle, hgens, xs) -> list[list[list[int]]]:
-    """The integer form of commutation_phase(sigma, x, h) over sigma.den, one
-    row per h in hgens and one entry per x in xs."""
-    val = sigma.int_value
-    return [[[a - b for a, b in zip(val(x, h), val(h, x))] for x in xs] for h in hgens]
+    """sigma.commutation_int(x, h), the integer form of
+    commutation_phase(sigma, x, h) over sigma.den: one row per h in hgens and
+    one entry per x in xs."""
+    comm = sigma.commutation_int
+    return [[comm(x, h) for x in xs] for h in hgens]
 
 
 def _regular_lattice(sigma: Cocycle, hgens, dim: int, embed,

@@ -370,6 +370,112 @@ def test_commutation_trivial_matches_commutation_phase():
     assert seen == {True, False}
 
 
+class CountingBeta(SeededBeta):
+    """A SeededBeta that counts its evaluations."""
+
+    calls = 0
+
+    def int_value(self, g) -> list[int]:
+        self.calls += 1
+        return super().int_value(g)
+
+
+def _nonabelian_proper_subgroup(G):
+    """The first proper subgroup of G generated by two non-commuting elements."""
+    for x in G.elements():
+        for y in G.elements():
+            if not G.commutes(x, y):
+                H = Subgroup.generated(G, [x, y])
+                if len(H.enumerate_elements()) < G.order:
+                    return H
+    return None
+
+
+def commutation_cases():
+    """(sigma, betas): every shipped variant, Heisenberg and F_2 x Z_2 cocycles,
+    drawn tables on S_3, S_4 and D_8, pullbacks of these to subgroups, and
+    SeededBeta twins of each (several denominators, and over the cocycle's
+    symbol basis when it has one); betas lists the counting betas in sigma."""
+    bh = IrrationalBasis(["gamma", "theta"])
+    z2 = from_name("Z_2")
+    bases = all_shipped_variants() + [
+        HeisenbergCocycle(HEIS, bh.symbol("gamma"), bh.rational(Fraction(1, 3))),
+        ProductCocycle(DirectProduct(HEIS, z2),
+                       HeisenbergCocycle(HEIS, Phase(Fraction(1, 4)), Phase(Fraction(1, 6))),
+                       TrivialCocycle(z2)),
+    ]
+    heis = HeisenbergCocycle(HEIS, Phase(Fraction(1, 3)), Phase(Fraction(1, 2)))
+    bases.append(transport(heis, Subgroup.coordinate_zero(HEIS, {0}))[0])
+    for name in ("S_3", "S_4", "D_8"):
+        G = from_name(name)
+        for seed in range(2):
+            table = random_table_cocycle(G, random.Random(seed))
+            bases.append(table)
+            H = _nonabelian_proper_subgroup(G)
+            if H is not None:
+                bases.append(transport(table, H)[0])
+    cases = [(sigma, []) for sigma in bases]
+    for i, sigma in enumerate(bases):
+        G = sigma.group
+        betas = [CountingBeta(G, seed=i, denominator=den) for den in (3, 8)]
+        if sigma.basis.symbols:
+            betas.append(CountingBeta(G, seed=i, denominator=12, basis=sigma.basis))
+        cases += [(similarity_transform(sigma, beta), [beta]) for beta in betas]
+        # a twin of a twin, and a pullback of a twin to a nonabelian subgroup
+        twin = cases[-1][0]
+        outer = CountingBeta(G, seed=i + 100, denominator=5)
+        cases.append((similarity_transform(twin, outer), betas[-1:] + [outer]))
+        if isinstance(sigma, PhaseTableCocycle):
+            H = _nonabelian_proper_subgroup(G)
+            if H is not None:
+                cases.append((transport(twin, H)[0], betas[-1:]))
+    return cases
+
+
+def _pairs(sigma, rng):
+    """Every pair of a finite domain; otherwise sampled pairs, each with some
+    pairs that commute.  A twin has the domain of the cocycle it twists."""
+    while isinstance(sigma, SimilarityCocycle):
+        sigma = sigma.base
+    elems = sigma.domain_elements()
+    if elems is not None:
+        return [(g, h) for g in elems for h in elems]
+    G = sigma.group
+    out = []
+    for _ in range(30):
+        g = sigma.random_domain_element(rng, 4)
+        h = sigma.random_domain_element(rng, 4)
+        out += [(g, h), (h, g), (g, G.mul(g, g)), (g, G.inv(g)), (g, G.identity())]
+    return out
+
+
+def test_commutation_int_matches_int_values_and_phase():
+    """commutation_int(g, h) is int_value(g, h) - int_value(h, g), read as a
+    Phase it is commutation_phase, and a twin evaluates beta exactly on the
+    pairs that do not commute."""
+    rng = random.Random(33)
+    commuting = set()
+    beta_runs = 0
+    for sigma, betas in commutation_cases():
+        G = sigma.group
+        symbols = sigma.basis.symbols
+        for g, h in _pairs(sigma, rng):
+            before = sum(b.calls for b in betas)
+            c = sigma.commutation_int(g, h)
+            ran = sum(b.calls for b in betas) - before
+            u, v = sigma.int_value(g, h), sigma.int_value(h, g)
+            assert c == [a - b for a, b in zip(u, v)], (sigma.describe(), g, h)
+            phase = Phase(Fraction(c[0], sigma.den),
+                          {s: Fraction(x, sigma.den) for s, x in zip(symbols, c[1:])},
+                          sigma.basis)
+            assert phase == commutation_phase(sigma, g, h), (sigma.describe(), g, h)
+            commutes = G.commutes(g, h)
+            commuting.add(commutes)
+            assert (ran == 0) == (commutes or not betas), (sigma.describe(), g, h)
+            beta_runs += ran
+    assert commuting == {True, False} and beta_runs > 0
+
+
 # -- the integer validators against their Phase-arithmetic reference ---------
 
 def reference_validate(sigma, budget):

@@ -227,8 +227,9 @@ def test_cli_reports_oracle_cap_in_one_line(tmp_path, capsys):
     big = tmp_path / "s5.tomlish"
     big.write_text('[group]\nkind = finite\nname = "S_5"\n\n[run]\nanalyses = oracle\n')
     assert main(["--input", str(big)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "oracle cap" in err
+    # refused when the config is parsed, at the line that asks for the oracle
+    assert capsys.readouterr().err == (
+        "config error: order 120 exceeds the oracle cap 64 (line 6)\n")
 
 
 _Z2 = "[group]\nkind = free_abelian\nrank = 2\n"
@@ -258,6 +259,13 @@ MALFORMED = {
     # sampled validation on no samples would pass with no checks
     "budget-zero": _Z2 + "[run]\nbudget = 0\n",
     "budget-negative": _Z2 + "[run]\nbudget = -3\n",
+    # max_lattice caps the listed entries of an infinite chain; like budget, it is at least 1
+    "max-lattice-zero": _Z2 + "[run]\nanalyses = lattice\nmax_lattice = 0\n",
+    # the oracle's caps are checked before any analysis runs
+    "oracle-over-cap": '[group]\nkind = finite\nname = "Z_66"\n'
+                       "[run]\nanalyses = validate oracle\n",
+    "oracle-on-product": '[group]\nkind = product\n[group.left]\nkind = finite\nname = "Z_2"\n'
+                         '[group.right]\nkind = finite\nname = "Z_2"\n[run]\nanalyses = oracle\n',
 }
 
 

@@ -21,7 +21,7 @@ sigma = PhaseTableCocycle(z22, table)
 rep = build_regular_rep(z22, sigma, verify_pairs=True)
 l10, l01 = rep.matrix(2), rep.matrix(1)
 print(f"   lam(1,0) lam(0,1) = -lam(0,1) lam(1,0): "
-      f"{(l10 @ l01) == (l01 @ l10).scaled(Fraction(1, 2))}")
+      f"{(l10 @ l01) == (l01 @ l10).scaled(Phase(Fraction(1, 2)))}")
 r = relative_commutant_dim(z22, Subgroup.full(z22), sigma, verify=True)
 print(f"   center dimension: route A = {r.dim_route_a}, route B = {r.dim_route_b} "
       "(a full 2x2 matrix algebra)")

@@ -285,7 +285,9 @@ class PhaseTableCocycle(Cocycle):
         # den / gcd(den, *ints) is the lcm of the reduced entry denominators
         g = gcd(den, *(v for row in ints for v in row))
         den //= g
-        rows = tuple(tuple([v // g % den for v in row]) for row in ints)
+        # tuples built from lists: CPython builds a tuple from a generator by
+        # resizing a 10-slot one, and the spare tuples pile up in its free lists
+        rows = tuple([tuple([v // g % den for v in row]) for row in ints])
         e = group.identity()
         if any(rows[e]) or any(row[e] for row in rows):
             raise CocycleError("phase table is not normalized at the identity")
@@ -348,6 +350,17 @@ class ProductCocycle(Cocycle):
 
     def is_trivial_like(self) -> bool:
         return self.left.is_trivial_like() and self.right.is_trivial_like()
+
+    # the domain pairs the factors' domains: left drawn first, rows in left order
+    def random_domain_element(self, rng: random.Random, size: int = 6) -> Element:
+        return (self.left.random_domain_element(rng, size),
+                self.right.random_domain_element(rng, size))
+
+    def domain_elements(self):
+        left, right = self.left.domain_elements(), self.right.domain_elements()
+        if left is None or right is None:
+            return None
+        return [(a, b) for a in left for b in right]
 
     def describe(self) -> str:
         return f"({self.left.describe()}) x ({self.right.describe()})"
@@ -494,6 +507,12 @@ class SimilarityCocycle(Cocycle):
     def is_trivial_like(self) -> bool:
         return self.base.is_trivial_like()
 
+    def random_domain_element(self, rng: random.Random, size: int = 6) -> Element:
+        return self.base.random_domain_element(rng, size)
+
+    def domain_elements(self):
+        return self.base.domain_elements()
+
     def describe(self) -> str:
         return f"similarity[{self.beta.label}] of {self.base.describe()}"
 
@@ -614,32 +633,37 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
                sigma.random_domain_element(rng, WORD_SIZE))
 
 
+def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
+    """The first (g, h, k), g taken from ``rows`` and h, k over the whole group
+    in order, at which the integer table breaks the cocycle identity
+    sigma(g, h) + sigma(gh, k) = sigma(g, hk) + sigma(h, k); None when it holds
+    on all of them.  It is also the projective relation of the regular
+    representation: lam(g) lam(h) delta_k = sigma(g, h) lam(gh) delta_k."""
+    den, t, mul = sigma.den, sigma.ints, sigma.group.table
+    elems = range(sigma.group.order)
+    for g in rows:
+        tg, mg = t[g], mul[g]
+        for h in elems:
+            base, th, tgh, mh = tg[h], t[h], t[mg[h]], mul[h]
+            for k in elems:
+                if (base + tgh[k] - tg[mh[k]] - th[k]) % den:
+                    return g, h, k
+    return None
+
+
 def _validate_table_fast(sigma: "PhaseTableCocycle") -> ValidationResult:
-    """Exhaustive table validation on integers modulo the common denominator.
+    """Exhaustive table validation on integers modulo the common denominator;
+    ``checks`` counts the triples up to and including the first failure.
 
     Normalization needs no check: PhaseTableCocycle refuses a table that is not
     normalized at the identity, and its integer table is immutable."""
-    G = sigma.group
-    n = G.order
-    den = sigma.den
-    t = sigma.ints
-    mul = G.table
-    checks = 0
-    for g in range(n):
-        tg = t[g]
-        mg = mul[g]
-        for h in range(n):
-            gh = mg[h]
-            base = tg[h]
-            th = t[h]
-            tgh = t[gh]
-            mh = mul[h]
-            for k in range(n):
-                checks += 1
-                if (base + tgh[k] - tg[mh[k]] - th[k]) % den:
-                    return ValidationResult(False, (g, h, k), checks, "exhaustive",
-                                            "cocycle identity fails", checks)
-    return ValidationResult(True, None, checks, "exhaustive", "", checks)
+    n = sigma.group.order
+    witness = _table_identity_failure(sigma, range(n))
+    if witness is None:
+        return ValidationResult(True, None, n ** 3, "exhaustive", "", n ** 3)
+    g, h, k = witness
+    checks = (g * n + h) * n + k + 1
+    return ValidationResult(False, witness, checks, "exhaustive", "cocycle identity fails", checks)
 
 
 def _is_zero(den: int, v: list[int]) -> bool:

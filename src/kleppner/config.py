@@ -10,7 +10,7 @@ Grammar (one file = one instance):
 
     [group]
     kind = free_abelian | free | heisenberg | finite | product
-    rank = 2                # free_abelian, free
+    rank = 2                # free_abelian (at most RANK_CAP), free
     name = "Z_4"            # finite builtin, or table = [[...], ...]
     [group.left] / [group.right]   # factors of a product
 
@@ -58,6 +58,10 @@ from .groups.product import DirectProduct
 from .groups.subgroups import Subgroup
 from .oracle import ORDER_CAP
 from .phases import EMPTY_BASIS, IrrationalBasis, Phase, PhaseParseError, parse_phase
+
+# the largest free abelian rank a config may ask for: the engine's work grows
+# steeply with the rank (rank 256 takes seconds to validate and decide)
+RANK_CAP = 64
 
 ANALYSES = ("validate", "kleppner", "relative-kleppner", "centralizers",
             "verdict", "lattice", "oracle")
@@ -306,7 +310,11 @@ def _parse_group(sections: _Sections, path: str) -> Group:
     kind = view.require("kind").lower()
     try:
         if kind == "free_abelian":
-            g: Group = FreeAbelian(view.get_int("rank", 2))
+            rank = view.get_int("rank", 2)
+            if rank > RANK_CAP:
+                raise ConfigError(f"free_abelian rank {rank} exceeds the rank cap {RANK_CAP}",
+                                  view.line_of("rank"))
+            g: Group = FreeAbelian(rank)
         elif kind == "free":
             g = FreeGroup(view.get_int("rank", 2))
         elif kind == "heisenberg":

@@ -32,7 +32,8 @@ class FiniteTable(Group):
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                  name: str = "finite",
                  ab_coords: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None) -> None:
-        self.table: Table = tuple(tuple(int(x) for x in row) for row in table)
+        # from lists, not generators, as in PhaseTableCocycle._set_ints
+        self.table: Table = tuple([tuple([int(x) for x in row]) for row in table])
         self.n = len(self.table)
         self.name = name
         if names is None:

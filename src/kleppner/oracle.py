@@ -3,8 +3,9 @@ group and exact commutant dimensions.
 
 All matrices here are monomial with root-of-unity entries, so products never
 leave that class and every computation is exact: an entry is either absent or
-a rational phase.  The relative commutant dimension is computed along two
-independent routes and any disagreement raises:
+a rational Phase.  The relative commutant dimension is computed along two
+independent routes, both on the cocycle's integer table over its common
+denominator, and any disagreement raises:
 
   route A: solve T lam(h) = lam(h) T over T in the span of the lam(g) by
            exact elimination on column e, checked on all entries under
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .cocycles import Cocycle, CocycleError, PhaseTableCocycle
+from .cocycles import Cocycle, CocycleError, PhaseTableCocycle, _table_identity_failure
 from .groups.finite import FiniteTable
 from .groups.subgroups import Subgroup
 from .phases import EMPTY_BASIS, Phase, _make
@@ -45,13 +45,13 @@ class OracleMismatchError(OracleError):
 class MonomialMatrix:
     """One nonzero root-of-unity entry per row and column.
 
-    Stored columnwise: column k holds its row index and the phase exponent
-    (a Fraction mod 1) of the entry there.
+    Stored columnwise: column k holds its row index and the Phase of the
+    entry there.
     """
 
     __slots__ = ("n", "row_of_col", "phase_of_col")
 
-    def __init__(self, row_of_col: tuple[int, ...], phase_of_col: tuple[Fraction, ...]) -> None:
+    def __init__(self, row_of_col: tuple[int, ...], phase_of_col: tuple[Phase, ...]) -> None:
         self.n = len(row_of_col)
         self.row_of_col = row_of_col
         self.phase_of_col = phase_of_col
@@ -60,35 +60,28 @@ class MonomialMatrix:
 
     @staticmethod
     def identity(n: int) -> "MonomialMatrix":
-        return MonomialMatrix(tuple(range(n)), tuple(Fraction(0) for _ in range(n)))
+        return MonomialMatrix(tuple(range(n)), (EMPTY_BASIS.zero(),) * n)
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        rows = []
-        phases = []
-        for k in range(self.n):
-            mid = other.row_of_col[k]
-            rows.append(self.row_of_col[mid])
-            phases.append((self.phase_of_col[mid] + other.phase_of_col[k]) % 1)
-        return MonomialMatrix(tuple(rows), tuple(phases))
+        mids = other.row_of_col
+        return MonomialMatrix(tuple(self.row_of_col[m] for m in mids),
+                              tuple(self.phase_of_col[m] + p
+                                    for m, p in zip(mids, other.phase_of_col)))
 
     def adjoint(self) -> "MonomialMatrix":
         rows = [0] * self.n
-        phases = [Fraction(0)] * self.n
-        for k in range(self.n):
-            r = self.row_of_col[k]
+        phases = [None] * self.n
+        for k, r in enumerate(self.row_of_col):
             rows[r] = k
-            phases[r] = (-self.phase_of_col[k]) % 1
+            phases[r] = -self.phase_of_col[k]
         return MonomialMatrix(tuple(rows), tuple(phases))
 
-    def scaled(self, phase: Fraction) -> "MonomialMatrix":
-        return MonomialMatrix(self.row_of_col,
-                              tuple((p + phase) % 1 for p in self.phase_of_col))
+    def scaled(self, phase: Phase) -> "MonomialMatrix":
+        return MonomialMatrix(self.row_of_col, tuple(p + phase for p in self.phase_of_col))
 
-    def entry(self, r: int, k: int) -> Optional[Fraction]:
-        """Phase exponent of the (r, k) entry, None when the entry is zero."""
-        if self.row_of_col[k] == r:
-            return self.phase_of_col[k]
-        return None
+    def entry(self, r: int, k: int) -> Optional[Phase]:
+        """The Phase of the (r, k) entry, None when the entry is zero."""
+        return self.phase_of_col[k] if self.row_of_col[k] == r else None
 
     def is_unitary(self) -> bool:
         prod = self @ self.adjoint()
@@ -119,7 +112,7 @@ class RegularRep:
 
     def matrix(self, g: int) -> MonomialMatrix:
         return MonomialMatrix(self.group.table[g],
-                              tuple(Fraction(v, self.den) for v in self.int_values[g]))
+                              tuple(_make(EMPTY_BASIS, self.den, [v]) for v in self.int_values[g]))
 
 
 def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None = None) -> RegularRep:
@@ -143,18 +136,14 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None 
                                                 [[v[0] for v in row] for row in vals])
         except CocycleError:
             raise OracleError("lam(e) is not the identity; cocycle is not normalized") from None
-    den, val, mul = table.den, table.ints, G.table
     if verify_pairs is None:
         verify_pairs = n <= 12
     # lam(g) lam(h) = sigma(g, h) lam(gh): both sides put column k in row g h k,
-    # with exponents val[h][k] + val[g][h k] and val[g][h] + val[g h][k]
-    for g in (G.elements() if verify_pairs else G.generators()):
-        vg, mg = val[g], mul[g]
-        for h in G.elements():
-            vh, mh, vgh, s = val[h], mul[h], val[mg[h]], vg[h]
-            if any((vh[k] + vg[mh[k]] - s - vgh[k]) % den for k in range(n)):
-                raise OracleError(f"projective relation fails at ({g},{h})")
-    return RegularRep(G, sigma, den, val)
+    # and their exponents agree exactly when the cocycle identity holds at (g, h, k)
+    bad = _table_identity_failure(table, G.elements() if verify_pairs else G.generators())
+    if bad is not None:
+        raise OracleError(f"projective relation fails at ({bad[0]},{bad[1]})")
+    return RegularRep(G, sigma, table.den, table.ints)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +196,10 @@ class _ScalingUnionFind:
         return {r: members for r, members in comps.items() if not self.dead[r]}
 
 
-@dataclass
-class CommutantSolution:
-    """Exact basis of the relative commutant inside the span of the lam(g)."""
-
-    dimension: int
-    basis: tuple[dict, ...]  # coefficient functions g -> Phase (root-of-unity values)
-
-
-def _route_a(rep: RegularRep, hgens: list[int]) -> CommutantSolution:
-    """Solve T lam(h) = lam(h) T on column e only.
+def _route_a(rep: RegularRep, hgens: list[int]) -> tuple[dict[int, int], ...]:
+    """Solve T lam(h) = lam(h) T on column e only: an exact basis of the
+    relative commutant inside the span of the lam(g), each element the
+    coefficient exponents {g: pot} over ``rep.den``.
 
     T and lam(h) lie in the twisted group algebra, so T lam(h) - lam(h) T
     does too.  For a normalized sigma, lam(g) delta_e is a unit multiple of
@@ -226,14 +209,9 @@ def _route_a(rep: RegularRep, hgens: list[int]) -> CommutantSolution:
     into all n^2 entries.
     """
     G = rep.group
-    n = G.order
-    den = rep.den
-    val = rep.int_values
-    table = G.table
-    inv = G.inv_table
-    e = G.identity()
+    n, den, val, e = G.order, rep.den, rep.int_values, G.identity()
+    table, inv = G.table, G.inv_table
     uf = _ScalingUnionFind(n, den)
-
     for h in hgens:
         hinv = inv[h]
         row_m, vh = table[hinv], val[h]
@@ -243,27 +221,19 @@ def _route_a(rep: RegularRep, hgens: list[int]) -> CommutantSolution:
             m, v = row_m[r], table[r][hinv]
             uf.relate(m, v, (val[v][h] + vh[e] - vh[m] - val[m][e]) % den)
     comps = uf.alive_components()
-    basis = []
-    for root in sorted(comps):
-        f = {x: _make(EMPTY_BASIS, den, [pot]) for x, pot in sorted(comps[root])}
-        basis.append(f)
-    return CommutantSolution(len(basis), tuple(basis))
+    # from a list, not a generator, as in PhaseTableCocycle._set_ints
+    return tuple([dict(comps[root]) for root in sorted(comps)])
 
 
-def _verify_solution(rep: RegularRep, hgens: list[int], f: dict) -> bool:
+def _verify_solution(rep: RegularRep, hgens: list[int], f: dict[int, int]) -> bool:
     """Substitute T_f into the commutation equations, entry by entry, as
-    exponents over den; a value of f off that grid fails."""
+    exponents over den."""
     G = rep.group
     den, val, table, inv = rep.den, rep.int_values, G.table, G.inv_table
-    coeff = {}
-    for u, p in f.items():
-        if any(p.nums[1:]) or den % p.den:
-            return False
-        coeff[u] = p.nums[0] * (den // p.den)
 
     def t_entry(r: int, k: int) -> Optional[int]:
         u = table[r][inv[k]]
-        return coeff[u] + val[u][k] if u in coeff else None
+        return f[u] + val[u][k] if u in f else None
 
     for h in hgens:
         for k in range(G.order):
@@ -306,14 +276,18 @@ def _route_b(rep: RegularRep, helems: list[int]) -> tuple[int, list[list[int]]]:
 
 @dataclass
 class CommutantReport:
-    dim_route_a: int
+    """Route A's basis of the relative commutant (coefficient exponents
+    {g: pot} over the rep's ``den``) and route B's regular classes."""
+
+    basis: tuple[dict[int, int], ...]
     dim_route_b: int
-    solution: CommutantSolution
     regular_classes: list[list[int]]
 
     @property
-    def dimension(self) -> int:
-        return self.dim_route_a
+    def dim_route_a(self) -> int:
+        return len(self.basis)
+
+    dimension = dim_route_a
 
 
 def relative_commutant_dim(G: FiniteTable, H: Subgroup, sigma: Cocycle,
@@ -328,16 +302,14 @@ def relative_commutant_dim(G: FiniteTable, H: Subgroup, sigma: Cocycle,
         raise OracleError("rep was built for another group or cocycle")
     helems = H.enumerate_elements()
     hgens = list(H.generators()) or [G.identity()]
-    sol = _route_a(rep, hgens)
+    basis = _route_a(rep, hgens)
     count, regular = _route_b(rep, helems)
-    if verify:
-        for f in sol.basis:
-            if not _verify_solution(rep, hgens, f):
-                raise OracleError("route A basis element fails substitution")
-    if sol.dimension != count:
-        raise OracleMismatchError(sol.dimension, count,
+    if verify and not all(_verify_solution(rep, hgens, f) for f in basis):
+        raise OracleError("route A basis element fails substitution")
+    if len(basis) != count:
+        raise OracleMismatchError(len(basis), count,
                                   f"G={G.name}, H={H.describe_desc()}, sigma={sigma.describe()}")
-    return CommutantReport(sol.dimension, count, sol, regular)
+    return CommutantReport(basis, count, regular)
 
 
 def center_dim(G: FiniteTable, sigma: Cocycle, rep: RegularRep | None = None) -> int:
@@ -347,11 +319,11 @@ def center_dim(G: FiniteTable, sigma: Cocycle, rep: RegularRep | None = None) ->
 def canonical_trace(rep: RegularRep, mat: MonomialMatrix) -> Optional[Phase]:
     """tau(T) = (T delta_e)(e), i.e. the (e, e) entry: a circle value or None for 0."""
     e = rep.group.identity()
-    p = mat.entry(e, e)
-    return None if p is None else Phase(p)
+    return mat.entry(e, e)
 
 
-def span_trace(rep: RegularRep, coeffs: dict) -> Optional[Phase]:
-    """tau of T = sum_g f(g) lam(g): the coefficient at the identity."""
-    e = rep.group.identity()
-    return coeffs.get(e)
+def span_trace(rep: RegularRep, coeffs: dict[int, int]) -> Optional[Phase]:
+    """tau of T = sum_g f(g) lam(g), f given as exponents over ``rep.den``
+    (a route A basis element): the coefficient at the identity."""
+    pot = coeffs.get(rep.group.identity())
+    return None if pot is None else _make(EMPTY_BASIS, rep.den, [pot])

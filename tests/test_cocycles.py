@@ -15,6 +15,7 @@ from kleppner.cocycles import (BicharacterCocycle, Cocycle, CocycleError, F2Z2Co
                                transport, validate_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
                              from_name)
+from kleppner.oracle import OracleError, build_regular_rep
 from kleppner.phases import IrrationalBasis, Phase
 from kleppner.randomized import random_beta_table, random_table_cocycle
 
@@ -341,6 +342,32 @@ def test_integer_and_phase_constructors_agree(name):
             PhaseTableCocycle(G, [[Phase(Fraction(v, 4)) for v in row] for row in ints])
         assert str(by_ints.value) == str(by_phases.value) == (
             "phase table is not normalized at the identity")
+
+
+@pytest.mark.parametrize("name", ["Z_6", "Z_2 x Z_2", "S_3", "D_4", "Q8"])
+def test_validation_and_projective_relation_fail_at_one_triple(name):
+    """Exhaustive table validation and the projective relation of the regular
+    representation check one identity in one (g, h, k) order: on normalized
+    non-cocycle tables the validator's witness (g, h, k) and the pair (g, h)
+    that build_regular_rep reports agree, and ``checks`` counts the triples
+    up to the witness."""
+    G = from_name(name)
+    n = G.order
+    rng = random.Random(name)
+    failures = 0
+    for den in (2, 3, 12):
+        for _ in range(10):
+            sigma = PhaseTableCocycle.from_ints(G, den, _normalized_int_table(G, rng, den, 1))
+            result = validate_cocycle(sigma)
+            if result.passed:
+                build_regular_rep(G, sigma, verify_pairs=True)
+                continue
+            failures += 1
+            g, h, k = result.witness
+            assert result.checks == result.triples == (g * n + h) * n + k + 1
+            with pytest.raises(OracleError, match=rf"^projective relation fails at \({g},{h}\)$"):
+                build_regular_rep(G, sigma, verify_pairs=True)
+    assert failures
 
 
 def test_commutation_trivial_matches_commutation_phase():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from kleppner.cli import main
-from kleppner.config import ConfigError, parse_config
+from kleppner.config import RANK_CAP, ConfigError, parse_config
 from kleppner.report import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -331,3 +331,95 @@ def test_cli_closed_stdout_ends_in_one_error_line():
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: standard output was closed")
     assert "Traceback" not in proc.stderr
+
+
+def _rank_config(rank):
+    return f"[group]\nkind = free_abelian\nrank = {rank}\n\n[run]\nanalyses = validate verdict\n"
+
+
+def test_free_abelian_rank_at_the_cap_runs():
+    config = parse_config(_rank_config(RANK_CAP))
+    assert config.group.rank == RANK_CAP
+    payload = run(config).payload
+    assert payload["validate"]["passed"] and payload["identities"]["passed"]
+
+
+def test_free_abelian_rank_above_the_cap_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "rank.tomlish"
+    path.write_text(_rank_config(RANK_CAP + 1))
+    assert main(["--input", str(path)]) == 1
+    # refused at the rank line before any analysis runs
+    assert capsys.readouterr().err == (
+        f"config error: free_abelian rank {RANK_CAP + 1} exceeds the rank cap {RANK_CAP} (line 3)\n")
+
+
+# wrapper cocycles validate on the domain of their parts
+WRAPPED_RESTRICTIONS = {
+    "similarity-of-restriction": """
+[group]
+kind = heisenberg
+
+[subgroup]
+kind = coordinate_zero
+coords = [0]
+
+[cocycle]
+kind = similarity
+beta_seed = 3
+
+[cocycle.base]
+kind = restriction
+
+[cocycle.base.base]
+kind = heisenberg
+gamma = 1/2
+theta = 1/3
+
+[cocycle.base.subgroup]
+kind = coordinate_zero
+coords = [0]
+
+[run]
+analyses = validate
+""",
+    "product-with-restricted-factor": """
+[group]
+kind = product
+
+[group.left]
+kind = finite
+name = "Z_4"
+
+[group.right]
+kind = finite
+name = "Z_2"
+
+[cocycle]
+kind = product
+
+[cocycle.left]
+kind = restriction
+
+[cocycle.left.base]
+kind = trivial
+
+[cocycle.left.subgroup]
+kind = finite_subset
+elements = ["0", "2"]
+
+[cocycle.right]
+kind = trivial
+
+[run]
+analyses = validate
+"""}
+
+
+@pytest.mark.parametrize("case", list(WRAPPED_RESTRICTIONS))
+def test_wrapped_restriction_validates_on_its_subgroup(case):
+    payload = run(parse_config(WRAPPED_RESTRICTIONS[case], name=case)).payload
+    assert payload["validate"]["passed"] and payload["identities"]["passed"]
+    if case.startswith("product"):
+        # {0, 2} x Z_2 has 4 elements: every triple, exhaustively
+        assert payload["validate"]["mode"] == "exhaustive"
+        assert payload["validate"]["checks"] == 4 ** 3

@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from test_acceptance import sweep_group_names
 
 import kleppner.oracle as oracle_mod
+import kleppner.phases as phases_mod
 from kleppner.cocycles import PhaseTableCocycle, TrivialCocycle, conj_twist
 from kleppner.groups import Subgroup, from_name
 from kleppner.oracle import (MonomialMatrix, OracleError, build_regular_rep, canonical_trace,
@@ -24,7 +26,7 @@ def test_z2_trivial_gives_permutation_matrices():
     rep = build_regular_rep(z2, TrivialCocycle(z2), verify_pairs=True)
     for g in z2.elements():
         m = rep.matrix(g)
-        assert all(p == 0 for p in m.phase_of_col)  # entries are plain ones
+        assert all(p.is_one() for p in m.phase_of_col)  # entries are plain ones
     assert rep.matrix(z2.identity()) == MonomialMatrix.identity(2)
 
 
@@ -32,7 +34,7 @@ def test_anticommutation_matrices():
     z22, sig = anticommute_z22()
     rep = build_regular_rep(z22, sig, verify_pairs=True)
     l10, l01 = rep.matrix(2), rep.matrix(1)  # indices: (1,0) -> 2, (0,1) -> 1
-    assert (l10 @ l01) == (l01 @ l10).scaled(Fraction(1, 2))
+    assert (l10 @ l01) == (l01 @ l10).scaled(Phase(Fraction(1, 2)))
     for g in z22.elements():
         assert rep.matrix(g).is_unitary()
 
@@ -46,7 +48,7 @@ def test_projective_relation_entrywise():
         for a in g.elements():
             for b in g.elements():
                 lhs = rep.matrix(a) @ rep.matrix(b)
-                rhs = rep.matrix(g.mul(a, b)).scaled(sig.value(a, b).rational)
+                rhs = rep.matrix(g.mul(a, b)).scaled(sig.value(a, b))
                 assert lhs == rhs
 
 
@@ -61,7 +63,7 @@ def test_conjugation_matches_twist():
             for x in g.elements():
                 lhs = rep.matrix(h) @ rep.matrix(x) @ rep.matrix(h).adjoint()
                 tw = conj_twist(sig, h, x)
-                assert lhs == rep.matrix(g.conj(h, x)).scaled(tw.rational)
+                assert lhs == rep.matrix(g.conj(h, x)).scaled(tw)
 
 
 def test_relative_commutant_examples():
@@ -101,6 +103,32 @@ def test_commutant_basis_satisfies_constraints():
         relative_commutant_dim(g, H, sig, verify=True)
 
 
+def test_commutant_builds_no_phase():
+    # both routes, the rep and the full substitution work on integers over
+    # den: no call to Phase.__init__ or phases._make on any subgroup
+    rng = random.Random(12)
+    phase_code = {Phase.__init__.__code__, phases_mod._make.__code__}
+    built = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in phase_code:
+            built.append(frame.f_code.co_name)
+
+    for name in ("D_4", "Q8"):
+        g = from_name(name)
+        subs = [Subgroup.finite_subset(g, s) for s in g.all_subgroups()]
+        for _ in range(3):
+            sig = random_table_cocycle(g, rng)
+            previous = sys.getprofile()
+            sys.setprofile(watch)
+            try:
+                for H in subs:
+                    relative_commutant_dim(g, H, sig, verify=True)
+            finally:
+                sys.setprofile(previous)
+    assert built == []
+
+
 def test_trace_examples():
     s3 = from_name("S_3")
     rep = build_regular_rep(s3, TrivialCocycle(s3))
@@ -109,10 +137,13 @@ def test_trace_examples():
     assert canonical_trace(rep, rep.matrix(g)) is None
     prod = rep.matrix(g) @ rep.matrix(g).adjoint()
     assert canonical_trace(rep, prod) == Phase(0)
-    # span trace: coefficient at the identity
-    f = {s3.identity(): Phase(Fraction(1, 3)), 2: Phase(0)}
-    assert span_trace(rep, f) == Phase(Fraction(1, 3))
-    assert span_trace(rep, {2: Phase(0)}) is None
+    # span trace: the coefficient at the identity, exponents over rep.den
+    assert span_trace(rep, {s3.identity(): 0, 2: 0}) == Phase(0)
+    assert span_trace(rep, {2: 0}) is None
+    z22, sig = anticommute_z22()
+    rep2 = build_regular_rep(z22, sig)
+    assert rep2.den == 2
+    assert span_trace(rep2, {z22.identity(): 1, 3: 0}) == Phase(Fraction(1, 2))
 
 
 def test_trace_equals_normalized_matrix_trace():
@@ -121,14 +152,14 @@ def test_trace_equals_normalized_matrix_trace():
     g = from_name("Q8")
     sig = random_table_cocycle(g, rng)
     rep = build_regular_rep(g, sig)
-    sol = relative_commutant_dim(g, Subgroup.full(g), sig).solution
+    basis = relative_commutant_dim(g, Subgroup.full(g), sig, rep=rep).basis
     e = g.identity()
-    for f in sol.basis:
+    for f in basis:
         def t_entry(r, k):
             u = g.mul(r, g.inv(k))
             if u not in f:
                 return None
-            return (f[u].rational + sig.value(u, k).rational) % 1
+            return (Fraction(f[u], rep.den) + sig.value(u, k).rational) % 1
         diag = [t_entry(x, x) for x in g.elements()]
         assert all(d == diag[e] for d in diag)
 
@@ -175,8 +206,7 @@ def test_projective_relation_failure_is_reported():
             build_regular_rep(z3, PhaseTableCocycle(z3, tbl), verify_pairs=verify_pairs)
 
 
-@pytest.mark.parametrize("shift", [Fraction(1, 2), Fraction(1, 4)], ids=["on-grid", "off-grid"])
-def test_corrupted_route_a_basis_fails_substitution(monkeypatch, shift):
+def test_corrupted_route_a_basis_fails_substitution(monkeypatch):
     # a coboundary on S_3 with den 2; the transposition class {1, 2, 5} is
     # one basis element of the center with every coefficient 0
     s3 = from_name("S_3")
@@ -186,11 +216,11 @@ def test_corrupted_route_a_basis_fails_substitution(monkeypatch, shift):
     real_route_a = oracle_mod._route_a
 
     def corrupted_route_a(rep, hgens):
-        sol = real_route_a(rep, hgens)
-        f = next(f for f in sol.basis if 1 in f)
-        assert rep.den == 2 and f == {1: Phase(0), 2: Phase(0), 5: Phase(0)}
-        f[1] = f[1] + Phase(shift)
-        return sol
+        basis = real_route_a(rep, hgens)
+        f = next(f for f in basis if 1 in f)
+        assert rep.den == 2 and f == {1: 0, 2: 0, 5: 0}
+        f[1] += 1  # the coefficient at 1 times exp(2*pi*i/2)
+        return basis
 
     monkeypatch.setattr(oracle_mod, "_route_a", corrupted_route_a)
     with pytest.raises(OracleError, match="route A basis element fails substitution"):
@@ -234,8 +264,7 @@ def _full_system_route_a(rep, hgens):
                 lhs = val[h][m] + val[u][k]
                 rhs = val[v][mp] + val[h][k]
                 uf.relate(u, v, (rhs - lhs) % den)
-    return [{x: Phase(Fraction(pot, den)) for x, pot in members}
-            for members in uf.alive_components().values()]
+    return [dict(members) for members in uf.alive_components().values()]
 
 
 def _swept_groups():
@@ -255,7 +284,7 @@ def test_column_e_route_matches_full_system():
                 r = relative_commutant_dim(g, H, sig, verify=True, rep=rep)
                 assert r.dimension == len(full)
                 # the supports are disjoint, so the sets lose no element
-                assert ({frozenset(f.items()) for f in r.solution.basis}
+                assert ({frozenset(f.items()) for f in r.basis}
                         == {frozenset(f.items()) for f in full})
 
 

@@ -46,6 +46,12 @@ class Cocycle:
     basis: IrrationalBasis
     den: int = 1
     kind: str = "abstract"
+    # a stated upper bound on the total degree, in the coordinates of the
+    # arguments, of sigma and of every term of the cocycle identity and the
+    # twist identities; None when sigma is not such a polynomial
+    degree: Optional[int] = None
+    # the cocycles a wrapper is built from
+    parts: tuple["Cocycle", ...] = ()
 
     def int_value(self, g: Element, h: Element) -> list[int]:
         """``den`` times the exponent of sigma(g, h): a new list of
@@ -104,6 +110,7 @@ class BicharacterCocycle(Cocycle):
     """sigma(x, y) = sum_jk x_j * B[j][k] * y_k on a free abelian group."""
 
     kind = "bicharacter"
+    degree = 2  # sigma is bilinear and the group law linear
 
     def __init__(self, group: FreeAbelian, matrix: Sequence[Sequence[Phase]]) -> None:
         if not isinstance(group, FreeAbelian):
@@ -187,6 +194,10 @@ class HeisenbergCocycle(Cocycle):
     """
 
     kind = "heisenberg"
+    # products and conjugates are linear in the first two coordinates and of
+    # degree 2 in the third; sigma is cubic in a1, a2, b2 and reads b3 only
+    # times a1 or a2, so every identity term keeps degree 3
+    degree = 3
 
     def __init__(self, group: Heisenberg, gamma: Phase, theta: Phase) -> None:
         if not isinstance(group, Heisenberg):
@@ -336,6 +347,7 @@ class ProductCocycle(Cocycle):
         self.basis = left.basis if left.basis != EMPTY_BASIS else right.basis
         self.left = left
         self.right = right
+        self.parts = (left, right)
         self.den = lcm(left.den, right.den)
         self._left_slots = _slot_map(left.basis, self.basis, self.den // left.den)
         self._right_slots = _slot_map(right.basis, self.basis, self.den // right.den)
@@ -375,6 +387,7 @@ class RestrictionCocycle(Cocycle):
         if subgroup.parent is not base.group:
             raise CocycleError("subgroup must describe the cocycle's group")
         self.base = base
+        self.parts = (base,)
         self.subgroup = subgroup
         self.group = base.group
         self.basis = base.basis
@@ -476,6 +489,7 @@ class SimilarityCocycle(Cocycle):
         if not be.is_one():
             raise CocycleError("beta must send the identity to the trivial phase")
         self.base = base
+        self.parts = (base,)
         self.beta = beta
         self.group = base.group
         self.basis = base.basis
@@ -529,6 +543,7 @@ class PullbackCocycle(Cocycle):
     def __init__(self, base: Cocycle, group: Group, embed: Callable[[Element], Element],
                  label: str = "") -> None:
         self.base = base
+        self.parts = (base,)
         self.group = group
         self.embed = embed
         self.basis = base.basis
@@ -618,7 +633,42 @@ class ValidationResult:
         return self.passed
 
 
+def _simplex(n: int, d: int):
+    """The points of N^n with coordinate sum at most d, in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for a in range(d + 1):
+        for rest in _simplex(n - 1, d - a):
+            yield (a,) + rest
+
+
 def _triples(sigma: Cocycle, budget: ValidationBudget):
+    """The triples a validator checks.
+
+    A polynomial kind (``sigma.degree`` is d) gets the points alpha of N^{3m}
+    with |alpha| <= d, split into (g, h, k), m the number of coordinates of
+    an element; the check on them is exact.  A residual R of an identity, a
+    signed sum of integer values each of degree at most d, is an integer
+    polynomial of degree at most d on Z^{3m}, so R = sum_alpha c_alpha *
+    binom(x, alpha) over |alpha| <= d, where binom(x, alpha) is the product of
+    binom(x_i, alpha_i).  Each c_alpha is a finite difference of R at 0, an
+    integer combination of R's values on the grid, and binom(x, alpha) is an
+    integer at every integer x, negative ones included.  So R is 0 mod ``den``
+    in the rational slot and 0 in every symbol slot on all of Z^{3m} exactly
+    when it is on the grid.  The g-components cover {x : |x| <= d}, which
+    makes the normalization check exact by the same argument in m variables,
+    and the power identity of the twist check is the right-product one at
+    (r, s, s^2) for commuting r, s.  ``budget`` does not apply.
+
+    Otherwise: every triple of a finite domain of at most EXHAUSTIVE_LIMIT
+    elements, else ``budget.samples`` triples of words drawn from
+    ``budget.seed``."""
+    if sigma.degree is not None:
+        m = len(sigma.group.identity())
+        for p in _simplex(3 * m, sigma.degree):
+            yield p[:m], p[m:2 * m], p[2 * m:]
+        return
     elems = sigma.domain_elements()
     if elems is not None and len(elems) <= EXHAUSTIVE_LIMIT:
         for g in elems:
@@ -678,14 +728,18 @@ def _vanishes(den: int, plus: list, minus: list) -> bool:
 
 
 def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
-    """Normalization plus the cocycle identity, exhaustive on small finite groups."""
+    """Normalization plus the cocycle identity on the triples of _triples:
+    exact on polynomial kinds and small finite groups, sampled otherwise."""
     G = sigma.group
     if isinstance(sigma, PhaseTableCocycle) and G.order <= EXHAUSTIVE_LIMIT:
         return _validate_table_fast(sigma)
     e = G.identity()
-    dom = sigma.domain_elements()
-    mode = ("exhaustive" if dom is not None and len(dom) <= EXHAUSTIVE_LIMIT
-            else "sampled")
+    if sigma.degree is not None:
+        mode = "polynomial"
+    else:
+        dom = sigma.domain_elements()
+        mode = ("exhaustive" if dom is not None and len(dom) <= EXHAUSTIVE_LIMIT
+                else "sampled")
     den, val = sigma.den, sigma.int_value
     checks = 0
     triples = 0
@@ -708,7 +762,8 @@ def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget
 
 def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
     """The left- and right-product conjugation-twist identities on every
-    triple, and the right-product one on (r, s, s^2) when r and s commute.
+    triple of _triples, and the right-product one on (r, s, s^2) when r and s
+    commute; the mode is "polynomial" when that check is exact.
     Their commuting-pair forms need no check of their own: on a commuting
     triple they compare the same two phases as the general forms.
 
@@ -719,6 +774,7 @@ def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = Validation
     and each is checked as one signed sum of integer values."""
     G = sigma.group
     den, val = sigma.den, sigma.int_value
+    mode = "identity" if sigma.degree is None else "polynomial"
     checks = 0
     triples = 0
     for r, s, t in _triples(sigma, budget):
@@ -730,14 +786,14 @@ def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = Validation
         checks += 1
         if not _vanishes(den, [val(rs, t), val(rstr, r), val(sts, s)],
                          [val(rstr, rs), val(r, sts), v_st]):
-            return ValidationResult(False, (r, s, t), checks, "identity",
+            return ValidationResult(False, (r, s, t), checks, mode,
                                     "left-product identity fails", triples)
         rsr, rtr = G.conj(r, s), G.conj(r, t)
         v_rs, v_rsr_r = val(r, s), val(rsr, r)
         checks += 1
         if not _vanishes(den, [val(r, st), v_st, v_rsr_r, val(rtr, r)],
                          [val(G.conj(r, st), r), val(rsr, rtr), v_rs, val(r, t)]):
-            return ValidationResult(False, (r, s, t), checks, "identity",
+            return ValidationResult(False, (r, s, t), checks, mode,
                                     "right-product identity fails", triples)
         # powers always commute: force coverage of the commuting-pair identity;
         # r fixes every power of s under conjugation
@@ -747,6 +803,6 @@ def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = Validation
             checks += 1
             if not _vanishes(den, [val(r, s3), v_rsr_r, val(s2, r)],
                              [val(s3, r), v_rs, val(r, s2)]):
-                return ValidationResult(False, (r, s, s2), checks, "identity",
+                return ValidationResult(False, (r, s, s2), checks, mode,
                                         "power right-product identity fails", triples)
-    return ValidationResult(True, None, checks, "identity", "", triples)
+    return ValidationResult(True, None, checks, mode, "", triples)

@@ -237,15 +237,17 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
     run = sections.section("run")
     analyses: tuple[str, ...] = ("validate", "verdict")
     seed, budget, max_lattice = 0, 2000, 8
+    analyses_line = None
     if run is not None:
         view = _SectionView("run", run)
+        analyses_line = view.line_of("analyses")
         raw = view.get("analyses")
         if raw is not None:
             parts = tuple(p for p in re.split(r"[,\s]+", raw) if p)
             for p in parts:
                 if p not in ANALYSES:
                     raise ConfigError(f"unknown analysis {p!r} (choose from {', '.join(ANALYSES)})",
-                                      view.line_of("analyses"))
+                                      analyses_line)
             analyses = parts
         seed = view.get_int("seed", seed)
         budget = view.get_int("budget", budget)
@@ -257,7 +259,8 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
             raise ConfigError("max_lattice must be at least 1", view.line_of("max_lattice"))
         view.check_unknown()
         if "oracle" in analyses:
-            _check_oracle(group, view.line_of("analyses"))
+            _check_oracle(group, analyses_line)
+    _check_restriction(cocycle, analyses, analyses_line or sections.lines.get("cocycle"))
     return InstanceConfig(basis, params, group, subgroup, cocycle, analyses,
                           seed, budget, max_lattice, name)
 
@@ -270,6 +273,23 @@ def _check_oracle(group: Group, line: int | None) -> None:
         raise ConfigError("the oracle analysis needs a finite table group, not a product", line)
     if group.order > ORDER_CAP:
         raise ConfigError(f"order {group.order} exceeds the oracle cap {ORDER_CAP}", line)
+
+
+def _proper_restriction(c: Cocycle) -> Optional[RestrictionCocycle]:
+    """The first restriction to a proper subgroup that c is built from, or None."""
+    if isinstance(c, RestrictionCocycle) and not c.subgroup.is_full():
+        return c
+    return next((r for r in map(_proper_restriction, c.parts) if r is not None), None)
+
+
+def _check_restriction(cocycle: Cocycle, analyses: tuple[str, ...], line: int | None) -> None:
+    """Refuse decisions on a cocycle restricted to a proper subgroup: they
+    evaluate the instance's cocycle on the whole group, outside its domain."""
+    others = [a for a in analyses if a != "validate"]
+    restriction = _proper_restriction(cocycle) if others else None
+    if restriction is not None:
+        raise ConfigError(f"the cocycle is restricted to {restriction.subgroup.describe_desc()}; "
+                          f"only the validate analysis runs on it, not {others[0]!r}", line)
 
 
 def _parse_basis(sections: _Sections) -> IrrationalBasis:

@@ -283,22 +283,26 @@ def test_criterion_4_identity_suite():
         (similarity_transform(heis_formal, SeededBeta(heis, 6, 12)), 700),
         (RestrictionCocycle(heis_formal, hsub), 700),
     ]
-    total_tuples = 0
+    # tuples of the sampled and exhaustive modes, and points of the exact
+    # polynomial grid, counted apart
+    counts = {"tuples": 0, "grid": 0}
     failures = []
     for sigma, samples in variants:
         budget = ValidationBudget(samples=samples or 2000, seed=17)
         vres = validate_cocycle(sigma, budget)
         ires = check_twist_identities(sigma, budget)
-        total_tuples += vres.triples + ires.triples
+        counts["grid" if vres.mode == "polynomial" else "tuples"] += vres.triples + ires.triples
         if not vres.passed:
             failures.append((sigma.describe(), "cocycle identity", vres.witness))
         if not ires.passed:
             failures.append((sigma.describe(), ires.detail, ires.witness))
-    print(f"\n  identity suite: {total_tuples} sampled tuples across {len(variants)} variants")
+    total_tuples = counts["tuples"] + counts["grid"]
+    print(f"\n  identity suite: {counts['tuples']} sampled or exhaustive tuples and "
+          f"{counts['grid']} polynomial grid points across {len(variants)} variants")
     ok = not failures and total_tuples >= 10_000
     if failures:
         print("failures:", failures[:3])
-    _report(4, "cocycle and twist identities on sampled tuples", ok)
+    _report(4, "cocycle and twist identities on sampled tuples and polynomial grids", ok)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from kleppner.cocycles import (BicharacterCocycle, Cocycle, CocycleError, F2Z2Co
                                commutation_trivial, conj_twist,
                                rotation_cocycle, similarity_transform, three_torus_cocycle,
                                transport, validate_cocycle)
+from kleppner.config import parse_config
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
                              from_name)
 from kleppner.oracle import OracleError, build_regular_rep
@@ -505,15 +508,27 @@ def test_commutation_int_matches_int_values_and_phase():
 
 # -- the integer validators against their Phase-arithmetic reference ---------
 
+def reference_triples(sigma, budget):
+    """The triples and mode of validate_cocycle: the simplex grid of a
+    polynomial kind, enumerated here apart from the engine's, else _triples."""
+    if sigma.degree is None:
+        dom = sigma.domain_elements()
+        mode = "exhaustive" if dom is not None and len(dom) <= 64 else "sampled"
+        return _triples(sigma, budget), mode
+    m = len(sigma.group.identity())
+    points = (p for p in itertools.product(range(sigma.degree + 1), repeat=3 * m)
+              if sum(p) <= sigma.degree)
+    return ((p[:m], p[m:2 * m], p[2 * m:]) for p in points), "polynomial"
+
+
 def reference_validate(sigma, budget):
     """validate_cocycle's generic path, on Phase values and Phase arithmetic."""
     G = sigma.group
     e = G.identity()
-    dom = sigma.domain_elements()
-    mode = "exhaustive" if dom is not None and len(dom) <= 64 else "sampled"
+    triples_in, mode = reference_triples(sigma, budget)
     checks = triples = 0
     seen_norm = set()
-    for g, h, k in _triples(sigma, budget):
+    for g, h, k in triples_in:
         triples += 1
         for x in (g, h, k):
             if x not in seen_norm:
@@ -537,26 +552,28 @@ def reference_twist_identities(sigma, budget):
     def tw(h, g):
         return sigma.value(h, g) - sigma.value(G.conj(h, g), h)
 
+    triples_in, mode = reference_triples(sigma, budget)
+    mode = "polynomial" if mode == "polynomial" else "identity"
     checks = triples = 0
-    for r, s, t in _triples(sigma, budget):
+    for r, s, t in triples_in:
         triples += 1
         checks += 1
         if tw(G.mul(r, s), t) != tw(r, G.conj(s, t)) + tw(s, t):
-            return ValidationResult(False, (r, s, t), checks, "identity",
+            return ValidationResult(False, (r, s, t), checks, mode,
                                     "left-product identity fails", triples)
         rhs2 = (-sigma.value(s, t) + sigma.value(G.conj(r, s), G.conj(r, t))
                 + tw(r, s) + tw(r, t))
         checks += 1
         if tw(r, G.mul(s, t)) != rhs2:
-            return ValidationResult(False, (r, s, t), checks, "identity",
+            return ValidationResult(False, (r, s, t), checks, mode,
                                     "right-product identity fails", triples)
         if G.commutes(r, s):
             s2 = G.mul(s, s)
             checks += 1
             if tw(r, G.mul(s, s2)) != tw(r, s) + tw(r, s2):
-                return ValidationResult(False, (r, s, s2), checks, "identity",
+                return ValidationResult(False, (r, s, s2), checks, mode,
                                         "power right-product identity fails", triples)
-    return ValidationResult(True, None, checks, "identity", "", triples)
+    return ValidationResult(True, None, checks, mode, "", triples)
 
 
 def valid_cases():
@@ -576,7 +593,8 @@ def valid_cases():
 
 def reference_cases():
     return valid_cases() + [CubicForm(), Shifted(), corrupted_z22()[1]] + [
-        twist_failure_table(name, entries) for name, entries, _ in TWIST_FAILURES]
+        twist_failure_table(name, entries) for name, entries, _ in TWIST_FAILURES] + [
+        c for c, _detail in polynomial_mutants()]
 
 
 def test_validators_match_phase_reference():
@@ -622,3 +640,185 @@ def test_integer_forms_match_phase_formulas():
         for _ in range(40):
             g, h = sigma.random_domain_element(rng, 5), sigma.random_domain_element(rng, 5)
             assert sigma.value(g, h) == phase_formula(sigma, g, h), sigma.describe()
+
+
+# -- exact validation of polynomial kinds on the simplex grid ----------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def polynomial_variants():
+    """Every shipped cocycle with a stated degree: the fixtures' cocycles, the
+    shipped variants and a mixed rational/symbol bicharacter on Z^3."""
+    fixtures = [parse_config(p.read_text(), name=p.stem).cocycle
+                for p in sorted(FIXTURES.glob("*.tomlish"))]
+    b3 = IrrationalBasis(["t1", "t2", "t3"])
+    t1, t2, t3 = (b3.symbol(n) for n in ("t1", "t2", "t3"))
+    mixed = BicharacterCocycle(FreeAbelian(3), [
+        [b3.rational(Fraction(1, 3)), t1 * 2, -t2],
+        [t3 + b3.rational(Fraction(1, 5)), b3.zero(), b3.rational(Fraction(-2, 7))],
+        [t1 - t3, t2 * Fraction(3, 4), t3]])
+    bh = IrrationalBasis(["gamma", "theta"])
+    out = [c for c in fixtures + all_shipped_variants() if c.degree is not None] + [
+        mixed,
+        rotation_cocycle(Z2, Phase(Fraction(3, 7))),
+        HeisenbergCocycle(HEIS, bh.symbol("gamma"), bh.rational(Fraction(1, 3))),
+    ]
+    assert {type(c) for c in out} == {BicharacterCocycle, HeisenbergCocycle}
+    assert len([c for c in fixtures if c.degree is not None]) == 5
+    return out
+
+
+def identity_terms(G):
+    """Each int_value term of the cocycle identity and of the left- and
+    right-product twist identities: its two arguments as a function of the
+    triple.  sigma itself is the cocycle identity's sigma(g, h); the twist
+    identities' sigma(r, s) and sigma(s, t) are its sigma(g, h), sigma(h, k)."""
+    mul, conj = G.mul, G.conj
+    return {
+        "sigma(g, h)": lambda g, h, k: (g, h),
+        "sigma(gh, k)": lambda g, h, k: (mul(g, h), k),
+        "sigma(g, hk)": lambda g, h, k: (g, mul(h, k)),
+        "sigma(h, k)": lambda g, h, k: (h, k),
+        # left product, on (r, s, t)
+        "sigma(rs, t)": lambda r, s, t: (mul(r, s), t),
+        "sigma(rs t (rs)^-1, r)": lambda r, s, t: (conj(mul(r, s), t), r),
+        "sigma(s t s^-1, s)": lambda r, s, t: (conj(s, t), s),
+        "sigma(rs t (rs)^-1, rs)": lambda r, s, t: (conj(mul(r, s), t), mul(r, s)),
+        "sigma(r, s t s^-1)": lambda r, s, t: (r, conj(s, t)),
+        # right product
+        "sigma(r, st)": lambda r, s, t: (r, mul(s, t)),
+        "sigma(r st r^-1, r)": lambda r, s, t: (conj(r, mul(s, t)), r),
+        "sigma(r s r^-1, r)": lambda r, s, t: (conj(r, s), r),
+        "sigma(r t r^-1, r)": lambda r, s, t: (conj(r, t), r),
+        "sigma(r s r^-1, r t r^-1)": lambda r, s, t: (conj(r, s), conj(r, t)),
+        "sigma(r, t)": lambda r, s, t: (r, t),
+    }
+
+
+def degree_violation(sigma, rng, lines=40):
+    """The first (term, base point, direction) along whose line some order
+    d+1 finite difference of an identity term is not 0, in exact integers
+    (not mod den), d = sigma.degree; None when every one vanishes."""
+    d = sigma.degree
+    m = len(sigma.group.identity())
+    terms = identity_terms(sigma.group)
+    # three consecutive order d+1 differences per line
+    weights = [(-1) ** (d + 1 - i) * comb(d + 1, i) for i in range(d + 2)]
+    for _ in range(lines):
+        x0 = [rng.randint(-6, 6) for _ in range(3 * m)]
+        v = [rng.randint(-3, 3) for _ in range(3 * m)]
+        points = [[a + i * b for a, b in zip(x0, v)] for i in range(d + 4)]
+        triples = [(tuple(p[:m]), tuple(p[m:2 * m]), tuple(p[2 * m:])) for p in points]
+        for name, args in terms.items():
+            values = [sigma.int_value(*args(*t)) for t in triples]
+            for start in range(3):
+                window = values[start:start + d + 2]
+                diff = [sum(w * y[slot] for w, y in zip(weights, window))
+                        for slot in range(len(values[0]))]
+                if any(diff):
+                    return name, x0, v
+    return None
+
+
+def test_stated_degrees_bound_every_identity_term():
+    rng = random.Random(16)
+    for sigma in polynomial_variants():
+        assert degree_violation(sigma, rng) is None, sigma.describe()
+
+
+class UnderstatedHeisenberg(HeisenbergCocycle):
+    degree = 2
+
+
+class UnderstatedBicharacter(BicharacterCocycle):
+    degree = 1
+
+
+def test_an_understated_degree_fails_the_degree_test():
+    """The Heisenberg terms have degree exactly 3 and the bicharacter ones
+    exactly 2: one less is caught along random lines."""
+    bh = IrrationalBasis(["gamma", "theta"])
+    heis = UnderstatedHeisenberg(HEIS, bh.symbol("gamma"), bh.symbol("theta"))
+    rot = rotation_cocycle(Z2, TH)
+    low_rot = UnderstatedBicharacter(Z2, rot.matrix)
+    for sigma in (heis, low_rot):
+        assert degree_violation(sigma, random.Random(17)) is not None, sigma.describe()
+
+
+def test_polynomial_grid_sizes_and_budget_independence():
+    """C(3m + d, d) points: 28 on Z^2, 55 on Z^3, 220 on the Heisenberg
+    group, whatever the budget and seed."""
+    b3 = IrrationalBasis(["t1", "t2", "t3"])
+    bh = IrrationalBasis(["gamma", "theta"])
+    cases = [(rotation_cocycle(Z2, TH), 28),
+             (three_torus_cocycle(FreeAbelian(3), [b3.symbol(n) for n in ("t1", "t2", "t3")]), 55),
+             (HeisenbergCocycle(HEIS, bh.symbol("gamma"), bh.symbol("theta")), 220)]
+    for sigma, points in cases:
+        assert len(list(_triples(sigma, ValidationBudget()))) == points
+        results = {(validate_cocycle(sigma, b), check_twist_identities(sigma, b))
+                   for b in (ValidationBudget(), ValidationBudget(samples=7, seed=99))}
+        assert len(results) == 1
+        (v, i), = results
+        assert v.passed and v.mode == "polynomial" and v.checks == v.triples == points
+        assert i.passed and i.mode == "polynomial" and i.triples == points
+
+
+class CubicPolynomial(CubicForm):
+    """CubicForm with its true degree stated: a polynomial non-cocycle."""
+
+    degree = 3
+
+
+class DroppedBinomial(HeisenbergCocycle):
+    """The Heisenberg formula without its gamma * b2 * C(a1) term: the
+    cocycle identity is then off by gamma * g1 * h1 * k2."""
+
+    def int_value(self, a, b) -> list[int]:
+        a1, a2, _a3 = a
+        _b1, b2, b3 = b
+        theta_mult = a2 * (b3 + a1 * b2) + a1 * (b2 * (b2 - 1) // 2)
+        return [b3 * a1 * g + theta_mult * t for g, t in self._pairs]
+
+
+class WrongCoefficient(HeisenbergCocycle):
+    """The Heisenberg formula with theta * a2 * a1 * b2 doubled."""
+
+    def int_value(self, a, b) -> list[int]:
+        a1, a2, _a3 = a
+        _b1, b2, b3 = b
+        gamma_mult = b3 * a1 + b2 * (a1 * (a1 - 1) // 2)
+        theta_mult = a2 * (b3 + 2 * a1 * b2) + a1 * (b2 * (b2 - 1) // 2)
+        return [gamma_mult * g + theta_mult * t for g, t in self._pairs]
+
+
+def polynomial_mutants():
+    """(sigma, first grid failure): broken polynomial kinds with a stated degree."""
+    bh = IrrationalBasis(["gamma", "theta"])
+    return [
+        (CubicPolynomial(), ((1, 0), (1, 0), (1, 0))),
+        (DroppedBinomial(HEIS, bh.symbol("gamma"), bh.symbol("theta")),
+         ((1, 0, 0), (1, 0, 0), (0, 1, 0))),
+        (DroppedBinomial(HEIS, Phase(Fraction(1, 3)), Phase(Fraction(1, 2))),
+         ((1, 0, 0), (1, 0, 0), (0, 1, 0))),
+        (WrongCoefficient(HEIS, bh.symbol("gamma"), bh.symbol("theta")),
+         ((0, 1, 0), (1, 0, 0), (0, 1, 0))),
+    ]
+
+
+def test_polynomial_mode_catches_broken_formulas():
+    """Each mutant keeps its stated degree and fails at the first grid point
+    where its residual is not 0; the witness replays in Phase arithmetic, and
+    the twist identities fail too."""
+    for sigma, witness in polynomial_mutants():
+        G = sigma.group
+        assert degree_violation(sigma, random.Random(18)) is None, sigma.describe()
+        res = validate_cocycle(sigma)
+        assert not res.passed and res.mode == "polynomial", sigma.describe()
+        assert res.detail == "cocycle identity fails" and res.witness == witness
+        g, h, k = res.witness
+        lhs = sigma.value(g, h) + sigma.value(G.mul(g, h), k)
+        rhs = sigma.value(g, G.mul(h, k)) + sigma.value(h, k)
+        assert lhs != rhs  # the witness replays
+        ident = check_twist_identities(sigma)
+        assert not ident.passed and ident.mode == "polynomial"

@@ -423,3 +423,27 @@ def test_wrapped_restriction_validates_on_its_subgroup(case):
         # {0, 2} x Z_2 has 4 elements: every triple, exhaustively
         assert payload["validate"]["mode"] == "exhaustive"
         assert payload["validate"]["checks"] == 4 ** 3
+
+
+RESTRICTED_TO = {"similarity-of-restriction": "{(0, a2, a3)}",
+                 "product-with-restricted-factor": "finite subgroup {0, 2}"}
+
+
+@pytest.mark.parametrize("case", list(WRAPPED_RESTRICTIONS))
+def test_decisions_on_a_restricted_cocycle_are_a_config_error(case, tmp_path, capsys):
+    """A decision evaluates the cocycle on the whole group, outside the
+    restriction's subgroup: refused at the analyses line before any analysis
+    runs, or at the [cocycle] line when the default analyses apply."""
+    text = WRAPPED_RESTRICTIONS[case]
+    decisions = text.replace("analyses = validate",
+                             "analyses = validate kleppner relative-kleppner centralizers "
+                             "verdict lattice")
+    lines = text.splitlines()
+    path = tmp_path / "restricted.tomlish"
+    for body, bad, line in [(decisions, "kleppner", lines.index("analyses = validate") + 1),
+                            (text.split("[run]")[0], "verdict", lines.index("[cocycle]") + 1)]:
+        path.write_text(body)
+        assert main(["--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: the cocycle is restricted to {RESTRICTED_TO[case]}; only the "
+            f"validate analysis runs on it, not {bad!r} (line {line})\n")

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
@@ -644,7 +645,8 @@ def _simplex(n: int, d: int):
 
 
 def _triples(sigma: Cocycle, budget: ValidationBudget):
-    """The triples a validator checks.
+    """(mode, triples): the triples a validator checks, and the mode both
+    validators report for them.
 
     A polynomial kind (``sigma.degree`` is d) gets the points alpha of N^{3m}
     with |alpha| <= d, split into (g, h, k), m the number of coordinates of
@@ -662,25 +664,18 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
     (r, s, s^2) for commuting r, s.  ``budget`` does not apply.
 
     Otherwise: every triple of a finite domain of at most EXHAUSTIVE_LIMIT
-    elements, else ``budget.samples`` triples of words drawn from
-    ``budget.seed``."""
+    elements (mode "exhaustive"), else ``budget.samples`` triples of words
+    drawn from ``budget.seed`` (mode "sampled")."""
     if sigma.degree is not None:
         m = len(sigma.group.identity())
-        for p in _simplex(3 * m, sigma.degree):
-            yield p[:m], p[m:2 * m], p[2 * m:]
-        return
+        return "polynomial", ((p[:m], p[m:2 * m], p[2 * m:])
+                              for p in _simplex(3 * m, sigma.degree))
     elems = sigma.domain_elements()
     if elems is not None and len(elems) <= EXHAUSTIVE_LIMIT:
-        for g in elems:
-            for h in elems:
-                for k in elems:
-                    yield g, h, k
-        return
-    rng = random.Random(budget.seed)
-    for _ in range(budget.samples):
-        yield (sigma.random_domain_element(rng, WORD_SIZE),
-               sigma.random_domain_element(rng, WORD_SIZE),
-               sigma.random_domain_element(rng, WORD_SIZE))
+        return "exhaustive", product(elems, repeat=3)
+    rng, draw = random.Random(budget.seed), sigma.random_domain_element
+    return "sampled", ((draw(rng, WORD_SIZE), draw(rng, WORD_SIZE), draw(rng, WORD_SIZE))
+                       for _ in range(budget.samples))
 
 
 def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
@@ -734,17 +729,12 @@ def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget
     if isinstance(sigma, PhaseTableCocycle) and G.order <= EXHAUSTIVE_LIMIT:
         return _validate_table_fast(sigma)
     e = G.identity()
-    if sigma.degree is not None:
-        mode = "polynomial"
-    else:
-        dom = sigma.domain_elements()
-        mode = ("exhaustive" if dom is not None and len(dom) <= EXHAUSTIVE_LIMIT
-                else "sampled")
+    mode, points = _triples(sigma, budget)
     den, val = sigma.den, sigma.int_value
     checks = 0
     triples = 0
     seen_norm = set()
-    for g, h, k in _triples(sigma, budget):
+    for g, h, k in points:
         triples += 1
         for x in (g, h, k):
             if x not in seen_norm:
@@ -763,7 +753,7 @@ def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget
 def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
     """The left- and right-product conjugation-twist identities on every
     triple of _triples, and the right-product one on (r, s, s^2) when r and s
-    commute; the mode is "polynomial" when that check is exact.
+    commute; the mode is that of _triples.
     Their commuting-pair forms need no check of their own: on a commuting
     triple they compare the same two phases as the general forms.
 
@@ -774,10 +764,10 @@ def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = Validation
     and each is checked as one signed sum of integer values."""
     G = sigma.group
     den, val = sigma.den, sigma.int_value
-    mode = "identity" if sigma.degree is None else "polynomial"
+    mode, points = _triples(sigma, budget)
     checks = 0
     triples = 0
-    for r, s, t in _triples(sigma, budget):
+    for r, s, t in points:
         triples += 1
         rs, st = G.mul(r, s), G.mul(s, t)
         sts = G.conj(s, t)

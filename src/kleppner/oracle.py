@@ -115,7 +115,7 @@ class RegularRep:
                               tuple(_make(EMPTY_BASIS, self.den, [v]) for v in self.int_values[g]))
 
 
-def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None = None) -> RegularRep:
+def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool = False) -> RegularRep:
     if not isinstance(G, FiniteTable):
         raise OracleError("the oracle works on finite table groups")
     if sigma.group is not G:
@@ -136,8 +136,6 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool | None 
                                                 [[v[0] for v in row] for row in vals])
         except CocycleError:
             raise OracleError("lam(e) is not the identity; cocycle is not normalized") from None
-    if verify_pairs is None:
-        verify_pairs = n <= 12
     # lam(g) lam(h) = sigma(g, h) lam(gh): both sides put column k in row g h k,
     # and their exponents agree exactly when the cocycle identity holds at (g, h, k)
     bad = _table_identity_failure(table, G.elements() if verify_pairs else G.generators())

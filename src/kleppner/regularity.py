@@ -3,13 +3,12 @@
 The relative Kleppner decision runs a fixed, reported strategy chain:
 
   (a) finite table group: enumerate every H-class and test regularity, exact;
-  (b) the catalog proves FC_G(H) trivial: holds;
+  (b) the catalog knows FC_G(H) and it centralizes H: every finite H-class is
+      a singleton, so relative Kleppner is triviality of C_G^sigma(H);
   (c) H normal and prime (or the cocycle similar to trivial): reduce to
       [Kleppner for (H, sigma|_H)] and [triviality of the twisted centralizer];
-  (d) free abelian group: solve the phase-linear system on the cocycle's
-      integer form for the sublattice of regular elements, exact;
-  (x) the catalog computes FC_G(H) exactly (finite set, or a central subgroup):
-      decide the finitely/lattice-many candidate classes;
+  (x) the catalog enumerates a finite FC_G(H): decide its finitely many
+      candidate classes;
   (e) unknown, with the blocking reason.
 
 Failure witnesses are explicit finite classes replayable through the kernels.
@@ -96,19 +95,6 @@ def pairing_rows(sigma: Cocycle, hgens, xs) -> list[list[list[int]]]:
     return [[comm(x, h) for x in xs] for h in hgens]
 
 
-def _regular_lattice(sigma: Cocycle, hgens, dim: int, embed,
-                     least: Optional[Element] = None) -> tuple[list, Optional[Element]]:
-    """The x in Z^dim whose image embed(x) is regular for sigma against every
-    h in hgens: the images of a basis of that lattice, and the given least
-    regular element or else the least nonzero image (None when only 0 solves)."""
-    rows = pairing_rows(sigma, hgens, [embed(_unit(dim, j)) for j in range(dim)])
-    lat = solve_pairing_lattice(rows, sigma.den, dim)
-    gens = [embed(v) for v in lat.basis()]
-    if least is None and gens:
-        least = embed(lat.small_nonzero())
-    return gens, least
-
-
 # ---------------------------------------------------------------------------
 # twisted centralizer C_G^sigma(H)
 # ---------------------------------------------------------------------------
@@ -172,8 +158,14 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizer
         for h in hgens:
             if not commutation_trivial(sigma, extra, h):
                 raise AssertionError("claimed-regular element fails the pairing")
-    gens, w = _regular_lattice(sigma, hgens, dim, embed,
-                               min(always_regular, key=G.element_key, default=None))
+    # the x in Z^dim whose image is regular against every generator of H; the
+    # witness is the least always-regular element, else the least nonzero x
+    rows = pairing_rows(sigma, hgens, [embed(_unit(dim, j)) for j in range(dim)])
+    lat = solve_pairing_lattice(rows, sigma.den, dim)
+    gens = [embed(v) for v in lat.basis()]
+    w = min(always_regular, key=G.element_key, default=None)
+    if w is None and gens:
+        w = embed(lat.small_nonzero())
     if w is None:
         return SigmaCentralizerResult(Subgroup.trivial(G), tb.holds(
             "phase-linear system has only the zero solution"), cent)
@@ -217,22 +209,30 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
 
     notes: list[str] = []
 
-    # (b) catalog-trivial FC-centralizer
+    # (b) FC_G(H) centralizes H.  Then FC_G(H) = C_G(H), every finite H-class
+    # is a singleton {g} with g in C_G(H), and such a g is regular exactly
+    # when it lies in C_G^sigma(H): relative Kleppner holds iff C_G^sigma(H)
+    # is trivial.
     fci = fc_centralizer(G, H)
-    if fci.known and fci.trivial:
-        return tb.holds("(b) FC_G(H) is trivial: " + (fci.note or "no finite classes at all"))
+    sc = None
+    if fci.known and all(G.commutes(f, h) for f in fci.subgroup.generators()
+                         for h in H.generators()):
+        sc = sigma_centralizer(G, H, sigma)
+        if sc.is_trivial.fails:
+            w = sc.is_trivial.witness
+            return tb.fails(finite_class([w]), "(b) FC_G(H) centralizes H: "
+                                               f"C_G^sigma(H) contains {G.element_str(w)}")
+        if sc.is_trivial.holds:
+            return tb.holds("(b) FC_G(H) centralizes H and C_G^sigma(H) is trivial")
+        notes.append(f"(b) inconclusive: twisted centralizer {sc.is_trivial.reason}")
 
     # (c) normal prime subgroup reduction
     if not H.is_full():
-        step_c = _strategy_normal_prime(G, H, sigma, notes)
+        step_c = _strategy_normal_prime(G, H, sigma, sc, notes)
         if step_c is not None:
             return step_c
 
-    # (d) abelian ambient group: exact phase-linear system
-    if G.exact_kernel == "abelian":
-        return _strategy_abelian(G, H, sigma)
-
-    # (x) catalog-described FC-centralizer
+    # (x) finite FC-centralizer
     if fci.known:
         step_x = _strategy_fc_catalog(G, H, sigma, fci, notes)
         if step_x is not None:
@@ -242,7 +242,7 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
     return tb.unknown(reason, "(e) undecided")
 
 
-def _strategy_normal_prime(G, H, sigma, notes) -> Optional[TriBool]:
+def _strategy_normal_prime(G, H, sigma, sc, notes) -> Optional[TriBool]:
     nrm = is_normal(H)
     if not nrm.holds:
         notes.append(f"(c) skipped: normality of H {nrm.status}")
@@ -261,7 +261,8 @@ def _strategy_normal_prime(G, H, sigma, notes) -> Optional[TriBool]:
         notes.append("(c) skipped: sigma does not restrict to a catalog form of H")
         return None
     restricted, asg = tr
-    sc = sigma_centralizer(G, H, sigma)
+    if sc is None:
+        sc = sigma_centralizer(G, H, sigma)
     if sc.is_trivial.fails:
         w = sc.is_trivial.witness
         # w centralizes H, so its H-class is {w}
@@ -277,15 +278,6 @@ def _strategy_normal_prime(G, H, sigma, notes) -> Optional[TriBool]:
     notes.append(f"(c) inconclusive: inner Kleppner {inner.status}, "
                  f"twisted centralizer {sc.is_trivial.status}")
     return None
-
-
-def _strategy_abelian(G: Group, H: Subgroup, sigma) -> TriBool:
-    _gens, w = _regular_lattice(sigma, H.generators(), G.rank, lambda v: v)
-    if w is None:
-        return tb.holds("(d) abelian system: only 0 is regular for sigma against H")
-    return tb.fails(finite_class([w]),
-                    f"(d) abelian system: {G.element_str(w)} is a nontrivial regular "
-                    "singleton class")
 
 
 def _strategy_fc_catalog(G, H, sigma, fci, notes) -> Optional[TriBool]:
@@ -311,18 +303,6 @@ def _strategy_fc_catalog(G, H, sigma, fci, notes) -> Optional[TriBool]:
             notes.append("(x) inconclusive: regularity undecided inside FC_G(H)")
             return None
         return tb.holds("(x) finite FC-centralizer: no nontrivial class is regular")
-
-    if fci.central is True:
-        asg = fci.subgroup.as_group()
-        if asg is not None and asg.group.exact_kernel == "abelian":
-            _gens, w = _regular_lattice(sigma, H.generators(), asg.group.rank, asg.embed)
-            if w is None:
-                return tb.holds("(x) central FC-centralizer: only e is regular")
-            # w is central, so its H-class is {w}
-            return tb.fails(finite_class([w]),
-                            "(x) central FC-centralizer: nontrivial regular element")
-        notes.append("(x) skipped: central FC-centralizer has no lattice form")
-        return None
 
     notes.append("(x) skipped: FC-centralizer not enumerable")
     return None

@@ -509,12 +509,12 @@ def test_commutation_int_matches_int_values_and_phase():
 # -- the integer validators against their Phase-arithmetic reference ---------
 
 def reference_triples(sigma, budget):
-    """The triples and mode of validate_cocycle: the simplex grid of a
+    """The triples and mode of both validators: the simplex grid of a
     polynomial kind, enumerated here apart from the engine's, else _triples."""
     if sigma.degree is None:
         dom = sigma.domain_elements()
         mode = "exhaustive" if dom is not None and len(dom) <= 64 else "sampled"
-        return _triples(sigma, budget), mode
+        return _triples(sigma, budget)[1], mode
     m = len(sigma.group.identity())
     points = (p for p in itertools.product(range(sigma.degree + 1), repeat=3 * m)
               if sum(p) <= sigma.degree)
@@ -553,7 +553,6 @@ def reference_twist_identities(sigma, budget):
         return sigma.value(h, g) - sigma.value(G.conj(h, g), h)
 
     triples_in, mode = reference_triples(sigma, budget)
-    mode = "polynomial" if mode == "polynomial" else "identity"
     checks = triples = 0
     for r, s, t in triples_in:
         triples += 1
@@ -755,7 +754,8 @@ def test_polynomial_grid_sizes_and_budget_independence():
              (three_torus_cocycle(FreeAbelian(3), [b3.symbol(n) for n in ("t1", "t2", "t3")]), 55),
              (HeisenbergCocycle(HEIS, bh.symbol("gamma"), bh.symbol("theta")), 220)]
     for sigma, points in cases:
-        assert len(list(_triples(sigma, ValidationBudget()))) == points
+        mode, grid = _triples(sigma, ValidationBudget())
+        assert mode == "polynomial" and len(list(grid)) == points
         results = {(validate_cocycle(sigma, b), check_twist_identities(sigma, b))
                    for b in (ValidationBudget(), ValidationBudget(samples=7, seed=99))}
         assert len(results) == 1

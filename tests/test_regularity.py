@@ -196,6 +196,46 @@ def test_relative_icc_examples():
     assert relative_icc(F2, Subgroup.full(F2)).holds
 
 
+def _replays(G, H, sigma, w):
+    """w is a nontrivial element that is regular for sigma against H."""
+    return w != G.identity() and is_sigma_regular(w, H, sigma).holds
+
+
+def test_branches_behind_b_still_decide():
+    # (c): Z x S_3 is not centralized by its FC-centralizer (all of G)
+    s3 = from_name("S_3")
+    zs3 = DirectProduct(FreeAbelian(1), s3)
+    H = Subgroup.product(zs3, Subgroup.trivial(zs3.left), Subgroup.full(s3))
+    r = relative_kleppner(zs3, H, TrivialCocycle(zs3))
+    assert r.fails and r.notes[0].startswith("(c)")
+    assert r.witness.elements == (((1,), s3.identity()),)
+    assert _replays(zs3, H, TrivialCocycle(zs3), r.witness.elements[0])
+    # (x), finite branch: the FC-centralizer of Z_1 x S_3 is finite and
+    # nonabelian, so a regular class can have three elements
+    one_s3 = DirectProduct(from_name("Z_1"), s3)
+    full = Subgroup.full(one_s3)
+    r = relative_kleppner(one_s3, full, TrivialCocycle(one_s3))
+    assert r.fails and r.notes[0].startswith("(x)") and r.witness.size == 3
+    assert all(_replays(one_s3, full, TrivialCocycle(one_s3), w) for w in r.witness.elements)
+
+
+def test_b_decides_non_normal_subgroups():
+    # <a^2> is not normal in F_2; its FC-centralizer <a> centralizes it
+    a, a2 = F2.parse_element("a"), F2.parse_element("a^2")
+    for H, sigma, witness in (
+            (Subgroup.generated(F2, [a2]), TrivialCocycle(F2), a),
+            (Subgroup.generated(HEIS, [(1, 0, 0)]), TrivialCocycle(HEIS), (0, 0, 1))):
+        G = H.parent
+        r = relative_kleppner(G, H, sigma)
+        assert r.fails and r.notes[0].startswith("(b)")
+        assert r.witness.elements == (witness,)
+        assert _replays(G, H, sigma, witness)
+    # a noncyclic subgroup of F_2 has a trivial FC-centralizer
+    noncyclic = Subgroup.generated(F2, [a2, F2.parse_element("b^2")])
+    r = relative_kleppner(F2, noncyclic, TrivialCocycle(F2))
+    assert r.holds and r.notes[0].startswith("(b)")
+
+
 def test_relative_implies_absolute_on_decided_instances():
     # relative Kleppner holds => Kleppner for G and for (H, sigma|_H)
     from kleppner.cocycles import transport
@@ -364,6 +404,48 @@ def test_integer_solver_matches_the_fraction_solver(monkeypatch):
         assert got == _fraction_solver(phases, len(xs)).basis()
 
 
+def _ball(G, H):
+    """Elements of a small ball in G that commute with every generator of H."""
+    if isinstance(G, FreeAbelian):
+        box = product(range(-2, 3), repeat=G.rank)
+    elif isinstance(G, Heisenberg):
+        box = product(range(-3, 4), repeat=3)
+    else:
+        box = ((G.left.identity(), k) for k in (0, 1))
+    return [x for x in box if all(G.commutes(x, h) for h in H.generators())]
+
+
+def test_strategy_b_against_a_ball_of_the_centralizer():
+    """Every (b) answer on the decide shapes, checked without the lattice
+    solver: a failure's witness replays, and on a holds no nontrivial element
+    of C_G(H) in a ball is regular by is_sigma_regular (which tests C_H(g)'s
+    generators)."""
+    rng = random.Random(23)
+    shapes = list(_lattice_instances(rng))
+    for j in range(4):
+        sigma = F2Z2Cocycle(F2Z2, j) if j else TrivialCocycle(F2Z2)
+        shapes += [(F2Z2, HF, sigma), (F2Z2, Subgroup.full(F2Z2), sigma)]
+    seen = set()
+    for G, H, sigma in shapes:
+        twin = similarity_transform(sigma, SeededBeta(G, rng.randrange(10**6),
+                                                      rng.choice((4, 6, 8, 12)), sigma.basis))
+        for s in (sigma, twin):
+            r = relative_kleppner(G, H, s)
+            if not r.notes[0].startswith("(b)"):
+                continue
+            seen.add((type(G).__name__, r.status))
+            if r.fails:
+                w, = r.witness.elements
+                assert all(G.commutes(w, h) for h in H.generators())
+                assert _replays(G, H, s, w), (G.name, H.describe_desc(), w)
+            else:
+                regular = [x for x in _ball(G, H)
+                           if x != G.identity() and is_sigma_regular(x, H, s).holds]
+                assert not regular, (G.name, H.describe_desc(), s.describe(), regular[:3])
+    assert {(k, st) for k in ("FreeAbelian", "Heisenberg", "DirectProduct")
+            for st in ("holds", "fails")} <= seen
+
+
 # ---------------------------------------------------------------------------
 # sigma-regular subgroups
 # ---------------------------------------------------------------------------
@@ -417,12 +499,13 @@ def test_closure_lemmas_smoke():
 
 def test_generated_subgroup_still_decided_via_central_fc():
     # <(1,0,0), (0,1,0)> has undecidable membership, but its FC-centralizer
-    # is the center, so strategy (x) still decides the question exactly
+    # is the center, which centralizes H, so strategy (b) still decides the
+    # question exactly
     crooked = Subgroup.generated(HEIS, [(1, 0, 0), (0, 1, 0)])
     bh = IrrationalBasis(["t"])
     sig = heis_cocycle(bh.zero(), bh.symbol("t"))
     r = relative_kleppner(HEIS, crooked, sig)
-    assert r.holds and any("(x)" in n for n in r.notes)
+    assert r.holds and r.notes[0].startswith("(b)")
 
 
 def test_unknown_paths_are_honest():
@@ -433,6 +516,14 @@ def test_unknown_paths_are_honest():
     sig = heis_cocycle(bh.zero(), bh.symbol("t"))
     r = relative_kleppner(HEIS, slanted, sig)
     assert r.unknown and r.reason
+    # Z^2 x (Z_2 x Z_2): the central FC-centralizer has no lattice form and
+    # no generator of it is regular, so (b) falls through undecided
+    k4 = from_name("Z_2 x Z_2")
+    tbl = [[Phase(Fraction((g % 2) * (h // 2), 2)) for h in range(4)] for g in range(4)]
+    G = DirectProduct(Z2, k4)
+    sig = ProductCocycle(G, rotation_cocycle(Z2, TH), PhaseTableCocycle(k4, tbl))
+    r = relative_kleppner(G, Subgroup.full(G), sig)
+    assert r.unknown and r.reason.startswith("(b) inconclusive")
 
 
 def test_sigma_regular_subgroup_full_group():

@@ -31,7 +31,7 @@ Grammar (one file = one instance):
 
     [run]
     analyses = validate kleppner relative-kleppner centralizers verdict lattice oracle
-    seed = 0 ; budget = 2000 ; max_lattice = 8
+    seed = 0 ; budget = 2000 ; max_lattice = 8   # max_lattice at most LATTICE_CAP
 
 Values are bare words, quoted strings, or JSON arrays.  Unknown keys and kinds
 are rejected with the offending line.
@@ -62,6 +62,10 @@ from .phases import EMPTY_BASIS, IrrationalBasis, Phase, PhaseParseError, parse_
 # the largest free abelian rank a config may ask for: the engine's work grows
 # steeply with the rank (rank 256 takes seconds to validate and decide)
 RANK_CAP = 64
+
+# the most intermediate-lattice entries a config may ask for: each entry is a
+# subgroup in the report, so the report and memory grow linearly with it
+LATTICE_CAP = 1000
 
 ANALYSES = ("validate", "kleppner", "relative-kleppner", "centralizers",
             "verdict", "lattice", "oracle")
@@ -257,6 +261,9 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
         max_lattice = view.get_int("max_lattice", max_lattice)
         if max_lattice < 1:
             raise ConfigError("max_lattice must be at least 1", view.line_of("max_lattice"))
+        if max_lattice > LATTICE_CAP:
+            raise ConfigError(f"max_lattice {max_lattice} exceeds the lattice cap {LATTICE_CAP}",
+                              view.line_of("max_lattice"))
         view.check_unknown()
         if "oracle" in analyses:
             _check_oracle(group, analyses_line)

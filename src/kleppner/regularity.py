@@ -3,17 +3,17 @@
 The relative Kleppner decision runs a fixed, reported strategy chain:
 
   (a) finite table group: enumerate every H-class and test regularity, exact;
-  (b) the catalog knows FC_G(H) and it centralizes H: every finite H-class is
-      a singleton, so relative Kleppner is triviality of C_G^sigma(H);
-  (c) H normal and prime (or the cocycle similar to trivial): reduce to
-      [Kleppner for (H, sigma|_H)] and [triviality of the twisted centralizer];
+  (b) the twisted centralizer: a nontrivial element of C_G^sigma(H) is a
+      regular singleton class, for every H; when the catalog knows FC_G(H)
+      and it centralizes H, every finite H-class is such a singleton, so a
+      trivial C_G^sigma(H) decides that the condition holds;
   (x) the catalog enumerates a finite FC_G(H): decide its finitely many
-      candidate classes;
+      classes, with the enumerator of (a);
   (e) unknown, with the blocking reason.
 
 Failure witnesses are explicit finite classes replayable through the kernels.
-Enumerated witnesses are least under the group's element ordering; lattice and
-standalone-group witnesses are least in those coordinates (README, "Decision
+Enumerated witnesses are least under the group's element ordering; lattice
+witnesses are least in the lattice's coordinates (README, "Decision
 procedures").
 """
 
@@ -25,10 +25,9 @@ from typing import Optional
 
 from . import tribool as tb
 from .cocycles import Cocycle, commutation_trivial, transport
-from .groups.base import Element, Group, GroupError
+from .groups.base import Classification, Element, Group, GroupError
 from .groups.structure import (centralizer_generators, centralizer_of_subgroup,
-                               fc_centralizer, h_conjugacy_class, is_normal, is_prime,
-                               subgroup_predicate)
+                               fc_centralizer, h_conjugacy_class)
 from .groups.subgroups import Subgroup, finite_class
 from .intlinalg import RowLattice, integer_kernel, kernel_mod
 from .tribool import TriBool
@@ -182,20 +181,42 @@ def _unit(dim: int, j: int) -> tuple[int, ...]:
 # relative Kleppner condition
 # ---------------------------------------------------------------------------
 
-def _finite_table_relative(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
-    helems = H.enumerate_elements()
+def _first_regular_class(G: Group, H: Subgroup, sigma: Cocycle,
+                         elems) -> tuple[Optional[Classification], bool]:
+    """The first regular nontrivial H-class of the finite H-invariant set elems
+    (on a finite table, of all of G), classes taken in order of their least
+    element so that a witness is least, and whether some class was undecided.
+    An undecided class is skipped: a later regular class still refutes."""
     e = G.identity()
-    # classes come in increasing order of their least element, so the first
-    # regular one is the minimal witness
-    for orbit in G.h_classes(helems):
-        if orbit == [e]:
+    helems = H.enumerate_elements()
+    if G.exact_kernel == "finite":
+        classes = G.h_classes(helems)
+    else:
+        # None marks a class the catalog cannot bound
+        classes, seen = [], set()
+        for s in sorted(elems, key=G.element_key):
+            if s not in seen:
+                cls = h_conjugacy_class(s, H)
+                seen.update(cls.elements)
+                if not cls.infinite:
+                    classes.append(cls.elements if cls.finite else None)
+    undecided = False
+    for orbit in classes:
+        if orbit is None:
+            undecided = True
+        elif orbit[0] == e:
             continue
-        rep = orbit[0]
-        cent = [h for h in helems if G.commutes(h, rep)]
-        if all(commutation_trivial(sigma, rep, h) for h in cent):
-            return tb.fails(finite_class(orbit),
-                            "(a) finite enumeration: a nontrivial regular class exists")
-    return tb.holds("(a) finite enumeration: every nontrivial H-class fails regularity")
+        elif helems is not None:
+            # regular: trivial twist against every h in C_H(rep)
+            rep = orbit[0]
+            if all(commutation_trivial(sigma, rep, h) for h in helems if G.commutes(h, rep)):
+                return finite_class(orbit), undecided
+        else:
+            reg = is_sigma_regular(orbit[0], H, sigma)
+            if reg.holds:
+                return finite_class(orbit), undecided
+            undecided = undecided or reg.unknown
+    return None, undecided
 
 
 def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
@@ -205,107 +226,43 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
 
     # (a) finite table: exact enumeration
     if G.exact_kernel == "finite":
-        return _finite_table_relative(G, H, sigma)
+        cls, _ = _first_regular_class(G, H, sigma, None)
+        if cls is not None:
+            return tb.fails(cls, "(a) finite enumeration: a nontrivial regular class exists")
+        return tb.holds("(a) finite enumeration: every nontrivial H-class fails regularity")
 
     notes: list[str] = []
 
-    # (b) FC_G(H) centralizes H.  Then FC_G(H) = C_G(H), every finite H-class
-    # is a singleton {g} with g in C_G(H), and such a g is regular exactly
-    # when it lies in C_G^sigma(H): relative Kleppner holds iff C_G^sigma(H)
-    # is trivial.
+    # (b) the twisted centralizer.  A nontrivial w in C_G^sigma(H) centralizes
+    # H, so its H-class is the regular singleton {w}, for every H.  When
+    # FC_G(H) centralizes H, FC_G(H) = C_G(H) and every finite H-class is such
+    # a singleton, so relative Kleppner holds iff C_G^sigma(H) is trivial.
     fci = fc_centralizer(G, H)
-    sc = None
-    if fci.known and all(G.commutes(f, h) for f in fci.subgroup.generators()
-                         for h in H.generators()):
-        sc = sigma_centralizer(G, H, sigma)
-        if sc.is_trivial.fails:
-            w = sc.is_trivial.witness
-            return tb.fails(finite_class([w]), "(b) FC_G(H) centralizes H: "
-                                               f"C_G^sigma(H) contains {G.element_str(w)}")
-        if sc.is_trivial.holds:
-            return tb.holds("(b) FC_G(H) centralizes H and C_G^sigma(H) is trivial")
-        notes.append(f"(b) inconclusive: twisted centralizer {sc.is_trivial.reason}")
+    central = fci.known and all(G.commutes(f, h) for f in fci.subgroup.generators()
+                                for h in H.generators())
+    twisted = sigma_centralizer(G, H, sigma).is_trivial
+    if twisted.fails:
+        w = twisted.witness
+        tag = "(b) FC_G(H) centralizes H: " if central else "(b) "
+        return tb.fails(finite_class([w]), f"{tag}C_G^sigma(H) contains {G.element_str(w)}")
+    if twisted.holds and central:
+        return tb.holds("(b) FC_G(H) centralizes H and C_G^sigma(H) is trivial")
+    if twisted.unknown:
+        notes.append(f"(b) inconclusive: twisted centralizer {twisted.reason}")
 
-    # (c) normal prime subgroup reduction
-    if not H.is_full():
-        step_c = _strategy_normal_prime(G, H, sigma, sc, notes)
-        if step_c is not None:
-            return step_c
-
-    # (x) finite FC-centralizer
-    if fci.known:
-        step_x = _strategy_fc_catalog(G, H, sigma, fci, notes)
-        if step_x is not None:
-            return step_x
-
-    reason = "; ".join(notes) if notes else f"no decision strategy applies to {G.name}"
-    return tb.unknown(reason, "(e) undecided")
-
-
-def _strategy_normal_prime(G, H, sigma, sc, notes) -> Optional[TriBool]:
-    nrm = is_normal(H)
-    if not nrm.holds:
-        notes.append(f"(c) skipped: normality of H {nrm.status}")
-        return None
-    trivial_like = sigma.is_trivial_like()
-    if not trivial_like:
-        prime = subgroup_predicate(H, is_prime)
-        if not prime.holds:
-            notes.append(f"(c) skipped: primeness of H {prime.status}")
-            return None
-        reason_tag = "(c) H normal and prime"
-    else:
-        reason_tag = "(c) H normal, cocycle similar to trivial"
-    tr = transport(sigma, H)
-    if tr is None:
-        notes.append("(c) skipped: sigma does not restrict to a catalog form of H")
-        return None
-    restricted, asg = tr
-    if sc is None:
-        sc = sigma_centralizer(G, H, sigma)
-    if sc.is_trivial.fails:
-        w = sc.is_trivial.witness
-        # w centralizes H, so its H-class is {w}
-        return tb.fails(finite_class([w]),
-                        f"{reason_tag}: C_G^sigma(H) contains {G.element_str(w)}")
-    inner = relative_kleppner(asg.group, Subgroup.full(asg.group), restricted)
-    if inner.fails:
-        return tb.fails(asg.lift(inner.witness, G),
-                        f"{reason_tag}: Kleppner fails for (H, sigma|_H)")
-    if inner.holds and sc.is_trivial.holds:
-        return tb.holds(f"{reason_tag}: (H, sigma|_H) satisfies Kleppner's condition "
-                        "and C_G^sigma(H) is trivial")
-    notes.append(f"(c) inconclusive: inner Kleppner {inner.status}, "
-                 f"twisted centralizer {sc.is_trivial.status}")
-    return None
-
-
-def _strategy_fc_catalog(G, H, sigma, fci, notes) -> Optional[TriBool]:
+    # (x) a finite FC_G(H): decide its finitely many classes
     elems = fci.finite_elements()
-    if elems is not None:
-        e = G.identity()
-        undecided = []
-        for s in sorted(elems, key=G.element_key):
-            if s == e:
-                continue
-            cls = h_conjugacy_class(s, H)
-            if cls.infinite:
-                continue
-            if cls.unknown:
-                undecided.append(s)
-                continue
-            reg = is_sigma_regular(cls.elements[0], H, sigma)
-            if reg.holds:
-                return tb.fails(cls, "(x) finite FC-centralizer: regular nontrivial class")
-            if reg.unknown:
-                undecided.append(s)
-        if undecided:
-            notes.append("(x) inconclusive: regularity undecided inside FC_G(H)")
-            return None
-        return tb.holds("(x) finite FC-centralizer: no nontrivial class is regular")
+    if elems is None:
+        notes.append("(x) skipped: FC-centralizer not enumerable")
+    else:
+        cls, undecided = _first_regular_class(G, H, sigma, elems)
+        if cls is not None:
+            return tb.fails(cls, "(x) finite FC-centralizer: regular nontrivial class")
+        if not undecided:
+            return tb.holds("(x) finite FC-centralizer: no nontrivial class is regular")
+        notes.append("(x) inconclusive: regularity undecided inside FC_G(H)")
 
-    notes.append("(x) skipped: FC-centralizer not enumerable")
-    return None
+    return tb.unknown("; ".join(notes), "(e) undecided")
 
 
 def kleppner(G: Group, sigma: Cocycle) -> TriBool:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from kleppner.cli import main
-from kleppner.config import RANK_CAP, ConfigError, parse_config
+from kleppner.config import LATTICE_CAP, RANK_CAP, ConfigError, parse_config
 from kleppner.report import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -351,6 +351,20 @@ def test_free_abelian_rank_above_the_cap_is_a_config_error(tmp_path, capsys):
     # refused at the rank line before any analysis runs
     assert capsys.readouterr().err == (
         f"config error: free_abelian rank {RANK_CAP + 1} exceeds the rank cap {RANK_CAP} (line 3)\n")
+
+
+def test_max_lattice_above_the_cap_is_a_config_error(tmp_path, capsys):
+    text = (FIXTURES / "heisenberg.tomlish").read_text()
+    assert "max_lattice = 5\n" in text
+    path = tmp_path / "lattice.tomlish"
+    path.write_text(text.replace("max_lattice = 5\n", f"max_lattice = {LATTICE_CAP + 1}\n"))
+    line = text.splitlines().index("max_lattice = 5") + 1
+    assert main(["--input", str(path)]) == 1
+    # refused at the max_lattice line before any analysis runs
+    assert capsys.readouterr().err == (f"config error: max_lattice {LATTICE_CAP + 1} exceeds "
+                                       f"the lattice cap {LATTICE_CAP} (line {line})\n")
+    path.write_text(text.replace("max_lattice = 5\n", f"max_lattice = {LATTICE_CAP}\n"))
+    assert parse_config(path.read_text()).max_lattice == LATTICE_CAP
 
 
 # wrapper cocycles validate on the domain of their parts

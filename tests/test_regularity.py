@@ -1,8 +1,11 @@
+import inspect
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 from kleppner import regularity
 from kleppner.cocycles import (BicharacterCocycle, F2Z2Cocycle, HeisenbergCocycle,
@@ -201,13 +204,14 @@ def _replays(G, H, sigma, w):
     return w != G.identity() and is_sigma_regular(w, H, sigma).holds
 
 
-def test_branches_behind_b_still_decide():
-    # (c): Z x S_3 is not centralized by its FC-centralizer (all of G)
+def test_b_refutes_and_x_decides_when_fc_does_not_centralize_h():
+    # (b): FC_G(H) = G does not centralize H = {0} x S_3 in Z x S_3, but
+    # C_G^sigma(H) = Z x {e} is nontrivial, and its element is a singleton class
     s3 = from_name("S_3")
     zs3 = DirectProduct(FreeAbelian(1), s3)
     H = Subgroup.product(zs3, Subgroup.trivial(zs3.left), Subgroup.full(s3))
     r = relative_kleppner(zs3, H, TrivialCocycle(zs3))
-    assert r.fails and r.notes[0].startswith("(c)")
+    assert r.fails and r.notes[0].startswith("(b)")
     assert r.witness.elements == (((1,), s3.identity()),)
     assert _replays(zs3, H, TrivialCocycle(zs3), r.witness.elements[0])
     # (x), finite branch: the FC-centralizer of Z_1 x S_3 is finite and
@@ -217,6 +221,26 @@ def test_branches_behind_b_still_decide():
     r = relative_kleppner(one_s3, full, TrivialCocycle(one_s3))
     assert r.fails and r.notes[0].startswith("(x)") and r.witness.size == 3
     assert all(_replays(one_s3, full, TrivialCocycle(one_s3), w) for w in r.witness.elements)
+
+
+def test_b_refutes_through_the_twisted_centralizer_for_every_h():
+    # neither instance has an FC-centralizer that centralizes H, so only the
+    # nontrivial twisted centralizer decides them
+    s3 = from_name("S_3")
+    t = next(x for x in s3.elements() if s3.element_str(x) == "(0 2 1)")
+    zs3 = DirectProduct(FreeAbelian(1), s3)
+    # H = {0} x <(0 2 1)> is not normal: (0 2 1) centralizes H
+    H = Subgroup.product(zs3, Subgroup.trivial(zs3.left), Subgroup.finite_subset(s3, [0, t]))
+    r = relative_kleppner(zs3, H, TrivialCocycle(zs3))
+    assert r.fails and r.notes == ("(b) C_G^sigma(H) contains ((0), (0 2 1))",)
+    assert r.witness.elements == (((0,), t),)
+    assert _replays(zs3, H, TrivialCocycle(zs3), r.witness.elements[0])
+    # Kleppner for Heis x S_3: the central (0, 0, 1) is regular
+    hs3 = DirectProduct(HEIS, s3)
+    r = kleppner(hs3, TrivialCocycle(hs3))
+    assert r.fails and r.notes[0].startswith("(b)")
+    assert r.witness.elements == (((0, 0, 1), s3.identity()),)
+    assert _replays(hs3, Subgroup.full(hs3), TrivialCocycle(hs3), r.witness.elements[0])
 
 
 def test_b_decides_non_normal_subgroups():
@@ -563,3 +587,25 @@ def test_kleppner_on_a_large_lattice_is_fast():
     k = kleppner(G, TrivialCocycle(G))
     assert time.perf_counter() - t0 < 1.0
     assert k.fails and k.witness.elements == ((0,) * 9 + (1,),)
+
+
+def test_readme_strategy_bullets_name_the_emitted_labels():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("\n## Decision procedures\n"):readme.index("\n### Verdicts\n")]
+    bullets = re.findall(r"^\* \*\*\((\w)\)\*\*", section, re.M)
+    # every label relative_kleppner can write opens one of its note literals
+    written = set(re.findall(r'"\((\w)\) ', inspect.getsource(relative_kleppner)))
+    s3 = from_name("S_3")
+    k4 = from_name("Z_2 x Z_2")
+    one_s3 = DirectProduct(from_name("Z_1"), s3)
+    heis_s3 = DirectProduct(HEIS, s3)
+    emitted = set()
+    for G, sigma in ((k4, TrivialCocycle(k4)), (F2, TrivialCocycle(F2)),
+                     (one_s3, TrivialCocycle(one_s3)),
+                     (heis_s3, ProductCocycle(heis_s3, heis_cocycle(TH, TH),
+                                              TrivialCocycle(s3)))):
+        r = kleppner(G, sigma)
+        for note in r.notes + tuple(r.reason.split("; ")):
+            emitted.update(re.findall(r"^\((\w)\) ", note))
+    assert bullets == ["a", "b", "x", "e"]
+    assert set(bullets) == written == emitted

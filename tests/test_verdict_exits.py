@@ -43,7 +43,7 @@ def _f2_in_f2z2(cocycle):
 
 def _k4_times_one(full: bool):
     # Z_2 x Z_2 behind a trivial factor: no exact kernel, so the relative
-    # Kleppner rule decides through the finite FC-centralizer
+    # Kleppner rule decides through the twisted centralizer (strategy (b))
     G = DirectProduct(K4, from_name("Z_1"))
     H = Subgroup.full(G) if full else Subgroup.product(
         G, Subgroup.finite_subset(K4, [0, 1]), Subgroup.full(G.right))
@@ -52,6 +52,14 @@ def _k4_times_one(full: bool):
 
 def _trivially_twisted(G):
     return G, TrivialCocycle(G)
+
+
+def _heis_times_s3():
+    # gamma twists the central (0, 0, 1) against (1, 0, 0), so the twisted
+    # center is trivial; but FC_G(G) = Z(Heis) x S_3 is infinite and does not
+    # centralize G, so Kleppner's condition stays undecided
+    G = DirectProduct(HEIS, from_name("S_3"))
+    return G, ProductCocycle(G, HeisenbergCocycle(HEIS, GAMMA, THETA), TrivialCocycle(G.right))
 
 
 def _trivially_twisted_full(G):
@@ -87,7 +95,7 @@ TWISTED = {
     "kleppner-center fails": lambda: (Z2, TrivialCocycle(Z2)),
     "untwisted-cstar-simple": lambda: (F2, TrivialCocycle(F2)),
     "kleppner-necessary": lambda: _trivially_twisted(F2Z),
-    "inconclusive": lambda: _trivially_twisted(DirectProduct(HEIS, from_name("S_3"))),
+    "inconclusive": _heis_times_s3,
 }
 
 SUBGROUP = {

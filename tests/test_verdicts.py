@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +263,18 @@ def test_chain_lattice_indices():
         assert [e.index_in_g for e in lat.entries] == [INFINITE] + list(range(1, top + 1))
         for e in lat.entries:
             assert e.index_in_g == e.subgroup.index()
+
+
+def test_readme_rule_table_matches_rules():
+    from kleppner.verdicts import _RULES
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("\n### Verdicts\n"):readme.index("\n### The finite oracle\n")]
+    rows = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        # cells split on unescaped pipes; a statement writes | as \|
+        key, statement = (c.strip() for c in re.split(r"(?<!\\)\|", line.strip("|")))
+        for rule in re.findall(r"`([^`]+)`", key):
+            rows[rule] = statement.replace("\\|", "|")
+    assert rows == _RULES

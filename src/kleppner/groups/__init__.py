@@ -7,7 +7,7 @@ from .heisenberg import Heisenberg
 from .product import DirectProduct
 from .structure import (centralizer_generators, centralizer_of_subgroup,
                         fc_centralizer, h_conjugacy_class, is_cstar_simple,
-                        is_fc_hypercentral, is_normal, is_prime, subgroup_predicate)
+                        is_fc_hypercentral, is_normal, is_prime)
 from .subgroups import INFINITE, AsGroup, Subgroup
 
 __all__ = [
@@ -16,5 +16,5 @@ __all__ = [
     "centralizer_generators", "centralizer_of_subgroup", "cyclic", "cyclic_product",
     "dihedral", "fc_centralizer", "finite_class", "from_name", "h_conjugacy_class",
     "infinite_class", "is_cstar_simple", "is_fc_hypercentral", "is_normal", "is_prime",
-    "quaternion8", "subgroup_predicate", "symmetric", "unknown_class",
+    "quaternion8", "symmetric", "unknown_class",
 ]

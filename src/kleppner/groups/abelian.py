@@ -6,7 +6,6 @@ import random
 import re
 from functools import cached_property
 
-from .. import tribool as tb
 from ..intlinalg import RowLattice, invert_unimodular, mat_mul_vec, smith_normal_form
 from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult,
                    finite_class, vector_key)
@@ -16,11 +15,7 @@ from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
 class FreeAbelian(Group):
     exact_kernel = "abelian"
-    facts = {
-        "prime": (tb.HOLDS, "free abelian groups are torsion-free"),
-        "fc_hypercentral": (tb.HOLDS, "finitely generated nilpotent, hence of polynomial growth"),
-        "cstar_simple": (tb.FAILS, "abelian groups are not icc"),
-    }
+    torsion_free = virtually_nilpotent = amenable = True
 
     def __init__(self, rank: int) -> None:
         if rank < 0:

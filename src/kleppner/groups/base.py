@@ -5,12 +5,14 @@ Elements are plain immutable Python values in a variant-specific normal form
 operations.  Everything is pure and safe to share.
 
 Each kind also answers the structure queries that ``structure.py`` exposes
-(H-classes, centralizers, FC-centralizers, normality, catalog predicates,
-intermediate subgroups); the Group base class gives the undecided answers.
+(H-classes, centralizers, FC-centralizers, normality, intermediate
+subgroups); the Group base class gives the undecided answers.  The catalog
+predicates of every subgroup follow from the classes its kind declares.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
@@ -125,12 +127,27 @@ class LatticeResult:
 ORBIT_CAP = 10_000
 DEPTH_CAP = 24
 
-# the one-element group, of whatever kind, overrides its kind's facts
-TRIVIAL_FACTS = {
-    "prime": (tb.HOLDS, "trivial group"),
-    "cstar_simple": (tb.FAILS, "trivial group: reported not C*-simple by convention "
-                               "(no icc structure; the algebra is C)"),
-}
+# The rules for the catalog predicates of a subgroup H, in order: the first
+# that answers the predicate and whose condition holds decides it.  A
+# condition is a class that every subgroup of the parent inherits or a fact
+# of H's shape, computed only when no rule before it decides.
+AMENABLE = "nontrivial amenable groups are not C*-simple (Breuillard-Kalantar-Kennedy-Ozawa)"
+PREDICATE_RULES = (
+    ("trivial", {"prime": (tb.HOLDS, "trivial group"),
+                 "fc_hypercentral": (tb.HOLDS, "trivial group"),
+                 "cstar_simple": (tb.FAILS, "trivial group: not C*-simple by convention")}),
+    ("torsion_free", {"prime": (tb.HOLDS, "torsion-free: no nontrivial finite subgroup")}),
+    ("finite", {"prime": (tb.FAILS, "a nontrivial finite group is its own finite normal "
+                                    "subgroup")}),
+    ("virtually_nilpotent", {"fc_hypercentral": (tb.HOLDS, "f.g. virtually nilpotent"),
+                             "cstar_simple": (tb.FAILS, AMENABLE)}),
+    ("finite", {"fc_hypercentral": (tb.HOLDS, "finite"), "cstar_simple": (tb.FAILS, AMENABLE)}),
+    ("abelian", {"fc_hypercentral": (tb.HOLDS, "abelian"), "cstar_simple": (tb.FAILS, AMENABLE)}),
+    ("amenable", {"cstar_simple": (tb.FAILS, AMENABLE)}),
+    # reached only by a nonabelian H, which is free of rank >= 2
+    ("free", {"fc_hypercentral": (tb.FAILS, "free of rank >= 2, so its own icc quotient"),
+              "cstar_simple": (tb.HOLDS, "free groups of rank >= 2 are C*-simple (Powers)")}),
+)
 
 
 class Group:
@@ -139,9 +156,9 @@ class Group:
     # system of a lattice) when the decision procedures decide every subgroup
     # of this kind exactly
     exact_kernel: str | None = None
-    # the kind's catalog predicates, "prime", "fc_hypercentral" and
-    # "cstar_simple", as (status, note); a missing predicate is unknown
-    facts: dict[str, tuple[str, str]] = {}
+    # the classes that every subgroup inherits (virtually nilpotent includes
+    # finitely generated); they decide the catalog predicates
+    torsion_free = virtually_nilpotent = amenable = free = False
 
     # -- core operations -------------------------------------------------
     def mul(self, a: Element, b: Element) -> Element:
@@ -304,14 +321,19 @@ class Group:
                     return tb.unknown("membership undecided during the conjugation check")
         return tb.holds("generator conjugates stay inside (both directions)")
 
-    def fact(self, name: str) -> TriBool:
-        """This group's answer to the catalog predicate name ("prime",
-        "fc_hypercentral" or "cstar_simple")."""
-        facts = {**self.facts, **TRIVIAL_FACTS} if self.order == 1 else self.facts
-        if name not in facts:
-            return tb.unknown(f"no {name} rule for {self.name}")
-        status, note = facts[name]
-        return TriBool(status, notes=(note,))
+    def predicate(self, H, name: str) -> TriBool:
+        """H's answer to the catalog predicate name ("prime",
+        "fc_hypercentral" or "cstar_simple"), by PREDICATE_RULES."""
+        shape = {"trivial": H.is_trivial_subgroup,
+                 "finite": lambda: H.enumerate_elements() is not None,
+                 "abelian": lambda: all(self.commutes(a, b) for a, b
+                                        in itertools.combinations(H.generators(), 2))}
+        for condition, answers in PREDICATE_RULES:
+            if name in answers and (shape[condition]() if condition in shape
+                                    else getattr(self, condition)):
+                status, note = answers[name]
+                return TriBool(status, notes=(note,))
+        return tb.unknown(f"no {name} rule for {H.describe()}")
 
     def intermediate_subgroups(self, H, max_entries: int) -> LatticeResult:
         """The subgroups between H and G: every one ("ok"), the first

@@ -23,11 +23,7 @@ Table = tuple[tuple[int, ...], ...]
 
 class FiniteTable(Group):
     exact_kernel = "finite"
-    facts = {
-        "prime": (tb.FAILS, "a nontrivial finite group is a finite normal subgroup of itself"),
-        "fc_hypercentral": (tb.HOLDS, "finite groups are FC-hypercentral"),
-        "cstar_simple": (tb.FAILS, "nontrivial finite groups are not icc"),
-    }
+    virtually_nilpotent = amenable = True
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                  name: str = "finite",

@@ -14,7 +14,6 @@ import re
 import string
 from math import gcd
 
-from .. import tribool as tb
 from .abelian import FreeAbelian
 from .base import Element, FCInfo, Group, GroupError, finite_class, infinite_class
 from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
@@ -36,12 +35,7 @@ def _merge(word: list[tuple[int, int]], letter: int, exp: int) -> None:
 
 
 class FreeGroup(Group):
-    facts = {
-        "prime": (tb.HOLDS, "free groups of rank >= 2 are icc"),
-        "fc_hypercentral": (tb.FAILS, "a free group of rank >= 2 is its own nontrivial "
-                                      "icc quotient"),
-        "cstar_simple": (tb.HOLDS, "free groups of rank >= 2 are C*-simple (Powers)"),
-    }
+    torsion_free = free = True
 
     def __init__(self, rank: int, letters: tuple[str, ...] | None = None) -> None:
         if rank < 2:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .. import tribool as tb
 from ..intlinalg import RowLattice, echelon_contains, integer_kernel
 from .abelian import FreeAbelian, parse_int_vector
 from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult, finite_class,
@@ -27,11 +26,7 @@ Triple = tuple[int, int, int]
 class Heisenberg(Group):
     name = "Heisenberg"
     rank = 3
-    facts = {
-        "prime": (tb.HOLDS, "FC-center = center = {(0,0,t)}, a copy of Z"),
-        "fc_hypercentral": (tb.HOLDS, "finitely generated nilpotent, hence of polynomial growth"),
-        "cstar_simple": (tb.FAILS, "amenable with nontrivial center, not icc"),
-    }
+    torsion_free = virtually_nilpotent = amenable = True
 
     def mul(self, a: Triple, b: Triple) -> Triple:
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])

@@ -18,7 +18,8 @@ from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResu
 from .structure import is_normal
 from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
-# the rule that combines the factors' catalog predicates
+# the rule that combines the factors' catalog predicates on a product of
+# factor subgroups
 _COMBINE_NOTES = {
     "prime": "the FC-center of a product is the product of FC-centers",
     "fc_hypercentral": "products of FC-hypercentral groups are FC-hypercentral",
@@ -31,6 +32,10 @@ class DirectProduct(Group):
         self.left = left
         self.right = right
         self.name = f"{left.name} x {right.name}"
+        # a class passes to the product exactly when both factors have it
+        self.torsion_free = left.torsion_free and right.torsion_free
+        self.virtually_nilpotent = left.virtually_nilpotent and right.virtually_nilpotent
+        self.amenable = left.amenable and right.amenable
 
     def mul(self, a, b):
         return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
@@ -168,13 +173,16 @@ class DirectProduct(Group):
             return tb.holds("both factor subgroups are normal")
         return tb.unknown("factor normality undecided")
 
-    def fact(self, name):
+    def predicate(self, H, name):
+        parts = self._factors(H)
+        if parts is None:
+            return super().predicate(H, name)
         # A x 1 is A: a trivial factor is neutral
-        if self.right.order == 1:
-            return self.left.fact(name)
-        if self.left.order == 1:
-            return self.right.fact(name)
-        a, b = self.left.fact(name), self.right.fact(name)
+        if parts[1].is_trivial_subgroup():
+            return self.left.predicate(parts[0], name)
+        if parts[0].is_trivial_subgroup():
+            return self.right.predicate(parts[1], name)
+        a, b = self.left.predicate(parts[0], name), self.right.predicate(parts[1], name)
         note = _COMBINE_NOTES[name]
         if a.fails:
             return a.with_notes(note)

@@ -7,8 +7,8 @@ form (h1,h2) -> h1*g2 - h2*g1 (heisenberg.py); free groups use cyclic
 centralizers (free.py); direct products split a product of factor subgroups
 and combine the factors' answers (product.py).  The Group base class (base.py)
 gives the undecided answers: a capped conjugation search that returns an
-honest Unknown at the cap, None, an unknown FC-centralizer, the generator
-conjugation check for normality, and unknown predicates.
+honest Unknown at the cap, None, an unknown FC-centralizer and the generator
+conjugation check for normality; it also derives the catalog predicates.
 """
 
 from __future__ import annotations
@@ -56,22 +56,14 @@ def is_normal(H: Subgroup) -> TriBool:
 
 def is_prime(G: Group) -> TriBool:
     """No nontrivial finite normal subgroup; equivalently a torsion-free FC-center."""
-    return G.fact("prime")
+    return G.predicate(Subgroup.full(G), "prime")
 
 
 def is_fc_hypercentral(G: Group) -> TriBool:
     """No nontrivial icc quotient (contains abelian and virtually nilpotent groups)."""
-    return G.fact("fc_hypercentral")
+    return G.predicate(Subgroup.full(G), "fc_hypercentral")
 
 
 def is_cstar_simple(G: Group) -> TriBool:
-    """Simplicity of the (untwisted) reduced group C*-algebra, catalog facts only."""
-    return G.fact("cstar_simple")
-
-
-def subgroup_predicate(H: Subgroup, predicate) -> TriBool:
-    """Apply a group predicate to a subgroup through its standalone form."""
-    ag = H.as_group()
-    if ag is None:
-        return tb.unknown(f"subgroup {H.describe_desc()} has no standalone catalog form")
-    return predicate(ag.group)
+    """Simplicity of the (untwisted) reduced group C*-algebra."""
+    return G.predicate(Subgroup.full(G), "cstar_simple")

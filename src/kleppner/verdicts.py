@@ -4,9 +4,9 @@ inclusion, and the intermediate-subgroup lattice.
 A decided verdict carries the one rule that decided it, whose premises are
 plain kernel facts, so any conclusion can be replayed.  Rule priority: exact
 kernel decisions (finite tables, free abelian groups) first, then the twisted-
-centralizer criteria, the lifting rule, the relative-Kleppner criteria, and
-the general normal-subgroup criterion last; the first rule with all premises
-decided wins, and anything undecided stays inconclusive rather than guessed.
+centralizer criteria, the relative-Kleppner criteria, and the general
+normal-subgroup criterion last; the first rule with all premises decided
+wins, and anything undecided stays inconclusive rather than guessed.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Any, Iterable, Optional
 
-from .cocycles import Cocycle, TrivialCocycle, transport
+from .cocycles import Cocycle, transport
 from .groups.base import Group, GroupError, LatticeResult
-from .groups.structure import (is_cstar_simple, is_fc_hypercentral, is_normal, is_prime,
-                               subgroup_predicate)
+from .groups.structure import is_cstar_simple, is_fc_hypercentral, is_normal
 from .groups.subgroups import Subgroup
 from .regularity import kleppner, relative_kleppner, sigma_centralizer
 from .tribool import TriBool
@@ -75,8 +74,6 @@ _RULES = {
                                      "centralizer is trivial",
     "prime-twisted-centralizer": "for prime normal H: irreducible iff (H, sigma|_H) is "
                                  "C*-simple and the twisted centralizer is trivial",
-    "untwisted-irreducible-lifts": "an irreducible untwisted normal inclusion stays "
-                                   "irreducible under every two-cocycle",
     "fch-or-csimple-relative-kleppner": "for FC-hypercentral or C*-simple normal H, the "
                                         "inclusion is irreducible iff the relative Kleppner "
                                         "condition holds",
@@ -177,9 +174,9 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
     sc = cache(lambda: sigma_centralizer(G, H, sigma).is_trivial)
     ts = cache(lambda: twisted_simplicity_subgroup(H, sigma))
 
-    fch_h = subgroup_predicate(H, is_fc_hypercentral)
-    cs_h = subgroup_predicate(H, is_cstar_simple)
-    prime_h = subgroup_predicate(H, is_prime)
+    fch_h = G.predicate(H, "fc_hypercentral")
+    cs_h = G.predicate(H, "cstar_simple")
+    prime_h = G.predicate(H, "prime")
     fch_fact = ("H FC-hypercentral", fch_h.status)
     cs_fact = ("H C*-simple", cs_h.status)
     prime_fact = ("H prime", prime_h.status)
@@ -224,7 +221,8 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
                 return _verdict(HOLDS, rule, [prime_fact, fch_fact, inner_fact, trivial_fact],
                                 notes=notes + [fch_dixmier])
 
-    # 4. prime H: twisted simplicity of H plus twisted centralizer
+    # 4. prime H: twisted simplicity of H plus twisted centralizer.  It only
+    # fails: a C*-simple (H, sigma|_H) leaves the holds case to rule 2 or 3
     if prime_h.holds:
         s = sc()
         rule, trivial_fact = "prime-twisted-centralizer", ("twisted centralizer trivial",
@@ -235,17 +233,8 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
         simple_fact = ("(H, sigma|_H) C*-simple", t.conclusion)
         if t.fails:
             return _verdict(FAILS, rule, [prime_fact, simple_fact], t.witness, notes)
-        if t.holds and s.holds:
-            return _verdict(HOLDS, rule, [prime_fact, simple_fact, trivial_fact], notes=notes)
 
-    # 5. lift of an untwisted irreducible inclusion
-    if not sigma.is_trivial_like():
-        untw = cstar_irreducible(G, H, TrivialCocycle(G))
-        if untw.holds:
-            return _verdict(HOLDS, "untwisted-irreducible-lifts",
-                            [("untwisted inclusion irreducible", untw.conclusion)], notes=notes)
-
-    # 6. FC-hypercentral or C*-simple H: relative Kleppner alone decides
+    # 5. FC-hypercentral or C*-simple H: relative Kleppner alone decides
     if fch_h.holds or cs_h.holds:
         r = rk()
         if r.decided:
@@ -254,14 +243,13 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
                             [fch_fact, cs_fact, ("relative-kleppner", r.status)], r.witness,
                             notes + list(r.notes) + dixmier)
 
-    # 7. general normal case: twisted simplicity of H plus relative Kleppner
+    # 6. general normal case: twisted simplicity of H plus relative Kleppner.
+    # It only fails: a C*-simple (H, sigma|_H) leaves the holds case to rule 5
     t, r = ts(), rk()
     premises = [("(H, sigma|_H) C*-simple", t.conclusion), ("relative-kleppner", r.status)]
     if t.fails or r.fails:
         return _verdict(FAILS, "simple-plus-relative-kleppner", premises,
                         (t if t.fails else r).witness, notes)
-    if t.holds and r.holds:
-        return _verdict(HOLDS, "simple-plus-relative-kleppner", premises, notes=notes)
 
     notes.append(f"missing premises: (H,sigma|_H) C*-simple={t.conclusion}, "
                  f"relative-kleppner={r.status}, H prime={prime_h.status}, "

@@ -1,3 +1,4 @@
+import importlib
 import random
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup,
                              is_normal, is_prime)
 from kleppner.groups.free import reduce_by_stack
 from kleppner.groups.subgroups import GeneratedSubgroup
+from kleppner.regularity import sigma_centralizer
 
 ALL_BUILTIN_NAMES = ["Z_1", "Z_2", "Z_6", "Z_12", "Z_2 x Z_2", "Z_3 x Z_4",
                      "D_4", "D_3", "Q8", "S_3", "S_4"]
@@ -392,6 +394,74 @@ def test_readme_predicate_table_matches_class_data():
                 a, b, ab = pred(A), pred(B), pred(DirectProduct(A, B))
                 want = "fails" if a.fails or b.fails else "holds"
                 assert ab.status == want, (pred.__name__, A, B)
+
+
+# predicate name -> the group predicate of that name
+GROUP_PREDICATES = {"prime": is_prime, "fc_hypercentral": is_fc_hypercentral,
+                    "cstar_simple": is_cstar_simple}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _decide_subgroups(workloads, seed):
+    """The subgroups that the decide workload of perfbench names or computes
+    at this seed: H, the full and trivial subgroups, C_G(H), FC_G(H), the
+    twisted centralizer and the intermediate subgroups."""
+    for item in workloads.Decide(ROOT, seed).items:
+        G, H, sigma = item.G, item.H, item.sigma
+        yield from (H, Subgroup.full(G), Subgroup.trivial(G), centralizer_of_subgroup(G, H),
+                    fc_centralizer(G, H).subgroup,
+                    sigma_centralizer(G, H, sigma).description)
+        yield from (e.subgroup for e in G.intermediate_subgroups(H, 6).entries)
+
+
+def _exit_subgroups():
+    """H, the full and the trivial subgroup of every pinned verdict exit."""
+    from test_verdict_exits import CSTAR, SUBGROUP, TWISTED
+    for build in list(CSTAR.values()) + list(SUBGROUP.values()) + list(TWISTED.values()):
+        G, *rest = build()
+        yield from (Subgroup.full(G), Subgroup.trivial(G))
+        if isinstance(rest[0], Subgroup):
+            yield rest[0]
+
+
+def test_predicates_agree_with_standalone_groups(monkeypatch):
+    # every subgroup of the sweep groups, the decide subgroups at seed 1, the
+    # verdict-exit instances, and a nonabelian finite subgroup of F_2 x S_3
+    # (decided by its shape, as F_2 x S_3 inherits no class)
+    subs = [Subgroup.finite_subset(G, s) for name in sweep_group_names() + ["S_4", "D_8"]
+            for G in [from_name(name)] for s in G.all_subgroups()]
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    subs += _decide_subgroups(importlib.import_module("workloads"), 1)
+    subs += _exit_subgroups()
+    f2s3 = DirectProduct(FreeGroup(2), from_name("S_3"))
+    subs.append(Subgroup.finite_subset(f2s3, [((), k) for k in f2s3.right.elements()]))
+    decided = 0
+    for H in subs:
+        ag = None if H is None else H.as_group()
+        if ag is None:
+            continue
+        for name, group_predicate in GROUP_PREDICATES.items():
+            want = group_predicate(ag.group)
+            if want.decided:
+                decided += 1
+                assert H.parent.predicate(H, name).status == want.status, (H, name)
+    assert decided >= 2000
+
+
+def test_predicates_of_subgroups_without_standalone_form():
+    heis, f2 = Heisenberg(), FreeGroup(2)
+    heis_z = DirectProduct(heis, FreeAbelian(1))
+    amenable = [Subgroup.heis_congruence(heis, n) for n in range(2, 6)]
+    # off both coordinate planes, and not abelian
+    amenable.append(Subgroup.generated(heis, [(1, 1, 0), (1, -1, 0)]))
+    amenable.append(Subgroup.generated(heis_z, [((1, 0, 0), (1,)), ((0, 1, 0), (1,))]))
+    free = Subgroup.generated(f2, [f2.parse_element("a^2"), f2.parse_element("b^2")])
+    for H, want in [(H, ("holds", "holds", "fails")) for H in amenable] + [
+            (free, ("holds", "fails", "holds"))]:
+        assert H.as_group() is None, H
+        assert tuple(H.parent.predicate(H, name).status for name in GROUP_PREDICATES) == want
+    assert f2.predicate(free, "cstar_simple").notes == (
+        "free groups of rank >= 2 are C*-simple (Powers)",)
 
 
 def test_subgroup_as_group_round_trip():

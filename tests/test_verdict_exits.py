@@ -13,6 +13,7 @@ from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, PhaseTableCocycle
                                ProductCocycle, TrivialCocycle, rotation_cocycle)
 from kleppner.groups import DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup, from_name
 from kleppner.phases import IrrationalBasis, Phase
+from kleppner.regularity import is_sigma_regular
 from kleppner.report import _verdict_dict
 from kleppner.verdicts import cstar_irreducible, twisted_simplicity, twisted_simplicity_subgroup
 
@@ -39,6 +40,13 @@ def _normality_gate():
 def _f2_in_f2z2(cocycle):
     G = DirectProduct(F2, from_name("Z_2"))
     return G, Subgroup.product(G, Subgroup.full(F2), Subgroup.trivial(G.right)), cocycle(G)
+
+
+def _f2z2_full(cocycle):
+    # F_2 x Z_2 is neither prime, FC-hypercentral nor C*-simple, so only the
+    # general normal-subgroup rule applies to H = G
+    G = DirectProduct(F2, from_name("Z_2"))
+    return G, Subgroup.full(G), cocycle(G)
 
 
 def _k4_times_one(full: bool):
@@ -84,10 +92,8 @@ CSTAR = {
     "prime-twisted-centralizer fails": lambda: _trivially_twisted_full(F2Z),
     "fch-or-csimple-relative-kleppner holds": lambda: _k4_times_one(True),
     "fch-or-csimple-relative-kleppner fails": lambda: _k4_times_one(False),
-    "simple-plus-relative-kleppner fails": lambda: (
-        HEIS, Subgroup.heis_congruence(HEIS, 2), TrivialCocycle(HEIS)),
-    "inconclusive": lambda: (HEIS, Subgroup.heis_congruence(HEIS, 2),
-                             HeisenbergCocycle(HEIS, B.rational(0), THETA)),
+    "simple-plus-relative-kleppner fails": lambda: _f2z2_full(TrivialCocycle),
+    "inconclusive": lambda: _f2z2_full(lambda G: F2Z2Cocycle(G, 1)),
 }
 
 TWISTED = {
@@ -148,3 +154,15 @@ def test_verdict_exit_matches_golden(name):
         assert verdict.inconclusive and rules == []
     else:
         assert rules == [exit_name.split()[0]]
+
+
+def test_former_congruence_instances_are_decided():
+    # {(a1, a2, a3) : 2 | a1} pinned the two exits above until its catalog
+    # predicates were derived: it is prime and FC-hypercentral
+    H = Subgroup.heis_congruence(HEIS, 2)
+    trivial = TrivialCocycle(HEIS)
+    v = cstar_irreducible(HEIS, H, trivial)
+    assert v.fails and [step.rule for step in v.chain] == ["prime-fch-twisted-centralizer"]
+    assert v.witness == (0, 0, 1) and is_sigma_regular(v.witness, H, trivial).holds
+    v = cstar_irreducible(HEIS, H, HeisenbergCocycle(HEIS, B.rational(0), THETA))
+    assert v.holds and [step.rule for step in v.chain] == ["fch-or-csimple-relative-kleppner"]

@@ -8,8 +8,7 @@ import pytest
 from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, SeededBeta, TrivialCocycle,
                                rotation_cocycle, similarity_transform, three_torus_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
-                             centralizer_of_subgroup, from_name, is_cstar_simple,
-                             subgroup_predicate)
+                             centralizer_of_subgroup, from_name)
 from kleppner.oracle import center_dim, relative_commutant_dim
 from kleppner.phases import IrrationalBasis, Phase
 from kleppner.groups.subgroups import INFINITE, Classification
@@ -136,7 +135,7 @@ def test_untwisted_criterion_invariant():
         v = cstar_irreducible(G, H, TrivialCocycle(G))
         if v.inconclusive:
             continue
-        cs = subgroup_predicate(H, is_cstar_simple)
+        cs = G.predicate(H, "cstar_simple")
         cent = centralizer_of_subgroup(G, H)
         expected = cs.holds and cent is not None and cent.is_trivial_subgroup()
         assert v.holds == expected
@@ -230,9 +229,8 @@ def test_verdict_chain_premises_replay():
     prem = dict()
     for step in v.chain:
         prem.update(dict(step.premises))
-    from kleppner.groups import is_fc_hypercentral, is_prime, subgroup_predicate
-    assert prem["H prime"] == subgroup_predicate(hsub, is_prime).status
-    assert prem["H FC-hypercentral"] == subgroup_predicate(hsub, is_fc_hypercentral).status
+    assert prem["H prime"] == HEIS.predicate(hsub, "prime").status
+    assert prem["H FC-hypercentral"] == HEIS.predicate(hsub, "fc_hypercentral").status
     from kleppner.regularity import sigma_centralizer
     assert prem["twisted centralizer trivial"] == sigma_centralizer(HEIS, hsub, sig).is_trivial.status
 

@@ -683,7 +683,15 @@ def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
     in order, at which the integer table breaks the cocycle identity
     sigma(g, h) + sigma(gh, k) = sigma(g, hk) + sigma(h, k); None when it holds
     on all of them.  It is also the projective relation of the regular
-    representation: lam(g) lam(h) delta_k = sigma(g, h) lam(gh) delta_k."""
+    representation: lam(g) lam(h) delta_k = sigma(g, h) lam(gh) delta_k.
+
+    The rows of a generating set S decide the identity on every row.  Write
+    d(g, h, k) for the defect, the left side minus the right.  Expanding
+    d(sg, h, k) - d(s, gh, k) + d(s, g, hk) - d(s, g, h) cancels to
+    d(g, h, k) term by term, so if row s holds, row sg holds exactly when
+    row g does.  Row e holds on a normalized table, which PhaseTableCocycle
+    enforces, and every element of a finite group is a positive word in S.
+    So build_regular_rep checks only the generator rows unless asked for all."""
     den, t, mul = sigma.den, sigma.ints, sigma.group.table
     elems = range(sigma.group.order)
     for g in rows:

@@ -43,6 +43,7 @@ class FiniteTable(Group):
         self._validate()
         self.e = self._find_identity()
         self.inv_table = self._build_inverses()
+        self._h_classes: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
     # -- validation -------------------------------------------------------
     def _validate(self) -> None:
@@ -143,18 +144,26 @@ class FiniteTable(Group):
                         frontier.append(z)
         return out
 
-    def h_classes(self, helems) -> list[list[int]]:
+    def h_classes(self, helems) -> tuple[tuple[int, ...], ...]:
         """The H-conjugacy classes {h g h^-1 : h in H}, each sorted, in the
-        order of their least elements; helems lists the elements of H."""
-        t, inv = self.table, self.inv_table
-        seen: set[int] = set()
-        classes = []
-        for g in range(self.n):
-            if g in seen:
-                continue
-            orbit = sorted({t[t[h][g]][inv[h]] for h in helems})
-            seen.update(orbit)
-            classes.append(orbit)
+        order of their least elements; helems lists the elements of H.
+
+        Held on the table per tuple(helems), so every caller on a fixed
+        (G, H) shares one computation, whatever object describes H; the
+        classes are tuples, so no caller can change a held answer."""
+        key = tuple(helems)
+        classes = self._h_classes.get(key)
+        if classes is None:
+            t, inv = self.table, self.inv_table
+            seen: set[int] = set()
+            found = []
+            for g in range(self.n):
+                if g in seen:
+                    continue
+                orbit = tuple(sorted({t[t[h][g]][inv[h]] for h in key}))
+                seen.update(orbit)
+                found.append(orbit)
+            classes = self._h_classes[key] = tuple(found)
         return classes
 
     def generated_subgroup(self, gens):

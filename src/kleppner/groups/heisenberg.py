@@ -12,7 +12,7 @@ coordinate planes {(0, a2, a3)} and {(a1, 0, a3)}.
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, isqrt
 
 from ..intlinalg import RowLattice, echelon_contains, integer_kernel
 from .abelian import FreeAbelian, parse_int_vector
@@ -133,6 +133,8 @@ class Heisenberg(Group):
         return FCInfo(c, central=central, note="Heisenberg classes are singletons or infinite")
 
     def intermediate_subgroups(self, H, max_entries):
+        if isinstance(H, HeisCongruence):
+            return _congruence_lattice(self, H.modulus, max_entries)
         if H != Subgroup.coordinate_zero(self, {0}):
             return super().intermediate_subgroups(H, max_entries)
         entries = [LatticeEntry("Gamma_0 (= H)", H, H.index()),
@@ -149,6 +151,30 @@ class Heisenberg(Group):
             # commutator direction (0,0,1), so solve over the abelianized coords
             return 2, lambda v: (v[0], v[1], 0), ((0, 0, 1),)
         return super().centralizer_lattice(cent)
+
+
+# the divisors of a congruence modulus n are found by trial division up to
+# sqrt(n); above DIVISOR_SCAN_CAP ** 2 its lattice stays unknown
+DIVISOR_SCAN_CAP = 10 ** 6
+
+
+def _congruence_lattice(G: Heisenberg, n: int, max_entries: int) -> LatticeResult:
+    """The subgroups between {n | a1} and G.  That H is normal with quotient
+    Z_n through a1 mod n, so they are the {d | a1} for d dividing n, of index
+    d; listed by decreasing index, H first and G last."""
+    root = isqrt(n)
+    if root > DIVISOR_SCAN_CAP:
+        return LatticeResult("unknown", (), f"modulus {n} is above the divisor scan cap "
+                                            f"{DIVISOR_SCAN_CAP ** 2}")
+    small = [m for m in range(1, root + 1) if n % m == 0]
+    divisors = [n // m for m in small] + [m for m in reversed(small) if m * m != n]
+    entries = tuple(LatticeEntry(f"Gamma_{d}" + {n: " (= H)", 1: " (= G)"}.get(d, ""),
+                                 Subgroup.heis_congruence(G, d) if d > 1 else Subgroup.full(G), d)
+                    for d in divisors[:max_entries])
+    if len(divisors) <= max_entries:
+        return LatticeResult("ok", entries)
+    return LatticeResult("truncated", entries, f"one entry for each of the {len(divisors)} "
+                                               f"divisors of {n}; truncated at {max_entries}")
 
 
 @subgroup_kind

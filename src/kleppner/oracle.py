@@ -251,7 +251,7 @@ def _verify_solution(rep: RegularRep, hgens: list[int], f: dict[int, int]) -> bo
 # route B: regular class counting
 # ---------------------------------------------------------------------------
 
-def _route_b(rep: RegularRep, helems: list[int]) -> tuple[int, list[list[int]]]:
+def _route_b(rep: RegularRep, helems: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     G = rep.group
     val = rep.int_values
     table = G.table
@@ -279,7 +279,7 @@ class CommutantReport:
 
     basis: tuple[dict[int, int], ...]
     dim_route_b: int
-    regular_classes: list[list[int]]
+    regular_classes: list[tuple[int, ...]]
 
     @property
     def dim_route_a(self) -> int:

@@ -373,6 +373,73 @@ def test_validation_and_projective_relation_fail_at_one_triple(name):
     assert failures
 
 
+def full_table_scan(sigma):
+    """The first (g, h, k) over all of G in order at which the integer table
+    breaks the cocycle identity, with its 1-based position; (None, n^3) when
+    none does."""
+    G, t, den = sigma.group, sigma.ints, sigma.den
+    for pos, (g, h, k) in enumerate(itertools.product(G.elements(), repeat=3), 1):
+        if (t[g][h] + t[G.mul(g, h)][k] - t[g][G.mul(h, k)] - t[h][k]) % den:
+            return (g, h, k), pos
+    return None, G.order ** 3
+
+
+def perturbed_tables(G, rng, count):
+    """(kind, table): random cocycles on G, each left as drawn, with one entry
+    changed, with a whole row outside the generating set changed, or with
+    every row x outside a proper subgroup K shifted by a(Kx), a function of
+    the right coset.  On the last kind the identity still holds on the rows of
+    K, so only a row outside K can catch it."""
+    e, n, gens = G.identity(), G.order, G.generators()
+    others = [g for g in G.elements() if g != e]
+    free_rows = [g for g in others if g not in gens]
+    proper = [s for s in G.all_subgroups() if len(s) < n]
+    for i in range(count):
+        base = random_table_cocycle(G, rng)
+        den = 12 * base.den  # room for perturbations the drawn denominator misses
+        rows = [[12 * v for v in row] for row in base.ints]
+        kind = ("drawn", "entry", "row", "coset")[i % 4]
+        if kind == "entry":
+            rows[rng.choice(others)][rng.choice(others)] += rng.randrange(1, den)
+        elif kind == "row":
+            g = rng.choice(free_rows)
+            rows[g] = [v + rng.randrange(den) if h != e else v for h, v in enumerate(rows[g])]
+        elif kind == "coset":
+            K = rng.choice(proper)
+            shift = {}
+            for x in G.elements():
+                if x not in K:
+                    coset = frozenset(G.mul(k, x) for k in K)
+                    a = shift.setdefault(coset, rng.randrange(den))
+                    rows[x] = [v + a if h != e else v for h, v in enumerate(rows[x])]
+        yield kind, PhaseTableCocycle.from_ints(G, den, rows)
+
+
+@pytest.mark.parametrize("name", ["S_3", "D_4", "Q8", "Z_2 x Z_4", "S_4", "D_8", "Z_3 x Z_3"])
+def test_generator_rows_decide_the_projective_relation(name):
+    """build_regular_rep checks the rows of the generating set only, and
+    refuses a table exactly when the full scan finds a failing triple;
+    validate_cocycle reports the full scan's witness and count."""
+    G = from_name(name)
+    n = G.order
+    outcomes = set()
+    for kind, sigma in perturbed_tables(G, random.Random(name), 200):
+        witness, pos = full_table_scan(sigma)
+        outcomes.add((kind, witness is None))
+        if witness is None:
+            expected = ValidationResult(True, None, n ** 3, "exhaustive", "", n ** 3)
+            build_regular_rep(G, sigma)
+        else:
+            expected = ValidationResult(False, witness, pos, "exhaustive",
+                                        "cocycle identity fails", pos)
+            with pytest.raises(OracleError, match=r"^projective relation fails at "):
+                build_regular_rep(G, sigma)
+        assert validate_cocycle(sigma) == expected, (kind, sigma.ints)
+    # each perturbation broke some table, and the drawn ones all pass
+    assert {("drawn", True), ("entry", False), ("row", False), ("coset", False)} <= outcomes
+    assert ("drawn", False) not in outcomes
+
+
 def test_commutation_trivial_matches_commutation_phase():
     """The integer test of sigma(g,h) = sigma(h,g) against the Phase one, on
     sampled pairs of every shipped variant (plus commuting pairs, so both

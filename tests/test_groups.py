@@ -533,6 +533,33 @@ def test_generated_plane_gets_the_coordinate_answers():
         assert centralizer_generators(H, (0, 1, 0)) == ((0, 1, 0), (0, 0, 1))
 
 
+def test_congruence_lattice_is_the_divisors_of_the_modulus():
+    """{n | a1} is normal with quotient Z_n, so the subgroups between it and
+    G match the subgroups of Z_n: one {d | a1} of index d for each d | n."""
+    heis = Heisenberg()
+    for n in range(2, 13):
+        H = Subgroup.heis_congruence(heis, n)
+        lattice = heis.intermediate_subgroups(H, 12)
+        assert lattice.status == "ok"
+        quotient = [n // len(s) for s in from_name(f"Z_{n}").all_subgroups()]
+        assert [e.index_in_g for e in lattice.entries] == sorted(quotient, reverse=True)
+        first, last = lattice.entries[0], lattice.entries[-1]
+        assert (first.label, first.subgroup) == (f"Gamma_{n} (= H)", H)
+        assert last.label == "Gamma_1 (= G)" and last.subgroup.is_full()
+        for e in lattice.entries:
+            d = e.index_in_g
+            assert e.subgroup.index() == d
+            # the entry contains H and holds exactly the elements with d | a1
+            assert all(e.subgroup.contains(x) for x in H.generators())
+            assert [e.subgroup.contains((a, 1, -2)) for a in range(13)] == \
+                [a % d == 0 for a in range(13)]
+    truncated = heis.intermediate_subgroups(Subgroup.heis_congruence(heis, 12), 4)
+    assert truncated.status == "truncated"
+    assert [e.index_in_g for e in truncated.entries] == [12, 6, 4, 3]
+    assert heis.intermediate_subgroups(Subgroup.heis_congruence(heis, 10 ** 13), 8).status \
+        == "unknown"
+
+
 def test_free_subgroups_are_read_off_their_generators():
     f = FreeGroup(2)
     a = f.gen("a")

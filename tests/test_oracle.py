@@ -13,6 +13,7 @@ from kleppner.oracle import (MonomialMatrix, OracleError, build_regular_rep, can
                              center_dim, relative_commutant_dim, span_trace)
 from kleppner.phases import IrrationalBasis, Phase
 from kleppner.randomized import random_table_cocycle
+from kleppner.regularity import kleppner, relative_kleppner
 
 
 def anticommute_z22():
@@ -301,4 +302,31 @@ def test_table_conjugation_matches_generic_formula():
                     orbit = sorted({g.mul(g.mul(h, x), g.inv(h)) for h in helems})
                     seen.update(orbit)
                     expected.append(orbit)
-            assert g.h_classes(helems) == expected
+            assert [list(c) for c in g.h_classes(helems)] == expected
+
+
+def test_h_classes_are_held_on_the_table():
+    """The classes of each subgroup equal those of a fresh table, a second
+    call returns the same tuple, and every description of H shares it:
+    route B, strategy (a) and kleppner's own Subgroup.full add no entry."""
+    rng = random.Random(21)
+    for name in sweep_group_names():
+        g = from_name(name)
+        subs = [Subgroup.finite_subset(g, s) for s in g.all_subgroups()]
+        for H in subs:
+            helems = H.enumerate_elements()
+            held = g.h_classes(helems)
+            assert held == from_name(name).h_classes(helems)
+            assert isinstance(held, tuple) and all(isinstance(c, tuple) for c in held)
+            assert g.h_classes(list(helems)) is held
+        memo = dict(g._h_classes)
+        assert len(memo) == len(subs)
+        sig = random_table_cocycle(g, rng)
+        rep = build_regular_rep(g, sig)
+        # Subgroup.full lists the same elements as the finite_subset of all of G
+        for H in subs + [Subgroup.full(g)]:
+            relative_commutant_dim(g, H, sig, rep=rep)
+            relative_kleppner(g, H, sig)
+        kleppner(g, sig)
+        assert g._h_classes.keys() == memo.keys()
+        assert all(g._h_classes[k] is v for k, v in memo.items())

@@ -192,6 +192,15 @@ def test_heisenberg_lattice_prefix():
         assert e.subgroup.contains((0, 1, 0)) and e.subgroup.contains((0, 0, 1))
 
 
+def test_heisenberg_congruence_lattice_through_the_verdict():
+    h4 = Subgroup.heis_congruence(HEIS, 4)
+    bh = IrrationalBasis(["gamma", "theta"])
+    sig = HeisenbergCocycle(HEIS, bh.rational(0), bh.symbol("theta"))
+    lat = intermediate_lattice(HEIS, h4, sig)
+    assert lat.complete and [e.label for e in lat.entries] == \
+        ["Gamma_4 (= H)", "Gamma_2", "Gamma_1 (= G)"]
+
+
 def test_lattice_refused_without_irreducibility():
     half = rotation_cocycle(Z2, Phase(Fraction(1, 2)))
     h = Subgroup.sublattice(Z2, [(1, 0), (0, 2)])

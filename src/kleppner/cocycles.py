@@ -2,7 +2,7 @@
 
 A cocycle assigns to each pair (g, h) a Phase p with sigma(g,h) = exp(2*pi*i*p);
 the defining identities become additive.  All variants are total functions
-given by formulas; the only tabulated variant lives on finite table groups.
+given by formulas; tables live on finite table groups and reach others by pullback.
 Each variant states its formula once, in integer form: ``int_value(g, h)`` is
 ``den`` times the exponent, as the integer vector of a Phase over ``basis``
 (the rational slot first, then one slot per symbol).  ``value`` is derived from
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from .groups.base import Element, Group
 from .groups.abelian import FreeAbelian
-from .groups.finite import FiniteTable
+from .groups.finite import FiniteTable, cyclic_product
 from .groups.free import FreeGroup
 from .groups.heisenberg import Heisenberg
 from .groups.product import DirectProduct
@@ -226,39 +226,6 @@ class HeisenbergCocycle(Cocycle):
 
     def describe(self) -> str:
         return f"heisenberg(gamma={self.gamma}, theta={self.theta})"
-
-
-def _f2z2_statistic(word, j: int) -> int:
-    """Exponent-sum statistic of a reduced F_2 word: 1 -> sum over a, 2 -> over b, 3 -> both."""
-    s_a = sum(exp for letter, exp in word if letter == 0)
-    s_b = sum(exp for letter, exp in word if letter == 1)
-    return (s_a, s_b, s_a + s_b)[j - 1]
-
-
-class F2Z2Cocycle(Cocycle):
-    """sigma_j on F_2 x Z_2: value -1 iff the Z_2 part of the first argument is 1
-    and the chosen exponent-sum statistic of the second argument's word is odd."""
-
-    kind = "f2z2"
-    den = 2
-
-    def __init__(self, group: DirectProduct, j: int) -> None:
-        if (not isinstance(group, DirectProduct) or not isinstance(group.left, FreeGroup)
-                or group.left.rank != 2 or not isinstance(group.right, FiniteTable)
-                or group.right.order != 2):
-            raise CocycleError("sigma_j lives on F_2 x Z_2")
-        if j not in (1, 2, 3):
-            raise CocycleError("j must be 1, 2 or 3")
-        self.group = group
-        self.basis = EMPTY_BASIS
-        self.j = j
-
-    def int_value(self, g, h) -> list[int]:
-        (_x, k), (y, _l) = g, h
-        return [1 if k == 1 and _f2z2_statistic(y, self.j) % 2 == 1 else 0]
-
-    def describe(self) -> str:
-        return f"sigma_{self.j} on F_2 x Z_2"
 
 
 class PhaseTableCocycle(Cocycle):
@@ -537,16 +504,18 @@ def similarity_transform(sigma: Cocycle, beta: Beta) -> SimilarityCocycle:
 
 
 class PullbackCocycle(Cocycle):
-    """sigma composed with an injective homomorphism (internal: subgroup transport)."""
+    """sigma composed with a homomorphism: injective in subgroup transport, onto
+    sigma's finite group when given a ``section`` with embed(section(a)) = a."""
 
     kind = "pullback"
 
     def __init__(self, base: Cocycle, group: Group, embed: Callable[[Element], Element],
-                 label: str = "") -> None:
+                 label: str = "", section: Optional[Callable[[Element], Element]] = None) -> None:
         self.base = base
         self.parts = (base,)
         self.group = group
         self.embed = embed
+        self.section = section
         self.basis = base.basis
         self.den = base.den
         self.label = label
@@ -563,6 +532,31 @@ class PullbackCocycle(Cocycle):
     def describe(self) -> str:
         suffix = f" along {self.label}" if self.label else ""
         return f"pullback of {self.base.describe()}{suffix}"
+
+
+class F2Z2Cocycle(PullbackCocycle):
+    """sigma_j: tau((s, k), (t, l)) = k*t/2 on Z_2 x Z_2 pulled back along phi_j(x, k) =
+    (exponent sum of x over a, b or both for j = 1, 2, 3, mod 2, k); section (letter^s, k)."""
+
+    kind = "f2z2"
+
+    def __init__(self, group: DirectProduct, j: int) -> None:
+        if (not isinstance(group, DirectProduct) or not isinstance(group.left, FreeGroup)
+                or group.left.rank != 2 or not isinstance(group.right, FiniteTable)
+                or group.right.order != 2):
+            raise CocycleError("sigma_j lives on F_2 x Z_2")
+        if j not in (1, 2, 3):
+            raise CocycleError("j must be 1, 2 or 3")
+        letters = ((0,), (1,), (0, 1))[j - 1]
+        tau = PhaseTableCocycle.from_ints(  # (s, k) has index 2s + k
+            cyclic_product(2, 2), 2, [[(a % 2) * (b // 2) for b in range(4)] for a in range(4)])
+        super().__init__(tau, group,
+                         lambda g: 2 * (sum(e for c, e in g[0] if c in letters) % 2) + g[1],
+                         section=lambda a: (((letters[0], 1),) if a // 2 else (), a % 2))
+        self.j = j
+
+    def describe(self) -> str:
+        return f"sigma_{self.j} on F_2 x Z_2"
 
 
 def transport(sigma: Cocycle, H: Subgroup) -> Optional[tuple[Cocycle, AsGroup]]:
@@ -663,6 +657,11 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
     and the power identity of the twist check is the right-product one at
     (r, s, s^2) for commuting r, s.  ``budget`` does not apply.
 
+    A pullback along phi onto a finite group A with a section gets the |A|^3
+    triples of the section's image (mode "pullback"), exactly: phi respects
+    products and conjugation, so every term of normalization and of the
+    identities at (g, h, k) is the base's term at (phi g, phi h, phi k).
+
     Otherwise: every triple of a finite domain of at most EXHAUSTIVE_LIMIT
     elements (mode "exhaustive"), else ``budget.samples`` triples of words
     drawn from ``budget.seed`` (mode "sampled")."""
@@ -670,6 +669,8 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
         m = len(sigma.group.identity())
         return "polynomial", ((p[:m], p[m:2 * m], p[2 * m:])
                               for p in _simplex(3 * m, sigma.degree))
+    if isinstance(sigma, PullbackCocycle) and sigma.section is not None:
+        return "pullback", product(map(sigma.section, sigma.base.domain_elements()), repeat=3)
     elems = sigma.domain_elements()
     if elems is not None and len(elems) <= EXHAUSTIVE_LIMIT:
         return "exhaustive", product(elems, repeat=3)
@@ -731,8 +732,7 @@ def _vanishes(den: int, plus: list, minus: list) -> bool:
 
 
 def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
-    """Normalization plus the cocycle identity on the triples of _triples:
-    exact on polynomial kinds and small finite groups, sampled otherwise."""
+    """Normalization plus the cocycle identity on the triples of _triples."""
     G = sigma.group
     if isinstance(sigma, PhaseTableCocycle) and G.order <= EXHAUSTIVE_LIMIT:
         return _validate_table_fast(sigma)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kleppner.cocycles import (BicharacterCocycle, Cocycle, CocycleError, F2Z2Cocycle, HeisenbergCocycle,
                                PhaseTableCocycle, ProductCocycle, PullbackCocycle,
                                RestrictionCocycle, SeededBeta, SimilarityCocycle, TableBeta,
-                               TrivialCocycle, ValidationBudget, ValidationResult, _f2z2_statistic,
+                               TrivialCocycle, ValidationBudget, ValidationResult,
                                _triples, check_twist_identities, commutation_phase,
                                commutation_trivial, conj_twist,
                                rotation_cocycle, similarity_transform, three_torus_cocycle,
@@ -68,6 +68,12 @@ def corrupted_z22():
     rows = [list(r) for r in anticommute_table(z22).table]
     rows[1][2] = rows[1][2] + Phase(Fraction(1, 3))  # corrupt one entry
     return z22, PhaseTableCocycle(z22, rows)
+
+
+def corrupted_sigma_j(j):
+    """The Z_2 x Z_2 table of corrupted_z22 pulled back along sigma_j's map."""
+    sigma_j = F2Z2Cocycle(F2Z2, j)
+    return PullbackCocycle(corrupted_z22()[1], F2Z2, sigma_j.embed, section=sigma_j.section)
 
 
 def test_eval_examples():
@@ -244,6 +250,41 @@ def test_transport_matches_pointwise():
         x = asg.group.random_element(rng)
         y = asg.group.random_element(rng)
         assert restricted(x, y) == rot(asg.embed(x), asg.embed(y))
+
+
+# -- sigma_j as the pullback of a Z_2 x Z_2 table ------------------------------
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_sigma_j_map_is_a_homomorphism_with_a_section(j):
+    """phi_j(gh) = phi_j(g) phi_j(h) on seeded word pairs, phi_j reads the
+    exponent sum of sigma_j's formula, and phi_j(section(a)) = a for every a
+    of Z_2 x Z_2, where (s, k) has index 2s + k."""
+    sigma = F2Z2Cocycle(F2Z2, j)
+    phi, A = sigma.embed, sigma.base.group
+    rng = random.Random(j)
+    for _ in range(500):
+        g, h = F2Z2.random_element(rng, 8), F2Z2.random_element(rng, 8)
+        assert phi(F2Z2.mul(g, h)) == A.mul(phi(g), phi(h)), (g, h)
+        assert phi(g) == 2 * exponent_sum(g[0], j) + g[1], g
+    for a in A.elements():
+        x = sigma.section(a)
+        assert F2Z2.contains(x) and phi(x) == a
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_pullback_mode_catches_a_wrong_table_entry(j):
+    """The sign table with one entry changed, pulled back along phi_j, fails
+    in mode pullback at a triple of F_2 x Z_2 whose residual is not 0."""
+    sigma = corrupted_sigma_j(j)
+    res = validate_cocycle(sigma)
+    assert not res.passed and res.mode == "pullback" and res.detail == "cocycle identity fails"
+    g, h, k = res.witness
+    assert all(F2Z2.contains(x) for x in res.witness)
+    residual = (sigma.value(g, h) + sigma.value(F2Z2.mul(g, h), k)
+                - sigma.value(g, F2Z2.mul(h, k)) - sigma.value(h, k))
+    assert not residual.is_one()
+    ident = check_twist_identities(sigma)
+    assert not ident.passed and ident.mode == "pullback"
 
 
 # -- the integer forms against the phases they were built from ---------------
@@ -576,12 +617,19 @@ def test_commutation_int_matches_int_values_and_phase():
 # -- the integer validators against their Phase-arithmetic reference ---------
 
 def reference_triples(sigma, budget):
-    """The triples and mode of both validators: the simplex grid of a
-    polynomial kind, enumerated here apart from the engine's, else _triples."""
+    """The triples and mode of both validators, enumerated here apart from
+    the engine's: the simplex grid of a polynomial kind, the section's image
+    of a pullback onto a finite group, every triple of a domain of at most
+    64 elements, else budget.samples seeded triples of words of length 8."""
     if sigma.degree is None:
+        if isinstance(sigma, PullbackCocycle) and sigma.section is not None:
+            image = [sigma.section(a) for a in sigma.base.group.elements()]
+            return itertools.product(image, repeat=3), "pullback"
         dom = sigma.domain_elements()
-        mode = "exhaustive" if dom is not None and len(dom) <= 64 else "sampled"
-        return _triples(sigma, budget)[1], mode
+        if dom is not None and len(dom) <= 64:
+            return itertools.product(dom, repeat=3), "exhaustive"
+        rng, draw = random.Random(budget.seed), sigma.random_domain_element
+        return ([draw(rng, 8) for _ in range(3)] for _ in range(budget.samples)), "sampled"
     m = len(sigma.group.identity())
     points = (p for p in itertools.product(range(sigma.degree + 1), repeat=3 * m)
               if sum(p) <= sigma.degree)
@@ -658,7 +706,7 @@ def valid_cases():
 
 
 def reference_cases():
-    return valid_cases() + [CubicForm(), Shifted(), corrupted_z22()[1]] + [
+    return valid_cases() + [CubicForm(), Shifted(), corrupted_z22()[1], corrupted_sigma_j(3)] + [
         twist_failure_table(name, entries) for name, entries, _ in TWIST_FAILURES] + [
         c for c, _detail in polynomial_mutants()]
 
@@ -672,6 +720,13 @@ def test_validators_match_phase_reference():
             sigma.describe()
 
 
+def exponent_sum(word, j):
+    """sigma_j's statistic of a reduced F_2 word: its exponent sum over a
+    (j = 1), b (j = 2) or both letters (j = 3), mod 2."""
+    letters = {1: (0,), 2: (1,), 3: (0, 1)}[j]
+    return sum(exp for letter, exp in word if letter in letters) % 2
+
+
 def phase_formula(sigma, g, h):
     """sigma(g, h) by each kind's formula in Phase arithmetic."""
     if isinstance(sigma, HeisenbergCocycle):
@@ -679,8 +734,7 @@ def phase_formula(sigma, g, h):
         return (sigma.gamma * (b3 * a1 + b2 * (a1 * (a1 - 1) // 2))
                 + sigma.theta * (a2 * (b3 + a1 * b2) + a1 * (b2 * (b2 - 1) // 2)))
     if isinstance(sigma, F2Z2Cocycle):
-        odd = g[1] == 1 and _f2z2_statistic(h[0], sigma.j) % 2 == 1
-        return Phase(Fraction(1, 2) if odd else 0)
+        return Phase(Fraction(g[1] * exponent_sum(h[0], sigma.j), 2))
     if isinstance(sigma, ProductCocycle):
         return (phase_formula(sigma.left, g[0], h[0]).with_basis(sigma.basis)
                 + phase_formula(sigma.right, g[1], h[1]).with_basis(sigma.basis))

@@ -5,12 +5,17 @@ from __future__ import annotations
 import random
 import re
 from functools import cached_property
+from math import prod
 
 from ..intlinalg import RowLattice, invert_unimodular, mat_mul_vec, smith_normal_form
 from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult,
                    finite_class, vector_key)
 from .finite import FiniteTable
 from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
+
+# intermediate_subgroups enumerates the subgroups of a finite quotient Z^n / H
+# of order at most QUOTIENT_CAP; above it the answer is unknown
+QUOTIENT_CAP = 64
 
 
 class FreeAbelian(Group):
@@ -111,6 +116,10 @@ class FreeAbelian(Group):
 
         if all(x != 0 for x in diag):
             # finite quotient: enumerate subgroups of prod Z_diag and lift
+            order = prod(diag)
+            if order > QUOTIENT_CAP:
+                return LatticeResult("unknown", (), f"finite quotient of order {order}: above "
+                                                    f"the cap {QUOTIENT_CAP} on its subgroup search")
             coords = _mixed_radix(diag)
             index = {c: i for i, c in enumerate(coords)}
             table = [[index[tuple((a + b) % m for a, b, m in zip(x, y, diag))]

@@ -1,6 +1,7 @@
 import importlib
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup,
                              centralizer_of_subgroup, fc_centralizer, from_name,
                              h_conjugacy_class, is_cstar_simple, is_fc_hypercentral,
                              is_normal, is_prime)
+from kleppner.groups.abelian import QUOTIENT_CAP
 from kleppner.groups.free import reduce_by_stack
 from kleppner.groups.subgroups import GeneratedSubgroup
 from kleppner.regularity import sigma_centralizer
@@ -582,6 +584,22 @@ def test_free_abelian_intermediate_subgroups_read_the_lattice():
     # an index-1 sublattice is the full group
     whole = z2.intermediate_subgroups(Subgroup.sublattice(z2, [(1, 1), (0, 1)]), 3)
     assert [e.subgroup for e in whole.entries] == [Subgroup.full(z2)]
+
+
+def test_free_abelian_finite_quotient_above_the_cap_is_unknown():
+    """Z^2 / <(1,0), (0,m)> is Z_m: at the cap m = 64 its 7 subgroups are
+    listed; at m = 128 the answer is unknown, at once, and its note names
+    the order and the cap."""
+    z2 = FreeAbelian(2)
+    assert QUOTIENT_CAP == 64
+    at_cap = z2.intermediate_subgroups(Subgroup.sublattice(z2, [(1, 0), (0, 64)]), 1000)
+    assert at_cap.status == "ok"
+    assert [e.index_in_g for e in at_cap.entries] == [64, 32, 16, 8, 4, 2, 1]
+    t0 = time.perf_counter()
+    above = z2.intermediate_subgroups(Subgroup.sublattice(z2, [(1, 0), (0, 128)]), 1000)
+    assert time.perf_counter() - t0 < 0.1
+    assert above.status == "unknown" and not above.entries
+    assert "order 128" in above.note and f"cap {QUOTIENT_CAP}" in above.note
 
 
 def test_heisenberg_generated_subgroups_use_closed_form():

@@ -692,7 +692,8 @@ def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
     d(g, h, k) term by term, so if row s holds, row sg holds exactly when
     row g does.  Row e holds on a normalized table, which PhaseTableCocycle
     enforces, and every element of a finite group is a positive word in S.
-    So build_regular_rep checks only the generator rows unless asked for all."""
+    So _validate_table_fast and build_regular_rep check only the generator
+    rows unless a row fails or build_regular_rep is asked for all."""
     den, t, mul = sigma.den, sigma.ints, sigma.group.table
     elems = range(sigma.group.order)
     for g in rows:
@@ -706,15 +707,24 @@ def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
 
 
 def _validate_table_fast(sigma: "PhaseTableCocycle") -> ValidationResult:
-    """Exhaustive table validation on integers modulo the common denominator;
-    ``checks`` counts the triples up to and including the first failure.
+    """Table validation on integers modulo the common denominator, exact.
+
+    The rows of ``G.generators()`` go first (the identity's row on the
+    trivial group, whose generating set is empty); by _table_identity_failure
+    they decide every row, so a pass reports mode "generators" with
+    |S| n^2 checks.  A table they refuse is rescanned on all rows in order:
+    mode "exhaustive", its witness the first failing triple, ``checks`` the
+    triples up to and including it.
 
     Normalization needs no check: PhaseTableCocycle refuses a table that is not
     normalized at the identity, and its integer table is immutable."""
-    n = sigma.group.order
+    G = sigma.group
+    n = G.order
+    gens = G.generators() or [G.identity()]
+    if _table_identity_failure(sigma, gens) is None:
+        checks = len(gens) * n * n
+        return ValidationResult(True, None, checks, "generators", "", checks)
     witness = _table_identity_failure(sigma, range(n))
-    if witness is None:
-        return ValidationResult(True, None, n ** 3, "exhaustive", "", n ** 3)
     g, h, k = witness
     checks = (g * n + h) * n + k + 1
     return ValidationResult(False, witness, checks, "exhaustive", "cocycle identity fails", checks)
@@ -732,7 +742,9 @@ def _vanishes(den: int, plus: list, minus: list) -> bool:
 
 
 def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
-    """Normalization plus the cocycle identity on the triples of _triples."""
+    """Normalization plus the cocycle identity on the triples of _triples;
+    a phase table on at most EXHAUSTIVE_LIMIT elements goes to
+    _validate_table_fast instead."""
     G = sigma.group
     if isinstance(sigma, PhaseTableCocycle) and G.order <= EXHAUSTIVE_LIMIT:
         return _validate_table_fast(sigma)

@@ -305,15 +305,16 @@ def test_criterion_4_identity_suite():
         (F2Z2Cocycle(f2z2, 1), 0),                      # pullback: 64 triples
         (F2Z2Cocycle(f2z2, 2), 0),
         (F2Z2Cocycle(f2z2, 3), 0),
-        (random_table_cocycle(z22, rng), 0),            # exhaustive: 64 triples
-        (random_table_cocycle(from_name("D_4"), rng), 0),  # exhaustive: 512 triples
+        (random_table_cocycle(z22, rng), 0),            # generators: 2 rows, 32 triples
+        (random_table_cocycle(from_name("D_4"), rng), 0),  # generators: 2 rows, 128 triples
         (ProductCocycle(prod, rot, TrivialCocycle(z4)), 700),
         (similarity_transform(rot, SeededBeta(z2, 5, 8)), 700),
         (similarity_transform(heis_formal, SeededBeta(heis, 6, 12)), 700),
         (RestrictionCocycle(heis_formal, hsub), 700),
     ]
-    # tuples of the sampled, exhaustive and pullback modes and of the sigma_j
-    # formula check, and points of the exact polynomial grid, counted apart
+    # tuples of the sampled, exhaustive, generators and pullback modes and of
+    # the sigma_j formula check, and points of the exact polynomial grid,
+    # counted apart
     counts = {"tuples": 0, "grid": 0}
     failures = []
     for j in (1, 2, 3):
@@ -329,8 +330,9 @@ def test_criterion_4_identity_suite():
         if not ires.passed:
             failures.append((sigma.describe(), ires.detail, ires.witness))
     total_tuples = counts["tuples"] + counts["grid"]
-    print(f"\n  identity suite: {counts['tuples']} sampled, exhaustive or pullback tuples and "
-          f"{counts['grid']} polynomial grid points across {len(variants)} variants")
+    print(f"\n  identity suite: {counts['tuples']} sampled, exhaustive, generators or "
+          f"pullback tuples and {counts['grid']} polynomial grid points across "
+          f"{len(variants)} variants")
     ok = not failures and total_tuples >= 10_000
     if failures:
         print("failures:", failures[:3])

@@ -414,6 +414,26 @@ def test_validation_and_projective_relation_fail_at_one_triple(name):
     assert failures
 
 
+def generating_rows(G):
+    """A generating set of the finite group G, found here apart from the
+    engine: each element, in order, that the earlier picks do not generate;
+    the identity alone when G is trivial.  In a finite group the positive
+    words in the picks are the subgroup they generate."""
+    e, picked, reached = G.identity(), [], {G.identity()}
+    for x in G.elements():
+        if x not in reached:
+            picked.append(x)
+            reached, frontier = {e}, [e]
+            while frontier:
+                y = frontier.pop()
+                for s in picked:
+                    z = G.mul(y, s)
+                    if z not in reached:
+                        reached.add(z)
+                        frontier.append(z)
+    return picked or [e]
+
+
 def full_table_scan(sigma):
     """The first (g, h, k) over all of G in order at which the integer table
     breaks the cocycle identity, with its 1-based position; (None, n^3) when
@@ -458,17 +478,20 @@ def perturbed_tables(G, rng, count):
 
 @pytest.mark.parametrize("name", ["S_3", "D_4", "Q8", "Z_2 x Z_4", "S_4", "D_8", "Z_3 x Z_3"])
 def test_generator_rows_decide_the_projective_relation(name):
-    """build_regular_rep checks the rows of the generating set only, and
-    refuses a table exactly when the full scan finds a failing triple;
-    validate_cocycle reports the full scan's witness and count."""
+    """build_regular_rep and validate_cocycle check the rows of the
+    generating set only, and refuse a table exactly when the full scan finds
+    a failing triple: validate_cocycle passes it in mode "generators" on
+    |S| n^2 triples, and reports a failure with the full scan's witness,
+    count and mode."""
     G = from_name(name)
     n = G.order
+    on_rows = len(generating_rows(G)) * n * n
     outcomes = set()
     for kind, sigma in perturbed_tables(G, random.Random(name), 200):
         witness, pos = full_table_scan(sigma)
         outcomes.add((kind, witness is None))
         if witness is None:
-            expected = ValidationResult(True, None, n ** 3, "exhaustive", "", n ** 3)
+            expected = ValidationResult(True, None, on_rows, "generators", "", on_rows)
             build_regular_rep(G, sigma)
         else:
             expected = ValidationResult(False, witness, pos, "exhaustive",
@@ -479,6 +502,16 @@ def test_generator_rows_decide_the_projective_relation(name):
     # each perturbation broke some table, and the drawn ones all pass
     assert {("drawn", True), ("entry", False), ("row", False), ("coset", False)} <= outcomes
     assert ("drawn", False) not in outcomes
+
+
+def test_trivial_group_table_checks_the_identity_row():
+    """Z_1 has no generators, so its table is validated on the identity's
+    row: one triple, not zero."""
+    z1 = from_name("Z_1")
+    sigma = PhaseTableCocycle(z1, [[Phase(Fraction(0))]])
+    assert z1.generators() == ()
+    expected = ValidationResult(True, None, 1, "generators", "", 1)
+    assert validate_cocycle(sigma) == reference_validate(sigma, ValidationBudget()) == expected
 
 
 def test_commutation_trivial_matches_commutation_phase():
@@ -637,9 +670,19 @@ def reference_triples(sigma, budget):
 
 
 def reference_validate(sigma, budget):
-    """validate_cocycle's generic path, on Phase values and Phase arithmetic."""
+    """validate_cocycle on Phase values and Phase arithmetic.  A phase table
+    on at most 64 elements passes in mode "generators" when the identity
+    holds on the rows of generating_rows; otherwise, and for every other
+    kind, the triples of reference_triples are checked in order."""
     G = sigma.group
     e = G.identity()
+    if isinstance(sigma, PhaseTableCocycle) and G.order <= 64:
+        rows, elems = generating_rows(G), list(G.elements())
+        if all(sigma.value(g, h) + sigma.value(G.mul(g, h), k)
+               == sigma.value(g, G.mul(h, k)) + sigma.value(h, k)
+               for g in rows for h in elems for k in elems):
+            checks = len(rows) * len(elems) ** 2
+            return ValidationResult(True, None, checks, "generators", "", checks)
     triples_in, mode = reference_triples(sigma, budget)
     checks = triples = 0
     seen_norm = set()

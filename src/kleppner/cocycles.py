@@ -743,11 +743,10 @@ def _vanishes(den: int, plus: list, minus: list) -> bool:
 
 def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
     """Normalization plus the cocycle identity on the triples of _triples;
-    a phase table on at most EXHAUSTIVE_LIMIT elements goes to
-    _validate_table_fast instead."""
-    G = sigma.group
-    if isinstance(sigma, PhaseTableCocycle) and G.order <= EXHAUSTIVE_LIMIT:
+    a phase table, of any order, goes to _validate_table_fast instead."""
+    if isinstance(sigma, PhaseTableCocycle):
         return _validate_table_fast(sigma)
+    G = sigma.group
     e = G.identity()
     mode, points = _triples(sigma, budget)
     den, val = sigma.den, sigma.int_value

@@ -9,9 +9,10 @@ denominator, and any disagreement raises:
 
   route A: solve T lam(h) = lam(h) T over T in the span of the lam(g) by
            exact elimination on column e, checked on all entries under
-           verify=True; every entry equation relates exactly two
-           coefficients with root-of-unity factors, so exact elimination is
-           scaling propagation over components (contradiction => zero);
+           verify=True; every equation relates the coefficients at x and
+           h x h^-1 by a root of unity, so exact elimination is a walk over
+           each orbit of conjugation by H's generators from its least
+           element (a cycle whose phases do not cancel => zero);
   route B: count the H-conjugacy classes that are regular for the cocycle.
 """
 
@@ -148,52 +149,6 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool = False
 # route A: exact elimination on column e, checked on all entries under verify=True
 # ---------------------------------------------------------------------------
 
-class _ScalingUnionFind:
-    """Union-find with root-of-unity potentials, the exponents stored as
-    integers modulo den: f(x) = zeta^(pot(x)/den) * f(root(x))."""
-
-    def __init__(self, n: int, den: int) -> None:
-        self.parent = list(range(n))
-        self.pot = [0] * n
-        self.dead = [False] * n
-        self.den = den
-
-    def find(self, x: int) -> int:
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        acc = 0
-        for y in reversed(path):
-            acc = (acc + self.pot[y]) % self.den
-            self.parent[y] = x
-            self.pot[y] = acc
-        return x
-
-    def relate(self, u: int, v: int, delta: int) -> None:
-        """Impose f(u) = zeta^(delta/den) * f(v)."""
-        ru = self.find(u)
-        pu = self.pot[u] if u != ru else 0
-        rv = self.find(v)
-        pv = self.pot[v] if v != rv else 0
-        if ru == rv:
-            if (pu - pv - delta) % self.den:
-                self.dead[ru] = True
-            return
-        # attach rv under ru: f(rv) = zeta^((pu - delta - pv)/den) f(ru)
-        self.parent[rv] = ru
-        self.pot[rv] = (pu - delta - pv) % self.den
-        if self.dead[rv]:
-            self.dead[ru] = True
-
-    def alive_components(self) -> dict[int, list[tuple[int, int]]]:
-        comps: dict[int, list[tuple[int, int]]] = {}
-        for x in range(len(self.parent)):
-            r = self.find(x)
-            comps.setdefault(r, []).append((x, self.pot[x] if x != r else 0))
-        return {r: members for r, members in comps.items() if not self.dead[r]}
-
-
 def _route_a(rep: RegularRep, hgens: list[int]) -> tuple[dict[int, int], ...]:
     """Solve T lam(h) = lam(h) T on column e only: an exact basis of the
     relative commutant inside the span of the lam(g), each element the
@@ -205,22 +160,41 @@ def _route_a(rep: RegularRep, hgens: list[int]) -> tuple[dict[int, int], ...]:
     at e is zero: the n equations with k = e are equivalent to all n^2, and
     the other columns repeat them.  ``_verify_solution`` still substitutes
     into all n^2 entries.
-    """
+
+    The equation of h at row h x relates f(x) to f(y), y = h x h^-1:
+    pot(y) = pot(x) - delta with delta = val[y][h] + val[h][e] - val[h][x]
+    - val[x][e].  So the unknowns split into the orbits of conjugation by
+    H, and the walk solves each orbit from its least element, which gets
+    exponent 0, stepping from every x by every generator: that is each of
+    the n |hgens| equations once.  A step that reaches y with another
+    exponent closes a cycle whose phases do not cancel, so f is zero on the
+    orbit and it adds no basis element; the walk still visits the whole
+    orbit, so that no later root starts inside it.  The basis is ordered by
+    least element."""
     G = rep.group
     n, den, val, e = G.order, rep.den, rep.int_values, G.identity()
     table, inv = G.table, G.inv_table
-    uf = _ScalingUnionFind(n, den)
-    for h in hgens:
-        hinv = inv[h]
-        row_m, vh = table[hinv], val[h]
-        for r in range(n):
-            # (lam(h) T)[r,e] = zeta^(vh[m] + val[m][e]) f(m) with m = h^-1 r;
-            # (T lam(h))[r,e] = zeta^(val[v][h] + vh[e]) f(v) with v = r h^-1
-            m, v = row_m[r], table[r][hinv]
-            uf.relate(m, v, (val[v][h] + vh[e] - vh[m] - val[m][e]) % den)
-    comps = uf.alive_components()
-    # from a list, not a generator, as in PhaseTableCocycle._set_ints
-    return tuple([dict(comps[root]) for root in sorted(comps)])
+    steps = [(h, table[h], inv[h], val[h], val[h][e]) for h in hgens]
+    pot: list = [None] * n
+    basis = []
+    for root in range(n):
+        if pot[root] is not None:
+            continue
+        pot[root] = 0
+        orbit, alive = [root], True
+        for x in orbit:
+            px = pot[x] + val[x][e]
+            for h, th, hinv, vh, vhe in steps:
+                y = table[th[x]][hinv]
+                py = (px + vh[x] - val[y][h] - vhe) % den
+                if pot[y] is None:
+                    pot[y] = py
+                    orbit.append(y)
+                elif pot[y] != py:
+                    alive = False
+        if alive:
+            basis.append({x: pot[x] for x in orbit})
+    return tuple(basis)
 
 
 def _verify_solution(rep: RegularRep, hgens: list[int], f: dict[int, int]) -> bool:

@@ -514,6 +514,30 @@ def test_trivial_group_table_checks_the_identity_row():
     assert validate_cocycle(sigma) == reference_validate(sigma, ValidationBudget()) == expected
 
 
+def test_table_above_64_elements_passes_on_generator_rows():
+    """A table is validated exactly whatever its order: the zero table on
+    Z_72, above the 64 elements of exhaustive checking, passes in mode
+    "generators" on the 72^2 triples of its one generator's row."""
+    z72 = from_name("Z_72")
+    sigma = PhaseTableCocycle.from_ints(z72, 1, [[0] * 72 for _ in range(72)])
+    expected = ValidationResult(True, None, 5184, "generators", "", 5184)
+    assert validate_cocycle(sigma) == reference_validate(sigma, ValidationBudget()) == expected
+
+
+def test_corrupted_table_above_64_elements_fails_with_first_triple():
+    """One entry of 1/2 at (5, 7) in the zero table on Z_72: the generator
+    row refuses it, and the rescan reports the first failing triple over all
+    of Z_72 in mode "exhaustive", not a sampled one."""
+    z72 = from_name("Z_72")
+    ints = [[0] * 72 for _ in range(72)]
+    ints[5][7] = 1
+    sigma = PhaseTableCocycle.from_ints(z72, 2, ints)
+    witness, pos = full_table_scan(sigma)
+    assert witness == (1, 4, 7)
+    expected = ValidationResult(False, witness, pos, "exhaustive", "cocycle identity fails", pos)
+    assert validate_cocycle(sigma) == reference_validate(sigma, ValidationBudget()) == expected
+
+
 def test_commutation_trivial_matches_commutation_phase():
     """The integer test of sigma(g,h) = sigma(h,g) against the Phase one, on
     sampled pairs of every shipped variant (plus commuting pairs, so both
@@ -670,20 +694,23 @@ def reference_triples(sigma, budget):
 
 
 def reference_validate(sigma, budget):
-    """validate_cocycle on Phase values and Phase arithmetic.  A phase table
-    on at most 64 elements passes in mode "generators" when the identity
-    holds on the rows of generating_rows; otherwise, and for every other
-    kind, the triples of reference_triples are checked in order."""
+    """validate_cocycle on Phase values and Phase arithmetic.  A phase table,
+    of any order, passes in mode "generators" when the identity holds on the
+    rows of generating_rows, and is otherwise checked on every triple in
+    order, in mode "exhaustive"; every other kind is checked on the triples
+    of reference_triples in order."""
     G = sigma.group
     e = G.identity()
-    if isinstance(sigma, PhaseTableCocycle) and G.order <= 64:
+    if isinstance(sigma, PhaseTableCocycle):
         rows, elems = generating_rows(G), list(G.elements())
         if all(sigma.value(g, h) + sigma.value(G.mul(g, h), k)
                == sigma.value(g, G.mul(h, k)) + sigma.value(h, k)
                for g in rows for h in elems for k in elems):
             checks = len(rows) * len(elems) ** 2
             return ValidationResult(True, None, checks, "generators", "", checks)
-    triples_in, mode = reference_triples(sigma, budget)
+        triples_in, mode = itertools.product(elems, repeat=3), "exhaustive"
+    else:
+        triples_in, mode = reference_triples(sigma, budget)
     checks = triples = 0
     seen_norm = set()
     for g, h, k in triples_in:

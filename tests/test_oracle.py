@@ -246,17 +246,62 @@ def test_subgroup_of_another_group_is_refused():
             relative_commutant_dim(z22, H, sig)
 
 
+class _ScalingUnionFind:
+    """Union-find with root-of-unity potentials, the exponents stored as
+    integers modulo den: f(x) = zeta^(pot(x)/den) * f(root(x)).  Held here,
+    apart from the engine, so that the n^2-equation reference shares no code
+    with route A."""
+
+    def __init__(self, n, den):
+        self.parent = list(range(n))
+        self.pot = [0] * n
+        self.dead = [False] * n
+        self.den = den
+
+    def find(self, x):
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        acc = 0
+        for y in reversed(path):
+            acc = (acc + self.pot[y]) % self.den
+            self.parent[y] = x
+            self.pot[y] = acc
+        return x
+
+    def relate(self, u, v, delta):
+        """Impose f(u) = zeta^(delta/den) * f(v)."""
+        ru = self.find(u)
+        pu = self.pot[u] if u != ru else 0
+        rv = self.find(v)
+        pv = self.pot[v] if v != rv else 0
+        if ru == rv:
+            if (pu - pv - delta) % self.den:
+                self.dead[ru] = True
+            return
+        # attach rv under ru: f(rv) = zeta^((pu - delta - pv)/den) f(ru)
+        self.parent[rv] = ru
+        self.pot[rv] = (pu - delta - pv) % self.den
+        if self.dead[rv]:
+            self.dead[ru] = True
+
+    def alive_components(self):
+        comps = {}
+        for x in range(len(self.parent)):
+            r = self.find(x)
+            comps.setdefault(r, []).append((x, self.pot[x] if x != r else 0))
+        return {r: members for r, members in comps.items() if not self.dead[r]}
+
+
 def _full_system_route_a(rep, hgens):
     """Route A on every entry (r, k): the n^2 equations per generator that
-    column e alone decides.  A reference for the parity test only.  Column e
-    goes first, so each component keeps the root that the column e route
-    gives it and the two bases compare element by element."""
+    column e alone decides.  A reference for the parity test only."""
     G = rep.group
     n, den, val, table, inv = G.order, rep.den, rep.int_values, G.table, G.inv_table
-    e = G.identity()
-    uf = oracle_mod._ScalingUnionFind(n, den)
+    uf = _ScalingUnionFind(n, den)
     for h in hgens:
-        for k in [e] + [k for k in range(n) if k != e]:
+        for k in range(n):
             mp = table[h][k]
             for r in range(n):
                 m = table[inv[h]][r]
@@ -266,6 +311,16 @@ def _full_system_route_a(rep, hgens):
                 rhs = val[v][mp] + val[h][k]
                 uf.relate(u, v, (rhs - lhs) % den)
     return [dict(members) for members in uf.alive_components().values()]
+
+
+def _normalized(basis, den):
+    """Each basis element rescaled to exponent 0 at its least support
+    element, as a set: every exponent difference within a support stays."""
+    out = set()
+    for f in basis:
+        p0 = f[min(f)]
+        out.add(frozenset((x, (p - p0) % den) for x, p in f.items()))
+    return out
 
 
 def _swept_groups():
@@ -285,8 +340,8 @@ def test_column_e_route_matches_full_system():
                 r = relative_commutant_dim(g, H, sig, verify=True, rep=rep)
                 assert r.dimension == len(full)
                 # the supports are disjoint, so the sets lose no element
-                assert ({frozenset(f.items()) for f in r.basis}
-                        == {frozenset(f.items()) for f in full})
+                assert _normalized(r.basis, rep.den) == _normalized(full, rep.den)
+                assert all(f[min(f)] == 0 for f in r.basis)
 
 
 def test_route_a_supports_are_route_b_classes():
@@ -350,3 +405,23 @@ def test_h_classes_are_held_on_the_table():
         kleppner(g, sig)
         assert g._h_classes.keys() == memo.keys()
         assert all(g._h_classes[k] is v for k, v in memo.items())
+
+
+def test_route_a_basis_is_the_same_for_any_generating_set():
+    """Route A on H.generators(), on all of H and on the generators with
+    their inverses: redundant generators close more cycles in each orbit,
+    and the basis, already normalized at each least element, stays the
+    same.  Each basis is substituted into its own equations, as under
+    verify=True."""
+    rng = random.Random(23)
+    for g in _swept_groups():
+        sig = random_table_cocycle(g, rng)
+        rep = build_regular_rep(g, sig)
+        for hset in g.all_subgroups():
+            H = Subgroup.finite_subset(g, hset)
+            r = relative_commutant_dim(g, H, sig, verify=True, rep=rep)
+            gens = list(H.generators()) or [g.identity()]
+            for hgens in (list(H.enumerate_elements()), gens + [g.inv(h) for h in gens]):
+                basis = oracle_mod._route_a(rep, hgens)
+                assert all(oracle_mod._verify_solution(rep, hgens, f) for f in basis)
+                assert basis == r.basis

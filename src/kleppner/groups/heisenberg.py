@@ -4,21 +4,23 @@ Product: (a1,a2,a3)(b1,b2,b3) = (a1+b1, a2+b2, a3+b3+a1*b2).
 Conjugation: g x g^-1 = (x1, x2, x3 + g1*x2 - g2*x1), so the class of x under
 a subgroup is controlled by the linear form (g1,g2) -> g1*x2 - g2*x1.
 
-Besides the full and trivial subgroups, the described subgroups are the
-congruence subgroups {x : m | x1} and the lattices inside the two abelian
-coordinate planes {(0, a2, a3)} and {(a1, 0, a3)}.
+Every subgroup other than G and {e} is a ``HeisEchelon``, kept as its reduced
+echelon basis whatever generators gave it; membership, index, normality,
+centralizers and the lattice above {m | a1} are read off that basis.
 """
 
 from __future__ import annotations
 
 import random
-from math import gcd, isqrt
+from functools import reduce
+from itertools import combinations
+from math import gcd, isqrt, prod
 
-from ..intlinalg import RowLattice, echelon_contains, integer_kernel
+from ..intlinalg import RowLattice, integer_kernel
 from .abelian import FreeAbelian, parse_int_vector
-from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult, finite_class,
+from .base import (Element, FCInfo, Group, LatticeEntry, LatticeResult, finite_class,
                    infinite_class, vector_key)
-from .subgroups import INFINITE, AsGroup, GeneratedSubgroup, Infinite, Subgroup, subgroup_kind
+from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
 Triple = tuple[int, int, int]
 
@@ -70,15 +72,22 @@ class Heisenberg(Group):
         return "discrete Heisenberg group (Z^3, twisted product)"
 
     def generated_subgroup(self, gens):
-        # generators inside an abelian coordinate plane generate a plane lattice
-        for plane in (0, 1):
-            if all(g[plane] == 0 for g in gens):
-                rows = RowLattice(2, [(g[1 - plane], g[2]) for g in gens]).basis()
-                if len(rows) == 2:  # Hermite form: one basis per lattice
-                    (p, q), (_, r) = rows
-                    rows = [(p, q % r), (0, r)]
-                return HeisPlane(self, plane, tuple(rows))
-        return super().generated_subgroup(gens)
+        """<gens> by its reduced echelon basis: Euclid on the first, then the
+        second coordinate leaves central elements, and d3 is their gcd with
+        [b1, b2] = (0, 0, d1*d2), which generates [H, H] because the
+        commutator is bilinear and central."""
+        b1, rest = _euclid(self, gens, 0)
+        b2, central = _euclid(self, rest, 1)
+        d3 = gcd(*(c[2] for c in central), b1[0] * b2[1] if b1 and b2 else 0)
+        if b1 and b2:
+            b1 = self.mul(b1, self.power(b2, -(b1[1] // b2[1])))
+        if d3:  # b3 = (0, 0, d3) is central: reduce the third coordinates by it
+            b1, b2 = (b and (b[0], b[1], b[2] % d3) for b in (b1, b2))
+        basis = tuple(b for b in (b1, b2, (0, 0, d3) if d3 else None) if b)
+        if not basis:
+            return Subgroup.trivial(self)
+        H = HeisEchelon(self, basis)
+        return Subgroup.full(self) if H.index() == 1 else H
 
     # -- structure queries: everything goes through the commutation form ----
     def h_conjugacy_class(self, g, H):
@@ -93,9 +102,6 @@ class Heisenberg(Group):
 
     def centralizer_generators(self, H, g):
         """h commutes with g iff h1*g2 = h2*g1."""
-        if isinstance(H, GeneratedSubgroup):
-            # the ordered products of its generators need not reach every element
-            return None
         gens = H.generators()
         if not gens:
             return ()
@@ -118,23 +124,19 @@ class Heisenberg(Group):
         lat = RowLattice(2, kernel)
         if lat.rank == 2 and lat.index_in_ambient() == 1:
             return Subgroup.full(self)
-        # the center and the kernel directions generate C_G(H); off the
-        # coordinate planes it is a slanted line of centralizers, outside the catalog
-        cent = self.generated_subgroup(tuple((v[0], v[1], 0) for v in lat.basis())
-                                       + ((0, 0, 1),))
-        return cent if isinstance(cent, HeisPlane) else None
+        # the center and the kernel directions generate C_G(H)
+        return Subgroup.generated(self, [(v[0], v[1], 0) for v in lat.basis()] + [(0, 0, 1)])
 
     def fc_centralizer(self, H):
         # a class is a singleton or infinite, so FC_G(H) = C_G(H)
         c = self.centralizer_of_subgroup(H)
-        if c is None:
-            return FCInfo(None, note="centralizer outside catalog")
         central = all(self.commutes(s, t) for s in c.generators() for t in self.generators())
         return FCInfo(c, central=central, note="Heisenberg classes are singletons or infinite")
 
     def intermediate_subgroups(self, H, max_entries):
-        if isinstance(H, HeisCongruence):
-            return _congruence_lattice(self, H.modulus, max_entries)
+        modulus = _modulus(H.generators())
+        if modulus > 1:
+            return _congruence_lattice(self, modulus, max_entries)
         if H != Subgroup.coordinate_zero(self, {0}):
             return super().intermediate_subgroups(H, max_entries)
         entries = [LatticeEntry("Gamma_0 (= H)", H, H.index()),
@@ -177,72 +179,71 @@ def _congruence_lattice(G: Heisenberg, n: int, max_entries: int) -> LatticeResul
                                                f"divisors of {n}; truncated at {max_entries}")
 
 
-@subgroup_kind
-class HeisCongruence(Subgroup):
-    modulus: int  # elements with first coordinate divisible by modulus (>= 2)
+def _euclid(G: Heisenberg, gens, i: int):
+    """(p, rest) after Euclid on coordinate i of gens by the moves g -> g p^-q,
+    which keep the subgroup: p is the one element left with coordinate i
+    nonzero, made positive there (or None), rest the elements where it is 0."""
+    live = [g for g in gens if g[i]]
+    rest = [g for g in gens if not g[i]]
+    while len(live) > 1:
+        p, *others = sorted(live, key=lambda g: abs(g[i]))
+        live = [p]
+        for g in others:
+            r = G.mul(g, G.power(p, -(g[i] // p[i])))
+            (live if r[i] else rest).append(r)
+    if not live:
+        return None, rest
+    return (live[0] if live[0][i] > 0 else G.inv(live[0])), rest
 
-    kind = "first-coordinate-multiple"
+
+def _modulus(gens) -> int:
+    """m when gens is the basis (m, 0, 0), (0, 1, 0), (0, 0, 1) of {m | a1}, else 0."""
+    m = gens[0][0] if gens else 0
+    return m if gens == ((m, 0, 0), (0, 1, 0), (0, 0, 1)) else 0
+
+
+@subgroup_kind
+class HeisEchelon(Subgroup):
+    """b1 = (d1, e, f), b2 = (0, d2, g), b3 = (0, 0, d3), each present or not,
+    pivots positive, 0 <= e < d2 and 0 <= f, g < d3 when b2, b3 are present:
+    an induced polycyclic sequence (Sims 1994, ch. 9), unique per subgroup,
+    and every element is b1^x b2^y b3^z for exactly one (x, y, z)."""
+
+    basis: tuple
+
+    kind = "heisenberg-echelon"
 
     def describe_desc(self) -> str:
-        return f"{{(a1, a2, a3) : {self.modulus} | a1}}"
-
-    def _validate(self) -> None:
-        if not isinstance(self.parent, Heisenberg) or self.modulus < 2:
-            raise GroupError("congruence description needs Heisenberg parent and modulus >= 2")
-
-    def _contains(self, x: Element) -> bool:
-        return x[0] % self.modulus == 0
-
-    def generators(self) -> tuple[Element, ...]:
-        return ((self.modulus, 0, 0), (0, 1, 0), (0, 0, 1))
-
-    def index(self) -> int:
-        return self.modulus
-
-
-@subgroup_kind
-class HeisPlane(Subgroup):
-    """A nonzero lattice in one of the abelian coordinate planes of the
-    Heisenberg group: plane 0 is {(0, a2, a3)}, plane 1 is {(a1, 0, a3)}.
-    The coordinate subgroups, such as {(0, a2, a3)} or the center
-    {(0, 0, a3)}, are the lattices spanned by coordinate unit vectors."""
-
-    plane: int
-    rows: tuple  # Hermite basis of the lattice in the two free coordinates
-
-    kind = "heisenberg-plane-lattice"
-
-    def describe_desc(self) -> str:
-        gens = self.generators()
+        gens = self.basis
+        if m := _modulus(gens):
+            return f"{{(a1, a2, a3) : {m} | a1}}"
         if all(sorted(g) == [0, 0, 1] for g in gens):
             pattern = [f"a{i + 1}" if any(g[i] for g in gens) else "0" for i in range(3)]
             return "{(" + ", ".join(pattern) + ")}"
-        return f"plane sublattice generated by {', '.join(map(str, gens))}"
-
-    def lift(self, a: int, b: int) -> tuple[int, int, int]:
-        """The point of the plane with free coordinates (a, b)."""
-        return (0, a, b) if self.plane == 0 else (a, 0, b)
-
-    def _validate(self) -> None:
-        if not isinstance(self.parent, Heisenberg) or self.plane not in (0, 1) or not self.rows:
-            raise GroupError("plane lattice needs a Heisenberg parent, plane 0 or 1 and a "
-                             "nonzero lattice")
+        inner = ", ".join(map(self.parent.element_str, gens))
+        if any(all(g[i] == 0 for g in gens) for i in (0, 1)):
+            return f"plane sublattice generated by {inner}"
+        return f"subgroup generated by {inner}"
 
     def _contains(self, x: Element) -> bool:
-        # plane 0 kills a1, plane 1 kills a2
-        return x[self.plane] == 0 and echelon_contains(self.rows, (x[1 - self.plane], x[2]))
+        # sift x through the basis, pivot by pivot
+        G = self.parent
+        for b in self.basis:
+            i = next(k for k in range(3) if b[k])
+            if x[i] % b[i]:
+                return False
+            x = G.mul(G.power(b, -(x[i] // b[i])), x)
+        return x == G.identity()
 
     def generators(self) -> tuple[Element, ...]:
-        return tuple(self.lift(*r) for r in self.rows)
+        return self.basis
 
-    def index(self) -> Infinite:
-        return INFINITE
+    def index(self) -> int | Infinite:
+        return prod(b[i] for i, b in enumerate(self.basis)) if len(self.basis) == 3 else INFINITE
 
-    def as_group(self) -> AsGroup:
-        rows = self.rows
-
-        def embed(c):
-            return self.lift(sum(ci * r[0] for ci, r in zip(c, rows)),
-                             sum(ci * r[1] for ci, r in zip(c, rows)))
-
-        return AsGroup(FreeAbelian(len(rows)), embed)
+    def as_group(self) -> AsGroup | None:
+        G, basis = self.parent, self.basis
+        if not all(G.commutes(a, b) for a, b in combinations(basis, 2)):
+            return None
+        return AsGroup(FreeAbelian(len(basis)),
+                       lambda c: reduce(G.mul, map(G.power, basis, c), G.identity()))

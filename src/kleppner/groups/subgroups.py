@@ -9,9 +9,10 @@ legitimately have undecided membership; queries then return None.
 
 This module holds the kinds every group has (full, trivial, finite subset,
 generated); each group module defines its own kinds: ``Sublattice`` in
-abelian.py, ``HeisCongruence`` and ``HeisPlane`` in heisenberg.py,
-``FreeCyclic`` in free.py and ``ProductSubgroup`` in product.py.  Those
-modules import this one, so the constructors here import them on call.
+abelian.py, ``HeisEchelon`` (every Heisenberg subgroup other than G and
+{e}, by its reduced echelon basis) in heisenberg.py, ``FreeCyclic`` in
+free.py and ``ProductSubgroup`` in product.py.  Those modules import this
+one, so the constructors here import them on call.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class Subgroup:
     @staticmethod
     def coordinate_zero(parent: Group, zero_coords) -> "Subgroup":
         """{x : x_i = 0 for i in zero_coords} in the Heisenberg group: the
-        full group, a plane lattice, or the trivial subgroup."""
+        subgroup its remaining unit vectors generate."""
         from .heisenberg import Heisenberg
         if not isinstance(parent, Heisenberg):
             raise GroupError("coordinate-zero descriptions apply to the Heisenberg parent")
@@ -103,8 +104,6 @@ class Subgroup:
         if 2 in s and not (0 in s or 1 in s):
             # third coordinate picks up a1*b2; not closed unless one of them dies
             raise GroupError("{(a1, a2, 0)} is not closed under the Heisenberg product")
-        if not s:
-            return Subgroup.full(parent)
         return Subgroup.generated(parent, [g for i, g in enumerate(parent.generators())
                                            if i not in s])
 
@@ -125,12 +124,11 @@ class Subgroup:
 
     @staticmethod
     def heis_congruence(parent: Group, modulus: int) -> "Subgroup":
-        from .heisenberg import HeisCongruence
-        if modulus == 0:
-            return Subgroup.coordinate_zero(parent, {0})
-        if modulus == 1:
-            return Subgroup.full(parent)
-        return HeisCongruence(parent, modulus)
+        """{x : modulus | x_1} in the Heisenberg group."""
+        from .heisenberg import Heisenberg
+        if not isinstance(parent, Heisenberg) or modulus < 0:
+            raise GroupError("congruence description needs Heisenberg parent and modulus >= 0")
+        return Subgroup.generated(parent, [(modulus, 0, 0), (0, 1, 0), (0, 0, 1)])
 
     # -- queries -------------------------------------------------------------
     def _validate(self) -> None:

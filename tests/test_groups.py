@@ -1,7 +1,9 @@
 import importlib
+import itertools
 import random
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,11 @@ from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup,
                              is_normal, is_prime)
 from kleppner.groups.abelian import QUOTIENT_CAP
 from kleppner.groups.free import reduce_by_stack
+from kleppner.cocycles import HeisenbergCocycle, commutation_trivial
 from kleppner.groups.subgroups import GeneratedSubgroup
-from kleppner.regularity import sigma_centralizer
+from kleppner.phases import IrrationalBasis
+from kleppner.regularity import is_sigma_regular, relative_kleppner, sigma_centralizer
+from kleppner.verdicts import cstar_irreducible, intermediate_lattice
 
 ALL_BUILTIN_NAMES = ["Z_1", "Z_2", "Z_6", "Z_12", "Z_2 x Z_2", "Z_3 x Z_4",
                      "D_4", "D_3", "Q8", "S_3", "S_4"]
@@ -507,7 +512,7 @@ def test_coordinate_subgroups_are_plane_lattices():
                           ({1, 2}, "{(a1, 0, 0)}")):
         units = [g for i, g in enumerate(heis.generators()) if i not in zero]
         coord, gen = Subgroup.coordinate_zero(heis, zero), Subgroup.generated(heis, units)
-        assert coord == gen and coord.kind == "heisenberg-plane-lattice"
+        assert coord == gen and coord.kind == "heisenberg-echelon"
         assert coord.describe_desc() == gen.describe_desc() == pattern
     assert Subgroup.coordinate_zero(heis, set()) == Subgroup.full(heis)
     assert Subgroup.coordinate_zero(heis, {0, 1, 2}) == Subgroup.trivial(heis)
@@ -517,7 +522,7 @@ def test_coordinate_subgroups_are_plane_lattices():
         Subgroup.coordinate_zero(heis, {3})
     # one basis per plane lattice, whatever the generators
     assert Subgroup.generated(heis, [(0, 1, 1), (0, 0, 1)]) == Subgroup.coordinate_zero(heis, {0})
-    assert Subgroup.generated(heis, [(3, 0, 5), (0, 0, 2)]).rows == ((3, 1), (0, 2))
+    assert Subgroup.generated(heis, [(3, 0, 5), (0, 0, 2)]).basis == ((3, 0, 1), (0, 0, 2))
     # a plane lattice off the coordinate vectors keeps its generators
     assert Subgroup.generated(heis, [(0, 2, 0), (0, 0, 3)]).describe_desc() == \
         "plane sublattice generated by (0, 2, 0), (0, 0, 3)"
@@ -606,7 +611,7 @@ def test_heisenberg_generated_subgroups_use_closed_form():
     # the gcd formula decides classes for any generated subgroup of Heisenberg
     heis = Heisenberg()
     crooked = Subgroup.generated(heis, [(1, 0, 0), (0, 1, 0)])
-    assert crooked.kind == "generated"
+    assert crooked.kind == "full"  # their commutator is (0, 0, 1)
     central = h_conjugacy_class((0, 0, 5), crooked)
     assert central.finite and central.elements == ((0, 0, 5),)
     assert h_conjugacy_class((1, 0, 0), crooked).infinite
@@ -628,7 +633,7 @@ def test_orbit_bfs_fallback_paths():
 def test_generated_heisenberg_plane_membership():
     heis = Heisenberg()
     plane = Subgroup.generated(heis, [(0, 2, 0), (0, 0, 2)])
-    assert plane.kind == "heisenberg-plane-lattice"
+    assert plane.kind == "heisenberg-echelon"
     assert plane.contains((0, 4, -2))
     assert plane.contains((0, 0, 0))
     assert not plane.contains((0, 1, 0))
@@ -641,9 +646,10 @@ def test_generated_heisenberg_plane_membership():
 def test_generated_subgroup_membership_and_normality():
     heis, f2 = Heisenberg(), FreeGroup(2)
     a, b = f2.gen("a"), f2.gen("b")
-    for G, gens in ((heis, [(1, 0, 0), (0, 1, 0)]), (f2, [a, b])):
+    # the Heisenberg generators give the full group, by its echelon basis
+    for G, gens, kind in ((heis, [(1, 0, 0), (0, 1, 0)], "full"), (f2, [a, b], "generated")):
         H = Subgroup.generated(G, gens)
-        assert H.kind == "generated"
+        assert H.kind == kind
         assert H.contains(G.identity()) is True
         for g in gens:
             assert H.contains(g) is True and H.contains(G.inv(g)) is True
@@ -682,3 +688,186 @@ def test_finite_generating_sets_are_found_once(monkeypatch):
             before = len(closures)
             assert H.generators() == gens
             assert len(closures) == before
+
+
+# ---------------------------------------------------------------------------
+# one normal form per Heisenberg subgroup, however it is spelled
+# ---------------------------------------------------------------------------
+
+HEIS = Heisenberg()
+
+
+def _random_echelon(rng: random.Random, sort: str) -> tuple:
+    """A reduced echelon basis drawn directly under the conventions of the
+    normal form: b1 = (d1, e, f), b2 = (0, d2, g), b3 = (0, 0, d3), positive
+    pivots, 0 <= e < d2 and 0 <= f, g < d3 where b2, b3 are present, and
+    [b1, b2] = (0, 0, d1*d2) inside <b3>."""
+    def pivot():
+        return rng.randint(1, 4)
+
+    def third(d3):
+        return rng.randrange(d3) if d3 else rng.randint(-4, 4)
+
+    d3 = rng.choice((0, pivot()))
+    b3 = ((0, 0, d3),) if d3 else ()
+    if sort == "plane":  # a lattice in {(0, a2, a3)} or in {(a1, 0, a3)}
+        d = pivot()
+        return (((0, d, third(d3)) if rng.random() < 0.5 else (d, 0, third(d3))),) + b3
+    if sort == "slanted":  # <(d1, e, f)> with e != 0, and maybe a central part
+        return ((pivot(), rng.choice((-3, -2, -1, 1, 2, 3)), third(d3)),) + b3
+    d1, d2 = pivot() + 1, pivot()  # finite index above 1
+    d3 = rng.choice([d for d in range(1, d1 * d2 + 1) if d1 * d2 % d == 0])
+    return ((d1, rng.randrange(d2), rng.randrange(d3)), (0, d2, rng.randrange(d3)),
+            (0, 0, d3))
+
+
+def _named_subgroups() -> list[tuple[str, tuple]]:
+    """(label, basis): every {m | a1} for m = 2..6 and the coordinate
+    subgroups, labelled by their descriptions, and 20 seeded subgroups of
+    each sort, labelled by the sort; each by its reduced echelon basis."""
+    out = [(f"{{(a1, a2, a3) : {m} | a1}}", ((m, 0, 0), (0, 1, 0), (0, 0, 1)))
+           for m in range(2, 7)]
+    out += [("{(0, a2, a3)}", ((0, 1, 0), (0, 0, 1))), ("{(a1, 0, a3)}", ((1, 0, 0), (0, 0, 1))),
+            ("{(0, 0, a3)}", ((0, 0, 1),)), ("{(a1, 0, 0)}", ((1, 0, 0),))]
+    rng = random.Random(24)
+    for sort in ("plane", "finite-index", "slanted"):
+        out += [(sort, _random_echelon(rng, sort)) for _ in range(20)]
+    return out
+
+
+def _spellings(rng: random.Random, basis: tuple, count: int = 3) -> list[list]:
+    """count generating sets of <basis>: shuffled, with generators multiplied
+    by others (Nielsen moves), inverted, and a redundant word added.  Two
+    one-letter moves (one after splitting a cyclic generator g into g^a, g^b)
+    keep every basis element within 4 letters of the set."""
+    out = []
+    for _ in range(count):
+        gens, moves = list(basis), 2
+        if len(gens) == 1:
+            a, b = rng.choice(((2, 3), (3, 2), (-2, 3), (3, -2), (1, 4), (-1, 5)))
+            gens, moves = [HEIS.power(gens[0], a), HEIS.power(gens[0], b)], 1
+        for _ in range(moves):
+            i, j = rng.sample(range(len(gens)), 2)
+            s = HEIS.power(gens[j], rng.choice((-1, 1)))
+            gens[i] = HEIS.mul(gens[i], s) if rng.random() < 0.5 else HEIS.mul(s, gens[i])
+        gens.append(HEIS.mul(rng.choice(gens), rng.choice(gens)))
+        gens = [g if rng.random() < 0.5 else HEIS.inv(g) for g in gens]
+        rng.shuffle(gens)
+        out.append(gens)
+    return out
+
+
+def _sifts_to_identity(basis: tuple, x: tuple) -> bool:
+    """x lies in <basis>: divide out the pivots of the echelon basis in turn,
+    with the Heisenberg product written out here."""
+    for b in basis:
+        i = next(k for k in range(3) if b[k])
+        if x[i] % b[i]:
+            return False
+        q = x[i] // b[i]
+        # b^-q x, where b^n = (n*b1, n*b2, n*b3 + C(n, 2)*b1*b2)
+        p = (-q * b[0], -q * b[1], -q * b[2] + q * (q + 1) // 2 * b[0] * b[1])
+        x = (p[0] + x[0], p[1] + x[1], p[2] + x[2] + p[0] * x[1])
+    return x == (0, 0, 0)
+
+
+def _reaches(gens: list, targets, radius: int = 2) -> bool:
+    """Every target is a word of at most 2*radius letters in gens and their
+    inverses: meet in the middle on the ball of radius `radius`."""
+    steps = gens + [HEIS.inv(g) for g in gens]
+    ball = {HEIS.identity()}
+    for _ in range(radius):
+        ball |= {HEIS.mul(x, s) for x in ball for s in steps}
+    return all(any(HEIS.mul(HEIS.inv(x), t) in ball for x in ball) for t in targets)
+
+
+def _cocycles() -> list:
+    basis = IrrationalBasis(["theta"])
+    rational = IrrationalBasis([])
+    return [HeisenbergCocycle(HEIS, basis.rational(0), basis.symbol("theta")),
+            HeisenbergCocycle(HEIS, rational.rational(Fraction(1, 3)),
+                              rational.rational(Fraction(1, 2)))]
+
+
+def test_every_spelling_of_a_heisenberg_subgroup_gets_one_answer():
+    """Each generating set of a subgroup gives its reduced echelon basis, so
+    the same description, index, normality, verdict and lattice.  That each
+    set generates the subgroup is certified here without the engine: every
+    given generator sifts to the identity through the basis, and a bounded
+    word search in the given generators reaches every basis element."""
+    rng = random.Random(7)
+    sigmas = _cocycles()
+    named = {f"{{(a1, a2, a3) : {m} | a1}}": Subgroup.heis_congruence(HEIS, m)
+             for m in range(2, 7)}
+    named.update({"{(0, a2, a3)}": Subgroup.coordinate_zero(HEIS, {0}),
+                  "{(a1, 0, a3)}": Subgroup.coordinate_zero(HEIS, {1}),
+                  "{(0, 0, a3)}": Subgroup.coordinate_zero(HEIS, {0, 1}),
+                  "{(a1, 0, 0)}": Subgroup.coordinate_zero(HEIS, {1, 2})})
+    for label, basis in _named_subgroups():
+        ref = named.get(label, Subgroup.generated(HEIS, basis))
+        assert ref.generators() == basis, label
+        answers = None
+        for gens in _spellings(rng, basis):
+            assert all(_sifts_to_identity(basis, g) for g in gens), (label, gens)
+            assert _reaches(gens, basis), (label, gens)
+            H = Subgroup.generated(HEIS, gens)
+            assert H == ref and H.generators() == basis, (label, gens)
+            verdicts = [cstar_irreducible(HEIS, H, s) for s in sigmas]
+            got = (H.describe_desc(), H.index(), is_normal(H).status,
+                   [(v.conclusion, [step.rule for step in v.chain], v.witness)
+                    for v in verdicts],
+                   [intermediate_lattice(HEIS, H, s, verdict=v) for s, v in zip(sigmas, verdicts)])
+            assert answers is None or got == answers, (label, gens)
+            answers = got
+        assert label not in named or answers[0] == label
+
+
+def test_three_spellings_of_the_index_2_congruence_subgroup_hold():
+    """{2 | a1} spelled by its basis, by a slanted generator or by the
+    builder: holds by relative Kleppner with HeisenbergCocycle(0, theta),
+    with the divisors of 2 as its lattice."""
+    sigma = _cocycles()[0]
+    answers = []
+    for H in (Subgroup.heis_congruence(HEIS, 2),
+              Subgroup.generated(HEIS, [(2, 0, 0), (0, 1, 0), (0, 0, 1)]),
+              Subgroup.generated(HEIS, [(2, 1, 0), (0, 1, 0), (0, 0, 1)])):
+        v = cstar_irreducible(HEIS, H, sigma)
+        lattice = intermediate_lattice(HEIS, H, sigma, verdict=v)
+        assert H.describe_desc() == "{(a1, a2, a3) : 2 | a1}" and H.index() == 2
+        assert v.holds and [step.rule for step in v.chain] == \
+            ["fch-or-csimple-relative-kleppner"]
+        assert lattice.status == "ok" and lattice.count == 2
+        answers.append((v, lattice))
+    assert answers[0] == answers[1] == answers[2]
+
+
+def test_slanted_centralizers_are_in_the_catalog():
+    """C_G(H) of every Heisenberg subgroup is an echelon subgroup, C_H(g) is
+    always computed, every failure witness replays and every holds survives
+    a ball check of the elements that centralize H."""
+    slanted = Subgroup.generated(HEIS, [(1, 1, 0)])
+    assert centralizer_of_subgroup(HEIS, slanted) == \
+        Subgroup.generated(HEIS, [(1, 1, 0), (0, 0, 1)])
+    rng = random.Random(11)
+    ball = [x for x in itertools.product(range(-3, 4), repeat=3) if any(x)]
+    outcomes = set()
+    for label, basis in _named_subgroups():
+        H = Subgroup.generated(HEIS, basis)
+        for _ in range(5):
+            g = HEIS.random_element(rng, 4)
+            cent = centralizer_generators(H, g)
+            assert cent is not None and all(HEIS.commutes(h, g) and H.contains(h) for h in cent)
+        centralizing = [x for x in ball if all(HEIS.commutes(x, h) for h in basis)]
+        for sigma in _cocycles():
+            for name, r in (("relative kleppner", relative_kleppner(HEIS, H, sigma)),
+                            ("twisted centralizer", sigma_centralizer(HEIS, H, sigma).is_trivial)):
+                outcomes.add((name, r.status))
+                if r.fails:
+                    w = r.witness.elements if name == "relative kleppner" else (r.witness,)
+                    assert all(is_sigma_regular(x, H, sigma).holds for x in w), (label, r)
+                if r.holds:
+                    # a centralizing x is a singleton class; it must not be regular
+                    assert not any(all(commutation_trivial(sigma, x, h) for h in basis)
+                                   for x in centralizing), (label, name)
+    assert {("relative kleppner", "holds"), ("relative kleppner", "fails"),
+            ("twisted centralizer", "holds"), ("twisted centralizer", "fails")} <= outcomes

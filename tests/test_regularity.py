@@ -533,13 +533,22 @@ def test_generated_subgroup_still_decided_via_central_fc():
 
 
 def test_unknown_paths_are_honest():
-    # a slanted cyclic subgroup: no centralizer description, no FC rule,
-    # membership undecided; the engine reports unknown instead of guessing
+    # a slanted cyclic subgroup has the echelon centralizer <(1,1,0), (0,0,1)>,
+    # so its own generator is a regular singleton class, and it replays
     slanted = Subgroup.generated(HEIS, [(1, 1, 0)])
     bh = IrrationalBasis(["t"])
     sig = heis_cocycle(bh.zero(), bh.symbol("t"))
     r = relative_kleppner(HEIS, slanted, sig)
-    assert r.unknown and r.reason
+    assert r.fails and r.witness.elements == ((1, 1, 0),)
+    assert is_sigma_regular((1, 1, 0), slanted, sig).holds
+    # a diagonal subgroup of Heisenberg x Z: no centralizer description, no
+    # FC rule; the engine reports unknown instead of guessing
+    z1 = FreeAbelian(1)
+    hz = DirectProduct(HEIS, z1)
+    diagonal = Subgroup.generated(hz, [((0, 0, 1), (1,))])
+    sig = ProductCocycle(hz, sig, TrivialCocycle(z1))
+    r = relative_kleppner(hz, diagonal, sig)
+    assert r.unknown and "C_G(H) outside the catalog" in r.reason
     # Z^2 x (Z_2 x Z_2): the central FC-centralizer has no lattice form and
     # no generator of it is regular, so (b) falls through undecided
     k4 = from_name("Z_2 x Z_2")

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import random
 import re
-from functools import cached_property
-from math import prod
+from itertools import product
+from math import isqrt, prod
 
-from ..intlinalg import RowLattice, invert_unimodular, mat_mul_vec, smith_normal_form
+from ..intlinalg import RowLattice, echelon_contains, smith_normal_form
 from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult,
                    finite_class, vector_key)
-from .finite import FiniteTable
 from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
-# intermediate_subgroups enumerates the subgroups of a finite quotient Z^n / H
-# of order at most QUOTIENT_CAP; above it the answer is unknown
+# intermediate_subgroups lists the subgroups of a noncyclic finite quotient
+# Z^n / H of order at most QUOTIENT_CAP; above it the answer is unknown
 QUOTIENT_CAP = 64
+# the divisors of a cyclic quotient's order m are found by trial division up
+# to sqrt(m); above DIVISOR_SCAN_CAP ** 2 its lattice stays unknown
+DIVISOR_SCAN_CAP = 10 ** 6
 
 
 class FreeAbelian(Group):
@@ -101,97 +103,86 @@ class FreeAbelian(Group):
         return FCInfo(Subgroup.full(self), central=True, note="abelian group")
 
     def intermediate_subgroups(self, H, max_entries):
+        """The K between H and Z^n, read off the Smith diagonal of H's basis.
+        A cyclic quotient Z_m (Z when m = 0) has K_d = H + d*Z^n for each
+        d | m, by decreasing d for m > 0, as the Gamma_d chain for m = 0;
+        a noncyclic finite quotient of order at most QUOTIENT_CAP has every
+        K on the box of H's pivots; any other quotient is unknown."""
         n = self.rank
         if H.is_full():
             return LatticeResult("ok", (LatticeEntry("the full group", Subgroup.full(self), 1),))
-        if H.is_trivial_subgroup() and n >= 2:
-            return LatticeResult("unknown", (), "quotient Z^n: infinitely many intermediate "
-                                                "sublattices in rank >= 2, not a recognized chain")
-        basis = RowLattice(n, H.generators()).basis()
-        r = len(basis)
-        cols = [[basis[i][k] for i in range(r)] for k in range(n)] if r else [[0] for _ in range(n)]
-        u, d, _v = smith_normal_form(cols)
-        diag = [d[i][i] if i < min(len(d), r) else 0 for i in range(n)]
-        uinv = invert_unimodular(u)
-
-        if all(x != 0 for x in diag):
-            # finite quotient: enumerate subgroups of prod Z_diag and lift
-            order = prod(diag)
-            if order > QUOTIENT_CAP:
-                return LatticeResult("unknown", (), f"finite quotient of order {order}: above "
-                                                    f"the cap {QUOTIENT_CAP} on its subgroup search")
-            coords = _mixed_radix(diag)
-            index = {c: i for i, c in enumerate(coords)}
-            table = [[index[tuple((a + b) % m for a, b, m in zip(x, y, diag))]
-                      for y in coords] for x in coords]
-            q = FiniteTable(table, [str(c) for c in coords], name="quotient")
+        rows = RowLattice(n, H.generators()).basis()
+        _, d, _ = smith_normal_form(rows)
+        diag = [d[i][i] for i in range(len(rows))]
+        free, torsion = n - len(rows), sum(x > 1 for x in diag)
+        if free + torsion == 1:
+            m = prod(diag) if torsion else 0
+            if m and isqrt(m) > DIVISOR_SCAN_CAP:
+                return LatticeResult("unknown", (), f"cyclic quotient of order {m} is above "
+                                                    f"the divisor scan cap {DIVISOR_SCAN_CAP ** 2}")
             entries = []
-            for s in q.all_subgroups():
-                gens = list(basis)
-                for i in sorted(s):
-                    v = mat_mul_vec(uinv, coords[i])
-                    if any(v):
-                        gens.append(v)
-                sub = Subgroup.sublattice(self, RowLattice(n, gens).basis())
-                entries.append(LatticeEntry(f"index-{sub.index()} sublattice", sub, sub.index()))
-            entries.sort(key=lambda e: (-e.index_in_g, e.label))
-            return LatticeResult("ok", tuple(entries))
-
-        free_positions = [i for i, x in enumerate(diag) if x == 0]
-        if len(free_positions) == 1 and all(x == 1 for x in diag if x != 0):
-            # quotient is a copy of Z: a chain indexed by n >= 0
-            gen = mat_mul_vec(uinv, tuple(1 if i == free_positions[0] else 0 for i in range(n)))
-            entries = [LatticeEntry("Gamma_0 (= H)", H, H.index()),
-                       LatticeEntry("Gamma_1 (= G)", Subgroup.sublattice(self, basis + [gen]), 1)]
-            for k in range(2, max_entries + 1):
-                sub = Subgroup.sublattice(self, basis + [tuple(k * x for x in gen)])
-                entries.append(LatticeEntry(f"Gamma_{k}", sub, sub.index()))
+            for k in _divisors(m)[::-1] if m else range(max_entries + 1):
+                K = H if k == m else Subgroup.sublattice(
+                    self, rows + [tuple(k * x for x in u) for u in self.generators()])
+                entries.append(LatticeEntry(f"Gamma_{k}" + {m: " (= H)", 1: " (= G)"}.get(k, ""),
+                                            K, K.index()))
+            if m:
+                return LatticeResult("ok", tuple(entries))
             return LatticeResult("truncated", tuple(entries),
                                  f"one entry for each n >= 0; truncated at n = {max_entries}")
-
-        return LatticeResult("unknown", (),
-                             "quotient mixes free and torsion parts; not a recognized chain")
+        if free == 0:
+            order = prod(diag)
+            if order > QUOTIENT_CAP:
+                return LatticeResult("unknown", (), f"noncyclic finite quotient of order {order}: "
+                                                    f"above the cap {QUOTIENT_CAP} on its "
+                                                    f"subgroup search")
+            subs = [Subgroup.sublattice(self, k) for k in _lattices_above(rows)]
+            entries = [LatticeEntry(f"index-{K.index()} sublattice", K, K.index()) for K in subs]
+            return LatticeResult("ok", tuple(sorted(entries, key=lambda e: -e.index_in_g)))
+        return LatticeResult("unknown", (), f"quotient of free rank {free} with {torsion} "
+                                            f"torsion factors: not a recognized chain")
 
 
 @subgroup_kind
 class Sublattice(Subgroup):
-    columns: tuple  # generating integer vectors
+    """A sublattice of Z^n by its reduced echelon basis (``RowLattice``), so
+    every spanning set of one sublattice gives one description."""
+
+    basis: tuple
 
     kind = "sublattice"
 
-    def describe_desc(self) -> str:
-        cols = ", ".join(str(tuple(c)) for c in self.columns)
-        return f"sublattice generated by {cols}"
-
-    def _validate(self) -> None:
-        if not isinstance(self.parent, FreeAbelian):
+    @classmethod
+    def spanned_by(cls, parent: Group, vectors) -> "Sublattice":
+        if not isinstance(parent, FreeAbelian):
             raise GroupError("sublattice descriptions require a free abelian parent")
-        for c in self.columns:
-            if len(c) != self.parent.rank:
+        for c in vectors:
+            if len(c) != parent.rank:
                 raise GroupError("sublattice generator has wrong length")
             if not all(isinstance(x, int) for x in c):
                 raise GroupError(f"sublattice generator {tuple(c)} has a non-integer entry")
+        return cls(parent, tuple(RowLattice(parent.rank, vectors).basis()))
 
-    @cached_property
-    def lattice(self) -> RowLattice:
-        """The echelon lattice of the columns, built once; callers only read it."""
-        return RowLattice(self.parent.rank, self.columns)
+    def describe_desc(self) -> str:
+        return "sublattice generated by " + ", ".join(map(str, self.basis))
 
     def _contains(self, x: Element) -> bool:
-        return self.lattice.contains(x)
+        return echelon_contains(self.basis, x)
 
     def generators(self) -> tuple[Element, ...]:
-        return tuple(tuple(r) for r in self.lattice.rows)
+        return self.basis
 
     def enumerate_elements(self) -> list[Element] | None:
-        return None if self.lattice.rows else [self.parent.identity()]
+        return None if self.basis else [self.parent.identity()]
 
     def index(self) -> int | Infinite:
-        idx = self.lattice.index_in_ambient()
-        return INFINITE if idx is None else idx
+        # a full-rank reduced basis has its pivots on the diagonal
+        if len(self.basis) < self.parent.rank:
+            return INFINITE
+        return prod(b[i] for i, b in enumerate(self.basis))
 
     def as_group(self) -> AsGroup:
-        basis = self.lattice.basis()
+        basis = self.basis
         n = self.parent.rank
 
         def embed(c):
@@ -200,10 +191,10 @@ class Sublattice(Subgroup):
         return AsGroup(FreeAbelian(len(basis)), embed)
 
     def is_full(self) -> bool:
-        return self.lattice.index_in_ambient() == 1
+        return self.index() == 1
 
     def is_trivial_subgroup(self) -> bool:
-        return self.lattice.is_trivial()
+        return not self.basis
 
 
 def parse_int_vector(text: str, rank: int) -> tuple[int, ...]:
@@ -218,8 +209,22 @@ def parse_int_vector(text: str, rank: int) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _mixed_radix(moduli: list[int]) -> list[tuple[int, ...]]:
-    out = [()]
-    for m in moduli:
-        out = [c + (i,) for c in out for i in range(m)]
-    return out
+def _divisors(m: int) -> list[int]:
+    """The divisors of m > 0 in increasing order, by trial division up to sqrt(m)."""
+    small = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
+    return small + [m // k for k in reversed(small) if k * k != m]
+
+
+def _lattices_above(rows: list) -> list[tuple]:
+    """The reduced bases of the sublattices K of Z^n that contain the full-rank
+    H of reduced basis rows.  K's row i has its pivot q | p_i on the diagonal,
+    and right of it entries below the pivots of K's later rows; the bases are
+    built from the last row up, and a partial basis is kept only when it holds
+    H's row with the same pivot (H's later rows it already holds)."""
+    found = [()]
+    for i in reversed(range(len(rows))):
+        found = [(row,) + below for below in found for q in _divisors(rows[i][i])
+                 for tail in product(*(range(b[j]) for j, b in enumerate(below, i + 1)))
+                 for row in [(0,) * i + (q,) + tail]
+                 if echelon_contains((row,) + below, rows[i])]
+    return found

@@ -5,8 +5,10 @@ Conjugation: g x g^-1 = (x1, x2, x3 + g1*x2 - g2*x1), so the class of x under
 a subgroup is controlled by the linear form (g1,g2) -> g1*x2 - g2*x1.
 
 Every subgroup other than G and {e} is a ``HeisEchelon``, kept as its reduced
-echelon basis whatever generators gave it; membership, index, normality,
-centralizers and the lattice above {m | a1} are read off that basis.
+echelon basis whatever generators gave it; membership, index, normality and
+centralizers are read off that basis.  The intermediate subgroups above a
+subgroup that contains the centre are those of Z^2 above its image in
+G/Z = Z^2, lifted.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from itertools import combinations
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from ..intlinalg import RowLattice, integer_kernel
 from .abelian import FreeAbelian, parse_int_vector
@@ -134,18 +136,18 @@ class Heisenberg(Group):
         return FCInfo(c, central=central, note="Heisenberg classes are singletons or infinite")
 
     def intermediate_subgroups(self, H, max_entries):
-        modulus = _modulus(H.generators())
-        if modulus > 1:
-            return _congruence_lattice(self, modulus, max_entries)
-        if H != Subgroup.coordinate_zero(self, {0}):
+        """A subgroup that contains the centre Z = <(0, 0, 1)> is the preimage
+        of its image in G/Z = Z^2, and so is every subgroup above it: the
+        lattice is that of Z^2 over the image, each entry lifted."""
+        if not H.contains((0, 0, 1)):
             return super().intermediate_subgroups(H, max_entries)
-        entries = [LatticeEntry("Gamma_0 (= H)", H, H.index()),
-                   LatticeEntry("Gamma_1 (= G)", Subgroup.full(self), 1)]
-        for n in range(2, max_entries + 1):
-            sub = Subgroup.heis_congruence(self, n)
-            entries.append(LatticeEntry(f"Gamma_{n}", sub, sub.index()))
-        return LatticeResult("truncated", tuple(entries),
-                             f"one entry for each n >= 0; truncated at n = {max_entries}")
+        plane = FreeAbelian(2)
+        image = Subgroup.sublattice(plane, [h[:2] for h in H.generators()])
+        res = plane.intermediate_subgroups(image, max_entries)
+        return LatticeResult(res.status, tuple(
+            LatticeEntry(e.label, Subgroup.generated(
+                self, [k + (0,) for k in e.subgroup.generators()] + [(0, 0, 1)]), e.index_in_g)
+            for e in res.entries), res.note)
 
     def centralizer_lattice(self, cent):
         if cent.is_full():
@@ -153,30 +155,6 @@ class Heisenberg(Group):
             # commutator direction (0,0,1), so solve over the abelianized coords
             return 2, lambda v: (v[0], v[1], 0), ((0, 0, 1),)
         return super().centralizer_lattice(cent)
-
-
-# the divisors of a congruence modulus n are found by trial division up to
-# sqrt(n); above DIVISOR_SCAN_CAP ** 2 its lattice stays unknown
-DIVISOR_SCAN_CAP = 10 ** 6
-
-
-def _congruence_lattice(G: Heisenberg, n: int, max_entries: int) -> LatticeResult:
-    """The subgroups between {n | a1} and G.  That H is normal with quotient
-    Z_n through a1 mod n, so they are the {d | a1} for d dividing n, of index
-    d; listed by decreasing index, H first and G last."""
-    root = isqrt(n)
-    if root > DIVISOR_SCAN_CAP:
-        return LatticeResult("unknown", (), f"modulus {n} is above the divisor scan cap "
-                                            f"{DIVISOR_SCAN_CAP ** 2}")
-    small = [m for m in range(1, root + 1) if n % m == 0]
-    divisors = [n // m for m in small] + [m for m in reversed(small) if m * m != n]
-    entries = tuple(LatticeEntry(f"Gamma_{d}" + {n: " (= H)", 1: " (= G)"}.get(d, ""),
-                                 Subgroup.heis_congruence(G, d) if d > 1 else Subgroup.full(G), d)
-                    for d in divisors[:max_entries])
-    if len(divisors) <= max_entries:
-        return LatticeResult("ok", entries)
-    return LatticeResult("truncated", entries, f"one entry for each of the {len(divisors)} "
-                                               f"divisors of {n}; truncated at {max_entries}")
 
 
 def _euclid(G: Heisenberg, gens, i: int):

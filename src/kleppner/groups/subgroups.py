@@ -88,8 +88,9 @@ class Subgroup:
 
     @staticmethod
     def sublattice(parent: Group, columns: Sequence[Sequence[int]]) -> "Subgroup":
+        """The sublattice of Z^n that columns span, by its reduced echelon basis."""
         from .abelian import Sublattice
-        return Sublattice(parent, tuple(tuple(c) for c in columns))
+        return Sublattice.spanned_by(parent, columns)
 
     @staticmethod
     def coordinate_zero(parent: Group, zero_coords) -> "Subgroup":
@@ -305,9 +306,15 @@ class GeneratedSubgroup(Subgroup):
         return f"subgroup generated by {inner}"
 
     def _validate(self) -> None:
+        from .abelian import FreeAbelian
+        from .heisenberg import Heisenberg
         if self.parent.exact_kernel == "finite":
             # this keeps enumerate_elements() a list for every subgroup of a table
             raise GroupError("subgroups of a finite table are described by their elements")
+        if isinstance(self.parent, (FreeAbelian, Heisenberg)):
+            # the queries of Z^n and the Heisenberg group read a normal form
+            raise GroupError(f"subgroups of {self.parent.name} are kept as their reduced "
+                             f"echelon basis; build them with Subgroup.generated")
         for g in self.gens:
             self.parent.check_element(g)
 

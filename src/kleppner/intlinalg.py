@@ -1,13 +1,12 @@
-"""Exact integer and rational linear algebra: echelon lattices, SNF, kernels.
+"""Exact integer linear algebra: reduced echelon lattices, SNF, kernels.
 
 Everything here works on small matrices (ambient dimension <= a handful), so
-the implementations favour clarity over asymptotics.  All arithmetic is exact
-(int / Fraction); unimodular transforms are tracked explicitly where needed.
+the implementations favour clarity over asymptotics.  All arithmetic is on
+Python ints; the Smith form tracks its unimodular transforms explicitly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -52,15 +51,25 @@ def echelon_contains(rows: Sequence[Sequence[int]], vec0: Sequence[int]) -> bool
 
 
 class RowLattice:
-    """Sublattice of Z^n kept as an integer row basis in echelon form."""
+    """Sublattice of Z^n kept as its reduced echelon (Hermite) basis: pivots
+    positive and strictly increasing, and every entry above a pivot in
+    [0, pivot).  That basis is unique, so every spanning set of one lattice
+    gives the same rows."""
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence[int]] = ()) -> None:
         self.n = ambient
         self.rows: list[list[int]] = []
         for v in vectors:
-            self.add(v)
+            self._add(v)
+        # entries above each pivot into [0, pivot), pivot by pivot from the
+        # left: a row changes only the columns from its own pivot on
+        for j, row in enumerate(self.rows):
+            p = next(k for k, x in enumerate(row) if x)
+            for above in self.rows[:j]:
+                if q := above[p] // row[p]:
+                    above[:] = [a - q * b for a, b in zip(above, row)]
 
-    def add(self, vec0: Sequence[int]) -> None:
+    def _add(self, vec0: Sequence[int]) -> None:
         if len(vec0) != self.n:
             raise ValueError("wrong ambient dimension")
         vec = list(vec0)
@@ -290,33 +299,3 @@ def kernel_mod(n_mat: Sequence[Sequence[int]], delta: int) -> list[IntVec]:
     ker = integer_kernel(aug)
     lat = RowLattice(d, (vec[:d] for vec in ker))
     return lat.basis()
-
-
-def invert_unimodular(u: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (result is integral)."""
-    n = len(u)
-    aug = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
-    return out
-
-
-def mat_mul_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> IntVec:
-    return tuple(sum(a[i][j] * x[j] for j in range(len(x))) for i in range(len(a)))

@@ -4,6 +4,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -560,9 +561,10 @@ def test_congruence_lattice_is_the_divisors_of_the_modulus():
             assert all(e.subgroup.contains(x) for x in H.generators())
             assert [e.subgroup.contains((a, 1, -2)) for a in range(13)] == \
                 [a % d == 0 for a in range(13)]
-    truncated = heis.intermediate_subgroups(Subgroup.heis_congruence(heis, 12), 4)
-    assert truncated.status == "truncated"
-    assert [e.index_in_g for e in truncated.entries] == [12, 6, 4, 3]
+    # a finite quotient is listed completely, whatever max_entries is
+    complete = heis.intermediate_subgroups(Subgroup.heis_congruence(heis, 12), 4)
+    assert complete.status == "ok"
+    assert [e.index_in_g for e in complete.entries] == [12, 6, 4, 3, 2, 1]
     assert heis.intermediate_subgroups(Subgroup.heis_congruence(heis, 10 ** 13), 8).status \
         == "unknown"
 
@@ -592,16 +594,22 @@ def test_free_abelian_intermediate_subgroups_read_the_lattice():
 
 
 def test_free_abelian_finite_quotient_above_the_cap_is_unknown():
-    """Z^2 / <(1,0), (0,m)> is Z_m: at the cap m = 64 its 7 subgroups are
-    listed; at m = 128 the answer is unknown, at once, and its note names
-    the order and the cap."""
+    """A cyclic quotient lists its divisors whatever its order: Z^2 / <(1,0),
+    (0,m)> is Z_m, with 7 subgroups at m = 64 and 8 at m = 128.  A noncyclic
+    quotient is listed up to the cap: Z_2 x Z_32 (order 64) completely, and
+    Z_2 x Z_64 (order 128) is unknown, at once, with the order and the cap
+    in its note."""
     z2 = FreeAbelian(2)
     assert QUOTIENT_CAP == 64
-    at_cap = z2.intermediate_subgroups(Subgroup.sublattice(z2, [(1, 0), (0, 64)]), 1000)
+    for m, want in ((64, [64, 32, 16, 8, 4, 2, 1]), (128, [128, 64, 32, 16, 8, 4, 2, 1])):
+        cyclic = z2.intermediate_subgroups(Subgroup.sublattice(z2, [(1, 0), (0, m)]), 1)
+        assert cyclic.status == "ok"
+        assert [e.index_in_g for e in cyclic.entries] == want
+    at_cap = z2.intermediate_subgroups(Subgroup.sublattice(z2, [(2, 0), (0, 32)]), 1)
     assert at_cap.status == "ok"
-    assert [e.index_in_g for e in at_cap.entries] == [64, 32, 16, 8, 4, 2, 1]
+    assert len(at_cap.entries) == len(from_name("Z_2 x Z_32").all_subgroups())
     t0 = time.perf_counter()
-    above = z2.intermediate_subgroups(Subgroup.sublattice(z2, [(1, 0), (0, 128)]), 1000)
+    above = z2.intermediate_subgroups(Subgroup.sublattice(z2, [(2, 0), (0, 64)]), 1000)
     assert time.perf_counter() - t0 < 0.1
     assert above.status == "unknown" and not above.entries
     assert "order 128" in above.note and f"cap {QUOTIENT_CAP}" in above.note
@@ -789,6 +797,15 @@ def _cocycles() -> list:
                               rational.rational(Fraction(1, 2)))]
 
 
+def _answers(G, H, sigmas) -> tuple:
+    """What the engine says of H: description, index, normality, and per
+    cocycle the verdict (conclusion, rules, witness) and the lattice."""
+    verdicts = [cstar_irreducible(G, H, s) for s in sigmas]
+    return (H.describe_desc(), H.index(), is_normal(H).status,
+            [(v.conclusion, [step.rule for step in v.chain], v.witness) for v in verdicts],
+            [intermediate_lattice(G, H, s, verdict=v) for s, v in zip(sigmas, verdicts)])
+
+
 def test_every_spelling_of_a_heisenberg_subgroup_gets_one_answer():
     """Each generating set of a subgroup gives its reduced echelon basis, so
     the same description, index, normality, verdict and lattice.  That each
@@ -812,11 +829,7 @@ def test_every_spelling_of_a_heisenberg_subgroup_gets_one_answer():
             assert _reaches(gens, basis), (label, gens)
             H = Subgroup.generated(HEIS, gens)
             assert H == ref and H.generators() == basis, (label, gens)
-            verdicts = [cstar_irreducible(HEIS, H, s) for s in sigmas]
-            got = (H.describe_desc(), H.index(), is_normal(H).status,
-                   [(v.conclusion, [step.rule for step in v.chain], v.witness)
-                    for v in verdicts],
-                   [intermediate_lattice(HEIS, H, s, verdict=v) for s, v in zip(sigmas, verdicts)])
+            got = _answers(HEIS, H, sigmas)
             assert answers is None or got == answers, (label, gens)
             answers = got
         assert label not in named or answers[0] == label
@@ -871,3 +884,228 @@ def test_slanted_centralizers_are_in_the_catalog():
                                    for x in centralizing), (label, name)
     assert {("relative kleppner", "holds"), ("relative kleppner", "fails"),
             ("twisted centralizer", "holds"), ("twisted centralizer", "fails")} <= outcomes
+
+
+# ---------------------------------------------------------------------------
+# one reduced basis per sublattice of Z^n, and the intermediate-lattice rule
+# checked against an enumeration of the quotient
+# ---------------------------------------------------------------------------
+
+def _det(a) -> int:
+    """Determinant by Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)) if a[0][j])
+
+
+def _adjugate(m) -> list:
+    """adj(M), so adj(M) M = det(M) I: v lies in the row lattice of a
+    nonsingular M exactly when v adj(M) = 0 mod det(M)."""
+    n = len(m)
+    return [[(-1) ** (i + j) * _det([r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
+def _full_rank_rows(rng: random.Random, n: int, most: int = 64) -> list:
+    """n random rows of Z^n whose lattice has index between 1 and most."""
+    while True:
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if 1 <= abs(_det(rows)) <= most:
+            return rows
+
+
+def _closure(gens, d: int) -> frozenset:
+    """The subgroup of (Z_d)^n that gens generate: 0 and every sum reached by
+    adding generators, which in a finite group is closed under inverses."""
+    zero = (0,) * len(gens[0])
+    out, todo = {zero}, [zero]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = tuple((a + b) % d for a, b in zip(x, g))
+            if y not in out:
+                out.add(y)
+                todo.append(y)
+    return frozenset(out)
+
+
+def _subgroups_above(bottom: list, elements, d: int) -> set:
+    """Every subgroup of (Z_d)^n between <bottom> and <elements>: <bottom>
+    closed together with element after element until nothing new appears."""
+    found, todo = {}, [tuple(bottom)]
+    while todo:
+        gens = todo.pop()
+        s = _closure(gens, d)
+        if s not in found:
+            found[s] = gens
+            todo += [gens + (x,) for x in elements if x not in s]
+    return set(found)
+
+
+def _finite_quotient_lattice(n: int, rows: list) -> set:
+    """(index, K/H) for every K between H = <rows> (full rank) and Z^n: the
+    class of v in Z^n/H is v adj(M) mod D, D = |det M|, and the quotient is
+    generated by the unit vectors' classes, the rows of adj(M)."""
+    adj, D = _adjugate(rows), abs(_det(rows))
+    units = [tuple(x % D for x in row) for row in adj]
+    return {(D // len(s), s) for s in _subgroups_above([(0,) * n], _closure(units, D), D)}
+
+
+def _image_in_quotient(rows: list, gens) -> frozenset:
+    """K/H inside Z^n/H, K = <gens>, in the coordinates of _finite_quotient_lattice."""
+    adj, D, n = _adjugate(rows), abs(_det(rows)), len(rows)
+    return _closure([(0,) * n] + [tuple(sum(v[i] * adj[i][j] for i in range(n)) % D
+                                        for j in range(n)) for v in gens], D)
+
+
+def test_generated_subgroup_refuses_a_normal_form_parent():
+    """Z^n and the Heisenberg group keep each subgroup as its reduced
+    echelon basis: a raw GeneratedSubgroup on them is refused, and
+    Subgroup.generated gives the normal-form kind."""
+    z2 = FreeAbelian(2)
+    for G, gens, kind in ((HEIS, ((1, 0, 0), (0, 1, 0)), "full"),
+                          (HEIS, ((2, 1, 0), (0, 1, 0)), "heisenberg-echelon"),
+                          (z2, ((2, 1), (0, 3)), "sublattice")):
+        with pytest.raises(GroupError, match="reduced echelon basis"):
+            GeneratedSubgroup(G, gens)
+        assert Subgroup.generated(G, gens).kind == kind
+    assert Subgroup.sublattice(z2, [(1, -1), (0, 1)]).basis == ((1, 0), (0, 1))
+    # <(1,0,0), (0,1,0)> is G, so the centralizer of (1,0,0) in it has the centre
+    H = Subgroup.generated(HEIS, [(1, 0, 0), (0, 1, 0)])
+    assert (0, 0, 1) in centralizer_generators(H, (1, 0, 0))
+
+
+def test_free_abelian_lattice_matches_an_enumeration_of_the_quotient():
+    """Seeded sublattices H of Z^1, Z^2 and Z^3: of index at most 64, where
+    the (index, K/H) pairs of the lattice equal those that closing H with
+    coset representatives finds; and of corank 1, where Gamma_d is the one
+    K of index d above H when the quotient is Z, and the lattice is unknown
+    when the quotient has torsion."""
+    rng = random.Random(25)
+    statuses = set()
+    for n in (1, 2, 3):
+        G = FreeAbelian(n)
+        for _ in range(12):
+            rows = _full_rank_rows(rng, n)
+            H = Subgroup.sublattice(G, rows)
+            lattice = G.intermediate_subgroups(H, 6)
+            assert lattice.status == "ok", rows
+            got = set()
+            for e in lattice.entries:
+                K = e.subgroup
+                assert all(K.contains(tuple(r)) for r in rows) and e.index_in_g == K.index()
+                got.add((e.index_in_g, _image_in_quotient(rows, K.generators())))
+            assert got == _finite_quotient_lattice(n, rows), rows
+            assert len(got) == len(lattice.entries)
+            statuses.add(("finite", lattice.entries[0].label.startswith("Gamma")))
+        for _ in range(12):
+            while True:
+                rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 1)]
+                # the gcd of the maximal minors: 0 off corank 1, else the torsion order
+                minors = [_det([r[:j] + r[j + 1:] for r in rows]) for j in range(n)]
+                torsion = abs(gcd(*minors))
+                if torsion:
+                    break
+            H = Subgroup.sublattice(G, rows)
+            lattice = G.intermediate_subgroups(H, 6)
+            statuses.add(("corank 1", lattice.status))
+            if torsion > 1:
+                assert lattice.status == "unknown", rows
+                continue
+            assert lattice.status == "truncated", rows
+            assert [e.label for e in lattice.entries[:2]] == ["Gamma_0 (= H)", "Gamma_1 (= G)"]
+            for d, e in enumerate(lattice.entries):
+                K = e.subgroup
+                assert e.label.startswith(f"Gamma_{d}") and e.index_in_g == K.index()
+                if d == 0:
+                    assert K == H and K.index() is INFINITE
+                    continue
+                # the K of index d above H contain d Z^n: subgroups of (Z_d)^n
+                units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+                index_d = [s for s in _subgroups_above([(0,) * n] + rows, units, d)
+                           if len(s) * d == d ** n]
+                assert index_d == [_closure([(0,) * n] + list(K.generators()), d)], (rows, d)
+                assert K.index() == d and all(K.contains(tuple(d * x for x in u)) for u in units)
+    assert statuses >= {("finite", True), ("finite", False), ("corank 1", "truncated"),
+                        ("corank 1", "unknown")}
+
+
+def test_heisenberg_lattice_is_the_plane_lattice_lifted():
+    """Above a subgroup that contains the centre, every entry is the lift of
+    the matching entry of Z^2 above H's image: same label and index, and it
+    contains H and (0, 0, 1).  Pinned: <(1,1,0), (0,0,1)> has a chain,
+    <(2,0,0), (0,2,0), (0,0,1)> (quotient Z_2 x Z_2) five entries, G one."""
+    z2, rng = FreeAbelian(2), random.Random(26)
+    drawn = [[(0, 0, 1)] + [HEIS.random_element(rng, 4) for _ in range(rng.randint(0, 3))]
+             for _ in range(40)]
+    statuses = set()
+    for gens in drawn:
+        H = Subgroup.generated(HEIS, gens)
+        lattice = HEIS.intermediate_subgroups(H, 5)
+        statuses.add(lattice.status)
+        plane = z2.intermediate_subgroups(Subgroup.sublattice(z2, [g[:2] for g in gens]), 5)
+        assert (lattice.status, lattice.note) == (plane.status, plane.note), gens
+        assert len(lattice.entries) == len(plane.entries)
+        for e, f in zip(lattice.entries, plane.entries):
+            K = e.subgroup
+            assert (e.label, e.index_in_g) == (f.label, f.index_in_g) == (e.label, K.index())
+            assert all(K.contains(g) for g in gens) and K.contains((0, 0, 1))
+            assert Subgroup.sublattice(z2, [k[:2] for k in K.generators()]) == \
+                Subgroup.sublattice(z2, f.subgroup.generators())
+    assert statuses == {"ok", "truncated", "unknown"}
+    sigma = _cocycles()[0]
+    pins = (([(1, 1, 0), (0, 0, 1)], "truncated", [INFINITE, 1, 2, 3, 4, 5]),
+            ([(2, 0, 0), (0, 2, 0), (0, 0, 1)], "ok", [4, 2, 2, 2, 1]),
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], "ok", [1]))
+    for gens, status, indices in pins:
+        H = Subgroup.generated(HEIS, gens)
+        lattice = intermediate_lattice(HEIS, H, sigma, max_entries=5)
+        assert (lattice.status, [e.index_in_g for e in lattice.entries]) == (status, indices)
+    assert [e.subgroup for e in HEIS.intermediate_subgroups(
+        Subgroup.generated(HEIS, pins[1][0]), 5).entries][1] == Subgroup.heis_congruence(HEIS, 2)
+
+
+def _random_spelling(rng: random.Random, rows: list) -> list:
+    """Another spanning set of <rows>: unimodular row moves, sign flips, a
+    redundant sum, shuffled."""
+    gens = [list(r) for r in rows]
+    for _ in range(4):
+        i, j = rng.sample(range(len(gens)), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        gens[i] = [a + c * b for a, b in zip(gens[i], gens[j])]
+    gens.append([a + b for a, b in zip(rng.choice(gens), rng.choice(gens))])
+    gens = [g if rng.random() < 0.5 else [-x for x in g] for g in gens]
+    rng.shuffle(gens)
+    return [tuple(g) for g in gens]
+
+
+def test_every_spelling_of_a_sublattice_of_z3_gets_one_answer():
+    """Seeded finite-index sublattices of Z^3: every random spanning set gives
+    one Sublattice, one description, and the same verdict, witness and
+    lattice under a formal and a rational three-torus cocycle.  That a set
+    spans the lattice is certified here: each vector lies in it (by the
+    adjugate) and the gcd of its 3x3 minors is the lattice's index."""
+    from kleppner.cocycles import three_torus_cocycle
+    z3, rng = FreeAbelian(3), random.Random(27)
+    formal = IrrationalBasis(["t1", "t2", "t3"])
+    rational = IrrationalBasis([])
+    sigmas = [three_torus_cocycle(z3, [formal.symbol(t) for t in formal.symbols]),
+              three_torus_cocycle(z3, [rational.rational(Fraction(1, k)) for k in (2, 3, 4)])]
+    conclusions = set()
+    for _ in range(20):
+        rows = _full_rank_rows(rng, 3, 36)
+        adj, D = _adjugate(rows), abs(_det(rows))
+        ref = Subgroup.sublattice(z3, rows)
+        answers = _answers(z3, ref, sigmas)
+        conclusions |= {v[0] for v in answers[3]}
+        for _ in range(3):
+            gens = _random_spelling(rng, rows)
+            assert all(sum(v[i] * adj[i][j] for i in range(3)) % D == 0
+                       for v in gens for j in range(3)), (rows, gens)
+            assert gcd(*(_det([list(g) for g in c])
+                         for c in itertools.combinations(gens, 3))) == D, (rows, gens)
+            H = Subgroup.sublattice(z3, gens)
+            assert H == ref and H.describe_desc() == ref.describe_desc(), (rows, gens)
+            assert _answers(z3, H, sigmas) == answers, (rows, gens)
+    assert {"holds", "fails"} <= conclusions

@@ -1,13 +1,21 @@
 import random
 from itertools import product
 
-from kleppner.intlinalg import (RowLattice, integer_kernel, invert_unimodular, kernel_mod,
-                                smith_normal_form, vector_key, xgcd)
+from kleppner.intlinalg import (RowLattice, integer_kernel, kernel_mod, smith_normal_form,
+                                vector_key, xgcd)
 
 
 def mm(x, y):
     return [[sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
             for i in range(len(x))]
+
+
+def det(a):
+    """Determinant by Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)) if a[0][j])
 
 
 def test_xgcd():
@@ -37,8 +45,8 @@ def test_snf_properties():
             if prev not in (None, 0) and d[i][i] != 0:
                 assert d[i][i] % prev == 0
             prev = d[i][i]
-        assert invert_unimodular(u) is not None
-        assert invert_unimodular(v) is not None
+        # U and V are unimodular
+        assert abs(det(u)) == 1 and abs(det(v)) == 1
 
 
 def test_integer_kernel_is_saturated():
@@ -54,6 +62,31 @@ def test_integer_kernel_is_saturated():
         for cand in product(range(-3, 4), repeat=n):
             if all(sum(a[i][j] * cand[j] for j in range(n)) == 0 for i in range(m)):
                 assert lat.contains(cand)
+
+
+def test_row_lattice_basis_is_reduced_and_unique():
+    """The rows are the reduced echelon basis: positive, strictly increasing
+    pivots, every entry above a pivot in [0, pivot); a unimodular change of
+    the spanning set, with a redundant vector, gives the same rows."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n, k = rng.randint(1, 4), rng.randint(0, 4)
+        gens = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+        lat = RowLattice(n, gens)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in lat.rows]
+        assert pivots == sorted(set(pivots))
+        for i, (row, p) in enumerate(zip(lat.rows, pivots)):
+            assert row[p] > 0 and all(0 <= above[p] < row[p] for above in lat.rows[:i])
+        moved = [list(g) for g in gens]
+        for _ in range(6 if k > 1 else 0):
+            i, j = rng.sample(range(k), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            moved[i] = [a + c * b for a, b in zip(moved[i], moved[j])]
+        moved = [g if rng.random() < 0.5 else [-x for x in g] for g in moved]
+        if moved:
+            moved.append([a + b for a, b in zip(rng.choice(moved), rng.choice(moved))])
+        rng.shuffle(moved)
+        assert RowLattice(n, moved).rows == lat.rows, gens
 
 
 def test_row_lattice_membership_brute_force():

@@ -369,10 +369,8 @@ def _fraction_solver(rows, dim):
     d = lcm(*(x.denominator for r in cong for x in r))
     if d == 1:
         return kernel
-    out = RowLattice(dim)
-    for t in kernel_mod([[int(x * d) for x in r] for r in cong], d):
-        out.add([sum(c * vec[j] for c, vec in zip(t, base)) for j in range(dim)])
-    return out
+    return RowLattice(dim, ([sum(c * vec[j] for c, vec in zip(t, base)) for j in range(dim)]
+                            for t in kernel_mod([[int(x * d) for x in r] for r in cong], d)))
 
 
 def _lattice_instances(rng):

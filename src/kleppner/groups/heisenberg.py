@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import combinations
 from math import gcd, prod
 
-from ..intlinalg import RowLattice, integer_kernel
+from ..intlinalg import integer_kernel
 from .abelian import FreeAbelian, parse_int_vector
 from .base import (Element, FCInfo, Group, LatticeEntry, LatticeResult, finite_class,
                    infinite_class, vector_key)
@@ -122,12 +122,11 @@ class Heisenberg(Group):
 
     def centralizer_of_subgroup(self, H):
         rows = [[h[1], -h[0]] for h in H.generators()]  # h1*x2 - h2*x1 = 0 for all gens
-        kernel = integer_kernel(rows) if any(any(r) for r in rows) else [(1, 0), (0, 1)]
-        lat = RowLattice(2, kernel)
-        if lat.rank == 2 and lat.index_in_ambient() == 1:
+        kernel = integer_kernel(rows, 2)  # reduced echelon, so Z^2 reads as e_1, e_2
+        if kernel == [(1, 0), (0, 1)]:
             return Subgroup.full(self)
         # the center and the kernel directions generate C_G(H)
-        return Subgroup.generated(self, [(v[0], v[1], 0) for v in lat.basis()] + [(0, 0, 1)])
+        return Subgroup.generated(self, [(v[0], v[1], 0) for v in kernel] + [(0, 0, 1)])
 
     def fc_centralizer(self, H):
         # a class is a singleton or infinite, so FC_G(H) = C_G(H)

@@ -2,11 +2,15 @@
 
 Everything here works on small matrices (ambient dimension <= a handful), so
 the implementations favour clarity over asymptotics.  All arithmetic is on
-Python ints; the Smith form tracks its unimodular transforms explicitly.
+Python ints.  Every lattice is kept as its reduced echelon (Hermite) basis,
+built by inserting one vector at a time, and every kernel is read off one
+such basis of [A^T | I].  The Smith form, with both unimodular transforms,
+serves the shape of a quotient Z^n / L.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -58,68 +62,37 @@ class RowLattice:
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence[int]] = ()) -> None:
         self.n = ambient
-        self.rows: list[list[int]] = []
+        # one row per pivot column; each vector is cleared column by column
+        # against the rows, and takes the first column that has none
+        by_pivot: dict[int, list[int]] = {}
         for v in vectors:
-            self._add(v)
+            if len(v) != ambient:
+                raise ValueError("wrong ambient dimension")
+            vec = list(v)
+            for j in range(ambient):
+                b = vec[j]
+                if not b:
+                    continue
+                row = by_pivot.get(j)
+                if row is None:
+                    by_pivot[j] = vec if b > 0 else [-x for x in vec]
+                    break
+                a = row[j]
+                if b % a == 0:
+                    q = b // a
+                    vec = [x - q * y for x, y in zip(vec, row)]
+                else:
+                    x, y, g = xgcd(a, b)
+                    by_pivot[j] = [x * r + y * w for r, w in zip(row, vec)]
+                    vec = [a // g * w - b // g * r for r, w in zip(row, vec)]
+        pivots = sorted(by_pivot)
+        self.rows: list[list[int]] = [by_pivot[p] for p in pivots]
         # entries above each pivot into [0, pivot), pivot by pivot from the
         # left: a row changes only the columns from its own pivot on
-        for j, row in enumerate(self.rows):
-            p = next(k for k, x in enumerate(row) if x)
+        for j, (p, row) in enumerate(zip(pivots, self.rows)):
             for above in self.rows[:j]:
                 if q := above[p] // row[p]:
                     above[:] = [a - q * b for a, b in zip(above, row)]
-
-    def _add(self, vec0: Sequence[int]) -> None:
-        if len(vec0) != self.n:
-            raise ValueError("wrong ambient dimension")
-        vec = list(vec0)
-        for row in self.rows:
-            j = next(i for i, x in enumerate(row) if x)
-            if vec[j]:
-                a, b = row[j], vec[j]
-                if b % a == 0:
-                    q = b // a
-                    for k in range(self.n):
-                        vec[k] -= q * row[k]
-                else:
-                    x, y, g = xgcd(a, b)
-                    new_row = [x * row[k] + y * vec[k] for k in range(self.n)]
-                    mult_a, mult_b = a // g, b // g
-                    vec = [mult_a * vec[k] - mult_b * row[k] for k in range(self.n)]
-                    row[:] = new_row
-        if any(vec):
-            self.rows.append(vec)
-            self._echelonize()
-
-    def _echelonize(self) -> None:
-        # re-reduce so pivots are strictly increasing and positive
-        rows = [r for r in self.rows if any(r)]
-        rows.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
-        changed = True
-        while changed:
-            changed = False
-            rows.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
-            for i in range(len(rows) - 1):
-                pi = next(k for k, x in enumerate(rows[i]) if x)
-                pj = next(k for k, x in enumerate(rows[i + 1]) if x)
-                if pi == pj:
-                    a, b = rows[i][pi], rows[i + 1][pj]
-                    x, y, g = xgcd(a, b)
-                    comb = [x * rows[i][k] + y * rows[i + 1][k] for k in range(self.n)]
-                    other = [(a // g) * rows[i + 1][k] - (b // g) * rows[i][k]
-                             for k in range(self.n)]
-                    rows[i] = comb
-                    if any(other):
-                        rows[i + 1] = other
-                    else:
-                        del rows[i + 1]
-                    changed = True
-                    break
-        for r in rows:
-            p = next(k for k, x in enumerate(r) if x)
-            if r[p] < 0:
-                r[:] = [-x for x in r]
-        self.rows = rows
 
     def contains(self, vec0: Sequence[int]) -> bool:
         return echelon_contains(self.rows, vec0)
@@ -135,10 +108,8 @@ class RowLattice:
         """Index [Z^n : L], None when infinite (rank deficient)."""
         if self.rank < self.n:
             return None
-        det = 1
-        for i, row in enumerate(self.rows):
-            det *= row[next(k for k, x in enumerate(row) if x)]
-        return abs(det)
+        # full rank: row i has its positive pivot in column i
+        return prod(row[i] for i, row in enumerate(self.rows))
 
     def basis(self) -> list[IntVec]:
         return [tuple(r) for r in self.rows]
@@ -180,8 +151,13 @@ class RowLattice:
         return best
 
 
+def _unit(n: int, i: int, c: int = 1) -> list[int]:
+    """c times the i-th unit vector of length n."""
+    return [c if k == i else 0 for k in range(n)]
+
+
 def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [_unit(n, i) for i in range(n)]
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -273,29 +249,29 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
     return u, d, v
 
 
-def integer_kernel(a: Sequence[Sequence[int]]) -> list[IntVec]:
-    """Basis of {x in Z^n : A x = 0} (saturated; all integer solutions)."""
+def _hermite_kernel(a: Sequence[Sequence[int]], n: int,
+                    extra: Sequence[list[int]] = ()) -> list[IntVec]:
+    """The rows of the Hermite form of [A^T | I], plus the extra rows, whose
+    pivot lies past A's m columns, with those m entries dropped: the reduced
+    echelon basis of the lattice's intersection with 0^m x Z^n."""
     m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    _, d, v = smith_normal_form(a)
-    basis = []
-    for j in range(n):
-        diag = d[j][j] if j < min(m, n) else 0
-        if j >= m or diag == 0:
-            basis.append(tuple(v[i][j] for i in range(n)))
-    return basis
+    lat = RowLattice(m + n, [[row[i] for row in a] + _unit(n, i) for i in range(n)] + list(extra))
+    return [tuple(r[m:]) for r in lat.rows if not any(r[:m])]
+
+
+def integer_kernel(a: Sequence[Sequence[int]], n: int | None = None) -> list[IntVec]:
+    """The reduced echelon basis of {x in Z^n : A x = 0}, read off the Hermite
+    form of [A^T | I] (Cohen 1993, section 2.4).  n, the number of columns,
+    is read off A unless A has no rows."""
+    if n is None:
+        n = len(a[0]) if a else 0
+    return _hermite_kernel(a, n)
 
 
 def kernel_mod(n_mat: Sequence[Sequence[int]], delta: int) -> list[IntVec]:
-    """Basis of the lattice {t in Z^d : N t = 0 (mod delta)}."""
+    """The reduced echelon basis of {t in Z^d : N t = 0 (mod delta)}: the
+    projection to Z^d of the kernel of [N | delta I], read off the Hermite
+    form of [N^T | I] with the rows delta * e_k | 0 added."""
     m = len(n_mat)
     d = len(n_mat[0]) if m else 0
-    if m == 0 or delta == 1:
-        return [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    aug = [list(row) + [-delta if k == i else 0 for k in range(m)]
-           for i, row in enumerate(n_mat)]
-    ker = integer_kernel(aug)
-    lat = RowLattice(d, (vec[:d] for vec in ker))
-    return lat.basis()
+    return _hermite_kernel(n_mat, d, [_unit(m, k, delta) + [0] * d for k in range(m)])

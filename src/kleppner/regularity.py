@@ -69,18 +69,14 @@ def solve_pairing_lattice(rows: list[list[list[int]]], den: int, dim: int) -> Ro
     of a row is an exact integer equation; the rational slots, taken mod den,
     are congruences modulo den on the integer kernel of those equations.
     """
-    if dim == 0:
-        return RowLattice(0)
     eqs = [eq for row in rows for eq in zip(*(v[1:] for v in row)) if any(eq)]
-    kernel = RowLattice(dim, integer_kernel(eqs) if eqs else
-                        [_unit(dim, j) for j in range(dim)])
-    base = kernel.basis()
+    base = integer_kernel(eqs, dim)
     cong = [[sum(b * (v[0] % den) for b, v in zip(vec, row)) for vec in base]
             for row in rows]
     # den // g is the least common denominator of the congruences
     g = gcd(den, *(x for r in cong for x in r))
     if g == den:
-        return kernel
+        return RowLattice(dim, base)
     tbasis = kernel_mod([[x // g for x in r] for r in cong], den // g)
     return RowLattice(dim, ([sum(c * vec[j] for c, vec in zip(t, base)) for j in range(dim)]
                             for t in tbasis))

@@ -198,6 +198,15 @@ def test_centralizer_of_subgroup_catalog():
     assert centralizer_of_subgroup(zn, Subgroup.sublattice(zn, [(1, 1, 1)])).is_full()
 
 
+def test_heisenberg_centralizer_of_a_central_subgroup_is_full():
+    # no generator, or only central ones, constrains nothing: the kernel of
+    # the commutation form is all of Z^2
+    heis = Heisenberg()
+    for gens in ((), ((0, 0, 1),), ((0, 0, 3), (0, 0, -2))):
+        H = Subgroup.generated(heis, gens)
+        assert centralizer_of_subgroup(heis, H).is_full(), gens
+
+
 def test_fc_centralizer_catalog():
     heis = Heisenberg()
     fci = fc_centralizer(heis, Subgroup.full(heis))

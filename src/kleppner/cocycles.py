@@ -628,19 +628,25 @@ class ValidationResult:
         return self.passed
 
 
-def _simplex(n: int, d: int):
-    """The points of N^n with coordinate sum at most d, in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    for a in range(d + 1):
-        for rest in _simplex(n - 1, d - a):
-            yield (a,) + rest
+def _simplex(n: int, d: int) -> list[tuple[int, ...]]:
+    """The points of N^n with coordinate sum at most d, in lexicographic order.
+
+    Built as lists one coordinate at a time: by_bound[b] holds the points
+    of the coordinates so far with sum at most b, in lexicographic order,
+    and the next level's by_bound[b] is (a,) + p for a = 0..b and each p of
+    by_bound[b - a] in turn, which keeps that order."""
+    by_bound = [[()]] * (d + 1)
+    for _ in range(n):
+        by_bound = [[(a,) + p for a in range(b + 1) for p in by_bound[b - a]]
+                    for b in range(d + 1)]
+    return by_bound[d]
 
 
 def _triples(sigma: Cocycle, budget: ValidationBudget):
     """(mode, triples): the triples a validator checks, and the mode both
-    validators report for them.
+    validators report for them.  Each validator call reads sigma on them
+    through its own _CallValues, so it evaluates sigma once per distinct
+    pair and keeps nothing afterwards.
 
     A polynomial kind (``sigma.degree`` is d) gets the points alpha of N^{3m}
     with |alpha| <= d, split into (g, h, k), m the number of coordinates of
@@ -655,7 +661,8 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
     when it is on the grid.  The g-components cover {x : |x| <= d}, which
     makes the normalization check exact by the same argument in m variables,
     and the power identity of the twist check is the right-product one at
-    (r, s, s^2) for commuting r, s.  ``budget`` does not apply.
+    (r, s, s^2) for commuting r, s.  ``budget`` does not apply.  The grid
+    is the list of _simplex, made anew on each call.
 
     A pullback along phi onto a finite group A with a section gets the |A|^3
     triples of the section's image (mode "pullback"), exactly: phi respects
@@ -667,8 +674,8 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
     drawn from ``budget.seed`` (mode "sampled")."""
     if sigma.degree is not None:
         m = len(sigma.group.identity())
-        return "polynomial", ((p[:m], p[m:2 * m], p[2 * m:])
-                              for p in _simplex(3 * m, sigma.degree))
+        return "polynomial", [(p[:m], p[m:2 * m], p[2 * m:])
+                              for p in _simplex(3 * m, sigma.degree)]
     if isinstance(sigma, PullbackCocycle) and sigma.section is not None:
         return "pullback", product(map(sigma.section, sigma.base.domain_elements()), repeat=3)
     elems = sigma.domain_elements()
@@ -737,19 +744,44 @@ def _is_zero(den: int, v: list[int]) -> bool:
 
 
 def _vanishes(den: int, plus: list, minus: list) -> bool:
-    """Whether sum(plus) - sum(minus), integer values over den, is the zero phase."""
-    return _is_zero(den, [sum(p) - sum(m) for p, m in zip(zip(*plus), zip(*minus))])
+    """Whether sum(plus) - sum(minus), integer values over den, is the zero
+    phase, summed slot by slot: the rational slot 0 mod den, the others 0."""
+    for slot in range(len(plus[0])):
+        r = 0
+        for v in plus:
+            r += v[slot]
+        for v in minus:
+            r -= v[slot]
+        if r % den if slot == 0 else r:
+            return False
+    return True
+
+
+class _CallValues(dict):
+    """sigma.int_value keyed by (g, h), each pair evaluated on its first
+    read.  Each validator call makes its own and drops it on return, so a
+    pair is evaluated once per call and nothing is kept after it."""
+
+    def __init__(self, sigma: Cocycle) -> None:
+        super().__init__()
+        self._int_value = sigma.int_value
+
+    def __missing__(self, pair: tuple) -> list[int]:
+        value = self[pair] = self._int_value(*pair)
+        return value
 
 
 def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
     """Normalization plus the cocycle identity on the triples of _triples;
-    a phase table, of any order, goes to _validate_table_fast instead."""
+    a phase table, of any order, goes to _validate_table_fast instead.
+    sigma is read through a _CallValues: each distinct pair is evaluated
+    once per call, and nothing is kept afterwards."""
     if isinstance(sigma, PhaseTableCocycle):
         return _validate_table_fast(sigma)
     G = sigma.group
     e = G.identity()
     mode, points = _triples(sigma, budget)
-    den, val = sigma.den, sigma.int_value
+    den, val = sigma.den, _CallValues(sigma)
     checks = 0
     triples = 0
     seen_norm = set()
@@ -758,12 +790,12 @@ def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget
         for x in (g, h, k):
             if x not in seen_norm:
                 seen_norm.add(x)
-                if not _is_zero(den, val(x, e)) or not _is_zero(den, val(e, x)):
+                if not _is_zero(den, val[x, e]) or not _is_zero(den, val[e, x]):
                     return ValidationResult(False, (x, e, e), checks, mode,
                                             "normalization fails", triples)
         checks += 1
-        if not _vanishes(den, [val(g, h), val(G.mul(g, h), k)],
-                         [val(g, G.mul(h, k)), val(h, k)]):
+        if not _vanishes(den, [val[g, h], val[G.mul(g, h), k]],
+                         [val[g, G.mul(h, k)], val[h, k]]):
             return ValidationResult(False, (g, h, k), checks, mode,
                                     "cocycle identity fails", triples)
     return ValidationResult(True, None, checks, mode, "", triples)
@@ -780,9 +812,11 @@ def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = Validation
       tw(rs, t)   = tw(r, s t s^-1) + tw(s, t)
       tw(r, st)   = -sigma(s, t) + sigma(r s r^-1, r t r^-1) + tw(r, s) + tw(r, t)
       tw(r, s^3)  = tw(r, s) + tw(r, s^2)           (r, s commuting)
-    and each is checked as one signed sum of integer values."""
+    and each is checked as one signed sum of integer values, read through a
+    _CallValues: each distinct pair is evaluated once per call, and nothing
+    is kept afterwards."""
     G = sigma.group
-    den, val = sigma.den, sigma.int_value
+    den, val = sigma.den, _CallValues(sigma)
     mode, points = _triples(sigma, budget)
     checks = 0
     triples = 0
@@ -791,17 +825,17 @@ def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = Validation
         rs, st = G.mul(r, s), G.mul(s, t)
         sts = G.conj(s, t)
         rstr = G.conj(rs, t)  # = r (s t s^-1) r^-1
-        v_st = val(s, t)
+        v_st = val[s, t]
         checks += 1
-        if not _vanishes(den, [val(rs, t), val(rstr, r), val(sts, s)],
-                         [val(rstr, rs), val(r, sts), v_st]):
+        if not _vanishes(den, [val[rs, t], val[rstr, r], val[sts, s]],
+                         [val[rstr, rs], val[r, sts], v_st]):
             return ValidationResult(False, (r, s, t), checks, mode,
                                     "left-product identity fails", triples)
         rsr, rtr = G.conj(r, s), G.conj(r, t)
-        v_rs, v_rsr_r = val(r, s), val(rsr, r)
+        v_rs, v_rsr_r = val[r, s], val[rsr, r]
         checks += 1
-        if not _vanishes(den, [val(r, st), v_st, v_rsr_r, val(rtr, r)],
-                         [val(G.conj(r, st), r), val(rsr, rtr), v_rs, val(r, t)]):
+        if not _vanishes(den, [val[r, st], v_st, v_rsr_r, val[rtr, r]],
+                         [val[G.conj(r, st), r], val[rsr, rtr], v_rs, val[r, t]]):
             return ValidationResult(False, (r, s, t), checks, mode,
                                     "right-product identity fails", triples)
         # powers always commute: force coverage of the commuting-pair identity;
@@ -810,8 +844,8 @@ def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = Validation
             s2 = G.mul(s, s)
             s3 = G.mul(s, s2)
             checks += 1
-            if not _vanishes(den, [val(r, s3), v_rsr_r, val(s2, r)],
-                             [val(s3, r), v_rs, val(r, s2)]):
+            if not _vanishes(den, [val[r, s3], v_rsr_r, val[s2, r]],
+                             [val[s3, r], v_rs, val[r, s2]]):
                 return ValidationResult(False, (r, s, s2), checks, mode,
                                         "power right-product identity fails", triples)
     return ValidationResult(True, None, checks, mode, "", triples)

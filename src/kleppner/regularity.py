@@ -288,6 +288,9 @@ def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
         raise GroupError("group, subgroup and cocycle must be aligned")
     if H.is_full():
         return tb.holds("H = G: the two regularity notions coincide")
+    if sigma.is_trivial_like():
+        return tb.holds("cocycle is similar to trivial: every element is regular "
+                        "w.r.t. every subgroup")
     full = Subgroup.full(G)
 
     if G.exact_kernel == "finite":

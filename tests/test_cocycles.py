@@ -11,7 +11,7 @@ from kleppner.cocycles import (BicharacterCocycle, Cocycle, CocycleError, F2Z2Co
                                PhaseTableCocycle, ProductCocycle, PullbackCocycle,
                                RestrictionCocycle, SeededBeta, SimilarityCocycle, TableBeta,
                                TrivialCocycle, ValidationBudget, ValidationResult,
-                               _triples, check_twist_identities, commutation_phase,
+                               _simplex, _triples, check_twist_identities, commutation_phase,
                                commutation_trivial, conj_twist,
                                rotation_cocycle, similarity_transform, three_torus_cocycle,
                                transport, validate_cocycle)
@@ -790,6 +790,80 @@ def test_validators_match_phase_reference():
             sigma.describe()
 
 
+# -- each validator call evaluates a pair once and keeps nothing --------------
+
+def counting(cls, *args):
+    """An instance of a subclass of cls whose int_value records each pair it
+    is asked for in ``pairs``."""
+
+    class Counting(cls):
+        def int_value(self, g, h):
+            self.pairs.append((g, h))
+            return super().int_value(g, h)
+
+    sigma = Counting(*args)
+    sigma.pairs = []
+    return sigma
+
+
+def validated_pairs(sigma, budget):
+    """The pairs validate_cocycle touches on a passing sigma: (x, e) and
+    (e, x) for each element x of a triple, and the four terms of the
+    cocycle identity."""
+    G, e = sigma.group, sigma.group.identity()
+    out = set()
+    for g, h, k in reference_triples(sigma, budget)[0]:
+        out.update(p for x in (g, h, k) for p in ((x, e), (e, x)))
+        out.update([(g, h), (G.mul(g, h), k), (g, G.mul(h, k)), (h, k)])
+    return out
+
+
+def twisted_pairs(sigma, budget):
+    """The pairs check_twist_identities touches on a passing sigma: every
+    term of identity_terms at (r, s, t), and the power identity's terms at
+    (r, s, s^2) when r and s commute."""
+    G = sigma.group
+    terms = identity_terms(G).values()
+    out = set()
+    for r, s, t in reference_triples(sigma, budget)[0]:
+        out.update(args(r, s, t) for args in terms)
+        if G.commutes(r, s):
+            s2 = G.mul(s, s)
+            s3 = G.mul(s, s2)
+            out.update([(r, s3), (s3, r), (s2, r), (r, s2)])
+    return out
+
+
+def test_each_validator_call_evaluates_each_pair_once():
+    """In each mode other than a table's, each validator asks int_value once
+    per distinct pair it touches, and a second call asks again for every
+    one: nothing is kept between calls."""
+    bh = IrrationalBasis(["gamma", "theta"])
+    z22 = from_name("Z_2 x Z_2")
+    heis = HeisenbergCocycle(HEIS, bh.rational(Fraction(1, 4)), bh.symbol("theta"))
+    cases = [
+        (counting(HeisenbergCocycle, HEIS, bh.symbol("gamma"), bh.symbol("theta")), "polynomial"),
+        (counting(F2Z2Cocycle, F2Z2, 1), "pullback"),
+        (counting(SimilarityCocycle, anticommute_table(z22),
+                  random_beta_table(z22, random.Random(8))), "exhaustive"),
+        (counting(ProductCocycle, DirectProduct(F2, HEIS), TrivialCocycle(F2), heis), "sampled"),
+    ]
+    budget = ValidationBudget(samples=150, seed=11)
+    for sigma, mode in cases:
+        for validator, pairs in ((validate_cocycle, validated_pairs),
+                                 (check_twist_identities, twisted_pairs)):
+            expected = pairs(sigma, budget)
+            calls = []
+            for _ in range(2):
+                sigma.pairs = []
+                res = validator(sigma, budget)
+                assert res.passed and res.mode == mode, (sigma.describe(), validator.__name__)
+                assert len(sigma.pairs) == len(set(sigma.pairs)), (mode, validator.__name__)
+                assert set(sigma.pairs) == expected, (mode, validator.__name__)
+                calls.append(sigma.pairs)
+            assert calls[0] == calls[1], (mode, validator.__name__)
+
+
 def exponent_sum(word, j):
     """sigma_j's statistic of a reduced F_2 word: its exponent sum over a
     (j = 1), b (j = 2) or both letters (j = 3), mod 2."""
@@ -953,6 +1027,31 @@ def test_polynomial_grid_sizes_and_budget_independence():
         (v, i), = results
         assert v.passed and v.mode == "polynomial" and v.checks == v.triples == points
         assert i.passed and i.mode == "polynomial" and i.triples == points
+
+
+def product_and_filter(n, d):
+    """[p for p in itertools.product(range(d + 1), repeat=n) if sum(p) <= d].
+    Above six coordinates it is formed from two such halves: product is
+    lexicographic, so the filtered product of the halves is the same list,
+    without the (d + 1)^n tuples of one product."""
+    if n <= 6:
+        return [p for p in itertools.product(range(d + 1), repeat=n) if sum(p) <= d]
+    left, right = product_and_filter(n // 2, d), product_and_filter(n - n // 2, d)
+    return [p + q for p, q in itertools.product(left, right) if sum(p) + sum(q) <= d]
+
+
+def test_simplex_grid_is_the_filtered_product_in_order():
+    """The grid of _triples is, element for element and in order, the
+    product of range(d + 1) filtered by coordinate sum, for n = 3m with
+    m = 1..4 and d <= 4; the two-halves form of the product equals the
+    direct one on n = 9, d = 3."""
+    halves = product_and_filter(9, 3)
+    assert halves == [p for p in itertools.product(range(4), repeat=9) if sum(p) <= 3]
+    for m in range(1, 5):
+        for d in range(5):
+            grid = _simplex(3 * m, d)
+            assert grid == product_and_filter(3 * m, d), (m, d)
+            assert len(grid) == comb(3 * m + d, d)
 
 
 class CubicPolynomial(CubicForm):

@@ -562,11 +562,16 @@ def test_sigma_regular_subgroup_full_group():
 
 
 def test_sigma_regular_subgroup_unknown_honest():
-    # noncyclic generated subgroup of F_2 with a trivial-like cocycle:
-    # the bounded search finds nothing and no closing rule applies
-    sub = Subgroup.generated(F2, [F2.parse_element("a^2"), F2.parse_element("b^2")])
-    r = sigma_regular_subgroup(F2, sub, TrivialCocycle(F2))
+    # a trivial-like cocycle makes every element regular w.r.t. every
+    # subgroup, so <a^2, b^2> in F_2 is regular exactly
+    squares = Subgroup.generated(F2, [F2.parse_element("a^2"), F2.parse_element("b^2")])
+    assert sigma_regular_subgroup(F2, squares, TrivialCocycle(F2)).holds
+    # under sigma_1, <a^2, b^2> x {0} is nonabelian: the bounded search
+    # finds nothing and no closing rule applies
+    sub = Subgroup.product(F2Z2, squares, Subgroup.trivial(F2Z2.right))
+    r = sigma_regular_subgroup(F2Z2, sub, F2Z2Cocycle(F2Z2, 1))
     assert r.unknown
+    assert r.reason.startswith("no counterexample among 161 short elements")
 
 
 def test_pointwise_regularity_similarity_invariant():

@@ -1,10 +1,10 @@
 """Direct products of two catalog groups and their product subgroups;
 elements are pairs.
 
-The structure queries split a subgroup that is a product of factor subgroups
-(a ``ProductSubgroup``, or the full or trivial subgroup) and combine the
-factors' answers; any other subgroup gets the undecided defaults of the Group
-base class.
+Commuting is componentwise, so C_G(H), FC_G(H) and every H-class are read off
+the projections of any H, the factor subgroups that the components of H's
+generators generate.  The other queries split a product of factor subgroups
+(a ``ProductSubgroup``, or the full or trivial subgroup).
 """
 
 from __future__ import annotations
@@ -111,10 +111,18 @@ class DirectProduct(Group):
             return Subgroup.trivial(self.left), Subgroup.trivial(self.right)
         return None
 
-    def h_conjugacy_class(self, g, H):
+    def _projections(self, H):
+        """(pi_A H, pi_B H), the factor subgroups that the components of H's
+        generators generate: H's factors when H is a product."""
         parts = self._factors(H)
-        if parts is None:
-            return super().h_conjugacy_class(g, H)
+        if parts is not None:
+            return parts
+        gens = H.generators()
+        return (Subgroup.generated(self.left, [h[0] for h in gens]),
+                Subgroup.generated(self.right, [h[1] for h in gens]))
+
+    def h_conjugacy_class(self, g, H):
+        parts = self._projections(H)
         left = self.left.h_conjugacy_class(g[0], parts[0])
         right = self.right.h_conjugacy_class(g[1], parts[1])
         if left.infinite or right.infinite:
@@ -123,13 +131,26 @@ class DirectProduct(Group):
             return infinite_class(f"{side} component class is infinite: {cert}")
         if left.unknown or right.unknown:
             return unknown_class(left.reason or right.reason)
-        return finite_class(sorted(((a, b) for a in left.elements for b in right.elements),
-                                   key=self.element_key))
+        # the orbit of g lies in the finite product of the factor classes, and
+        # each generator of H permutes it, so its inverse is one of its powers
+        gens, orbit, frontier = H.generators(), {g}, [g]
+        while frontier:
+            x = frontier.pop()
+            new = {self.conj(h, x) for h in gens} - orbit
+            orbit |= new
+            frontier += new
+        return finite_class(sorted(orbit, key=self.element_key))
 
     def centralizer_generators(self, H, g):
         parts = self._factors(H)
         if parts is None:
-            return None
+            # C_H(g) is not read off the projections: it is H when g
+            # centralizes H, and enumerated when H is finite
+            if all(self.commutes(h, g) for h in H.generators()):
+                return H.generators()
+            elems = H.enumerate_elements()
+            return None if elems is None else Subgroup.finite_subset(
+                self, [h for h in elems if self.commutes(h, g)]).generators()
         lg = self.left.centralizer_generators(parts[0], g[0])
         rg = self.right.centralizer_generators(parts[1], g[1])
         if lg is None or rg is None:
@@ -138,9 +159,7 @@ class DirectProduct(Group):
         return tuple((x, er) for x in lg) + tuple((el, y) for y in rg)
 
     def centralizer_of_subgroup(self, H):
-        parts = self._factors(H)
-        if parts is None:
-            return None
+        parts = self._projections(H)
         cl = self.left.centralizer_of_subgroup(parts[0])
         cr = self.right.centralizer_of_subgroup(parts[1])
         if cl is None or cr is None:
@@ -148,9 +167,7 @@ class DirectProduct(Group):
         return Subgroup.product(self, cl, cr)
 
     def fc_centralizer(self, H):
-        parts = self._factors(H)
-        if parts is None:
-            return super().fc_centralizer(H)
+        parts = self._projections(H)
         li = self.left.fc_centralizer(parts[0])
         ri = self.right.fc_centralizer(parts[1])
         if li.subgroup is None or ri.subgroup is None:

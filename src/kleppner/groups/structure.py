@@ -4,11 +4,11 @@ These functions are the front door; each group kind answers the queries in
 its own class.  Finite tables enumerate (finite.py); free abelian groups have
 singleton classes (abelian.py); the Heisenberg group works through the linear
 form (h1,h2) -> h1*g2 - h2*g1 (heisenberg.py); free groups use cyclic
-centralizers (free.py); direct products split a product of factor subgroups
-and combine the factors' answers (product.py).  The Group base class (base.py)
-gives the undecided answers: a capped conjugation search that returns an
-honest Unknown at the cap, None, an unknown FC-centralizer and the generator
-conjugation check for normality; it also derives the catalog predicates.
+centralizers (free.py); direct products read their answers off the factor
+projections of H (product.py).  The Group base class (base.py) gives the
+undecided answers, an unknown class, None and an unknown FC-centralizer,
+with no search, and the generator conjugation check for normality; it also
+derives the catalog predicates.
 """
 
 from __future__ import annotations

@@ -337,7 +337,8 @@ def test_trivial_factor_is_neutral():
 
 
 # DirectProduct(A, B) against the same group flattened into one table
-PRODUCT_PAIRS = [("S_3", "Z_2"), ("Q8", "Z_2"), ("D_4", "Z_3"), ("Z_2", "S_3"), ("S_3", "S_3")]
+PRODUCT_PAIRS = [("S_3", "Z_2"), ("Q8", "Z_2"), ("D_4", "Z_3"), ("Z_2", "S_3"), ("S_3", "S_3"),
+                 ("Z_2", "Z_2")]
 
 
 def _flattened(P: DirectProduct) -> tuple[FiniteTable, dict]:
@@ -348,9 +349,13 @@ def _flattened(P: DirectProduct) -> tuple[FiniteTable, dict]:
 
 @pytest.mark.parametrize("names", PRODUCT_PAIRS, ids=" x ".join)
 def test_product_structure_matches_flattened_table(names):
+    # every subgroup of the flattened table, diagonal ones included, is
+    # described on the product by its elements, and a product of factor
+    # subgroups also as a ProductSubgroup
     A, B = (from_name(n) for n in names)
     P = DirectProduct(A, B)
     T, index = _flattened(P)
+    elems = P.elements()
 
     def image(elems):
         return sorted(index[x] for x in elems)
@@ -360,18 +365,23 @@ def test_product_structure_matches_flattened_table(names):
 
     for pred in (is_prime, is_fc_hypercentral, is_cstar_simple):
         assert pred(P).status == pred(T).status
-    for left in A.all_subgroups():
-        for right in B.all_subgroups():
-            H = Subgroup.product(P, Subgroup.finite_subset(A, left),
-                                 Subgroup.finite_subset(B, right))
-            HT = Subgroup.finite_subset(T, image(H.enumerate_elements()))
+    for s in T.all_subgroups():
+        HT = Subgroup.finite_subset(T, s)
+        H = Subgroup.finite_subset(P, [elems[i] for i in s])
+        left, right = ({x[k] for x in H.elements} for k in (0, 1))
+        described = [H]
+        if len(left) * len(right) == len(s):
+            described.append(Subgroup.product(P, Subgroup.finite_subset(A, left),
+                                              Subgroup.finite_subset(B, right)))
+        fct = fc_centralizer(T, HT)
+        for H in described:
             assert is_normal(H).status == is_normal(HT).status
             assert (image(centralizer_of_subgroup(P, H).enumerate_elements())
                     == centralizer_of_subgroup(T, HT).enumerate_elements())
-            fc, fct = fc_centralizer(P, H), fc_centralizer(T, HT)
+            fc = fc_centralizer(P, H)
             assert image(fc.finite_elements()) == fct.finite_elements()
             assert fc.central == fct.central
-            for g in P.elements():
+            for g in elems:
                 assert (image(h_conjugacy_class(g, H).elements)
                         == list(h_conjugacy_class(index[g], HT).elements))
                 assert (closure(index[x] for x in centralizer_generators(H, g))
@@ -635,16 +645,17 @@ def test_heisenberg_generated_subgroups_use_closed_form():
 
 
 def test_orbit_bfs_fallback_paths():
-    # a generated diagonal-style subgroup of a product drives the capped search
+    # a generated diagonal subgroup of a product: its classes are read off the
+    # classes of its projections <a> in F_2 and Z_2, with no search
     f = FreeGroup(2)
     g = DirectProduct(f, from_name("Z_2"))
     diag = Subgroup.generated(g, [(f.gen("a"), 1)])
     assert diag.kind == "generated"
     fixed = h_conjugacy_class((f.identity(), 1), diag)
-    assert fixed.finite and len(fixed.elements) == 1
+    assert fixed.finite and fixed.elements == ((f.identity(), 1),)
     runaway = h_conjugacy_class((f.gen("b"), 0), diag)
-    assert runaway.unknown
-    assert "cap" in runaway.reason
+    assert runaway.infinite
+    assert runaway.certificate.startswith("left component class is infinite")
 
 
 def test_generated_heisenberg_plane_membership():

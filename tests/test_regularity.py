@@ -13,7 +13,8 @@ from kleppner.cocycles import (BicharacterCocycle, F2Z2Cocycle, HeisenbergCocycl
                                commutation_phase, rotation_cocycle, similarity_transform,
                                three_torus_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
-                             from_name, h_conjugacy_class)
+                             centralizer_of_subgroup, fc_centralizer, from_name,
+                             h_conjugacy_class)
 from kleppner.phases import IrrationalBasis, Phase
 from kleppner.randomized import random_table_cocycle
 from kleppner.intlinalg import RowLattice, integer_kernel, kernel_mod
@@ -539,14 +540,18 @@ def test_unknown_paths_are_honest():
     r = relative_kleppner(HEIS, slanted, sig)
     assert r.fails and r.witness.elements == ((1, 1, 0),)
     assert is_sigma_regular((1, 1, 0), slanted, sig).holds
-    # a diagonal subgroup of Heisenberg x Z: no centralizer description, no
-    # FC rule; the engine reports unknown instead of guessing
+    # a diagonal subgroup of Heisenberg x Z is central: its centralizer is
+    # read off the projections, and the least generator of it is a regular
+    # singleton class, which replays
     z1 = FreeAbelian(1)
     hz = DirectProduct(HEIS, z1)
     diagonal = Subgroup.generated(hz, [((0, 0, 1), (1,))])
     sig = ProductCocycle(hz, sig, TrivialCocycle(z1))
     r = relative_kleppner(hz, diagonal, sig)
-    assert r.unknown and "C_G(H) outside the catalog" in r.reason
+    w = ((0, 0, 0), (1,))
+    assert r.fails and r.witness.elements == (w,)
+    assert h_conjugacy_class(w, diagonal).elements == (w,)
+    assert is_sigma_regular(w, diagonal, sig).holds
     # Z^2 x (Z_2 x Z_2): the central FC-centralizer has no lattice form and
     # no generator of it is regular, so (b) falls through undecided
     k4 = from_name("Z_2 x Z_2")
@@ -555,6 +560,53 @@ def test_unknown_paths_are_honest():
     sig = ProductCocycle(G, rotation_cocycle(Z2, TH), PhaseTableCocycle(k4, tbl))
     r = relative_kleppner(G, Subgroup.full(G), sig)
     assert r.unknown and r.reason.startswith("(b) inconclusive")
+
+
+def _diagonal_instances(rng):
+    """Seeded subgroups of Heisenberg x Z and F_2 x Z_2 generated by one or
+    two elements with both components nontrivial, each with its cocycles."""
+    z1 = FreeAbelian(1)
+    hz = DirectProduct(HEIS, z1)
+    heis_sigmas = [ProductCocycle(hz, heis_cocycle(gamma, theta), TrivialCocycle(z1))
+                   for gamma, theta in ((B.zero(), TH), (Phase(Fraction(1, 2)), Phase(0)),
+                                        (Phase(Fraction(1, 3)), Phase(Fraction(1, 4))))]
+    f2z2_sigmas = [F2Z2Cocycle(F2Z2, j) for j in (1, 2, 3)] + [TrivialCocycle(F2Z2)]
+    out = []
+    for G, sigmas, size in ((hz, heis_sigmas, 2), (F2Z2, f2z2_sigmas, 3)):
+        e = G.identity()
+        for _ in range(14):
+            gens = []
+            while len(gens) < rng.choice((1, 2)):
+                x = G.random_element(rng, size)
+                if x[0] != e[0] and x[1] != e[1]:
+                    gens.append(x)
+            out.append((G, Subgroup.generated(G, gens), sigmas))
+    return out
+
+
+def test_diagonal_subgroups_of_products_against_brute_force():
+    # an element of a word ball lies in C_G(H) exactly when it commutes with
+    # H's generators, and in FC_G(H) exactly when its H-class is finite;
+    # every fails witness of relative Kleppner replays
+    rng = random.Random(2203)
+    seen = {"fails": 0, "holds": 0, "unknown": 0}
+    for G, H, sigmas in _diagonal_instances(rng):
+        steps = G.generators() + tuple(G.inv(s) for s in G.generators())
+        ball = {G.mul(a, b) for a in steps for b in steps} | set(steps)
+        ball |= {G.random_element(rng, 3) for _ in range(20)}
+        cent = centralizer_of_subgroup(G, H)
+        fc = fc_centralizer(G, H)
+        for x in sorted(ball, key=G.element_key):
+            assert cent.contains(x) is all(G.commutes(x, h) for h in H.generators()), (H, x)
+            assert fc.subgroup.contains(x) is h_conjugacy_class(x, H).finite, (H, x)
+        for sig in sigmas:
+            r = relative_kleppner(G, H, sig)
+            seen[r.status] += 1
+            if r.fails:
+                rep = r.witness.elements[0]
+                assert h_conjugacy_class(rep, H) == r.witness
+                assert is_sigma_regular(rep, H, sig).holds
+    assert seen["fails"] and seen["holds"]
 
 
 def test_sigma_regular_subgroup_full_group():

@@ -31,6 +31,6 @@ from .regularity import (SigmaCentralizerResult, is_sigma_regular, kleppner,
 from .report import Report, run
 from .tribool import TriBool
 from .verdicts import (LatticeResult, Verdict, cstar_irreducible, intermediate_lattice,
-                       twisted_simplicity, twisted_simplicity_subgroup)
+                       twisted_simplicity)
 
 __version__ = "0.1.0"

@@ -266,7 +266,8 @@ class Group:
 
     # -- structure queries ------------------------------------------------
     # Each kind overrides the queries it answers in closed form; apart from
-    # is_normal and predicate, these defaults are the undecided answers.
+    # is_normal, center_of_subgroup and predicate, these defaults are the
+    # undecided answers.
 
     def h_conjugacy_class(self, g: Element, H) -> Classification:
         """{h g h^-1 : h in H}."""
@@ -279,6 +280,16 @@ class Group:
     def centralizer_of_subgroup(self, H):
         """C_G(H) as a described subgroup, or None."""
         return None
+
+    def center_of_subgroup(self, H):
+        """Z(H) = C_G(H) ∩ H as a described subgroup, or None: enumerated when
+        H is finite, H itself when H is abelian."""
+        from .subgroups import Subgroup
+        gens, elems = H.generators(), H.enumerate_elements()
+        if elems is not None:
+            return Subgroup.finite_subset(
+                self, [z for z in elems if all(self.commutes(z, h) for h in gens)])
+        return H if all(self.commutes(a, b) for a, b in itertools.combinations(gens, 2)) else None
 
     def fc_centralizer(self, H) -> FCInfo:
         return FCInfo(None, note=f"no FC-centralizer rule for {self.name}")

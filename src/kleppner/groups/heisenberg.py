@@ -128,6 +128,12 @@ class Heisenberg(Group):
         # the center and the kernel directions generate C_G(H)
         return Subgroup.generated(self, [(v[0], v[1], 0) for v in kernel] + [(0, 0, 1)])
 
+    def center_of_subgroup(self, H):
+        # an abelian H is its own centre; a nonabelian H meets the centre of G
+        # in <(0, 0, d3)>, its central basis vector
+        return super().center_of_subgroup(H) or Subgroup.generated(
+            self, [h for h in H.generators() if h[:2] == (0, 0)])
+
     def fc_centralizer(self, H):
         # a class is a singleton or infinite, so FC_G(H) = C_G(H)
         c = self.centralizer_of_subgroup(H)

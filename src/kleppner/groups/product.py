@@ -166,6 +166,14 @@ class DirectProduct(Group):
             return None
         return Subgroup.product(self, cl, cr)
 
+    def center_of_subgroup(self, H):
+        parts = self._factors(H)
+        if parts is None:
+            return super().center_of_subgroup(H)
+        zl = self.left.center_of_subgroup(parts[0])
+        zr = self.right.center_of_subgroup(parts[1])
+        return None if zl is None or zr is None else Subgroup.product(self, zl, zr)
+
     def fc_centralizer(self, H):
         parts = self._projections(H)
         li = self.left.fc_centralizer(parts[0])

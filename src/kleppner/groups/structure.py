@@ -7,8 +7,9 @@ form (h1,h2) -> h1*g2 - h2*g1 (heisenberg.py); free groups use cyclic
 centralizers (free.py); direct products read their answers off the factor
 projections of H (product.py).  The Group base class (base.py) gives the
 undecided answers, an unknown class, None and an unknown FC-centralizer,
-with no search, and the generator conjugation check for normality; it also
-derives the catalog predicates.
+with no search, the generator conjugation check for normality and the
+centre of an abelian or finite subgroup; it also derives the catalog
+predicates.
 """
 
 from __future__ import annotations

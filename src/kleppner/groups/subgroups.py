@@ -4,8 +4,10 @@ Each kind of subgroup is a subclass of ``Subgroup`` that carries exactly the
 structure the decision procedures can exploit and answers the queries in its
 own class: membership, generators, enumeration (finite cases), index, plus
 conversion of the subgroup to a standalone catalog group together with the
-embedding (``as_group``).  Generated subgroups of infinite groups may
-legitimately have undecided membership; queries then return None.
+embedding (``as_group``), which the twisted-centralizer lattice solver and
+``cocycles.transport`` read; the decision procedures decide (H, sigma|_H)
+inside the parent.  Generated subgroups of infinite groups may legitimately
+have undecided membership; queries then return None.
 
 This module holds the kinds every group has (full, trivial, finite subset,
 generated); each group module defines its own kinds: ``Sublattice`` in
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
-from .base import Classification, Element, Group, GroupError, finite_class
+# Classification and finite_class are read from here by other modules
+from .base import Classification, Element, Group, GroupError, finite_class  # noqa: F401
 
 
 class Infinite:
@@ -42,17 +45,6 @@ INFINITE = Infinite()
 class AsGroup(NamedTuple):
     group: Group
     embed: Callable[[Element], Element]  # subgroup-group element -> parent element
-
-    def lift(self, witness, parent: Group):
-        """A witness found in the standalone group, carried into the parent: a
-        finite class becomes its embedded elements in the parent's order, an
-        element its image; an infinite or unknown classification is unchanged."""
-        if isinstance(witness, Classification):
-            if witness.finite:
-                return finite_class(sorted(map(self.embed, witness.elements),
-                                           key=parent.element_key))
-            return witness
-        return self.embed(witness)
 
 
 @dataclass(frozen=True)

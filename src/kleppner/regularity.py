@@ -11,6 +11,10 @@ The relative Kleppner decision runs a fixed, reported strategy chain:
       classes, with the enumerator of (a);
   (e) unknown, with the blocking reason.
 
+Kleppner's condition for a restriction (H, sigma|_H) runs the same chain
+inside G, on the classes of elements of H, with Z(H) = C_G(H) ∩ H for
+C_G(H); no standalone group is built.
+
 Failure witnesses are explicit finite classes replayable through the kernels.
 Enumerated witnesses are least under the group's element ordering; lattice
 witnesses are least in the lattice's coordinates (README, "Decision
@@ -20,11 +24,12 @@ procedures").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Optional
 
 from . import tribool as tb
-from .cocycles import Cocycle, commutation_trivial, transport
+from .cocycles import Cocycle, commutation_trivial
 from .groups.base import Classification, Element, Group, GroupError
 from .groups.structure import (centralizer_generators, centralizer_of_subgroup,
                                fc_centralizer, h_conjugacy_class)
@@ -107,18 +112,24 @@ class SigmaCentralizerResult:
         return f"SigmaCentralizerResult({d}, trivial={self.is_trivial.status})"
 
 
-def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizerResult:
+def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle, *,
+                      restricted: bool = False) -> SigmaCentralizerResult:
+    """With restricted, the twisted centre of (H, sigma|_H): C_G(H) becomes
+    Z(H) = C_G(H) ∩ H."""
     if H.parent is not G or sigma.group is not G:
         raise GroupError("group, subgroup and cocycle must be aligned")
-    cent = centralizer_of_subgroup(G, H)
+    name = "Z(H)" if restricted else "C_G(H)"
+    cent = G.center_of_subgroup(H) if restricted else centralizer_of_subgroup(G, H)
     if cent is None:
-        return SigmaCentralizerResult(None, tb.unknown("C_G(H) outside the catalog"))
+        return SigmaCentralizerResult(None, tb.unknown(f"{name} outside the catalog"))
     if cent.is_trivial_subgroup():
-        return SigmaCentralizerResult(cent, tb.holds("already C_G(H) = {e}"), cent)
+        return SigmaCentralizerResult(cent, tb.holds(f"already {name} = {{e}}"), cent)
     hgens = H.generators()
 
-    if sigma.is_trivial_like():
-        # every element is regular, so the twisted centralizer is C_G(H) itself
+    if sigma.is_trivial_like() and not restricted:
+        # every element is regular, so the twisted centralizer is C_G(H) itself;
+        # restricted, the routes below take the witness least in Z(H)'s own
+        # coordinates, as on H's standalone group
         gens = [g for g in cent.generators() if g != G.identity()]
         w = min(gens, key=G.element_key) if gens else None
         return SigmaCentralizerResult(cent, tb.fails(
@@ -135,7 +146,7 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizer
             w = min(nontrivial, key=G.element_key)
             return SigmaCentralizerResult(
                 desc, tb.fails(w, f"{G.element_str(w)} centralizes H and is regular"), cent)
-        return SigmaCentralizerResult(desc, tb.holds("enumerated C_G(H)"), cent)
+        return SigmaCentralizerResult(desc, tb.holds(f"enumerated {name}"), cent)
 
     lattice_data = G.centralizer_lattice(cent)
     if lattice_data is None:
@@ -146,7 +157,7 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle) -> SigmaCentralizer
                 return SigmaCentralizerResult(None, tb.fails(
                     g, f"{G.element_str(g)} centralizes H and is regular"), cent)
         return SigmaCentralizerResult(None, tb.unknown(
-            f"no exact twisted-centralizer route for C_G(H) = {cent.describe_desc()}"), cent)
+            f"no exact twisted-centralizer route for {name} = {cent.describe_desc()}"), cent)
     dim, embed, always_regular = lattice_data
     for extra in always_regular:
         # elements regular for free (e.g. a central commutator direction)
@@ -180,13 +191,15 @@ def _unit(dim: int, j: int) -> tuple[int, ...]:
 def _first_regular_class(G: Group, H: Subgroup, sigma: Cocycle,
                          elems) -> tuple[Optional[Classification], bool]:
     """The first regular nontrivial H-class of the finite H-invariant set elems
-    (on a finite table, of all of G), classes taken in order of their least
+    (None: all of G, a finite table), classes taken in order of their least
     element so that a witness is least, and whether some class was undecided.
     An undecided class is skipped: a later regular class still refutes."""
     e = G.identity()
     helems = H.enumerate_elements()
     if G.exact_kernel == "finite":
         classes = G.h_classes(helems)
+        if elems is not None:
+            classes = [c for c in classes if c[0] in elems]
     else:
         # None marks a class the catalog cannot bound
         classes, seen = [], set()
@@ -215,14 +228,21 @@ def _first_regular_class(G: Group, H: Subgroup, sigma: Cocycle,
     return None, undecided
 
 
-def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
-    """Is every nontrivial H-conjugacy class in G that is regular for sigma infinite?"""
+def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle, *,
+                      restricted: bool = False) -> TriBool:
+    """Is every nontrivial H-conjugacy class in G that is regular for sigma infinite?
+
+    With restricted, only the classes of elements of H count, which is
+    Kleppner's condition for (H, sigma|_H): each strategy reads Z(H) =
+    C_G(H) ∩ H for C_G(H) and FC_G(H) ∩ H for FC_G(H).
+    """
     if H.parent is not G or sigma.group is not G:
         raise GroupError("group, subgroup and cocycle must be aligned")
 
     # (a) finite table: exact enumeration
     if G.exact_kernel == "finite":
-        cls, _ = _first_regular_class(G, H, sigma, None)
+        cls, _ = _first_regular_class(G, H, sigma,
+                                      set(H.enumerate_elements()) if restricted else None)
         if cls is not None:
             return tb.fails(cls, "(a) finite enumeration: a nontrivial regular class exists")
         return tb.holds("(a) finite enumeration: every nontrivial H-class fails regularity")
@@ -232,38 +252,52 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
     # (b) the twisted centralizer.  A nontrivial w in C_G^sigma(H) centralizes
     # H, so its H-class is the regular singleton {w}, for every H.  When
     # FC_G(H) centralizes H, FC_G(H) = C_G(H) and every finite H-class is such
-    # a singleton, so relative Kleppner holds iff C_G^sigma(H) is trivial.
+    # a singleton, so relative Kleppner holds iff C_G^sigma(H) is trivial;
+    # restricted, FC_H(H) lies in Z(H) and C_H^sigma(H) decides the same way.
     fci = fc_centralizer(G, H)
     central = fci.known and all(G.commutes(f, h) for f in fci.subgroup.generators()
                                 for h in H.generators())
-    twisted = sigma_centralizer(G, H, sigma).is_trivial
+    twisted = sigma_centralizer(G, H, sigma, restricted=restricted).is_trivial
+    tc = "C_H^sigma(H)" if restricted else "C_G^sigma(H)"
     if twisted.fails:
         w = twisted.witness
         tag = "(b) FC_G(H) centralizes H: " if central else "(b) "
-        return tb.fails(finite_class([w]), f"{tag}C_G^sigma(H) contains {G.element_str(w)}")
+        return tb.fails(finite_class([w]), f"{tag}{tc} contains {G.element_str(w)}")
     if twisted.holds and central:
-        return tb.holds("(b) FC_G(H) centralizes H and C_G^sigma(H) is trivial")
+        return tb.holds(f"(b) FC_G(H) centralizes H and {tc} is trivial")
     if twisted.unknown:
         notes.append(f"(b) inconclusive: twisted centralizer {twisted.reason}")
 
-    # (x) a finite FC_G(H): decide its finitely many classes
-    elems = fci.finite_elements()
+    # (x) a finite FC_G(H): decide its finitely many classes.  Restricted,
+    # FC_G(H) ∩ H is all of a finite H, and an undecided membership blocks holds
+    elems, blocked = fci.finite_elements(), False
+    if restricted:
+        inside = H.enumerate_elements()
+        if inside is None and elems is not None:
+            member = [H.contains(f) for f in elems]
+            blocked, inside = None in member, [f for f, m in zip(elems, member) if m]
+        elems = inside
     if elems is None:
         notes.append("(x) skipped: FC-centralizer not enumerable")
     else:
         cls, undecided = _first_regular_class(G, H, sigma, elems)
+        undecided = undecided or blocked
         if cls is not None:
             return tb.fails(cls, "(x) finite FC-centralizer: regular nontrivial class")
         if not undecided:
             return tb.holds("(x) finite FC-centralizer: no nontrivial class is regular")
-        notes.append("(x) inconclusive: regularity undecided inside FC_G(H)")
+        notes.append(f"(x) inconclusive: {'membership in H' if blocked else 'regularity'} "
+                     "undecided inside FC_G(H)")
 
     return tb.unknown("; ".join(notes), "(e) undecided")
 
 
-def kleppner(G: Group, sigma: Cocycle) -> TriBool:
-    """No nontrivial finite sigma-regular conjugacy class in G."""
-    return relative_kleppner(G, Subgroup.full(G), sigma)
+def kleppner(G: Group, sigma: Cocycle, H: Optional[Subgroup] = None) -> TriBool:
+    """No nontrivial finite sigma-regular conjugacy class in G; given H, in
+    (H, sigma|_H), with H's classes decided inside G."""
+    if H is None or H.is_full():
+        return relative_kleppner(G, Subgroup.full(G), sigma)
+    return relative_kleppner(G, H, sigma, restricted=True)
 
 
 def relative_icc(G: Group, H: Subgroup) -> TriBool:
@@ -276,14 +310,13 @@ def relative_icc(G: Group, H: Subgroup) -> TriBool:
 # sigma-regular subgroups
 # ---------------------------------------------------------------------------
 
-# the counterexample search walks words of length at most SEARCH_LEN in the
-# generators of H and stops after SEARCH_CAP distinct elements
-SEARCH_LEN = 4
-SEARCH_CAP = 300
-
-
 def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
-    """Is every h in H that is regular w.r.t. H also regular w.r.t. G?"""
+    """Is every h in H that is regular w.r.t. H also regular w.r.t. G?
+
+    Exact: a finite table checks every element of H; otherwise an abelian H
+    with Kleppner's condition holds, and a generator of H, taken in
+    element_key order, can refute.  Anything else is unknown.
+    """
     if H.parent is not G or sigma.group is not G:
         raise GroupError("group, subgroup and cocycle must be aligned")
     if H.is_full():
@@ -292,50 +325,16 @@ def sigma_regular_subgroup(G: Group, H: Subgroup, sigma: Cocycle) -> TriBool:
         return tb.holds("cocycle is similar to trivial: every element is regular "
                         "w.r.t. every subgroup")
     full = Subgroup.full(G)
-
-    if G.exact_kernel == "finite":
-        for h in sorted(H.enumerate_elements(), key=G.element_key):
-            r_h = is_sigma_regular(h, H, sigma)
-            r_g = is_sigma_regular(h, full, sigma)
-            if r_h.holds and r_g.fails:
-                return tb.fails(h, f"{G.element_str(h)} is regular w.r.t. H but not w.r.t. G")
-        return tb.holds("checked every element of H")
-
-    tr = transport(sigma, H)
-    if tr is not None and tr[1].group.is_abelian:
-        restricted, asg = tr
-        inner = relative_kleppner(asg.group, Subgroup.full(asg.group), restricted)
-        if inner.holds:
-            return tb.holds("H abelian with Kleppner's condition: only e is regular "
-                            "w.r.t. H, and e is regular w.r.t. G")
-
-    # bounded counterexample search over short words in the generators of H
-    gens = H.generators()
-    seen = {G.identity()}
-    frontier = [G.identity()]
-    steps = list(gens) + [G.inv(g) for g in gens]
-    for _ in range(SEARCH_LEN):
-        new = []
-        for x in frontier:
-            for s in steps:
-                y = G.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if len(seen) > SEARCH_CAP:
-                        new = []
-                        frontier = []
-                        break
-            else:
-                continue
-            break
-        frontier = new
-    for h in sorted(seen, key=G.element_key):
-        if h == G.identity():
-            continue
-        r_h = is_sigma_regular(h, H, sigma)
-        r_g = is_sigma_regular(h, full, sigma)
-        if r_h.holds and r_g.fails:
+    finite = G.exact_kernel == "finite"
+    gens = sorted(H.enumerate_elements() if finite else H.generators(), key=G.element_key)
+    if not finite and all(G.commutes(a, b) for a, b in combinations(gens, 2)) \
+            and kleppner(G, sigma, H).holds:
+        return tb.holds("H abelian with Kleppner's condition: only e is regular "
+                        "w.r.t. H, and e is regular w.r.t. G")
+    for h in gens:
+        if is_sigma_regular(h, H, sigma).holds and is_sigma_regular(h, full, sigma).fails:
             return tb.fails(h, f"{G.element_str(h)} is regular w.r.t. H but not w.r.t. G")
-    return tb.unknown(f"no counterexample among {len(seen)} short elements of H; "
-                      "no closing rule applies")
+    if finite:
+        return tb.holds("checked every element of H")
+    return tb.unknown("no generator of H is regular w.r.t. H but not w.r.t. G, "
+                      "and no closing rule applies")

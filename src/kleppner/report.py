@@ -22,7 +22,7 @@ from .oracle import relative_commutant_dim
 from .regularity import kleppner, relative_kleppner, sigma_centralizer
 from .tribool import TriBool
 from .verdicts import (LatticeResult, Verdict, cstar_irreducible, intermediate_lattice,
-                       twisted_simplicity_subgroup)
+                       twisted_simplicity)
 
 SCHEMA_VERSION = 1
 
@@ -204,7 +204,7 @@ def run(config: InstanceConfig) -> Report:
     if "verdict" in config.analyses:
         p["verdict"] = _verdict_dict(G, verdict)
         p["normal"] = _tribool_dict(G, is_normal(H))
-        ts = twisted_simplicity_subgroup(H, sigma)
+        ts = twisted_simplicity(G, sigma, H)
         p["subgroup-simplicity"] = _verdict_dict(G, ts)
 
     if "lattice" in config.analyses:

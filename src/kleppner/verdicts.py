@@ -11,13 +11,13 @@ wins, and anything undecided stays inconclusive rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Iterable, Optional
 
-from .cocycles import Cocycle, transport
+from .cocycles import Cocycle
 from .groups.base import Group, GroupError, LatticeResult
-from .groups.structure import is_cstar_simple, is_fc_hypercentral, is_normal
+from .groups.structure import is_normal
 from .groups.subgroups import Subgroup
 from .regularity import kleppner, relative_kleppner, sigma_centralizer
 from .tribool import TriBool
@@ -90,65 +90,42 @@ def _verdict(conclusion: str, rule: str, premises: Iterable[tuple[str, str]],
                    witness, tuple(notes))
 
 
-def _on_standalone(H: Subgroup, sigma: Cocycle, decide):
-    """decide(group, cocycle) on H's standalone group and sigma|_H, with its
-    witness lifted back into the ambient group; None when H has no standalone
-    catalog form."""
-    tr = transport(sigma, H)
-    if tr is None:
-        return None
-    restricted, asg = tr
-    out = decide(asg.group, restricted)
-    if out.witness is None or asg.group is H.parent:
-        return out
-    return replace(out, witness=asg.lift(out.witness, H.parent))
-
-
 # ---------------------------------------------------------------------------
 # twisted simplicity
 # ---------------------------------------------------------------------------
 
-def twisted_simplicity(G: Group, sigma: Cocycle) -> Verdict:
-    """Simplicity of the twisted group algebra of (G, sigma), by catalog rules."""
-    if sigma.group is not G:
-        raise GroupError("cocycle must live on the group")
+def twisted_simplicity(G: Group, sigma: Cocycle, H: Optional[Subgroup] = None) -> Verdict:
+    """Simplicity of the twisted group algebra of (G, sigma), or given H of
+    (H, sigma|_H), by catalog rules; witnesses are elements of G."""
+    if sigma.group is not G or (H is not None and H.parent is not G):
+        raise GroupError("group, subgroup and cocycle must be aligned")
+    if H is None:
+        H = Subgroup.full(G)
     notes: list[str] = []
     k: Optional[TriBool] = None
 
-    fch = is_fc_hypercentral(G)
+    fch = G.predicate(H, "fc_hypercentral")
     if fch.holds:
-        k = kleppner(G, sigma)
+        k = kleppner(G, sigma, H)
         if k.decided:
             return _verdict(HOLDS if k.holds else FAILS, "kleppner-center",
                             [("FC-hypercentral", fch.status), ("kleppner", k.status)],
                             k.witness, k.notes)
         notes.append("Kleppner's condition undecided despite FC-hypercentrality")
 
-    cs = is_cstar_simple(G)
+    cs = G.predicate(H, "cstar_simple")
     if cs.holds:
         return _verdict(HOLDS, "untwisted-cstar-simple", [("C*-simple", cs.status)],
                         notes=cs.notes)
 
     if k is None:
-        k = kleppner(G, sigma)
+        k = kleppner(G, sigma, H)
     if k.fails:
         return _verdict(FAILS, "kleppner-necessary", [("kleppner", k.status)], k.witness, k.notes)
 
     notes.append(f"missing premises: FC-hypercentral={fch.status}, "
                  f"C*-simple={cs.status}, kleppner={k.status}")
     return Verdict(INCONCLUSIVE, (), notes=tuple(notes))
-
-
-def twisted_simplicity_subgroup(H: Subgroup, sigma: Cocycle) -> Verdict:
-    """twisted_simplicity of (H, sigma|_H) through the standalone form of H.
-
-    Witnesses are lifted back into the ambient group.
-    """
-    v = _on_standalone(H, sigma, twisted_simplicity)
-    if v is None:
-        return Verdict(INCONCLUSIVE, (),
-                       notes=(f"{H.describe_desc()} has no standalone catalog form",))
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +149,7 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
     notes: list[str] = []
     rk = cache(lambda: relative_kleppner(G, H, sigma))
     sc = cache(lambda: sigma_centralizer(G, H, sigma).is_trivial)
-    ts = cache(lambda: twisted_simplicity_subgroup(H, sigma))
+    ts = cache(lambda: twisted_simplicity(G, sigma, H))
 
     fch_h = G.predicate(H, "fc_hypercentral")
     cs_h = G.predicate(H, "cstar_simple")
@@ -211,8 +188,8 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
         if s.fails:
             return _verdict(FAILS, rule, [prime_fact, fch_fact, trivial_fact], s.witness,
                             notes + list(s.notes))
-        inner = _on_standalone(H, sigma, kleppner)
-        if inner is not None and inner.decided:
+        inner = kleppner(G, sigma, H)
+        if inner.decided:
             inner_fact = ("kleppner for (H, sigma|_H)", inner.status)
             if inner.fails:
                 return _verdict(FAILS, rule, [prime_fact, fch_fact, inner_fact], inner.witness,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,19 @@ def test_fixtures_parse_and_run(path):
     # the whole report, timing aside, is pinned byte for byte
     golden = (GOLDEN / f"{path.stem}.json").read_text()
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == golden
+
+
+@pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
+def test_subgroup_simplicity_notes_name_elements_of_g(path):
+    # (H, sigma|_H) is decided inside G, so an element a note names is an
+    # element of G, never a coordinate vector of H's own
+    config = parse_config(path.read_text(), name=path.stem)
+    payload = run(config).to_dict(include_timing=False)
+    notes = payload.get("subgroup-simplicity", {}).get("notes", [])
+    named = [m for note in notes for m in re.findall(r"contains (\(.*\))$", note)]
+    for text in named:
+        config.group.parse_element(text)
+    assert named or path.stem != "heisenberg_rational"
 
 
 def test_empty_config_reports_missing_group():

@@ -857,8 +857,9 @@ def test_every_spelling_of_a_heisenberg_subgroup_gets_one_answer():
 
 def test_three_spellings_of_the_index_2_congruence_subgroup_hold():
     """{2 | a1} spelled by its basis, by a slanted generator or by the
-    builder: holds by relative Kleppner with HeisenbergCocycle(0, theta),
-    with the divisors of 2 as its lattice."""
+    builder: holds with HeisenbergCocycle(0, theta), as a prime FC-hypercentral
+    H whose restriction satisfies Kleppner's condition and whose twisted
+    centralizer is trivial, with the divisors of 2 as its lattice."""
     sigma = _cocycles()[0]
     answers = []
     for H in (Subgroup.heis_congruence(HEIS, 2),
@@ -868,7 +869,7 @@ def test_three_spellings_of_the_index_2_congruence_subgroup_hold():
         lattice = intermediate_lattice(HEIS, H, sigma, verdict=v)
         assert H.describe_desc() == "{(a1, a2, a3) : 2 | a1}" and H.index() == 2
         assert v.holds and [step.rule for step in v.chain] == \
-            ["fch-or-csimple-relative-kleppner"]
+            ["prime-fch-twisted-centralizer"]
         assert lattice.status == "ok" and lattice.count == 2
         answers.append((v, lattice))
     assert answers[0] == answers[1] == answers[2]

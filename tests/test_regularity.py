@@ -560,6 +560,13 @@ def test_unknown_paths_are_honest():
     sig = ProductCocycle(G, rotation_cocycle(Z2, TH), PhaseTableCocycle(k4, tbl))
     r = relative_kleppner(G, Subgroup.full(G), sig)
     assert r.unknown and r.reason.startswith("(b) inconclusive")
+    # <(a, 1), (b, 0)> in F_2 x Z_2: FC_G(H) = {e} x Z_2, but whether (e, 1)
+    # lies in H is undecided, so Kleppner for (H, sigma|_H) cannot hold
+    H = Subgroup.generated(F2Z2, [(F2.parse_element("a"), 1), (F2.parse_element("b"), 0)])
+    assert H.contains((F2.identity(), 1)) is None
+    r = kleppner(F2Z2, TrivialCocycle(F2Z2), H)
+    assert r.unknown
+    assert r.reason.endswith("(x) inconclusive: membership in H undecided inside FC_G(H)")
 
 
 def _diagonal_instances(rng):
@@ -618,12 +625,13 @@ def test_sigma_regular_subgroup_unknown_honest():
     # subgroup, so <a^2, b^2> in F_2 is regular exactly
     squares = Subgroup.generated(F2, [F2.parse_element("a^2"), F2.parse_element("b^2")])
     assert sigma_regular_subgroup(F2, squares, TrivialCocycle(F2)).holds
-    # under sigma_1, <a^2, b^2> x {0} is nonabelian: the bounded search
-    # finds nothing and no closing rule applies
+    # under sigma_1, <a^2, b^2> x {0} is nonabelian: neither generator
+    # refutes and no closing rule applies
     sub = Subgroup.product(F2Z2, squares, Subgroup.trivial(F2Z2.right))
     r = sigma_regular_subgroup(F2Z2, sub, F2Z2Cocycle(F2Z2, 1))
     assert r.unknown
-    assert r.reason.startswith("no counterexample among 161 short elements")
+    assert r.reason == ("no generator of H is regular w.r.t. H but not w.r.t. G, "
+                        "and no closing rule applies")
 
 
 def test_pointwise_regularity_similarity_invariant():
@@ -642,6 +650,36 @@ def test_pointwise_regularity_similarity_invariant():
     for _ in range(60):
         g = HEIS.random_element(rng, 4)
         assert is_sigma_regular(g, hsub, hbase).status == is_sigma_regular(g, hsub, htw).status
+
+
+def test_kleppner_of_nonabelian_heisenberg_subgroups_in_place():
+    # these subgroups have no standalone form; Kleppner for (H, sigma|_H) is
+    # decided inside G, where a finite H-class of an element of H is a
+    # singleton of Z(H) = <(0, 0, d3)>: a fails witness is a regular element of
+    # it, and a holds survives a ball check of H's central elements
+    b = IrrationalBasis(["gamma"])
+    sigmas = [TrivialCocycle(HEIS)] + [
+        heis_cocycle(b.rational(Fraction(p, 6)) + b.symbol("gamma", s), b.rational(Fraction(q, 4)))
+        for p, q, s in ((0, 1, 1), (1, 0, 0), (2, 3, 0), (3, 2, 0), (0, 0, 0))]
+    ball = [x for x in product(range(-6, 7), repeat=3) if any(x)]
+    outcomes = set()
+    for gens in ([(2, 0, 0), (0, 1, 0)], [(1, 1, 0), (0, 3, 0)],
+                 [(2, 1, 1), (0, 2, 1), (0, 0, 6)], [(3, 0, 1), (0, 2, 0)]):
+        H = Subgroup.generated(HEIS, gens)
+        assert H.as_group() is None
+        central = [x for x in ball if H.contains(x)
+                   and all(HEIS.commutes(x, h) for h in H.generators())]
+        for sigma in sigmas:
+            r = kleppner(HEIS, sigma, H)
+            outcomes.add(r.status)
+            if r.fails:
+                (w,) = r.witness.elements
+                assert H.contains(w) and all(HEIS.commutes(w, h) for h in H.generators())
+                assert is_sigma_regular(w, H, sigma).holds, (gens, sigma)
+            else:
+                assert r.holds, (gens, sigma)
+                assert not any(is_sigma_regular(x, H, sigma).holds for x in central)
+    assert outcomes == {"holds", "fails"}
 
 
 def test_kleppner_on_a_large_lattice_is_fast():

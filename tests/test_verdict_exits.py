@@ -1,7 +1,7 @@
-"""Every exit of cstar_irreducible and twisted_simplicity that a catalog input
-reaches, pinned: the full report dict (conclusion, rule, premises, witness and
-notes) of one instance per exit must equal the one recorded in
-golden/verdict_exits.json."""
+"""Every exit of cstar_irreducible and twisted_simplicity (of G, and of a
+subgroup H in place) that a catalog input reaches, pinned: the full report
+dict (conclusion, rule, premises, witness and notes) of one instance per exit
+must equal the one recorded in golden/verdict_exits.json."""
 
 import json
 from fractions import Fraction
@@ -11,11 +11,12 @@ import pytest
 
 from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, PhaseTableCocycle,
                                ProductCocycle, TrivialCocycle, rotation_cocycle)
-from kleppner.groups import DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup, from_name
+from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
+                             finite_class, from_name)
 from kleppner.phases import IrrationalBasis, Phase
 from kleppner.regularity import is_sigma_regular
 from kleppner.report import _verdict_dict
-from kleppner.verdicts import cstar_irreducible, twisted_simplicity, twisted_simplicity_subgroup
+from kleppner.verdicts import cstar_irreducible, twisted_simplicity
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verdict_exits.json"
 
@@ -104,12 +105,18 @@ TWISTED = {
     "inconclusive": _heis_times_s3,
 }
 
+def _congruence_times_s3():
+    # as for Heis x S_3 above: Z(H) = <(0, 0, 1)> x {e} has a trivial twisted
+    # part, but FC_G(H) does not centralize H and is not finite
+    G, sigma = _heis_times_s3()
+    return G, Subgroup.product(G, Subgroup.heis_congruence(HEIS, 2), Subgroup.full(G.right)), sigma
+
+
 SUBGROUP = {
-    # a failing witness found on H = {(0, b, c)} = Z^2 is lifted into Heis
-    "lifted witness": lambda: (HEIS, Subgroup.coordinate_zero(HEIS, {0}),
-                               HeisenbergCocycle(HEIS, GAMMA, B.rational(Fraction(1, 3)))),
-    "no standalone form": lambda: (HEIS, Subgroup.heis_congruence(HEIS, 2),
-                                   TrivialCocycle(HEIS)),
+    # the witness of H = {(0, b, c)} is an element of Heis, not a vector of Z^2
+    "kleppner-center fails": lambda: (HEIS, Subgroup.coordinate_zero(HEIS, {0}),
+                                      HeisenbergCocycle(HEIS, GAMMA, B.rational(Fraction(1, 3)))),
+    "inconclusive": _congruence_times_s3,
 }
 
 
@@ -125,14 +132,14 @@ def _twisted(build):
 
 def _subgroup(build):
     G, H, sigma = build()
-    return G, twisted_simplicity_subgroup(H, sigma)
+    return G, twisted_simplicity(G, sigma, H)
 
 
 # golden key -> thunk returning (G, verdict)
 CASES = {
     **{f"cstar_irreducible: {k}": (lambda b=b: _cstar(b)) for k, b in CSTAR.items()},
     **{f"twisted_simplicity: {k}": (lambda b=b: _twisted(b)) for k, b in TWISTED.items()},
-    **{f"twisted_simplicity_subgroup: {k}": (lambda b=b: _subgroup(b))
+    **{f"twisted_simplicity(G, sigma, H): {k}": (lambda b=b: _subgroup(b))
        for k, b in SUBGROUP.items()},
 }
 EXPECTED = json.loads(GOLDEN.read_text())
@@ -148,8 +155,6 @@ def test_verdict_exit_matches_golden(name):
     assert _verdict_dict(G, verdict) == EXPECTED[name]
     rules = [step.rule for step in verdict.chain]
     exit_name = name.split(": ", 1)[1]
-    if name.startswith("twisted_simplicity_subgroup"):
-        return
     if exit_name == "inconclusive":
         assert verdict.inconclusive and rules == []
     else:
@@ -164,5 +169,12 @@ def test_former_congruence_instances_are_decided():
     v = cstar_irreducible(HEIS, H, trivial)
     assert v.fails and [step.rule for step in v.chain] == ["prime-fch-twisted-centralizer"]
     assert v.witness == (0, 0, 1) and is_sigma_regular(v.witness, H, trivial).holds
+    # H's basis does not commute, so H has no standalone form; (H, sigma|_H) is
+    # decided inside G, where Z(H) = <(0, 0, 1)>
+    v = twisted_simplicity(HEIS, trivial, H)
+    assert v.fails and [step.rule for step in v.chain] == ["kleppner-center"]
+    assert v.witness == finite_class([(0, 0, 1)])
+    # Kleppner's condition for (H, sigma|_H) is decided inside G, so rule 3
+    # decides before relative Kleppner is asked
     v = cstar_irreducible(HEIS, H, HeisenbergCocycle(HEIS, B.rational(0), THETA))
-    assert v.holds and [step.rule for step in v.chain] == ["fch-or-csimple-relative-kleppner"]
+    assert v.holds and [step.rule for step in v.chain] == ["prime-fch-twisted-centralizer"]

@@ -1,19 +1,22 @@
+import importlib
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_acceptance import sweep_group_names
 
 from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, SeededBeta, TrivialCocycle,
-                               rotation_cocycle, similarity_transform, three_torus_cocycle)
+                               rotation_cocycle, similarity_transform, three_torus_cocycle,
+                               transport)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
                              centralizer_of_subgroup, from_name)
 from kleppner.oracle import center_dim, relative_commutant_dim
 from kleppner.phases import IrrationalBasis, Phase
 from kleppner.groups.subgroups import INFINITE, Classification
 from kleppner.randomized import random_table_cocycle
-from kleppner.regularity import is_sigma_regular
+from kleppner.regularity import is_sigma_regular, kleppner
 from kleppner.verdicts import cstar_irreducible, intermediate_lattice, twisted_simplicity
 
 B = IrrationalBasis(["theta"])
@@ -285,3 +288,84 @@ def test_readme_rule_table_matches_rules():
         for rule in re.findall(r"`([^`]+)`", key):
             rows[rule] = statement.replace("\\|", "|")
     assert rows == _RULES
+
+
+# ---------------------------------------------------------------------------
+# (H, sigma|_H) decided in place, against H's standalone group
+# ---------------------------------------------------------------------------
+
+def _lift(witness, asg, G):
+    """A witness found on H's standalone group, carried into G: a finite class
+    becomes its embedded elements in G's order, an element its image."""
+    if isinstance(witness, Classification):
+        if witness.finite:
+            return Classification("finite", tuple(sorted(map(asg.embed, witness.elements),
+                                                         key=G.element_key)))
+        return witness
+    return None if witness is None else asg.embed(witness)
+
+
+def _restriction_instances(workloads):
+    """(G, H, sigma): Z^2 and Z^3 sublattices of every kind the decide
+    workload draws, Heisenberg coordinate, echelon and congruence subgroups,
+    product subgroups of F_2 x Z_2, and every subgroup of the swept finite
+    tables under the trivial and seeded table cocycles."""
+    rng = random.Random(29)
+    for r in (2, 3):
+        for nsym in (0, 1, 2):
+            for kind in range(3):
+                for _ in range(3):
+                    G, H, sigma = workloads._zr(rng, r, nsym, kind)
+                    yield G, H, sigma
+                    yield G, workloads._sublattice(rng, G, kind), TrivialCocycle(G)
+    bh = IrrationalBasis(["gamma", "theta"])
+    heis_cocycles = [TrivialCocycle(HEIS)] + [
+        HeisenbergCocycle(HEIS, bh.rational(Fraction(a, 6)) + bh.symbol("gamma", s),
+                          bh.rational(Fraction(b, 4)) + bh.symbol("theta", t))
+        for a, b, s, t in ((0, 0, 1, 1), (1, 2, 0, 0), (3, 1, 0, 1), (2, 3, 1, 0))]
+    heis_subs = [Subgroup.coordinate_zero(HEIS, z) for z in ({0}, {1}, {0, 1}, {1, 2}, {0, 2})]
+    heis_subs += [Subgroup.generated(HEIS, gens) for gens in (
+        [(2, 1, 0), (0, 0, 3)], [(1, 1, 5)], [(0, 2, 1), (0, 0, 4)], [(3, 0, 0), (0, 0, 2)])]
+    heis_subs += [Subgroup.heis_congruence(HEIS, m) for m in (2, 3)]
+    for H in heis_subs:
+        for sigma in heis_cocycles:
+            yield HEIS, H, sigma
+    a, b = F2.parse_element("a"), F2.parse_element("b")
+    left = [Subgroup.full(F2), Subgroup.trivial(F2), Subgroup.generated(F2, [a]),
+            Subgroup.generated(F2, [F2.mul(a, b)])]
+    for L in left:
+        for R in (Subgroup.full(F2Z2.right), Subgroup.trivial(F2Z2.right)):
+            H = Subgroup.product(F2Z2, L, R)
+            for sigma in [TrivialCocycle(F2Z2)] + [F2Z2Cocycle(F2Z2, j) for j in (1, 2, 3)]:
+                yield F2Z2, H, sigma
+    for name in sweep_group_names():
+        G = from_name(name)
+        for sigma in (TrivialCocycle(G), random_table_cocycle(G, rng),
+                      random_table_cocycle(G, rng)):
+            for hset in G.all_subgroups():
+                yield G, Subgroup.finite_subset(G, hset), sigma
+
+
+def test_kleppner_in_place_agrees_with_standalone_groups(monkeypatch):
+    # wherever H's standalone group decides (H, sigma|_H), the answer in G is
+    # the same, with the standalone witness embedded
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    decided = 0
+    for G, H, sigma in _restriction_instances(importlib.import_module("workloads")):
+        tr = transport(sigma, H)
+        if tr is None:  # no standalone form
+            continue
+        restricted, asg = tr
+        want_k = kleppner(asg.group, restricted)
+        got_k = kleppner(G, sigma, H)
+        if want_k.decided:
+            decided += 1
+            assert (got_k.status, got_k.witness) == \
+                (want_k.status, _lift(want_k.witness, asg, G)), (H, sigma)
+        want = twisted_simplicity(asg.group, restricted)
+        got = twisted_simplicity(G, sigma, H)
+        if not want.inconclusive:
+            decided += 1
+            assert (got.conclusion, got.chain, got.witness) == \
+                (want.conclusion, want.chain, _lift(want.witness, asg, G)), (H, sigma)
+    assert decided >= 1200

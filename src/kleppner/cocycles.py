@@ -76,6 +76,29 @@ class Cocycle:
         """Syntactically a coboundary of the trivial cocycle (sufficient check only)."""
         return False
 
+    @cached_property
+    def twist_obstructions(self) -> tuple[int, ...]:
+        """On a finite table group: obs[g] has bit h set when g h = h g and
+        sigma(g, h) != sigma(h, g).  So g is regular with respect to a
+        subgroup whose elements are the set bits of hmask exactly when
+        obs[g] & hmask == 0.  Read off commutation_int once per pair h < g,
+        both bits at once; the diagonal bits are 0.  A cocycle is immutable,
+        so every query about it reads the same masks."""
+        table = self.group.table
+        den, comm = self.den, self.commutation_int
+        symbolic = bool(self.basis.symbols)
+        obs = [0] * len(table)
+        for g, tg in enumerate(table):
+            bits = 0
+            for h in range(g):
+                if tg[h] == table[h][g]:
+                    v = comm(g, h)  # not _is_zero(den, v), inlined
+                    if v[0] % den or symbolic and any(v[1:]):
+                        bits |= 1 << h
+                        obs[h] |= 1 << g
+            obs[g] |= bits
+        return tuple(obs)
+
     # sampling domain: restrictions narrow this to their subgroup
     def random_domain_element(self, rng: random.Random, size: int = 6) -> Element:
         return self.group.random_element(rng, size)
@@ -278,6 +301,15 @@ class PhaseTableCocycle(Cocycle):
     @cached_property
     def table(self) -> tuple[tuple[Phase, ...], ...]:
         return tuple(tuple(_make(EMPTY_BASIS, self.den, [v]) for v in row) for row in self.ints)
+
+    @cached_property
+    def generator_row_failure(self) -> tuple | None:
+        """_table_identity_failure on the rows of ``G.generators()`` (the
+        identity's row on the trivial group): None exactly when the table is
+        a cocycle.  Scanned once per table; _validate_table_fast and
+        build_regular_rep both read it."""
+        G = self.group
+        return _table_identity_failure(self, G.generators() or [G.identity()])
 
     def int_value(self, g, h) -> list[int]:
         return [self.ints[g][h]]
@@ -699,8 +731,10 @@ def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
     d(g, h, k) term by term, so if row s holds, row sg holds exactly when
     row g does.  Row e holds on a normalized table, which PhaseTableCocycle
     enforces, and every element of a finite group is a positive word in S.
-    So _validate_table_fast and build_regular_rep check only the generator
-    rows unless a row fails or build_regular_rep is asked for all."""
+    So PhaseTableCocycle.generator_row_failure scans only the generator
+    rows, once per table, and _validate_table_fast and build_regular_rep
+    read it; all rows are scanned only when a row fails or
+    build_regular_rep is asked for all."""
     den, t, mul = sigma.den, sigma.ints, sigma.group.table
     elems = range(sigma.group.order)
     for g in rows:
@@ -717,19 +751,19 @@ def _validate_table_fast(sigma: "PhaseTableCocycle") -> ValidationResult:
     """Table validation on integers modulo the common denominator, exact.
 
     The rows of ``G.generators()`` go first (the identity's row on the
-    trivial group, whose generating set is empty); by _table_identity_failure
-    they decide every row, so a pass reports mode "generators" with
-    |S| n^2 checks.  A table they refuse is rescanned on all rows in order:
-    mode "exhaustive", its witness the first failing triple, ``checks`` the
-    triples up to and including it.
+    trivial group, whose generating set is empty), read from the table's
+    generator_row_failure; by _table_identity_failure they decide every
+    row, so a pass reports mode "generators" with |S| n^2 checks.  A table
+    they refuse is rescanned on all rows in order: mode "exhaustive", its
+    witness the first failing triple, ``checks`` the triples up to and
+    including it.
 
     Normalization needs no check: PhaseTableCocycle refuses a table that is not
     normalized at the identity, and its integer table is immutable."""
     G = sigma.group
     n = G.order
-    gens = G.generators() or [G.identity()]
-    if _table_identity_failure(sigma, gens) is None:
-        checks = len(gens) * n * n
+    if sigma.generator_row_failure is None:
+        checks = len(G.generators() or [G.identity()]) * n * n
         return ValidationResult(True, None, checks, "generators", "", checks)
     witness = _table_identity_failure(sigma, range(n))
     g, h, k = witness

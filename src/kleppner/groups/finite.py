@@ -98,6 +98,9 @@ class FiniteTable(Group):
     def inv(self, a: int) -> int:
         return self.inv_table[a]
 
+    def commutes(self, a: int, b: int) -> bool:
+        return self.table[a][b] == self.table[b][a]
+
     def conj(self, g: int, x: int) -> int:
         return self.table[self.table[g][x]][self.inv_table[g]]
 
@@ -170,14 +173,21 @@ class FiniteTable(Group):
         return Subgroup.finite_subset(self, self.closure(gens))
 
     def all_subgroups(self) -> list[frozenset[int]]:
-        """Every subgroup, as frozensets of element indices (deterministic order)."""
+        """Every subgroup, as frozensets of element indices (deterministic order).
+
+        Each subgroup s found is extended by one x per left coset x s other
+        than s itself: <s, x y> = <s, x> for y in s, so the rest of the coset
+        adds nothing."""
         found = {frozenset([self.e])}
         frontier = [frozenset([self.e])]
         while frontier:
             s = frontier.pop()
+            covered = set(s)
             for x in range(self.n):
-                if x in s:
+                if x in covered:
                     continue
+                tx = self.table[x]
+                covered.update(tx[y] for y in s)
                 bigger = frozenset(self.closure(s | {x}))
                 if bigger not in found:
                     found.add(bigger)

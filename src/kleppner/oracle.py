@@ -13,13 +13,21 @@ denominator, and any disagreement raises:
            h x h^-1 by a root of unity, so exact elimination is a walk over
            each orbit of conjugation by H's generators from its least
            element (a cycle whose phases do not cancel => zero);
-  route B: count the H-conjugacy classes that are regular for the cocycle.
+  route B: count the H-conjugacy classes that are regular for the cocycle,
+           on masks the RegularRep builds once from its own integer table
+           (bit h of mask g: g and h commute, lam(g) and lam(h) do not), so
+           route B shares no code with the regularity module.
+
+build_regular_rep reads the table's one scan of its generator rows
+(PhaseTableCocycle.generator_row_failure), which validate_cocycle also reads:
+each table is scanned once, whichever asks first.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .cocycles import Cocycle, CocycleError, PhaseTableCocycle, _table_identity_failure
@@ -115,6 +123,21 @@ class RegularRep:
         return MonomialMatrix(self.group.table[g],
                               tuple(_make(EMPTY_BASIS, self.den, [v]) for v in self.int_values[g]))
 
+    @cached_property
+    def obstructions(self) -> tuple[int, ...]:
+        """Route B's masks, read off the integer table: bit h of
+        obstructions[g] is set when g h = h g and lam(g), lam(h) do not
+        commute, i.e. int_values[g][h] != int_values[h][g] (both in [0, den)).
+        Built once per representation, over the pairs h < g."""
+        table, val = self.group.table, self.int_values
+        obs = [0] * len(table)
+        for g, (tg, vg) in enumerate(zip(table, val)):
+            for h in range(g):
+                if tg[h] == table[h][g] and vg[h] != val[h][g]:
+                    obs[g] |= 1 << h
+                    obs[h] |= 1 << g
+        return tuple(obs)
+
 
 def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool = False) -> RegularRep:
     if not isinstance(G, FiniteTable):
@@ -138,8 +161,10 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool = False
         except CocycleError:
             raise OracleError("lam(e) is not the identity; cocycle is not normalized") from None
     # lam(g) lam(h) = sigma(g, h) lam(gh): both sides put column k in row g h k,
-    # and their exponents agree exactly when the cocycle identity holds at (g, h, k)
-    bad = _table_identity_failure(table, G.elements() if verify_pairs else G.generators())
+    # and their exponents agree exactly when the cocycle identity holds at (g, h, k);
+    # the generator rows are scanned once per table, whichever reads them first
+    bad = (_table_identity_failure(table, G.elements()) if verify_pairs
+           else table.generator_row_failure)
     if bad is not None:
         raise OracleError(f"projective relation fails at ({bad[0]},{bad[1]})")
     return RegularRep(G, sigma, table.den, table.ints)
@@ -226,19 +251,11 @@ def _verify_solution(rep: RegularRep, hgens: list[int], f: dict[int, int]) -> bo
 # ---------------------------------------------------------------------------
 
 def _route_b(rep: RegularRep, helems: list[int]) -> tuple[int, list[tuple[int, ...]]]:
-    G = rep.group
-    val = rep.int_values
-    table = G.table
-    regular = []
-    for orbit in G.h_classes(helems):
-        g = orbit[0]
-        ok = True
-        for h in helems:
-            if table[h][g] == table[g][h] and val[g][h] != val[h][g]:
-                ok = False
-                break
-        if ok:
-            regular.append(orbit)
+    """The H-classes whose least element g is regular: no h in H commutes
+    with g while lam(g) and lam(h) fail to commute, read off rep's masks."""
+    hmask = sum(1 << h for h in helems)
+    obs = rep.obstructions
+    regular = [orbit for orbit in rep.group.h_classes(helems) if not obs[orbit[0]] & hmask]
     return len(regular), regular
 
 

@@ -2,7 +2,10 @@
 
 The relative Kleppner decision runs a fixed, reported strategy chain:
 
-  (a) finite table group: enumerate every H-class and test regularity, exact;
+  (a) finite table group: enumerate every H-class and test regularity, exact,
+      on the cocycle's twist-obstruction masks (Cocycle.twist_obstructions:
+      bit h of obs[g] is set when g and h commute with a nontrivial twist),
+      so a class with least element g is regular iff obs[g] & hmask == 0;
   (b) the twisted centralizer: a nontrivial element of C_G^sigma(H) is a
       regular singleton class, for every H; when the catalog knows FC_G(H)
       and it centralizes H, every finite H-class is such a singleton, so a
@@ -14,6 +17,10 @@ The relative Kleppner decision runs a fixed, reported strategy chain:
 Kleppner's condition for a restriction (H, sigma|_H) runs the same chain
 inside G, on the classes of elements of H, with Z(H) = C_G(H) ∩ H for
 C_G(H); no standalone group is built.
+
+On a finite table the enumerated twisted centralizer and is_sigma_regular
+read the same masks, built once per cocycle object; nothing is kept on the
+group or the module.
 
 Failure witnesses are explicit finite classes replayable through the kernels.
 Enumerated witnesses are least under the group's element ordering; lattice
@@ -55,10 +62,15 @@ def is_sigma_regular(g: Element, H: Subgroup, sigma: Cocycle) -> TriBool:
     gens = centralizer_generators(H, g)
     if gens is None:
         return tb.unknown(f"C_H(g) not computable for {H.describe_desc()}")
-    for h in gens:
-        if not commutation_trivial(sigma, g, h):
-            return tb.fails(h, f"sigma({G.element_str(g)}, h) != sigma(h, {G.element_str(g)}) "
-                               f"at h = {G.element_str(h)}")
+    if G.exact_kernel == "finite":
+        obs = sigma.twist_obstructions[g]
+        twisted = (h for h in gens if obs >> h & 1)
+    else:
+        twisted = (h for h in gens if not commutation_trivial(sigma, g, h))
+    h = next(twisted, None)
+    if h is not None:
+        return tb.fails(h, f"sigma({G.element_str(g)}, h) != sigma(h, {G.element_str(g)}) "
+                           f"at h = {G.element_str(h)}")
     return tb.holds(f"checked {len(gens)} generators of the centralizer of g in H")
 
 
@@ -138,8 +150,12 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle, *,
 
     elems = cent.enumerate_elements()
     if elems is not None:
-        kept = [c for c in elems
-                if all(commutation_trivial(sigma, c, h) for h in hgens)]
+        if G.exact_kernel == "finite":
+            obs, hmask = sigma.twist_obstructions, _mask(hgens)
+            kept = [c for c in elems if not obs[c] & hmask]
+        else:
+            kept = [c for c in elems
+                    if all(commutation_trivial(sigma, c, h) for h in hgens)]
         desc = Subgroup.finite_subset(G, kept)
         nontrivial = [c for c in kept if c != G.identity()]
         if nontrivial:
@@ -184,6 +200,12 @@ def _unit(dim: int, j: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(dim))
 
 
+def _mask(elems) -> int:
+    """The elements of a finite table as the set bits of one int, the form
+    sigma.twist_obstructions is read against."""
+    return sum(1 << x for x in elems)
+
+
 # ---------------------------------------------------------------------------
 # relative Kleppner condition
 # ---------------------------------------------------------------------------
@@ -197,18 +219,22 @@ def _first_regular_class(G: Group, H: Subgroup, sigma: Cocycle,
     e = G.identity()
     helems = H.enumerate_elements()
     if G.exact_kernel == "finite":
-        classes = G.h_classes(helems)
-        if elems is not None:
-            classes = [c for c in classes if c[0] in elems]
-    else:
-        # None marks a class the catalog cannot bound
-        classes, seen = [], set()
-        for s in sorted(elems, key=G.element_key):
-            if s not in seen:
-                cls = h_conjugacy_class(s, H)
-                seen.update(cls.elements)
-                if not cls.infinite:
-                    classes.append(cls.elements if cls.finite else None)
+        # a class is regular when its least element g has no commuting h in H
+        # with a nontrivial twist: obs[g] & hmask == 0
+        obs, hmask = sigma.twist_obstructions, _mask(helems)
+        for orbit in G.h_classes(helems):
+            g = orbit[0]
+            if g != e and (elems is None or g in elems) and not obs[g] & hmask:
+                return finite_class(orbit), False
+        return None, False
+    # None marks a class the catalog cannot bound
+    classes, seen = [], set()
+    for s in sorted(elems, key=G.element_key):
+        if s not in seen:
+            cls = h_conjugacy_class(s, H)
+            seen.update(cls.elements)
+            if not cls.infinite:
+                classes.append(cls.elements if cls.finite else None)
     undecided = False
     for orbit in classes:
         if orbit is None:

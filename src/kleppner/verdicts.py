@@ -125,6 +125,8 @@ def twisted_simplicity(G: Group, sigma: Cocycle, H: Optional[Subgroup] = None) -
 
     notes.append(f"missing premises: FC-hypercentral={fch.status}, "
                  f"C*-simple={cs.status}, kleppner={k.status}")
+    if k.unknown:
+        notes.append(f"kleppner unknown: {k.reason}")
     return Verdict(INCONCLUSIVE, (), notes=tuple(notes))
 
 

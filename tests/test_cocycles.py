@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_acceptance import sweep_group_names
 
+import kleppner.cocycles as cocycles_mod
+import kleppner.oracle as oracle_mod
 from kleppner.cocycles import (BicharacterCocycle, Cocycle, CocycleError, F2Z2Cocycle, HeisenbergCocycle,
                                PhaseTableCocycle, ProductCocycle, PullbackCocycle,
                                RestrictionCocycle, SeededBeta, SimilarityCocycle, TableBeta,
@@ -1112,3 +1115,130 @@ def test_polynomial_mode_catches_broken_formulas():
         assert lhs != rhs  # the witness replays
         ident = check_twist_identities(sigma)
         assert not ident.passed and ident.mode == "polynomial"
+
+
+# ---------------------------------------------------------------------------
+# facts computed once per finite table cocycle
+# ---------------------------------------------------------------------------
+
+def pairwise_obstructions(sigma):
+    """Bit h of entry g set when g and h commute in the table and
+    commutation_trivial(sigma, g, h) is False, pair by pair."""
+    G = sigma.group
+    return tuple(sum(1 << h for h in G.elements()
+                     if G.mul(g, h) == G.mul(h, g) and not commutation_trivial(sigma, g, h))
+                 for g in G.elements())
+
+
+def test_twist_obstructions_match_pairwise_commutation():
+    """Cocycle.twist_obstructions, and the oracle's own
+    RegularRep.obstructions, equal the pairwise test on every sweep group:
+    seeded table draws, a similarity transform of one, the trivial cocycle on
+    the same group object, and the pullback of a draw to each subgroup's
+    standalone table."""
+    rng = random.Random(30)
+    nonzero = 0
+    for name in sweep_group_names() + ["S_4", "D_8"]:
+        G = from_name(name)
+        table = random_table_cocycle(G, rng)
+        family = [table, random_table_cocycle(G, rng), TrivialCocycle(G),
+                  SimilarityCocycle(table, random_beta_table(G, rng))]
+        for s in G.all_subgroups():
+            pulled, _asg = transport(table, Subgroup.finite_subset(G, s))
+            family.append(pulled)
+        for sigma in family:
+            obs = pairwise_obstructions(sigma)
+            assert sigma.twist_obstructions == obs, (name, sigma.describe())
+            nonzero += any(obs)
+        assert build_regular_rep(G, table).obstructions == pairwise_obstructions(table)
+        assert not any(TrivialCocycle(G).twist_obstructions)
+    assert nonzero > 10
+
+
+def test_each_cocycle_object_holds_its_own_masks():
+    """Two cocycles on one group object read different masks: the anticommuting
+    table on Z_2 x Z_2 has every pair of distinct nonidentity elements
+    obstructed, the trivial cocycle none, and a second object equal to the first
+    computes its own."""
+    G = from_name("Z_2 x Z_2")
+    ints = [[(x % 2) * (y // 2) for y in range(4)] for x in range(4)]
+    twisted = PhaseTableCocycle.from_ints(G, 2, ints)
+    assert twisted.twist_obstructions == (0b0000, 0b1100, 0b1010, 0b0110)
+    assert TrivialCocycle(G).twist_obstructions == (0, 0, 0, 0)
+    again = PhaseTableCocycle.from_ints(G, 2, ints)
+    assert "twist_obstructions" not in vars(again)
+    assert again.twist_obstructions == twisted.twist_obstructions
+
+
+@pytest.fixture
+def counted_scans(monkeypatch):
+    """The cocycles whose rows _table_identity_failure scans, one entry per
+    call, read wherever the engine calls it from."""
+    scan, calls = cocycles_mod._table_identity_failure, []
+
+    def counted(sigma, rows):
+        calls.append(sigma)
+        return scan(sigma, rows)
+
+    monkeypatch.setattr(cocycles_mod, "_table_identity_failure", counted)
+    monkeypatch.setattr(oracle_mod, "_table_identity_failure", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["Z_1", "Z_6", "S_3", "Q8", "Z_3 x Z_3", "S_4"])
+def test_validation_and_representation_share_one_scan(name, counted_scans):
+    """validate_cocycle and build_regular_rep(verify_pairs=False), in either
+    order and repeated, scan a table's generator rows once between them."""
+    G = from_name(name)
+    rng = random.Random(name)
+    for first in ("validate", "build"):
+        sigma = random_table_cocycle(G, rng)
+        if first == "build":
+            build_regular_rep(G, sigma)
+        assert validate_cocycle(sigma).passed
+        build_regular_rep(G, sigma)
+        build_regular_rep(G, sigma)
+        assert counted_scans == [sigma]
+        counted_scans.clear()
+    # a cocycle that is not a table gets a table of its own, scanned once
+    build_regular_rep(G, TrivialCocycle(G))
+    assert len(counted_scans) == 1
+    # verify_pairs=True still scans every row
+    sigma = random_table_cocycle(G, rng)
+    build_regular_rep(G, sigma)
+    build_regular_rep(G, sigma, verify_pairs=True)
+    assert counted_scans[1:] == [sigma, sigma]
+
+
+def broken_on_a_generator_row(G, rng):
+    """The integer rows of a random cocycle on G with one entry of the row of
+    G's first generator moved, and the denominator it is over."""
+    base = random_table_cocycle(G, rng)
+    den = 2 * base.den
+    rows = [[2 * v for v in row] for row in base.ints]
+    g, e = G.generators()[0], G.identity()
+    rows[g][rng.choice([h for h in G.elements() if h not in (e, g)])] += 1
+    return den, rows
+
+
+@pytest.mark.parametrize("name", ["Z_3", "Z_2 x Z_4", "S_3", "Q8", "D_8"])
+def test_a_broken_generator_row_is_refused_on_every_path(name):
+    """A table that breaks the cocycle identity on a generator row is refused
+    by build_regular_rep with no validation before it, after a failed
+    validation, and before one; validation fails on it in every case."""
+    G = from_name(name)
+    rng = random.Random(name)
+    for _ in range(5):
+        den, rows = broken_on_a_generator_row(G, rng)
+        probe = PhaseTableCocycle.from_ints(G, den, rows)
+        assert cocycles_mod._table_identity_failure(probe, G.generators()[:1]) is not None
+        for order in ((), ("validate",), ("build", "validate")):
+            sigma = PhaseTableCocycle.from_ints(G, den, rows)
+            if order[:1] == ("validate",):
+                assert not validate_cocycle(sigma).passed
+            with pytest.raises(OracleError, match=r"^projective relation fails at "):
+                build_regular_rep(G, sigma)
+            if order[1:] == ("validate",):
+                assert not validate_cocycle(sigma).passed
+            with pytest.raises(OracleError, match=r"^projective relation fails at "):
+                build_regular_rep(G, sigma)

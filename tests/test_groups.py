@@ -347,6 +347,32 @@ def _flattened(P: DirectProduct) -> tuple[FiniteTable, dict]:
     return FiniteTable([[index[P.mul(a, b)] for b in elems] for a in elems]), index
 
 
+def reference_all_subgroups(G: FiniteTable) -> list[frozenset[int]]:
+    """Every subgroup of G by extending each one found by every element
+    outside it, one closure per element: the loop FiniteTable.all_subgroups
+    ran before it took one element per coset."""
+    found = {frozenset([G.identity()])}
+    frontier = list(found)
+    while frontier:
+        s = frontier.pop()
+        for x in G.elements():
+            if x not in s:
+                bigger = frozenset(G.closure(s | {x}))
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def test_all_subgroups_matches_the_element_by_element_reference():
+    # the sweep groups and S_3 x S_3 flattened into one table (60 subgroups)
+    groups = [from_name(name) for name in sweep_group_names() + ["S_4", "D_8"]]
+    groups.append(_flattened(DirectProduct(from_name("S_3"), from_name("S_3")))[0])
+    for G in groups:
+        assert G.all_subgroups() == reference_all_subgroups(G), G.name
+    assert len(groups[-1].all_subgroups()) == 60
+
+
 @pytest.mark.parametrize("names", PRODUCT_PAIRS, ids=" x ".join)
 def test_product_structure_matches_flattened_table(names):
     # every subgroup of the flattened table, diagonal ones included, is

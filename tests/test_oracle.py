@@ -7,13 +7,13 @@ from test_acceptance import sweep_group_names
 
 import kleppner.oracle as oracle_mod
 import kleppner.phases as phases_mod
-from kleppner.cocycles import PhaseTableCocycle, TrivialCocycle, conj_twist
+from kleppner.cocycles import PhaseTableCocycle, TrivialCocycle, conj_twist, transport
 from kleppner.groups import Subgroup, from_name
 from kleppner.oracle import (MonomialMatrix, OracleError, build_regular_rep, canonical_trace,
                              center_dim, relative_commutant_dim, span_trace)
 from kleppner.phases import IrrationalBasis, Phase
 from kleppner.randomized import random_table_cocycle
-from kleppner.regularity import kleppner, relative_kleppner
+from kleppner.regularity import is_sigma_regular, kleppner, relative_kleppner, sigma_centralizer
 
 
 def anticommute_z22():
@@ -425,3 +425,41 @@ def test_route_a_basis_is_the_same_for_any_generating_set():
                 basis = oracle_mod._route_a(rep, hgens)
                 assert all(oracle_mod._verify_solution(rep, hgens, f) for f in basis)
                 assert basis == r.basis
+
+
+def test_mask_readers_agree_with_route_a_on_every_subgroup():
+    """Strategy (a), the twisted centralizer and is_sigma_regular read the
+    cocycle's masks, route B reads the representation's own; on every
+    subgroup of the swept groups, under two drawn tables and the trivial
+    cocycle, they agree with route A, which reads no mask: route B counts
+    route A's dimension, relative Kleppner holds iff it is 1, the twisted
+    centralizer is the set of regular singleton classes, each class's least
+    element is regular iff route B keeps the class, and Kleppner's condition
+    for (H, sigma|_H) holds iff route A gives H's standalone table a
+    one-dimensional centre."""
+    rng = random.Random(33)
+    checked = 0
+    for g in _swept_groups():
+        subs = [Subgroup.finite_subset(g, s) for s in g.all_subgroups()]
+        for sig in (random_table_cocycle(g, rng), random_table_cocycle(g, rng),
+                    TrivialCocycle(g)):
+            rep = build_regular_rep(g, sig)
+            dim_g = len(oracle_mod._route_a(rep, list(g.generators()) or [g.identity()]))
+            assert kleppner(g, sig).holds == (dim_g == 1)
+            for H in subs:
+                dim = len(oracle_mod._route_a(rep, list(H.generators()) or [g.identity()]))
+                count, regular = oracle_mod._route_b(rep, H.enumerate_elements())
+                assert count == dim
+                assert relative_kleppner(g, H, sig).holds == (dim == 1)
+                regular_set = {c[0] for c in regular}
+                for orbit in g.h_classes(H.enumerate_elements()):
+                    assert is_sigma_regular(orbit[0], H, sig).holds == (orbit[0] in regular_set)
+                kept = set(sigma_centralizer(g, H, sig).description.enumerate_elements())
+                assert kept == {c[0] for c in regular if len(c) == 1}
+                restricted, asg = transport(sig, H)
+                rep_h = build_regular_rep(asg.group, restricted)
+                dim_h = len(oracle_mod._route_a(rep_h, list(asg.group.generators())
+                                                or [asg.group.identity()]))
+                assert kleppner(g, sig, H).holds == (dim_h == 1)
+                checked += 1
+    assert checked == 3 * 198

@@ -302,14 +302,19 @@ class PhaseTableCocycle(Cocycle):
     def table(self) -> tuple[tuple[Phase, ...], ...]:
         return tuple(tuple(_make(EMPTY_BASIS, self.den, [v]) for v in row) for row in self.ints)
 
+    @property
+    def generator_rows(self) -> tuple:
+        """The rows that decide the cocycle identity: those of
+        ``G.generators()``, or the identity's row on the trivial group."""
+        G = self.group
+        return G.generators() or (G.identity(),)
+
     @cached_property
     def generator_row_failure(self) -> tuple | None:
-        """_table_identity_failure on the rows of ``G.generators()`` (the
-        identity's row on the trivial group): None exactly when the table is
-        a cocycle.  Scanned once per table; _validate_table_fast and
-        build_regular_rep both read it."""
-        G = self.group
-        return _table_identity_failure(self, G.generators() or [G.identity()])
+        """_table_identity_failure on generator_rows: None exactly when the
+        table is a cocycle.  Scanned once per table; _validate_table_fast
+        and build_regular_rep both read it."""
+        return _table_identity_failure(self, self.generator_rows)
 
     def int_value(self, g, h) -> list[int]:
         return [self.ints[g][h]]
@@ -750,20 +755,17 @@ def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
 def _validate_table_fast(sigma: "PhaseTableCocycle") -> ValidationResult:
     """Table validation on integers modulo the common denominator, exact.
 
-    The rows of ``G.generators()`` go first (the identity's row on the
-    trivial group, whose generating set is empty), read from the table's
-    generator_row_failure; by _table_identity_failure they decide every
-    row, so a pass reports mode "generators" with |S| n^2 checks.  A table
-    they refuse is rescanned on all rows in order: mode "exhaustive", its
-    witness the first failing triple, ``checks`` the triples up to and
-    including it.
+    The table's generator_rows go first, read from its generator_row_failure;
+    by _table_identity_failure they decide every row, so a pass reports mode
+    "generators" with |S| n^2 checks.  A table they refuse is rescanned on
+    all rows in order: mode "exhaustive", its witness the first failing
+    triple, ``checks`` the triples up to and including it.
 
     Normalization needs no check: PhaseTableCocycle refuses a table that is not
     normalized at the identity, and its integer table is immutable."""
-    G = sigma.group
-    n = G.order
+    n = sigma.group.order
     if sigma.generator_row_failure is None:
-        checks = len(G.generators() or [G.identity()]) * n * n
+        checks = len(sigma.generator_rows) * n * n
         return ValidationResult(True, None, checks, "generators", "", checks)
     witness = _table_identity_failure(sigma, range(n))
     g, h, k = witness

@@ -18,9 +18,10 @@ Kleppner's condition for a restriction (H, sigma|_H) runs the same chain
 inside G, on the classes of elements of H, with Z(H) = C_G(H) ∩ H for
 C_G(H); no standalone group is built.
 
-On a finite table the enumerated twisted centralizer and is_sigma_regular
-read the same masks, built once per cocycle object; nothing is kept on the
-group or the module.
+On a finite table strategy (a) and the enumerated twisted centralizer read
+the same masks, built once per cocycle object; nothing is kept on the group
+or the module.  is_sigma_regular asks about one element, so it tests the
+generators of C_H(g) pair by pair and builds no mask.
 
 Failure witnesses are explicit finite classes replayable through the kernels.
 Enumerated witnesses are least under the group's element ordering; lattice
@@ -62,15 +63,10 @@ def is_sigma_regular(g: Element, H: Subgroup, sigma: Cocycle) -> TriBool:
     gens = centralizer_generators(H, g)
     if gens is None:
         return tb.unknown(f"C_H(g) not computable for {H.describe_desc()}")
-    if G.exact_kernel == "finite":
-        obs = sigma.twist_obstructions[g]
-        twisted = (h for h in gens if obs >> h & 1)
-    else:
-        twisted = (h for h in gens if not commutation_trivial(sigma, g, h))
-    h = next(twisted, None)
-    if h is not None:
-        return tb.fails(h, f"sigma({G.element_str(g)}, h) != sigma(h, {G.element_str(g)}) "
-                           f"at h = {G.element_str(h)}")
+    for h in gens:
+        if not commutation_trivial(sigma, g, h):
+            return tb.fails(h, f"sigma({G.element_str(g)}, h) != sigma(h, {G.element_str(g)}) "
+                               f"at h = {G.element_str(h)}")
     return tb.holds(f"checked {len(gens)} generators of the centralizer of g in H")
 
 

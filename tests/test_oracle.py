@@ -428,15 +428,15 @@ def test_route_a_basis_is_the_same_for_any_generating_set():
 
 
 def test_mask_readers_agree_with_route_a_on_every_subgroup():
-    """Strategy (a), the twisted centralizer and is_sigma_regular read the
-    cocycle's masks, route B reads the representation's own; on every
-    subgroup of the swept groups, under two drawn tables and the trivial
-    cocycle, they agree with route A, which reads no mask: route B counts
-    route A's dimension, relative Kleppner holds iff it is 1, the twisted
-    centralizer is the set of regular singleton classes, each class's least
-    element is regular iff route B keeps the class, and Kleppner's condition
-    for (H, sigma|_H) holds iff route A gives H's standalone table a
-    one-dimensional centre."""
+    """Strategy (a) and the twisted centralizer read the cocycle's masks,
+    route B reads the representation's own, is_sigma_regular reads none;
+    on every subgroup of the swept groups, under two drawn tables and the
+    trivial cocycle, they agree with route A, which reads no mask: route B
+    counts route A's dimension, relative Kleppner holds iff it is 1, the
+    twisted centralizer is the set of regular singleton classes, each
+    class's least element is regular iff route B keeps the class, and
+    Kleppner's condition for (H, sigma|_H) holds iff route A gives H's
+    standalone table a one-dimensional centre."""
     rng = random.Random(33)
     checked = 0
     for g in _swept_groups():

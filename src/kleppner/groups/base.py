@@ -227,6 +227,16 @@ class Group:
                         frontier.append(z)
         return out
 
+    def check_closed(self, s: set) -> None:
+        """Raise GroupError unless the finite set s is closed under inverse and product."""
+        for a in s:
+            self.check_element(a)
+            if self.inv(a) not in s:
+                raise GroupError(f"finite subset not closed under inverse at {self.element_str(a)}")
+            for b in s:
+                if self.mul(a, b) not in s:
+                    raise GroupError("finite subset not closed under multiplication")
+
     def generating_subset(self, elements) -> tuple:
         """The elements that the earlier ones do not generate, in order: a
         generating set of the finite subgroup that elements generate."""

@@ -43,7 +43,7 @@ class FiniteTable(Group):
         self._validate()
         self.e = self._find_identity()
         self.inv_table = self._build_inverses()
-        self._h_classes: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._h_classes: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
     # -- validation -------------------------------------------------------
     def _validate(self) -> None:
@@ -147,16 +147,29 @@ class FiniteTable(Group):
                         frontier.append(z)
         return out
 
+    def check_closed(self, s: set) -> None:
+        # Group.check_closed read off the table rows
+        t, inv = self.table, self.inv_table
+        for a in s:
+            self.check_element(a)
+            if inv[a] not in s:
+                raise GroupError(f"finite subset not closed under inverse at {self.element_str(a)}")
+            if not s.issuperset([t[a][b] for b in s]):
+                raise GroupError("finite subset not closed under multiplication")
+
     def h_classes(self, helems) -> tuple[tuple[int, ...], ...]:
-        """The H-conjugacy classes {h g h^-1 : h in H}, each sorted, in the
-        order of their least elements; helems lists the elements of H.
+        return self.h_entry(helems)[1]
+
+    def h_entry(self, helems) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """H's element mask sum(1 << h) and its classes {h g h^-1 : h in H},
+        each sorted, in the order of their least elements; helems lists H.
 
         Held on the table per tuple(helems), so every caller on a fixed
         (G, H) shares one computation, whatever object describes H; the
         classes are tuples, so no caller can change a held answer."""
         key = tuple(helems)
-        classes = self._h_classes.get(key)
-        if classes is None:
+        entry = self._h_classes.get(key)
+        if entry is None:
             t, inv = self.table, self.inv_table
             seen: set[int] = set()
             found = []
@@ -166,8 +179,8 @@ class FiniteTable(Group):
                 orbit = tuple(sorted({t[t[h][g]][inv[h]] for h in key}))
                 seen.update(orbit)
                 found.append(orbit)
-            classes = self._h_classes[key] = tuple(found)
-        return classes
+            entry = self._h_classes[key] = (sum(1 << h for h in key), tuple(found))
+        return entry
 
     def generated_subgroup(self, gens):
         return Subgroup.finite_subset(self, self.closure(gens))

@@ -243,13 +243,7 @@ class FiniteSubset(Subgroup):
         parent, s = self.parent, set(self.elements)
         if parent.identity() not in s:
             raise GroupError("finite subset must contain the identity")
-        for a in s:
-            parent.check_element(a)
-            if parent.inv(a) not in s:
-                raise GroupError(f"finite subset not closed under inverse at {parent.element_str(a)}")
-            for b in s:
-                if parent.mul(a, b) not in s:
-                    raise GroupError("finite subset not closed under multiplication")
+        parent.check_closed(s)
 
     def _contains(self, x: Element) -> bool:
         return x in self.elements

@@ -12,11 +12,12 @@ denominator, and any disagreement raises:
            verify=True; every equation relates the coefficients at x and
            h x h^-1 by a root of unity, so exact elimination is a walk over
            each orbit of conjugation by H's generators from its least
-           element (a cycle whose phases do not cancel => zero);
+           element (a cycle whose phases do not cancel => zero); the
+           dimension is the closed-orbit count, the basis built when read;
   route B: count the H-conjugacy classes that are regular for the cocycle,
            on masks the RegularRep builds once from its own integer table
-           (bit h of mask g: g and h commute, lam(g) and lam(h) do not), so
-           route B shares no code with the regularity module.
+           (bit h of mask g: g and h commute, lam(g) and lam(h) do not) and
+           H's mask on the table; it shares no code with regularity.py.
 
 build_regular_rep reads the table's one scan of its generator rows
 (PhaseTableCocycle.generator_row_failure), which validate_cocycle also reads:
@@ -174,10 +175,14 @@ def build_regular_rep(G: FiniteTable, sigma: Cocycle, verify_pairs: bool = False
 # route A: exact elimination on column e, checked on all entries under verify=True
 # ---------------------------------------------------------------------------
 
-def _route_a(rep: RegularRep, hgens: list[int]) -> tuple[dict[int, int], ...]:
+class RouteA(list):
+    """Route A's closed orbits by least element, each a list led by it, and
+    ``pot``: pot[x] is x's coefficient exponent over ``rep.den``."""
+
+
+def _route_a(rep: RegularRep, hgens: list[int]) -> RouteA:
     """Solve T lam(h) = lam(h) T on column e only: an exact basis of the
-    relative commutant inside the span of the lam(g), each element the
-    coefficient exponents {g: pot} over ``rep.den``.
+    relative commutant inside the span of the lam(g), one per closed orbit.
 
     T and lam(h) lie in the twisted group algebra, so T lam(h) - lam(h) T
     does too.  For a normalized sigma, lam(g) delta_e is a unit multiple of
@@ -187,39 +192,39 @@ def _route_a(rep: RegularRep, hgens: list[int]) -> tuple[dict[int, int], ...]:
     into all n^2 entries.
 
     The equation of h at row h x relates f(x) to f(y), y = h x h^-1:
-    pot(y) = pot(x) - delta with delta = val[y][h] + val[h][e] - val[h][x]
-    - val[x][e].  So the unknowns split into the orbits of conjugation by
-    H, and the walk solves each orbit from its least element, which gets
+    pot(y) = pot(x) - val[y][h] + val[h][x]: the column-e terms val[h][e]
+    and val[x][e] are 0, as PhaseTableCocycle refuses a table that is not
+    normalized.  So the unknowns split into the orbits of conjugation by H,
+    and the walk solves each orbit from its least element, which gets
     exponent 0, stepping from every x by every generator: that is each of
     the n |hgens| equations once.  A step that reaches y with another
     exponent closes a cycle whose phases do not cancel, so f is zero on the
     orbit and it adds no basis element; the walk still visits the whole
-    orbit, so that no later root starts inside it.  The basis is ordered by
-    least element."""
+    orbit, so that no later root starts inside it."""
     G = rep.group
-    n, den, val, e = G.order, rep.den, rep.int_values, G.identity()
+    n, den, val = G.order, rep.den, rep.int_values
     table, inv = G.table, G.inv_table
-    steps = [(h, table[h], inv[h], val[h], val[h][e]) for h in hgens]
-    pot: list = [None] * n
-    basis = []
+    steps = [(h, table[h], inv[h], val[h]) for h in hgens]
+    closed = RouteA()
+    pot = closed.pot = [None] * n
     for root in range(n):
         if pot[root] is not None:
             continue
         pot[root] = 0
         orbit, alive = [root], True
         for x in orbit:
-            px = pot[x] + val[x][e]
-            for h, th, hinv, vh, vhe in steps:
+            px = pot[x]
+            for h, th, hinv, vh in steps:
                 y = table[th[x]][hinv]
-                py = (px + vh[x] - val[y][h] - vhe) % den
+                py = (px + vh[x] - val[y][h]) % den
                 if pot[y] is None:
                     pot[y] = py
                     orbit.append(y)
                 elif pot[y] != py:
                     alive = False
         if alive:
-            basis.append({x: pot[x] for x in orbit})
-    return tuple(basis)
+            closed.append(orbit)
+    return closed
 
 
 def _verify_solution(rep: RegularRep, hgens: list[int], f: dict[int, int]) -> bool:
@@ -253,9 +258,8 @@ def _verify_solution(rep: RegularRep, hgens: list[int], f: dict[int, int]) -> bo
 def _route_b(rep: RegularRep, helems: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     """The H-classes whose least element g is regular: no h in H commutes
     with g while lam(g) and lam(h) fail to commute, read off rep's masks."""
-    hmask = sum(1 << h for h in helems)
-    obs = rep.obstructions
-    regular = [orbit for orbit in rep.group.h_classes(helems) if not obs[orbit[0]] & hmask]
+    obs, (hmask, classes) = rep.obstructions, rep.group.h_entry(helems)
+    regular = [orbit for orbit in classes if not obs[orbit[0]] & hmask]
     return len(regular), regular
 
 
@@ -265,16 +269,21 @@ def _route_b(rep: RegularRep, helems: list[int]) -> tuple[int, list[tuple[int, .
 
 @dataclass
 class CommutantReport:
-    """Route A's basis of the relative commutant (coefficient exponents
-    {g: pot} over the rep's ``den``) and route B's regular classes."""
+    """Route A's closed orbits and route B's regular classes; route A's
+    ``basis`` is built from the orbits the first time it is read."""
 
-    basis: tuple[dict[int, int], ...]
+    route_a: RouteA
     dim_route_b: int
     regular_classes: list[tuple[int, ...]]
 
+    @cached_property
+    def basis(self) -> tuple[dict[int, int], ...]:
+        pot = self.route_a.pot
+        return tuple({x: pot[x] for x in orbit} for orbit in self.route_a)
+
     @property
     def dim_route_a(self) -> int:
-        return len(self.basis)
+        return len(self.route_a)
 
     dimension = dim_route_a
 
@@ -289,16 +298,15 @@ def relative_commutant_dim(G: FiniteTable, H: Subgroup, sigma: Cocycle,
         rep = build_regular_rep(G, sigma, verify_pairs=False)
     elif rep.group is not G or rep.sigma is not sigma:
         raise OracleError("rep was built for another group or cocycle")
-    helems = H.enumerate_elements()
     hgens = list(H.generators()) or [G.identity()]
-    basis = _route_a(rep, hgens)
-    count, regular = _route_b(rep, helems)
-    if verify and not all(_verify_solution(rep, hgens, f) for f in basis):
+    count, regular = _route_b(rep, H.enumerate_elements())
+    report = CommutantReport(_route_a(rep, hgens), count, regular)
+    if verify and not all(_verify_solution(rep, hgens, f) for f in report.basis):
         raise OracleError("route A basis element fails substitution")
-    if len(basis) != count:
-        raise OracleMismatchError(len(basis), count,
+    if report.dim_route_a != count:
+        raise OracleMismatchError(report.dim_route_a, count,
                                   f"G={G.name}, H={H.describe_desc()}, sigma={sigma.describe()}")
-    return CommutantReport(basis, count, regular)
+    return report
 
 
 def center_dim(G: FiniteTable, sigma: Cocycle, rep: RegularRep | None = None) -> int:

@@ -19,9 +19,9 @@ inside G, on the classes of elements of H, with Z(H) = C_G(H) ∩ H for
 C_G(H); no standalone group is built.
 
 On a finite table strategy (a) and the enumerated twisted centralizer read
-the same masks, built once per cocycle object; nothing is kept on the group
-or the module.  is_sigma_regular asks about one element, so it tests the
-generators of C_H(g) pair by pair and builds no mask.
+the same masks, built once per cocycle object, against H's mask, which the
+table holds with H's classes.  is_sigma_regular asks about one element, so
+it tests the generators of C_H(g) pair by pair and builds no mask.
 
 Failure witnesses are explicit finite classes replayable through the kernels.
 Enumerated witnesses are least under the group's element ordering; lattice
@@ -147,7 +147,8 @@ def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle, *,
     elems = cent.enumerate_elements()
     if elems is not None:
         if G.exact_kernel == "finite":
-            obs, hmask = sigma.twist_obstructions, _mask(hgens)
+            # c centralizes H, so its twist is a character of H: H's mask decides
+            obs, hmask = sigma.twist_obstructions, G.h_entry(H.enumerate_elements())[0]
             kept = [c for c in elems if not obs[c] & hmask]
         else:
             kept = [c for c in elems
@@ -196,12 +197,6 @@ def _unit(dim: int, j: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(dim))
 
 
-def _mask(elems) -> int:
-    """The elements of a finite table as the set bits of one int, the form
-    sigma.twist_obstructions is read against."""
-    return sum(1 << x for x in elems)
-
-
 # ---------------------------------------------------------------------------
 # relative Kleppner condition
 # ---------------------------------------------------------------------------
@@ -217,8 +212,8 @@ def _first_regular_class(G: Group, H: Subgroup, sigma: Cocycle,
     if G.exact_kernel == "finite":
         # a class is regular when its least element g has no commuting h in H
         # with a nontrivial twist: obs[g] & hmask == 0
-        obs, hmask = sigma.twist_obstructions, _mask(helems)
-        for orbit in G.h_classes(helems):
+        obs, (hmask, classes) = sigma.twist_obstructions, G.h_entry(helems)
+        for orbit in classes:
             g = orbit[0]
             if g != e and (elems is None or g in elems) and not obs[g] & hmask:
                 return finite_class(orbit), False

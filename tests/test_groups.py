@@ -16,6 +16,7 @@ from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup,
                              h_conjugacy_class, is_cstar_simple, is_fc_hypercentral,
                              is_normal, is_prime)
 from kleppner.groups.abelian import QUOTIENT_CAP
+from kleppner.groups.base import Group
 from kleppner.groups.free import reduce_by_stack
 from kleppner.cocycles import HeisenbergCocycle, commutation_trivial
 from kleppner.groups.subgroups import GeneratedSubgroup
@@ -371,6 +372,31 @@ def test_all_subgroups_matches_the_element_by_element_reference():
     for G in groups:
         assert G.all_subgroups() == reference_all_subgroups(G), G.name
     assert len(groups[-1].all_subgroups()) == 60
+
+
+def test_table_closure_check_accepts_exactly_the_subgroups():
+    """Every subset holding e, on four small tables: finite_subset accepts
+    it exactly when all_subgroups lists it, and refuses it otherwise with
+    one GroupError, the one the generic loop of Group.check_closed raises
+    on the same set (so the inverse test still comes before the products)."""
+    refused = 0
+    for name in ("Z_4", "Z_2 x Z_2", "S_3", "D_4"):
+        G = from_name(name)
+        subgroups = set(G.all_subgroups())
+        others = [x for x in G.elements() if x != G.identity()]
+        for k in range(len(others) + 1):
+            for rest in itertools.combinations(others, k):
+                elems = frozenset(rest) | {G.identity()}
+                if elems in subgroups:
+                    assert set(Subgroup.finite_subset(G, elems).enumerate_elements()) == elems
+                    continue
+                with pytest.raises(GroupError) as generic:
+                    Group.check_closed(G, set(elems))
+                with pytest.raises(GroupError) as table:
+                    Subgroup.finite_subset(G, elems)
+                assert str(table.value) == str(generic.value)
+                refused += 1
+    assert refused == (2 ** 3 - 3) + (2 ** 3 - 5) + (2 ** 5 - 6) + (2 ** 7 - 10)
 
 
 @pytest.mark.parametrize("names", PRODUCT_PAIRS, ids=" x ".join)

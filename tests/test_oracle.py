@@ -217,11 +217,11 @@ def test_corrupted_route_a_basis_fails_substitution(monkeypatch):
     real_route_a = oracle_mod._route_a
 
     def corrupted_route_a(rep, hgens):
-        basis = real_route_a(rep, hgens)
-        f = next(f for f in basis if 1 in f)
-        assert rep.den == 2 and f == {1: 0, 2: 0, 5: 0}
-        f[1] += 1  # the coefficient at 1 times exp(2*pi*i/2)
-        return basis
+        closed = real_route_a(rep, hgens)
+        orbit = next(o for o in closed if 1 in o)
+        assert rep.den == 2 and {x: closed.pot[x] for x in orbit} == {1: 0, 2: 0, 5: 0}
+        closed.pot[1] += 1  # the coefficient at 1 times exp(2*pi*i/2)
+        return closed
 
     monkeypatch.setattr(oracle_mod, "_route_a", corrupted_route_a)
     with pytest.raises(OracleError, match="route A basis element fails substitution"):
@@ -407,11 +407,53 @@ def test_h_classes_are_held_on_the_table():
         assert all(g._h_classes[k] is v for k, v in memo.items())
 
 
+def test_h_entry_holds_the_mask_with_the_classes():
+    """On every subgroup of the swept groups, with H's elements listed in
+    two orders: the held mask is sum(1 << h), the held classes are the
+    orbits computed from scratch with the group's own mul and inv, and
+    route B, strategy (a) (plain and restricted) and the enumerated
+    twisted centralizer answer as they did when each built its own mask."""
+    rng = random.Random(41)
+    for name in sweep_group_names():
+        g = from_name(name)
+        e = g.identity()
+        sig = random_table_cocycle(g, rng)
+        rep = build_regular_rep(g, sig)
+        obs = sig.twist_obstructions
+        for hset in g.all_subgroups():
+            H = Subgroup.finite_subset(g, hset)
+            helems = H.enumerate_elements()
+            seen, scratch = set(), []
+            for x in g.elements():
+                if x not in seen:
+                    orbit = tuple(sorted({g.mul(g.mul(h, x), g.inv(h)) for h in helems}))
+                    seen.update(orbit)
+                    scratch.append(orbit)
+            mask = sum(1 << h for h in helems)
+            for order in (helems, helems[::-1]):
+                assert g.h_entry(order) == (mask, tuple(scratch))
+                regular = [c for c in scratch if not rep.obstructions[c[0]] & mask]
+                assert oracle_mod._route_b(rep, order) == (len(regular), regular)
+            for elems in (None, set(helems)):
+                first = next((c for c in scratch if c[0] != e
+                              and (elems is None or c[0] in elems)
+                              and not obs[c[0]] & mask), None)
+                rel = relative_kleppner(g, H, sig, restricted=elems is not None)
+                assert rel.holds == (first is None)
+                assert first is None or rel.witness.elements == first
+            gmask = sum(1 << h for h in H.generators())
+            cent = [x for x in g.elements() if all(g.commutes(x, h) for h in helems)]
+            kept = {c for c in cent if not obs[c] & gmask}
+            got = sigma_centralizer(g, H, sig).description
+            assert set(got.enumerate_elements()) == kept
+
+
 def test_route_a_basis_is_the_same_for_any_generating_set():
     """Route A on H.generators(), on all of H and on the generators with
     their inverses: redundant generators close more cycles in each orbit,
     and the basis, already normalized at each least element, stays the
-    same.  Each basis is substituted into its own equations, as under
+    same.  Each basis, materialized as dicts from the closed orbits and
+    their exponents, is substituted into its own equations, as under
     verify=True."""
     rng = random.Random(23)
     for g in _swept_groups():
@@ -422,7 +464,8 @@ def test_route_a_basis_is_the_same_for_any_generating_set():
             r = relative_commutant_dim(g, H, sig, verify=True, rep=rep)
             gens = list(H.generators()) or [g.identity()]
             for hgens in (list(H.enumerate_elements()), gens + [g.inv(h) for h in gens]):
-                basis = oracle_mod._route_a(rep, hgens)
+                closed = oracle_mod._route_a(rep, hgens)
+                basis = tuple({x: closed.pot[x] for x in orbit} for orbit in closed)
                 assert all(oracle_mod._verify_solution(rep, hgens, f) for f in basis)
                 assert basis == r.basis
 

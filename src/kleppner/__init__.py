@@ -11,23 +11,20 @@ All arithmetic is exact: rational phases plus formal irrational symbols.
 """
 
 from .cocycles import (BicharacterCocycle, Cocycle, F2Z2Cocycle, HeisenbergCocycle,
-                       PhaseTableCocycle, ProductCocycle, RestrictionCocycle, SeededBeta,
-                       SimilarityCocycle, TableBeta, TrivialCocycle, ValidationBudget,
-                       check_twist_identities, commutation_phase, commutation_trivial, conj_twist,
-                       rotation_cocycle, similarity_transform, three_torus_cocycle,
-                       transport, validate_cocycle)
+                       PhaseTableCocycle, ProductCocycle, SeededBeta, SimilarityCocycle,
+                       TrivialCocycle, ValidationBudget, check_twist_identities,
+                       commutation_trivial, rotation_cocycle, similarity_transform,
+                       three_torus_cocycle, transport, validate_cocycle)
 from .config import ConfigError, InstanceConfig, parse_config
 from .groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, Group, Heisenberg,
                      Subgroup, centralizer_generators, centralizer_of_subgroup,
-                     fc_centralizer, from_name, h_conjugacy_class, is_cstar_simple,
-                     is_fc_hypercentral, is_normal, is_prime)
+                     fc_centralizer, from_name, h_conjugacy_class, is_normal)
 from .oracle import (CommutantReport, MonomialMatrix, OracleMismatchError, RegularRep,
                      build_regular_rep, canonical_trace, center_dim,
-                     relative_commutant_dim, span_trace)
+                     relative_commutant_dim)
 from .phases import IrrationalBasis, Phase, parse_phase, qdim
 from .regularity import (SigmaCentralizerResult, is_sigma_regular, kleppner,
-                         relative_icc, relative_kleppner, sigma_centralizer,
-                         sigma_regular_subgroup)
+                         relative_kleppner, sigma_centralizer, sigma_regular_subgroup)
 from .report import Report, run
 from .tribool import TriBool
 from .verdicts import (LatticeResult, Verdict, cstar_irreducible, intermediate_lattice,

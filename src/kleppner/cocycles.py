@@ -9,9 +9,6 @@ Each variant states its formula once, in integer form: ``int_value(g, h)`` is
 it, and the validators add and subtract these vectors instead of Phases.
 ``commutation_int(g, h)`` is the integer form of sigma(g, h) - sigma(h, g),
 which regularity reads; kinds with a cheaper exact formula override it.
-
-conj_twist(sigma, h, g) is the phase by which conjugation by h twists the
-canonical unitary of g:  sigma(h,g) - sigma(h g h^-1, h).
 """
 
 from __future__ import annotations
@@ -51,8 +48,6 @@ class Cocycle:
     # arguments, of sigma and of every term of the cocycle identity and the
     # twist identities; None when sigma is not such a polynomial
     degree: Optional[int] = None
-    # the cocycles a wrapper is built from
-    parts: tuple["Cocycle", ...] = ()
 
     def int_value(self, g: Element, h: Element) -> list[int]:
         """``den`` times the exponent of sigma(g, h): a new list of
@@ -64,7 +59,7 @@ class Cocycle:
 
     def commutation_int(self, g: Element, h: Element) -> list[int]:
         """``int_value(g, h) - int_value(h, g)``: ``den`` times the exponent
-        of sigma(g, h) - sigma(h, g), the integer form of commutation_phase."""
+        of sigma(g, h) - sigma(h, g)."""
         return [a - b for a, b in zip(self.int_value(g, h), self.int_value(h, g))]
 
     def __call__(self, g: Element, h: Element) -> Phase:
@@ -98,16 +93,6 @@ class Cocycle:
                         obs[h] |= 1 << g
             obs[g] |= bits
         return tuple(obs)
-
-    # sampling domain: restrictions narrow this to their subgroup
-    def random_domain_element(self, rng: random.Random, size: int = 6) -> Element:
-        return self.group.random_element(rng, size)
-
-    def domain_elements(self):
-        """Finite enumeration of the domain, or None."""
-        if self.group.is_finite:
-            return list(self.group.elements())
-        return None
 
     def describe(self) -> str:
         return self.kind
@@ -285,7 +270,7 @@ class PhaseTableCocycle(Cocycle):
         if len(ints) != n or any(len(row) != n for row in ints):
             raise CocycleError(f"phase table must be {n}x{n}")
         # den / gcd(den, *ints) is the lcm of the reduced entry denominators
-        g = gcd(den, *(v for row in ints for v in row))
+        g = gcd(den, *(gcd(*row) for row in ints))
         den //= g
         # tuples built from lists: CPython builds a tuple from a generator by
         # resizing a 10-slot one, and the spare tuples pile up in its free lists
@@ -352,7 +337,6 @@ class ProductCocycle(Cocycle):
         self.basis = left.basis if left.basis != EMPTY_BASIS else right.basis
         self.left = left
         self.right = right
-        self.parts = (left, right)
         self.den = lcm(left.den, right.den)
         self._left_slots = _slot_map(left.basis, self.basis, self.den // left.den)
         self._right_slots = _slot_map(right.basis, self.basis, self.den // right.den)
@@ -368,65 +352,8 @@ class ProductCocycle(Cocycle):
     def is_trivial_like(self) -> bool:
         return self.left.is_trivial_like() and self.right.is_trivial_like()
 
-    # the domain pairs the factors' domains: left drawn first, rows in left order
-    def random_domain_element(self, rng: random.Random, size: int = 6) -> Element:
-        return (self.left.random_domain_element(rng, size),
-                self.right.random_domain_element(rng, size))
-
-    def domain_elements(self):
-        left, right = self.left.domain_elements(), self.right.domain_elements()
-        if left is None or right is None:
-            return None
-        return [(a, b) for a in left for b in right]
-
     def describe(self) -> str:
         return f"({self.left.describe()}) x ({self.right.describe()})"
-
-
-class RestrictionCocycle(Cocycle):
-    """Restriction to a subgroup; arguments must pass the membership test."""
-
-    kind = "restriction"
-
-    def __init__(self, base: Cocycle, subgroup: Subgroup) -> None:
-        if subgroup.parent is not base.group:
-            raise CocycleError("subgroup must describe the cocycle's group")
-        self.base = base
-        self.parts = (base,)
-        self.subgroup = subgroup
-        self.group = base.group
-        self.basis = base.basis
-        self.den = base.den
-
-    def int_value(self, g, h) -> list[int]:
-        for x in (g, h):
-            inside = self.subgroup.contains(x)
-            if inside is False:
-                raise CocycleError(
-                    f"{self.group.element_str(x)} is outside {self.subgroup.describe_desc()}")
-            if inside is None:
-                raise CocycleError("membership undecided for restriction argument")
-        return self.base.int_value(g, h)
-
-    def is_trivial_like(self) -> bool:
-        return self.base.is_trivial_like()
-
-    def random_domain_element(self, rng: random.Random, size: int = 6) -> Element:
-        asg = self.subgroup.as_group()
-        if asg is not None:
-            return asg.embed(asg.group.random_element(rng, size))
-        gens = self.subgroup.generators()
-        out = self.group.identity()
-        steps = list(gens) + [self.group.inv(g) for g in gens]
-        for _ in range(rng.randrange(size + 1)):
-            out = self.group.mul(out, rng.choice(steps))
-        return out
-
-    def domain_elements(self):
-        return self.subgroup.enumerate_elements()
-
-    def describe(self) -> str:
-        return f"restriction of {self.base.describe()} to {self.subgroup.describe_desc()}"
 
 
 class Beta:
@@ -444,22 +371,6 @@ class Beta:
 
     def __call__(self, g: Element) -> Phase:
         return _make(self.basis, self.den, self.int_value(g))
-
-
-class TableBeta(Beta):
-    def __init__(self, group: Group, mapping: dict, label: str = "table") -> None:
-        bases = {p.basis for p in mapping.values()} - {EMPTY_BASIS}
-        if len(bases) > 1:
-            raise CocycleError("beta values must share one basis")
-        self.group = group
-        self.label = label
-        self.basis = bases.pop() if bases else EMPTY_BASIS
-        self.den = lcm(*(p.den for p in mapping.values()))
-        self.ints = {g: tuple(n * (self.den // p.den) for n in p.with_basis(self.basis).nums)
-                     for g, p in mapping.items()}
-
-    def int_value(self, g) -> list[int]:
-        return list(self.ints[g])
 
 
 class SeededBeta(Beta):
@@ -494,7 +405,6 @@ class SimilarityCocycle(Cocycle):
         if not be.is_one():
             raise CocycleError("beta must send the identity to the trivial phase")
         self.base = base
-        self.parts = (base,)
         self.beta = beta
         self.group = base.group
         self.basis = base.basis
@@ -526,12 +436,6 @@ class SimilarityCocycle(Cocycle):
     def is_trivial_like(self) -> bool:
         return self.base.is_trivial_like()
 
-    def random_domain_element(self, rng: random.Random, size: int = 6) -> Element:
-        return self.base.random_domain_element(rng, size)
-
-    def domain_elements(self):
-        return self.base.domain_elements()
-
     def describe(self) -> str:
         return f"similarity[{self.beta.label}] of {self.base.describe()}"
 
@@ -549,7 +453,6 @@ class PullbackCocycle(Cocycle):
     def __init__(self, base: Cocycle, group: Group, embed: Callable[[Element], Element],
                  label: str = "", section: Optional[Callable[[Element], Element]] = None) -> None:
         self.base = base
-        self.parts = (base,)
         self.group = group
         self.embed = embed
         self.section = section
@@ -614,25 +517,9 @@ def transport(sigma: Cocycle, H: Subgroup) -> Optional[tuple[Cocycle, AsGroup]]:
 # derived quantities
 # ---------------------------------------------------------------------------
 
-def _difference(sigma: Cocycle, u: list[int], v: list[int]) -> Phase:
-    """The phase of u - v, two integer values of sigma."""
-    return _make(sigma.basis, sigma.den, [x - y for x, y in zip(u, v)])
-
-
-def conj_twist(sigma: Cocycle, h: Element, g: Element) -> Phase:
-    """Phase of conjugation: sigma(h,g) - sigma(h g h^-1, h)."""
-    G = sigma.group
-    return _difference(sigma, sigma.int_value(h, g), sigma.int_value(G.conj(h, g), h))
-
-
-def commutation_phase(sigma: Cocycle, g: Element, h: Element) -> Phase:
-    """sigma(g,h) - sigma(h,g); equals conj_twist(sigma, g, h) when g and h commute."""
-    return _difference(sigma, sigma.int_value(g, h), sigma.int_value(h, g))
-
-
 def commutation_trivial(sigma: Cocycle, g: Element, h: Element) -> bool:
-    """Whether sigma(g,h) = sigma(h,g), i.e. commutation_phase(sigma, g, h) is
-    trivial: tested on sigma.commutation_int(g, h), with no Phase built."""
+    """Whether sigma(g,h) = sigma(h,g): tested on sigma.commutation_int(g, h),
+    with no Phase built."""
     return _is_zero(sigma.den, sigma.commutation_int(g, h))
 
 
@@ -640,7 +527,7 @@ def commutation_trivial(sigma: Cocycle, g: Element, h: Element) -> bool:
 # validation
 # ---------------------------------------------------------------------------
 
-# domains of at most EXHAUSTIVE_LIMIT elements are checked on every triple;
+# groups of at most EXHAUSTIVE_LIMIT elements are checked on every triple;
 # larger ones on sampled words of length at most WORD_SIZE
 EXHAUSTIVE_LIMIT = 64
 WORD_SIZE = 8
@@ -706,19 +593,20 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
     products and conjugation, so every term of normalization and of the
     identities at (g, h, k) is the base's term at (phi g, phi h, phi k).
 
-    Otherwise: every triple of a finite domain of at most EXHAUSTIVE_LIMIT
+    Otherwise: every triple of a finite group of at most EXHAUSTIVE_LIMIT
     elements (mode "exhaustive"), else ``budget.samples`` triples of words
-    drawn from ``budget.seed`` (mode "sampled")."""
+    drawn by ``sigma.group.random_element`` from ``budget.seed`` (mode
+    "sampled")."""
     if sigma.degree is not None:
         m = len(sigma.group.identity())
         return "polynomial", [(p[:m], p[m:2 * m], p[2 * m:])
                               for p in _simplex(3 * m, sigma.degree)]
     if isinstance(sigma, PullbackCocycle) and sigma.section is not None:
-        return "pullback", product(map(sigma.section, sigma.base.domain_elements()), repeat=3)
-    elems = sigma.domain_elements()
-    if elems is not None and len(elems) <= EXHAUSTIVE_LIMIT:
-        return "exhaustive", product(elems, repeat=3)
-    rng, draw = random.Random(budget.seed), sigma.random_domain_element
+        return "pullback", product(map(sigma.section, sigma.base.group.elements()), repeat=3)
+    G = sigma.group
+    if G.is_finite and G.order <= EXHAUSTIVE_LIMIT:
+        return "exhaustive", product(G.elements(), repeat=3)
+    rng, draw = random.Random(budget.seed), G.random_element
     return "sampled", ((draw(rng, WORD_SIZE), draw(rng, WORD_SIZE), draw(rng, WORD_SIZE))
                        for _ in range(budget.samples))
 

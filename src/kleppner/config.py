@@ -23,7 +23,7 @@ Grammar (one file = one instance):
 
     [cocycle]
     kind = trivial | bicharacter | rotation | three_torus | heisenberg |
-           f2z2 | table | product | similarity | restriction
+           f2z2 | table | product | similarity
     matrix = [["0","(1/2)theta"],["-(1/2)theta","0"]]  # phase strings
     theta = theta ; gamma = 0 ; thetas = [...] ; j = 1 ; table = [[...]]
     beta = seeded ; beta_seed = 1 ; beta_denominator = 8   # similarity
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .cocycles import (BicharacterCocycle, Cocycle, F2Z2Cocycle, HeisenbergCocycle,
-                       PhaseTableCocycle, ProductCocycle, RestrictionCocycle, SeededBeta,
+                       PhaseTableCocycle, ProductCocycle, SeededBeta,
                        TrivialCocycle, rotation_cocycle, similarity_transform,
                        three_torus_cocycle)
 from .groups.abelian import FreeAbelian
@@ -241,7 +241,6 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
     run = sections.section("run")
     analyses: tuple[str, ...] = ("validate", "verdict")
     seed, budget, max_lattice = 0, 2000, 8
-    analyses_line = None
     if run is not None:
         view = _SectionView("run", run)
         analyses_line = view.line_of("analyses")
@@ -267,7 +266,6 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
         view.check_unknown()
         if "oracle" in analyses:
             _check_oracle(group, analyses_line)
-    _check_restriction(cocycle, analyses, analyses_line or sections.lines.get("cocycle"))
     return InstanceConfig(basis, params, group, subgroup, cocycle, analyses,
                           seed, budget, max_lattice, name)
 
@@ -280,23 +278,6 @@ def _check_oracle(group: Group, line: int | None) -> None:
         raise ConfigError("the oracle analysis needs a finite table group, not a product", line)
     if group.order > ORDER_CAP:
         raise ConfigError(f"order {group.order} exceeds the oracle cap {ORDER_CAP}", line)
-
-
-def _proper_restriction(c: Cocycle) -> Optional[RestrictionCocycle]:
-    """The first restriction to a proper subgroup that c is built from, or None."""
-    if isinstance(c, RestrictionCocycle) and not c.subgroup.is_full():
-        return c
-    return next((r for r in map(_proper_restriction, c.parts) if r is not None), None)
-
-
-def _check_restriction(cocycle: Cocycle, analyses: tuple[str, ...], line: int | None) -> None:
-    """Refuse decisions on a cocycle restricted to a proper subgroup: they
-    evaluate the instance's cocycle on the whole group, outside its domain."""
-    others = [a for a in analyses if a != "validate"]
-    restriction = _proper_restriction(cocycle) if others else None
-    if restriction is not None:
-        raise ConfigError(f"the cocycle is restricted to {restriction.subgroup.describe_desc()}; "
-                          f"only the validate analysis runs on it, not {others[0]!r}", line)
 
 
 def _parse_basis(sections: _Sections) -> IrrationalBasis:
@@ -482,10 +463,6 @@ def _parse_cocycle(sections: _Sections, path: str, group: Group,
             beta = SeededBeta(group, view.get_int("beta_seed", 0),
                               view.get_int("beta_denominator", 8), base.basis)
             c = similarity_transform(base, beta)
-        elif kind == "restriction":
-            base = _parse_cocycle(sections, path + ".base", group, basis, params)
-            sub = _parse_subgroup(sections, path + ".subgroup", group)
-            c = RestrictionCocycle(base, sub)
         else:
             raise ConfigError(f"unknown cocycle kind {kind!r}", view.line_of("kind"))
     except (GroupError, ValueError) as exc:

@@ -6,8 +6,7 @@ from .free import FreeGroup
 from .heisenberg import Heisenberg
 from .product import DirectProduct
 from .structure import (centralizer_generators, centralizer_of_subgroup,
-                        fc_centralizer, h_conjugacy_class, is_cstar_simple,
-                        is_fc_hypercentral, is_normal, is_prime)
+                        fc_centralizer, h_conjugacy_class, is_normal)
 from .subgroups import INFINITE, AsGroup, Subgroup
 
 __all__ = [
@@ -15,6 +14,6 @@ __all__ = [
     "FreeGroup", "Group", "GroupError", "Heisenberg", "INFINITE", "Subgroup",
     "centralizer_generators", "centralizer_of_subgroup", "cyclic", "cyclic_product",
     "dihedral", "fc_centralizer", "finite_class", "from_name", "h_conjugacy_class",
-    "infinite_class", "is_cstar_simple", "is_fc_hypercentral", "is_normal", "is_prime",
+    "infinite_class", "is_normal",
     "quaternion8", "symmetric", "unknown_class",
 ]

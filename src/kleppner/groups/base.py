@@ -191,8 +191,9 @@ class Group:
         return acc
 
     def check_element(self, x: Element) -> Element:
+        # repr, not element_str: element_str may index a table by x
         if not self.contains(x):
-            raise GroupError(f"{self.element_str(x)!r} is not an element of {self.name}")
+            raise GroupError(f"{x!r} is not an element of {self.name}")
         return x
 
     # -- structure --------------------------------------------------------
@@ -228,9 +229,11 @@ class Group:
         return out
 
     def check_closed(self, s: set) -> None:
-        """Raise GroupError unless the finite set s is closed under inverse and product."""
+        """Raise GroupError unless the finite set s is closed under inverse and
+        product; every element is checked before any product is taken."""
         for a in s:
             self.check_element(a)
+        for a in s:
             if self.inv(a) not in s:
                 raise GroupError(f"finite subset not closed under inverse at {self.element_str(a)}")
             for b in s:

@@ -148,10 +148,12 @@ class FiniteTable(Group):
         return out
 
     def check_closed(self, s: set) -> None:
-        # Group.check_closed read off the table rows
+        # Group.check_closed read off the table rows, each element checked
+        # before any row is read at it
         t, inv = self.table, self.inv_table
         for a in s:
             self.check_element(a)
+        for a in s:
             if inv[a] not in s:
                 raise GroupError(f"finite subset not closed under inverse at {self.element_str(a)}")
             if not s.issuperset([t[a][b] for b in s]):

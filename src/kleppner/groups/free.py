@@ -296,14 +296,3 @@ class FreeCyclic(Subgroup):
     def as_group(self) -> AsGroup:
         parent, w = self.parent, self.word
         return AsGroup(FreeAbelian(1), lambda c: parent.power(w, c[0]))
-
-
-def reduce_by_stack(group: FreeGroup, tokens: list[int]) -> Word:
-    """Independent reducer over signed letters, for cross-checking mul()."""
-    stack: list[int] = []
-    for tok in tokens:
-        if stack and stack[-1] == -tok:
-            stack.pop()
-        else:
-            stack.append(tok)
-    return group.from_flat(stack)

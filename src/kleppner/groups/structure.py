@@ -53,18 +53,3 @@ def is_normal(H: Subgroup) -> TriBool:
     if H.parent.is_abelian:
         return tb.holds("parent group is abelian")
     return H.parent.is_normal(H)
-
-
-def is_prime(G: Group) -> TriBool:
-    """No nontrivial finite normal subgroup; equivalently a torsion-free FC-center."""
-    return G.predicate(Subgroup.full(G), "prime")
-
-
-def is_fc_hypercentral(G: Group) -> TriBool:
-    """No nontrivial icc quotient (contains abelian and virtually nilpotent groups)."""
-    return G.predicate(Subgroup.full(G), "fc_hypercentral")
-
-
-def is_cstar_simple(G: Group) -> TriBool:
-    """Simplicity of the (untwisted) reduced group C*-algebra."""
-    return G.predicate(Subgroup.full(G), "cstar_simple")

@@ -10,7 +10,6 @@ serves the shape of a quotient Z^n / L.
 
 from __future__ import annotations
 
-from math import prod
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -94,22 +93,9 @@ class RowLattice:
                 if q := above[p] // row[p]:
                     above[:] = [a - q * b for a, b in zip(above, row)]
 
-    def contains(self, vec0: Sequence[int]) -> bool:
-        return echelon_contains(self.rows, vec0)
-
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def is_trivial(self) -> bool:
-        return not self.rows
-
-    def index_in_ambient(self) -> int | None:
-        """Index [Z^n : L], None when infinite (rank deficient)."""
-        if self.rank < self.n:
-            return None
-        # full rank: row i has its positive pivot in column i
-        return prod(row[i] for i, row in enumerate(self.rows))
 
     def basis(self) -> list[IntVec]:
         return [tuple(r) for r in self.rows]

@@ -68,10 +68,6 @@ class MonomialMatrix:
         if sorted(row_of_col) != list(range(self.n)):
             raise OracleError("not a monomial matrix: rows collide")
 
-    @staticmethod
-    def identity(n: int) -> "MonomialMatrix":
-        return MonomialMatrix(tuple(range(n)), (EMPTY_BASIS.zero(),) * n)
-
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         mids = other.row_of_col
         return MonomialMatrix(tuple(self.row_of_col[m] for m in mids),
@@ -92,10 +88,6 @@ class MonomialMatrix:
     def entry(self, r: int, k: int) -> Optional[Phase]:
         """The Phase of the (r, k) entry, None when the entry is zero."""
         return self.phase_of_col[k] if self.row_of_col[k] == r else None
-
-    def is_unitary(self) -> bool:
-        prod = self @ self.adjoint()
-        return prod == MonomialMatrix.identity(self.n)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MonomialMatrix) and self.row_of_col == other.row_of_col
@@ -317,10 +309,3 @@ def canonical_trace(rep: RegularRep, mat: MonomialMatrix) -> Optional[Phase]:
     """tau(T) = (T delta_e)(e), i.e. the (e, e) entry: a circle value or None for 0."""
     e = rep.group.identity()
     return mat.entry(e, e)
-
-
-def span_trace(rep: RegularRep, coeffs: dict[int, int]) -> Optional[Phase]:
-    """tau of T = sum_g f(g) lam(g), f given as exponents over ``rep.den``
-    (a route A basis element): the coefficient at the identity."""
-    pot = coeffs.get(rep.group.identity())
-    return None if pot is None else _make(EMPTY_BASIS, rep.den, [pot])

@@ -71,9 +71,6 @@ class IrrationalBasis:
             raise ValueError(f"symbol {name!r} not in basis {self.symbols}")
         return Phase(0, {name: coeff}, self)
 
-    def parse(self, text: str) -> "Phase":
-        return parse_phase(text, self)
-
 
 EMPTY_BASIS = IrrationalBasis(())
 
@@ -120,12 +117,6 @@ class Phase:
         """True iff the represented circle value equals 1 (exponent is integral)."""
         return not any(self.nums)
 
-    def coeff(self, symbol: str) -> Fraction:
-        syms = self.basis.symbols
-        if symbol in syms:
-            return Fraction(self.nums[syms.index(symbol) + 1], self.den)
-        return Fraction(0)
-
     def _require_same_basis(self, other: "Phase") -> None:
         if self.basis is not other.basis and self.basis != other.basis:
             raise BasisMismatchError(
@@ -151,10 +142,6 @@ class Phase:
         if not isinstance(other, Phase):
             return NotImplemented
         return self._combine(other, -1)
-
-    def conjugate(self) -> "Phase":
-        """Exponent of the complex conjugate circle value."""
-        return -self
 
     def with_basis(self, basis: "IrrationalBasis") -> "Phase":
         """The same value over a basis containing all used symbols."""

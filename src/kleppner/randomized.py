@@ -1,15 +1,13 @@
-"""Seeded random instances: root-of-unity cocycles on finite tables and
-coboundary data, for sweeps and invariance checks."""
+"""Seeded random instances: root-of-unity cocycles on finite tables, for
+sweeps and invariance checks."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, lcm
 
-from .cocycles import PhaseTableCocycle, TableBeta
+from .cocycles import PhaseTableCocycle
 from .groups.finite import FiniteTable
-from .phases import Phase
 
 DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
 
@@ -24,11 +22,6 @@ def _draw_beta(G: FiniteTable, rng: random.Random) -> list[tuple[int, int]]:
             d = rng.choice(DENOMINATORS)
             out[g] = (rng.randrange(d), d)
     return out
-
-
-def random_beta_table(G: FiniteTable, rng: random.Random) -> TableBeta:
-    mapping = {g: Phase(Fraction(m, d)) for g, (m, d) in enumerate(_draw_beta(G, rng))}
-    return TableBeta(G, mapping, label="random table")
 
 
 def random_table_cocycle(G: FiniteTable, rng: random.Random) -> PhaseTableCocycle:

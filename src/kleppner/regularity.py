@@ -317,12 +317,6 @@ def kleppner(G: Group, sigma: Cocycle, H: Optional[Subgroup] = None) -> TriBool:
     return relative_kleppner(G, H, sigma, restricted=True)
 
 
-def relative_icc(G: Group, H: Subgroup) -> TriBool:
-    """Every nontrivial H-conjugacy class in G is infinite (trivial-cocycle case)."""
-    from .cocycles import TrivialCocycle
-    return relative_kleppner(G, H, TrivialCocycle(G))
-
-
 # ---------------------------------------------------------------------------
 # sigma-regular subgroups
 # ---------------------------------------------------------------------------

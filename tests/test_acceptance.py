@@ -12,16 +12,17 @@ import zlib
 from fractions import Fraction
 
 import pytest
+from references import predicates, random_beta_table
 
 from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, ProductCocycle,
-                               RestrictionCocycle, SeededBeta, TrivialCocycle,
-                               ValidationBudget, check_twist_identities, rotation_cocycle,
-                               similarity_transform, three_torus_cocycle, validate_cocycle)
+                               SeededBeta, TrivialCocycle, ValidationBudget,
+                               check_twist_identities, rotation_cocycle, similarity_transform,
+                               three_torus_cocycle, transport, validate_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
-                             from_name, is_cstar_simple, is_fc_hypercentral, is_prime)
+                             from_name)
 from kleppner.oracle import build_regular_rep, relative_commutant_dim
-from kleppner.phases import IrrationalBasis, Phase
-from kleppner.randomized import random_beta_table, random_table_cocycle
+from kleppner.phases import IrrationalBasis, Phase, parse_phase
+from kleppner.randomized import random_table_cocycle
 from kleppner.regularity import (is_sigma_regular, kleppner, relative_kleppner,
                                  sigma_centralizer)
 from kleppner.verdicts import cstar_irreducible, intermediate_lattice
@@ -194,7 +195,7 @@ def test_criterion_3b_three_torus():
 
     b1 = IrrationalBasis(["t3"])
     dependent = three_torus_cocycle(
-        z3, [b1.parse("1/3 + (2)t3"), b1.parse("1/2 + t3"), b1.symbol("t3")])
+        z3, [parse_phase("1/3 + (2)t3", b1), parse_phase("1/2 + t3", b1), b1.symbol("t3")])
     ok &= cstar_irreducible(z3, H, dependent).fails
     _report(3, "b: three-torus inclusion", ok)
 
@@ -310,7 +311,7 @@ def test_criterion_4_identity_suite():
         (ProductCocycle(prod, rot, TrivialCocycle(z4)), 700),
         (similarity_transform(rot, SeededBeta(z2, 5, 8)), 700),
         (similarity_transform(heis_formal, SeededBeta(heis, 6, 12)), 700),
-        (RestrictionCocycle(heis_formal, hsub), 700),
+        (transport(heis_formal, hsub)[0], 700),
     ]
     # tuples of the sampled, exhaustive, generators and pullback modes and of
     # the sigma_j formula check, and points of the exact polynomial grid,
@@ -436,12 +437,8 @@ def test_criterion_7_predicate_table():
         (DirectProduct(FreeAbelian(1), Heisenberg()), "holds", "holds", "fails"),
     ]
     for g, p, f, c in expectations:
-        ok &= is_prime(g).status == p
-        ok &= is_fc_hypercentral(g).status == f
-        ok &= is_cstar_simple(g).status == c
+        ok &= predicates(g) == (p, f, c)
     for name in sweep_group_names() + ["S_4", "D_8"]:
         g = from_name(name)
-        ok &= is_prime(g).status == ("holds" if g.order == 1 else "fails")
-        ok &= is_fc_hypercentral(g).status == "holds"
-        ok &= is_cstar_simple(g).status == "fails"
+        ok &= predicates(g) == ("holds" if g.order == 1 else "fails", "holds", "fails")
     _report(7, "primeness and structure predicate catalog", ok)

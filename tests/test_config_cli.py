@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from kleppner.cli import main
+from kleppner.cocycles import (ProductCocycle, SeededBeta, SimilarityCocycle, TrivialCocycle,
+                               check_twist_identities, transport, validate_cocycle)
 from kleppner.config import LATTICE_CAP, RANK_CAP, ConfigError, parse_config
+from kleppner.groups import DirectProduct, from_name
 from kleppner.report import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -132,7 +135,7 @@ theta = t1
     val = config.cocycle((1, 0), (0, 1))
     from fractions import Fraction
     assert val.rational == Fraction(1, 6)
-    assert val.coeff("t3") == 1
+    assert dict(val.coeffs)["t3"] == 1
 
 
 def test_json_report_round_trips():
@@ -381,15 +384,27 @@ def test_max_lattice_above_the_cap_is_a_config_error(tmp_path, capsys):
     assert parse_config(path.read_text()).max_lattice == LATTICE_CAP
 
 
-# wrapper cocycles validate on the domain of their parts
-WRAPPED_RESTRICTIONS = {
-    "similarity-of-restriction": """
+# restriction is not a cocycle kind: sigma restricted to H is decided inside G
+# (H's classes and Z(H) = C_G(H) ∩ H), and transport pulls sigma back to H
+RESTRICTIONS = {
+    "alone": """
 [group]
 kind = heisenberg
 
-[subgroup]
+[cocycle]
+kind = restriction
+
+[cocycle.base]
+kind = heisenberg
+theta = 1/3
+
+[cocycle.subgroup]
 kind = coordinate_zero
 coords = [0]
+""",
+    "similarity-of-restriction": """
+[group]
+kind = heisenberg
 
 [cocycle]
 kind = similarity
@@ -443,35 +458,81 @@ analyses = validate
 """}
 
 
-@pytest.mark.parametrize("case", list(WRAPPED_RESTRICTIONS))
+@pytest.mark.parametrize("case", list(RESTRICTIONS))
+def test_restriction_cocycle_kind_is_a_config_error(case, tmp_path, capsys):
+    """kind = restriction, alone or inside a wrapper, is one config error at
+    its own kind line, whatever the analyses."""
+    text = RESTRICTIONS[case]
+    path = tmp_path / f"{case}.tomlish"
+    path.write_text(text)
+    assert main(["--input", str(path)]) == 1
+    line = text.splitlines().index("kind = restriction") + 1
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown cocycle kind 'restriction' (line {line})\n"
+    assert "Traceback" not in err
+
+
+# the wrapped restrictions above, built the one way sigma|_H is built now:
+# transport(sigma, H) pulls sigma back to H's own group, and the wrapper goes
+# on that pullback
+RESTRICTED_BASES = {
+    "similarity-of-restriction": """
+[group]
+kind = heisenberg
+
+[subgroup]
+kind = coordinate_zero
+coords = [0]
+
+[cocycle]
+kind = heisenberg
+gamma = 1/2
+theta = 1/3
+""",
+    "product-with-restricted-factor": """
+[group]
+kind = finite
+name = "Z_4"
+
+[subgroup]
+kind = finite_subset
+elements = ["0", "2"]
+"""}
+
+
+def _wrapped_restriction(case):
+    cfg = parse_config(RESTRICTED_BASES[case], name=case)
+    restricted, asg = transport(cfg.cocycle, cfg.subgroup)
+    if case.startswith("similarity"):
+        return SimilarityCocycle(restricted, SeededBeta(asg.group, 3, 8, restricted.basis))
+    right = from_name("Z_2")
+    return ProductCocycle(DirectProduct(asg.group, right), restricted, TrivialCocycle(right))
+
+
+@pytest.mark.parametrize("case", list(RESTRICTED_BASES))
 def test_wrapped_restriction_validates_on_its_subgroup(case):
-    payload = run(parse_config(WRAPPED_RESTRICTIONS[case], name=case)).payload
-    assert payload["validate"]["passed"] and payload["identities"]["passed"]
+    sigma = _wrapped_restriction(case)
+    result = validate_cocycle(sigma)
+    assert result.passed and check_twist_identities(sigma).passed
     if case.startswith("product"):
         # {0, 2} x Z_2 has 4 elements: every triple, exhaustively
-        assert payload["validate"]["mode"] == "exhaustive"
-        assert payload["validate"]["checks"] == 4 ** 3
+        assert result.mode == "exhaustive"
+        assert result.checks == 4 ** 3
 
 
-RESTRICTED_TO = {"similarity-of-restriction": "{(0, a2, a3)}",
-                 "product-with-restricted-factor": "finite subgroup {0, 2}"}
-
-
-@pytest.mark.parametrize("case", list(WRAPPED_RESTRICTIONS))
+@pytest.mark.parametrize("case", list(RESTRICTED_BASES))
 def test_decisions_on_a_restricted_cocycle_are_a_config_error(case, tmp_path, capsys):
-    """A decision evaluates the cocycle on the whole group, outside the
-    restriction's subgroup: refused at the analyses line before any analysis
-    runs, or at the [cocycle] line when the default analyses apply."""
-    text = WRAPPED_RESTRICTIONS[case]
+    """A decision on sigma|_H is made inside G, on the config's [subgroup]; a
+    config that asks one of a restriction cocycle is refused at its kind line
+    before any analysis runs, with the decision analyses or the default ones."""
+    text = RESTRICTIONS[case]
     decisions = text.replace("analyses = validate",
                              "analyses = validate kleppner relative-kleppner centralizers "
                              "verdict lattice")
-    lines = text.splitlines()
+    line = text.splitlines().index("kind = restriction") + 1
     path = tmp_path / "restricted.tomlish"
-    for body, bad, line in [(decisions, "kleppner", lines.index("analyses = validate") + 1),
-                            (text.split("[run]")[0], "verdict", lines.index("[cocycle]") + 1)]:
+    for body in (decisions, text.split("[run]")[0]):
         path.write_text(body)
         assert main(["--input", str(path)]) == 1
         assert capsys.readouterr().err == (
-            f"config error: the cocycle is restricted to {RESTRICTED_TO[case]}; only the "
-            f"validate analysis runs on it, not {bad!r} (line {line})\n")
+            f"config error: unknown cocycle kind 'restriction' (line {line})\n")

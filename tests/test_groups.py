@@ -8,16 +8,15 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from references import PREDICATES, predicates
 from test_acceptance import sweep_group_names
 
 from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, GroupError,
                              Heisenberg, INFINITE, Subgroup, centralizer_generators,
                              centralizer_of_subgroup, fc_centralizer, from_name,
-                             h_conjugacy_class, is_cstar_simple, is_fc_hypercentral,
-                             is_normal, is_prime)
+                             h_conjugacy_class, is_normal)
 from kleppner.groups.abelian import QUOTIENT_CAP
 from kleppner.groups.base import Group
-from kleppner.groups.free import reduce_by_stack
 from kleppner.cocycles import HeisenbergCocycle, commutation_trivial
 from kleppner.groups.subgroups import GeneratedSubgroup
 from kleppner.phases import IrrationalBasis
@@ -86,6 +85,17 @@ def test_heisenberg_product_and_inverse():
         a = h.random_element(rng)
         assert h.mul(a, h.inv(a)) == (0, 0, 0)
         assert h.mul(h.inv(a), a) == (0, 0, 0)
+
+
+def reduce_by_stack(group: FreeGroup, tokens: list[int]):
+    """Independent reducer over signed letters, for cross-checking mul()."""
+    stack: list[int] = []
+    for tok in tokens:
+        if stack and stack[-1] == -tok:
+            stack.pop()
+        else:
+            stack.append(tok)
+    return group.from_flat(stack)
 
 
 def test_free_group_reduction_vs_stack():
@@ -313,16 +323,16 @@ def test_predicate_catalog():
     f2xf2 = DirectProduct(f2, FreeGroup(2))
     f2xz2 = DirectProduct(f2, from_name("Z_2"))
 
-    assert is_prime(z2).holds and is_fc_hypercentral(z2).holds and is_cstar_simple(z2).fails
-    assert is_prime(heis).holds and is_fc_hypercentral(heis).holds and is_cstar_simple(heis).fails
-    assert is_prime(f2).holds and is_fc_hypercentral(f2).fails and is_cstar_simple(f2).holds
-    assert is_prime(f3).holds and is_cstar_simple(f3).holds
-    assert is_prime(z4).fails and is_fc_hypercentral(z4).holds and is_cstar_simple(z4).fails
-    assert is_prime(q8).fails
-    assert is_prime(trivial).holds and is_cstar_simple(trivial).fails
-    assert is_prime(f2xf2).holds and is_cstar_simple(f2xf2).holds
-    assert is_prime(f2xz2).fails and is_cstar_simple(f2xz2).fails
-    assert is_fc_hypercentral(f2xz2).fails
+    # (prime, FC-hypercentral, C*-simple)
+    assert predicates(z2) == ("holds", "holds", "fails")
+    assert predicates(heis) == ("holds", "holds", "fails")
+    assert predicates(f2) == ("holds", "fails", "holds")
+    assert predicates(f3, ("prime", "cstar_simple")) == ("holds", "holds")
+    assert predicates(z4) == ("fails", "holds", "fails")
+    assert predicates(q8, ("prime",)) == ("fails",)
+    assert predicates(trivial, ("prime", "cstar_simple")) == ("holds", "fails")
+    assert predicates(f2xf2, ("prime", "cstar_simple")) == ("holds", "holds")
+    assert predicates(f2xz2) == ("fails", "fails", "fails")
 
 
 def test_trivial_factor_is_neutral():
@@ -330,11 +340,12 @@ def test_trivial_factor_is_neutral():
     for one in (FreeAbelian(0), FiniteTable([[0]])):
         # the one-element group: full and trivial are the same subgroup
         assert Subgroup.full(one).is_trivial_subgroup() and Subgroup.trivial(one).is_full()
-        for pred in (is_prime, is_fc_hypercentral, is_cstar_simple):
-            assert pred(DirectProduct(f2, one)).status == pred(f2).status
-            assert pred(DirectProduct(one, f2)).status == pred(f2).status
-            assert pred(DirectProduct(one, one)).status == pred(one).status
-    assert is_cstar_simple(DirectProduct(f2, from_name("Z_1"))) == is_cstar_simple(f2)
+        assert predicates(DirectProduct(f2, one)) == predicates(f2)
+        assert predicates(DirectProduct(one, f2)) == predicates(f2)
+        assert predicates(DirectProduct(one, one)) == predicates(one)
+    f2z1 = DirectProduct(f2, from_name("Z_1"))
+    assert (f2z1.predicate(Subgroup.full(f2z1), "cstar_simple")
+            == f2.predicate(Subgroup.full(f2), "cstar_simple"))
 
 
 # DirectProduct(A, B) against the same group flattened into one table
@@ -415,8 +426,7 @@ def test_product_structure_matches_flattened_table(names):
     def closure(gens):
         return sorted(T.closure(set(gens)))
 
-    for pred in (is_prime, is_fc_hypercentral, is_cstar_simple):
-        assert pred(P).status == pred(T).status
+    assert predicates(P) == predicates(T)
     for s in T.all_subgroups():
         HT = Subgroup.finite_subset(T, s)
         H = Subgroup.finite_subset(P, [elems[i] for i in s])
@@ -460,24 +470,20 @@ def test_readme_predicate_table_matches_class_data():
             break
         cells = [c.strip() for c in line.strip("|").split("|")]
         rows[cells[0]] = [re.match(r"\w+", c).group() for c in cells[1:]]
-    preds = (is_prime, is_fc_hypercentral, is_cstar_simple)
     assert set(rows) == set(README_ROWS) | {"`DirectProduct(A, B)`"}
     for label, groups in README_ROWS.items():
         for G in groups:
-            assert [pred(G).status for pred in preds] == rows[label], (label, G)
+            assert list(predicates(G)) == rows[label], (label, G)
     assert rows["`DirectProduct(A, B)`"] == ["both"] * 3
     leaves = [G for groups in README_ROWS.values() for G in groups if G.order != 1]
     for A in leaves:
         for B in leaves:
-            for pred in preds:
-                a, b, ab = pred(A), pred(B), pred(DirectProduct(A, B))
-                want = "fails" if a.fails or b.fails else "holds"
-                assert ab.status == want, (pred.__name__, A, B)
+            for name, a, b, ab in zip(PREDICATES, predicates(A), predicates(B),
+                                      predicates(DirectProduct(A, B))):
+                want = "fails" if "fails" in (a, b) else "holds"
+                assert ab == want, (name, A, B)
 
 
-# predicate name -> the group predicate of that name
-GROUP_PREDICATES = {"prime": is_prime, "fc_hypercentral": is_fc_hypercentral,
-                    "cstar_simple": is_cstar_simple}
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -519,11 +525,10 @@ def test_predicates_agree_with_standalone_groups(monkeypatch):
         ag = None if H is None else H.as_group()
         if ag is None:
             continue
-        for name, group_predicate in GROUP_PREDICATES.items():
-            want = group_predicate(ag.group)
-            if want.decided:
+        for name, want in zip(PREDICATES, predicates(ag.group)):
+            if want in ("holds", "fails"):
                 decided += 1
-                assert H.parent.predicate(H, name).status == want.status, (H, name)
+                assert H.parent.predicate(H, name).status == want, (H, name)
     assert decided >= 2000
 
 
@@ -538,7 +543,7 @@ def test_predicates_of_subgroups_without_standalone_form():
     for H, want in [(H, ("holds", "holds", "fails")) for H in amenable] + [
             (free, ("holds", "fails", "holds"))]:
         assert H.as_group() is None, H
-        assert tuple(H.parent.predicate(H, name).status for name in GROUP_PREDICATES) == want
+        assert tuple(H.parent.predicate(H, name).status for name in PREDICATES) == want
     assert f2.predicate(free, "cstar_simple").notes == (
         "free groups of rank >= 2 are C*-simple (Powers)",)
 
@@ -556,6 +561,21 @@ def test_subgroup_as_group_round_trip():
     assert cyc.kind == "cyclic"  # normalized: generators commute
     agc = cyc.as_group()
     assert agc.embed((3,)) == f.parse_element("ababab")
+
+
+def test_check_element_names_the_value_passed_in():
+    """A non-element is one GroupError naming the value given, on a table
+    whose element names are indexed by element: not an IndexError, a
+    TypeError or the name of another element."""
+    z4 = from_name("Z_4")
+    for bad in (99, "a", -1):
+        with pytest.raises(GroupError, match=f"^{re.escape(repr(bad))} is not an element of Z_4$"):
+            z4.check_element(bad)
+    # every element is checked before a table row is read at it
+    with pytest.raises(GroupError, match="^9 is not an element of Z_4$"):
+        Subgroup.finite_subset(z4, [0, 9])
+    with pytest.raises(GroupError, match="^9 is not an element of Z_4$"):
+        Group.check_closed(z4, {0, 9})
 
 
 def test_finite_subset_validation():

@@ -13,7 +13,7 @@ from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, SeededBeta, Trivi
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
                              centralizer_of_subgroup, from_name)
 from kleppner.oracle import center_dim, relative_commutant_dim
-from kleppner.phases import IrrationalBasis, Phase
+from kleppner.phases import IrrationalBasis, Phase, parse_phase
 from kleppner.groups.subgroups import INFINITE, Classification
 from kleppner.randomized import random_table_cocycle
 from kleppner.regularity import is_sigma_regular, kleppner
@@ -67,7 +67,8 @@ def test_three_torus_verdicts():
 
     b1 = IrrationalBasis(["t3"])
     t3 = b1.symbol("t3")
-    dependent = three_torus_cocycle(z3, [b1.parse("1/3 + (2)t3"), b1.parse("1/2 + t3"), t3])
+    dependent = three_torus_cocycle(
+        z3, [parse_phase("1/3 + (2)t3", b1), parse_phase("1/2 + t3", b1), t3])
     assert cstar_irreducible(z3, H, dependent).fails
 
 

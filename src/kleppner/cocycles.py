@@ -8,7 +8,10 @@ Each variant states its formula once, in integer form: ``int_value(g, h)`` is
 (the rational slot first, then one slot per symbol).  ``value`` is derived from
 it, and the validators add and subtract these vectors instead of Phases.
 ``commutation_int(g, h)`` is the integer form of sigma(g, h) - sigma(h, g),
-which regularity reads; kinds with a cheaper exact formula override it.
+which regularity reads; kinds with a cheaper exact formula override it: a
+bicharacter sums x_j y_k - y_j x_k once per pair j < k against the entries of
+den * (B - B^T), and a similarity transform asks ``group.commutes(g, h)``
+before it builds gh and hg.
 """
 
 from __future__ import annotations
@@ -140,11 +143,16 @@ class BicharacterCocycle(Cocycle):
         self.basis = basis if basis is not None else EMPTY_BASIS
         self.matrix = tuple(tuple(row) for row in matrix)
         # the integer matrix den * B as its nonzero entries (j, k, slots), where
-        # slots lists the nonzero (phase slot, multiplier) pairs of the entry
+        # slots lists the nonzero (phase slot, multiplier) pairs of the entry;
+        # pair_terms holds den * (B - B^T) on the pairs j < k in the same form,
+        # since sigma(x, y) - sigma(y, x) = sum_{j<k} (B - B^T)_jk (x_j y_k - y_j x_k)
         self.den = lcm(*(p.den for row in self.matrix for p in row))
-        self.terms = tuple(
-            (j, k, tuple((s, m * (self.den // p.den)) for s, m in enumerate(p.nums) if m))
-            for j, row in enumerate(self.matrix) for k, p in enumerate(row) if not p.is_one())
+        ints = [[[m * (self.den // p.den) for m in p.nums] for p in row] for row in self.matrix]
+        self.terms = tuple((j, k, slots) for j in range(n) for k in range(n)
+                           if (slots := _slots(ints[j][k])))
+        self.pair_terms = tuple(
+            (j, k, slots) for j in range(n) for k in range(j + 1, n)
+            if (slots := _slots([a - b for a, b in zip(ints[j][k], ints[k][j])])))
 
     def int_value(self, x, y) -> list[int]:
         out = [0] * (1 + len(self.basis.symbols))
@@ -157,7 +165,7 @@ class BicharacterCocycle(Cocycle):
 
     def commutation_int(self, x, y) -> list[int]:
         out = [0] * (1 + len(self.basis.symbols))
-        for j, k, slots in self.terms:
+        for j, k, slots in self.pair_terms:
             xy = x[j] * y[k] - y[j] * x[k]
             if xy:
                 for s, m in slots:
@@ -170,6 +178,11 @@ class BicharacterCocycle(Cocycle):
     def describe(self) -> str:
         rows = "; ".join("[" + ", ".join(str(p) for p in row) + "]" for row in self.matrix)
         return f"bicharacter [{rows}]"
+
+
+def _slots(ints: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The nonzero (phase slot, multiplier) pairs of an integer phase vector."""
+    return tuple((s, m) for s, m in enumerate(ints) if m)
 
 
 def rotation_cocycle(group: FreeAbelian, theta: Phase) -> BicharacterCocycle:
@@ -423,13 +436,12 @@ class SimilarityCocycle(Cocycle):
     def commutation_int(self, g, h) -> list[int]:
         """sigma'(g, h) - sigma'(h, g) = sigma(g, h) - sigma(h, g) + beta(hg) - beta(gh):
         the beta(g) and beta(h) terms cancel, and beta(hg) - beta(gh) is 0 when
-        g and h commute, so beta is evaluated only on a non-commuting pair."""
+        g and h commute, so gh, hg and beta are computed only on a pair that
+        group.commutes says does not commute."""
         out = [self._base_mult * x for x in self.base.commutation_int(g, h)]
-        mul = self.group.mul
-        gh, hg = mul(g, h), mul(h, g)
-        if gh != hg:
-            b = self.beta.int_value
-            for (s, m), x, y in zip(self._beta_slots, b(hg), b(gh)):
+        if not self.group.commutes(g, h):
+            b, mul = self.beta.int_value, self.group.mul
+            for (s, m), x, y in zip(self._beta_slots, b(mul(h, g)), b(mul(g, h))):
                 out[s] += m * (x - y)
         return out
 

@@ -20,8 +20,9 @@ def int_key(c: int) -> tuple[int, int]:
 
 
 def vector_key(v: Sequence[int]):
-    """Total order on integer vectors: L1 norm first, then entrywise int_key."""
-    return (sum(abs(c) for c in v), tuple(int_key(c) for c in v))
+    """Total order on integer vectors: L1 norm first, then entrywise int_key,
+    built inline as (abs(c), c < 0), whose bool orders as int_key's 0 and 1."""
+    return (sum(map(abs, v)), tuple([(abs(c), c < 0) for c in v]))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -114,14 +115,18 @@ class RowLattice:
             return None
         piv = [next(k for k, x in enumerate(row) if x) for row in rows] + [self.n]
         best = min((tuple(row) for row in rows), key=vector_key)
-        bound = sum(map(abs, best))
+        best_key = vector_key(best)
+        bound = best_key[0]
 
         def search(i: int, v: list[int], l1: int) -> None:
             # v combines rows 0..i-1; its columns before piv[i] have L1 norm l1
-            nonlocal best, bound
+            nonlocal best, best_key, bound
             if i == r:
-                if any(v) and vector_key(v) < vector_key(best):
-                    best, bound = tuple(v), l1
+                # here l1 is the L1 norm of all of v, 0 only for v = 0
+                if l1:
+                    key = vector_key(v)
+                    if key < best_key:
+                        best, best_key, bound = tuple(v), key, l1
                 return
             row, p, x = rows[i], rows[i][piv[i]], v[piv[i]]
             # the pivot column alone must stay within the bound: |x + c p| <= slack

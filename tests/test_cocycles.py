@@ -579,14 +579,29 @@ def _nonabelian_proper_subgroup(G):
     return None
 
 
+def skew_bicharacter():
+    """A bicharacter on Z^3 with B != -B^T: diagonal entries, a symmetric part,
+    rational and symbol slots mixed, and in pairs (0, 1) and (1, 2) one slot
+    where the (j, k) and (k, j) entries cancel (1/5 and (3/4) t2)."""
+    b3 = IrrationalBasis(["t1", "t2", "t3"])
+    t1, t2, t3 = (b3.symbol(n) for n in ("t1", "t2", "t3"))
+    q = b3.rational
+    return BicharacterCocycle(FreeAbelian(3), [
+        [q(Fraction(1, 3)), t1 * 2 + q(Fraction(1, 5)), -t2],
+        [t3 + q(Fraction(1, 5)), t2, t2 * Fraction(3, 4) - q(Fraction(2, 7))],
+        [t1 - t3, t2 * Fraction(3, 4) + q(Fraction(1, 7)), t3]])
+
+
 def commutation_cases():
     """(sigma, betas): every shipped variant, Heisenberg and F_2 x Z_2 cocycles,
-    drawn tables on S_3, S_4 and D_8, pullbacks of these to subgroups, and
-    SeededBeta twins of each (several denominators, and over the cocycle's
-    symbol basis when it has one); betas lists the counting betas in sigma."""
+    a bicharacter with B != -B^T, drawn tables on S_3, S_4 and D_8, pullbacks
+    of these to subgroups, and SeededBeta twins of each (several denominators,
+    and over the cocycle's symbol basis when it has one); betas lists the
+    counting betas in sigma."""
     bh = IrrationalBasis(["gamma", "theta"])
     z2 = from_name("Z_2")
     bases = all_shipped_variants() + [
+        skew_bicharacter(),
         HeisenbergCocycle(HEIS, bh.symbol("gamma"), bh.rational(Fraction(1, 3))),
         ProductCocycle(DirectProduct(HEIS, z2),
                        HeisenbergCocycle(HEIS, Phase(Fraction(1, 4)), Phase(Fraction(1, 6))),

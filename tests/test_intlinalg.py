@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from references import reference_small_nonzero, reference_vector_key
+
 from kleppner.groups import INFINITE, FreeAbelian, Subgroup
 from kleppner.intlinalg import (RowLattice, echelon_contains, integer_kernel, kernel_mod,
                                 smith_normal_form, vector_key, xgcd)
@@ -236,6 +238,7 @@ def test_kernel_mod_agrees_with_the_smith_route_and_brute_force():
 
 def test_row_lattice_membership_brute_force():
     rng = random.Random(3)
+    members = non_members = 0
     for _ in range(100):
         n = rng.randint(1, 3)
         gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
@@ -244,11 +247,25 @@ def test_row_lattice_membership_brute_force():
         for coeffs in product(range(-2, 3), repeat=len(gens)):
             v = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)]
             assert echelon_contains(lat.rows, v)
-        # members reduce to zero, non-members don't: spot-check via reduction
+        # every small vector, member or not, is decided as by the Smith form
         for cand in product(range(-2, 3), repeat=n):
-            if echelon_contains(lat.rows, cand):
-                # must be representable: check against a rational solve
-                pass
+            member = _smith_contains(gens, cand)
+            assert echelon_contains(lat.rows, cand) == member, (gens, cand)
+            members += member
+            non_members += not member
+    assert min(members, non_members) > 500, (members, non_members)
+
+
+def _smith_contains(gens, v):
+    """Whether v is an integer combination of gens, apart from the echelon
+    form: with U A V = D for the matrix A whose columns are gens, A x = v has
+    an integer solution exactly when D y = U v has one."""
+    n = len(v)
+    a = [[g[i] for g in gens] for i in range(n)]
+    u, d, _ = smith_normal_form(a)
+    uv = [sum(x * y for x, y in zip(row, v)) for row in u]
+    return all(uv[i] % d[i][i] == 0 if i < len(gens) and d[i][i] else uv[i] == 0
+               for i in range(n))
 
 
 def test_lattice_index_matches_snf():
@@ -308,3 +325,23 @@ def test_small_nonzero_looks_past_small_coefficients():
     # the least vector is the second row plus 6 times the third
     lat = RowLattice(4, [[1, 6, -2, -4], [0, 3, -36, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
     assert lat.small_nonzero() == (0, 3, 0, 0)
+
+
+def test_vector_key_orders_as_its_reference():
+    rng = random.Random(11)
+    vecs = [tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 6))) for _ in range(2500)]
+    vecs += [tuple(v) for n in (1, 2) for v in product(range(-6, 7), repeat=n)]
+    # both keys are injective, so equal sorted lists mean the same order
+    assert sorted(vecs, key=vector_key) == sorted(vecs, key=reference_vector_key)
+
+
+def test_small_nonzero_matches_its_reference():
+    rng = random.Random(12)
+    lattices = [RowLattice(4, [[1, 6, -2, -4], [0, 3, -36, 0], [0, 0, 6, 0], [0, 0, 0, 6]])]
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        lattices.append(RowLattice(n, gens))
+    assert {lat.rank for lat in lattices} == {0, 1, 2, 3, 4, 5}
+    for lat in lattices:
+        assert lat.small_nonzero() == reference_small_nonzero(lat), lat.rows

@@ -12,7 +12,7 @@ All arithmetic is exact: rational phases plus formal irrational symbols.
 
 from .cocycles import (BicharacterCocycle, Cocycle, F2Z2Cocycle, HeisenbergCocycle,
                        PhaseTableCocycle, ProductCocycle, SeededBeta, SimilarityCocycle,
-                       TrivialCocycle, ValidationBudget, check_twist_identities,
+                       TrivialCocycle, check_twist_identities,
                        commutation_trivial, rotation_cocycle, similarity_transform,
                        three_torus_cocycle, transport, validate_cocycle)
 from .config import ConfigError, InstanceConfig, parse_config

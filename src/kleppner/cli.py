@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, help="instance config file")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config's sampling seed")
+                        help="override the config's seed, which is only recorded in the report")
     return parser
 
 

@@ -17,8 +17,7 @@ before it builds gh and hg.
 from __future__ import annotations
 
 import hashlib
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -310,8 +309,8 @@ class PhaseTableCocycle(Cocycle):
     @cached_property
     def generator_row_failure(self) -> tuple | None:
         """_table_identity_failure on generator_rows: None exactly when the
-        table is a cocycle.  Scanned once per table; _validate_table_fast
-        and build_regular_rep both read it."""
+        table is a cocycle.  Scanned once per table; _validate_table_fast,
+        check_twist_identities and build_regular_rep read it."""
         return _table_identity_failure(self, self.generator_rows)
 
     def int_value(self, g, h) -> list[int]:
@@ -346,6 +345,9 @@ class ProductCocycle(Cocycle):
             raise CocycleError("factor cocycles must live on the product factors")
         if left.basis != right.basis and EMPTY_BASIS not in (left.basis, right.basis):
             raise CocycleError("factor cocycles must share one basis")
+        if not all(_is_zero(f.den, f.int_value(f.group.identity(), f.group.identity()))
+                   for f in (left, right)):  # validation splits by factor on this
+            raise CocycleError("factor cocycles must vanish at (e, e)")
         self.group = group
         self.basis = left.basis if left.basis != EMPTY_BASIS else right.basis
         self.left = left
@@ -539,18 +541,6 @@ def commutation_trivial(sigma: Cocycle, g: Element, h: Element) -> bool:
 # validation
 # ---------------------------------------------------------------------------
 
-# groups of at most EXHAUSTIVE_LIMIT elements are checked on every triple;
-# larger ones on sampled words of length at most WORD_SIZE
-EXHAUSTIVE_LIMIT = 64
-WORD_SIZE = 8
-
-
-@dataclass(frozen=True)
-class ValidationBudget:
-    samples: int = 2000
-    seed: int = 0
-
-
 @dataclass(frozen=True)
 class ValidationResult:
     passed: bool
@@ -560,17 +550,11 @@ class ValidationResult:
     detail: str = ""
     triples: int = 0
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def _simplex(n: int, d: int) -> list[tuple[int, ...]]:
-    """The points of N^n with coordinate sum at most d, in lexicographic order.
-
-    Built as lists one coordinate at a time: by_bound[b] holds the points
-    of the coordinates so far with sum at most b, in lexicographic order,
-    and the next level's by_bound[b] is (a,) + p for a = 0..b and each p of
-    by_bound[b - a] in turn, which keeps that order."""
+    """The points of N^n with coordinate sum at most d, in lexicographic
+    order, one coordinate at a time: by_bound[b] lists those with sum at
+    most b, and the next level's is (a,) + p for a = 0..b, p in by_bound[b - a]."""
     by_bound = [[()]] * (d + 1)
     for _ in range(n):
         by_bound = [[(a,) + p for a in range(b + 1) for p in by_bound[b - a]]
@@ -578,37 +562,52 @@ def _simplex(n: int, d: int) -> list[tuple[int, ...]]:
     return by_bound[d]
 
 
-def _triples(sigma: Cocycle, budget: ValidationBudget):
-    """(mode, triples): the triples a validator checks, and the mode both
-    validators report for them.  Each validator call reads sigma on them
-    through its own _CallValues, so it evaluates sigma once per distinct
-    pair and keeps nothing afterwards.
+def _triples(sigma: Cocycle):
+    """(mode, triples) for sigma.  Both validators take one exact route per
+    kind, stated here once.
 
-    A polynomial kind (``sigma.degree`` is d) gets the points alpha of N^{3m}
-    with |alpha| <= d, split into (g, h, k), m the number of coordinates of
-    an element; the check on them is exact.  A residual R of an identity, a
-    signed sum of integer values each of degree at most d, is an integer
-    polynomial of degree at most d on Z^{3m}, so R = sum_alpha c_alpha *
-    binom(x, alpha) over |alpha| <= d, where binom(x, alpha) is the product of
-    binom(x_i, alpha_i).  Each c_alpha is a finite difference of R at 0, an
-    integer combination of R's values on the grid, and binom(x, alpha) is an
-    integer at every integer x, negative ones included.  So R is 0 mod ``den``
-    in the rational slot and 0 in every symbol slot on all of Z^{3m} exactly
-    when it is on the grid.  The g-components cover {x : |x| <= d}, which
-    makes the normalization check exact by the same argument in m variables,
-    and the power identity of the twist check is the right-product one at
-    (r, s, s^2) for commuting r, s.  ``budget`` does not apply.  The grid
-    is the list of _simplex, made anew on each call.
+    Read off sigma's parts by _reduced, before any triple:
+    - ``trivial`` passes with 0 checks (mode "trivial"): every value is 0.
+    - A similarity transform gets its base's result unchanged: the
+      coboundary adds 0 to every identity residual term by term, and
+      beta(e) = 0 (SimilarityCocycle enforces it) to normalization.
+    - A product checks its left factor, then its right (mode
+      "product(<left>, <right>)", checks and triples summed; "unchecked"
+      for a right factor skipped once the left fails).  Each residual at
+      ((a1, b1), (a2, b2), (a3, b3)) is the left one at the a's plus the
+      right one at the b's, a residual at (e, e, e) cancels term by term, and
+      both factors vanish at (e, e) (ProductCocycle enforces it).  So a
+      factor's witness, with e in the other slot, is sigma's.
+    - A pullback without a section (``transport`` builds one, along an
+      injective homomorphism) on an infinite group gets its base's result
+      when the base passes; otherwise CocycleError, since no route decides it.
+    Checked on the triples returned here:
+    - A polynomial kind (``sigma.degree`` is d, m coordinates per element)
+      gets the alpha in N^{3m} with |alpha| <= d as (g, h, k) (mode
+      "polynomial").  A residual R of degree at most d is sum_alpha c_alpha *
+      binom(x, alpha), each c_alpha an integer combination of R's values on
+      this grid and each binomial an integer at every integer x, so R
+      vanishes on Z^{3m} exactly when it does here; the g-components cover
+      {|x| <= d} for normalization, and the power identity is the
+      right-product one at (r, s, s^2).  The grid is made anew on each call.
+    - A pullback along phi onto a finite group with a section gets the
+      triples of the section's image (mode "pullback"): each term at
+      (g, h, k) is the base's at (phi g, phi h, phi k).
+    - Any other kind on a finite group gets every triple (mode "exhaustive").
+    Any other kind on an infinite group is a CocycleError.
 
-    A pullback along phi onto a finite group A with a section gets the |A|^3
-    triples of the section's image (mode "pullback"), exactly: phi respects
-    products and conjugation, so every term of normalization and of the
-    identities at (g, h, k) is the base's term at (phi g, phi h, phi k).
-
-    Otherwise: every triple of a finite group of at most EXHAUSTIVE_LIMIT
-    elements (mode "exhaustive"), else ``budget.samples`` triples of words
-    drawn by ``sigma.group.random_element`` from ``budget.seed`` (mode
-    "sampled")."""
+    A phase table validates on its generator rows (_validate_table_fast).
+    Its twist identities pass in the same mode "generators" when
+    ``generator_row_failure`` is None, since each twist residual, as
+    check_twist_identities sums it, is term by term a signed sum of defects
+    d(a, b, c) = sigma(a, b) + sigma(ab, c) - sigma(a, bc) - sigma(b, c):
+      left product at (r, s, t):   d(v, r, s) - d(r, u, s) + d(r, s, t),
+                                   u = s t s^-1, v = r u r^-1;
+      right product at (r, s, t):  -d(r, s, t) + d(a, r, t) - d(a, b, r),
+                                   a = r s r^-1, b = r t r^-1;
+      power identity: the right-product one at (r, s, s^2)
+    (test_cocycles.py::test_twist_residuals_are_sums_of_cocycle_defects).
+    A table whose generator rows fail gets every triple."""
     if sigma.degree is not None:
         m = len(sigma.group.identity())
         return "polynomial", [(p[:m], p[m:2 * m], p[2 * m:])
@@ -616,11 +615,35 @@ def _triples(sigma: Cocycle, budget: ValidationBudget):
     if isinstance(sigma, PullbackCocycle) and sigma.section is not None:
         return "pullback", product(map(sigma.section, sigma.base.group.elements()), repeat=3)
     G = sigma.group
-    if G.is_finite and G.order <= EXHAUSTIVE_LIMIT:
+    if G.is_finite:
         return "exhaustive", product(G.elements(), repeat=3)
-    rng, draw = random.Random(budget.seed), G.random_element
-    return "sampled", ((draw(rng, WORD_SIZE), draw(rng, WORD_SIZE), draw(rng, WORD_SIZE))
-                       for _ in range(budget.samples))
+    raise CocycleError(f"no exact validation route for {sigma.describe()} on {G.describe()}")
+
+
+def _reduced(sigma: Cocycle, check: Callable[[Cocycle], ValidationResult]) -> ValidationResult | None:
+    """check(sigma) read off the cocycles sigma is built from, by the routes
+    of _triples; None when sigma is checked on triples of its own."""
+    if isinstance(sigma, TrivialCocycle):
+        return ValidationResult(True, None, 0, "trivial")
+    if isinstance(sigma, SimilarityCocycle):
+        return check(sigma.base)
+    if isinstance(sigma, ProductCocycle):
+        G, left = sigma.group, check(sigma.left)
+        if not left.passed:
+            e = G.right.identity()
+            return replace(left, witness=tuple((x, e) for x in left.witness),
+                           mode=f"product({left.mode}, unchecked)")
+        right, e = check(sigma.right), G.left.identity()
+        return replace(right, witness=right.witness and tuple((e, x) for x in right.witness),
+                       checks=left.checks + right.checks, triples=left.triples + right.triples,
+                       mode=f"product({left.mode}, {right.mode})")
+    if isinstance(sigma, PullbackCocycle) and sigma.section is None and not sigma.group.is_finite:
+        base = check(sigma.base)
+        if not base.passed:
+            raise CocycleError(f"{sigma.describe()}: its base fails ({base.detail}), and no "
+                               "exact route decides the pullback itself")
+        return base
+    return None
 
 
 def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
@@ -637,9 +660,7 @@ def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
     row g does.  Row e holds on a normalized table, which PhaseTableCocycle
     enforces, and every element of a finite group is a positive word in S.
     So PhaseTableCocycle.generator_row_failure scans only the generator
-    rows, once per table, and _validate_table_fast and build_regular_rep
-    read it; all rows are scanned only when a row fails or
-    build_regular_rep is asked for all."""
+    rows, once per table."""
     den, t, mul = sigma.den, sigma.ints, sigma.group.table
     elems = range(sigma.group.order)
     for g in rows:
@@ -653,16 +674,11 @@ def _table_identity_failure(sigma: "PhaseTableCocycle", rows) -> tuple | None:
 
 
 def _validate_table_fast(sigma: "PhaseTableCocycle") -> ValidationResult:
-    """Table validation on integers modulo the common denominator, exact.
-
-    The table's generator_rows go first, read from its generator_row_failure;
-    by _table_identity_failure they decide every row, so a pass reports mode
-    "generators" with |S| n^2 checks.  A table they refuse is rescanned on
-    all rows in order: mode "exhaustive", its witness the first failing
-    triple, ``checks`` the triples up to and including it.
-
-    Normalization needs no check: PhaseTableCocycle refuses a table that is not
-    normalized at the identity, and its integer table is immutable."""
+    """Table validation on integers modulo the common denominator, exact: a
+    pass on the generator rows is mode "generators" with |S| n^2 checks; a
+    table they refuse is rescanned on all rows in order (mode "exhaustive",
+    the first failing triple, ``checks`` the triples up to it).
+    Normalization needs no check: PhaseTableCocycle enforces it."""
     n = sigma.group.order
     if sigma.generator_row_failure is None:
         checks = len(sigma.generator_rows) * n * n
@@ -707,16 +723,18 @@ class _CallValues(dict):
         return value
 
 
-def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
-    """Normalization plus the cocycle identity on the triples of _triples;
-    a phase table, of any order, goes to _validate_table_fast instead.
-    sigma is read through a _CallValues: each distinct pair is evaluated
-    once per call, and nothing is kept afterwards."""
+def validate_cocycle(sigma: Cocycle) -> ValidationResult:
+    """Normalization plus the cocycle identity, by the route of _triples.
+    On triples, sigma is read through a _CallValues: each distinct pair is
+    evaluated once per call, and nothing is kept afterwards."""
     if isinstance(sigma, PhaseTableCocycle):
         return _validate_table_fast(sigma)
+    reduced = _reduced(sigma, validate_cocycle)
+    if reduced is not None:
+        return reduced
     G = sigma.group
     e = G.identity()
-    mode, points = _triples(sigma, budget)
+    mode, points = _triples(sigma)
     den, val = sigma.den, _CallValues(sigma)
     checks = 0
     triples = 0
@@ -737,12 +755,12 @@ def validate_cocycle(sigma: Cocycle, budget: ValidationBudget = ValidationBudget
     return ValidationResult(True, None, checks, mode, "", triples)
 
 
-def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = ValidationBudget()) -> ValidationResult:
-    """The left- and right-product conjugation-twist identities on every
-    triple of _triples, and the right-product one on (r, s, s^2) when r and s
-    commute; the mode is that of _triples.
-    Their commuting-pair forms need no check of their own: on a commuting
-    triple they compare the same two phases as the general forms.
+def check_twist_identities(sigma: Cocycle) -> ValidationResult:
+    """The left- and right-product conjugation-twist identities, by the route
+    of _triples: on triples, both at every triple, and the right-product one
+    on (r, s, s^2) when r and s commute.  Their commuting-pair forms need no
+    check of their own: on a commuting triple they compare the same two
+    phases as the general forms.
 
     With tw(h, g) = sigma(h, g) - sigma(h g h^-1, h), the identities are
       tw(rs, t)   = tw(r, s t s^-1) + tw(s, t)
@@ -751,9 +769,14 @@ def check_twist_identities(sigma: Cocycle, budget: ValidationBudget = Validation
     and each is checked as one signed sum of integer values, read through a
     _CallValues: each distinct pair is evaluated once per call, and nothing
     is kept afterwards."""
+    if isinstance(sigma, PhaseTableCocycle) and sigma.generator_row_failure is None:
+        return _validate_table_fast(sigma)
+    reduced = _reduced(sigma, check_twist_identities)
+    if reduced is not None:
+        return reduced
     G = sigma.group
     den, val = sigma.den, _CallValues(sigma)
-    mode, points = _triples(sigma, budget)
+    mode, points = _triples(sigma)
     checks = 0
     triples = 0
     for r, s, t in points:

@@ -31,7 +31,7 @@ Grammar (one file = one instance):
 
     [run]
     analyses = validate kleppner relative-kleppner centralizers verdict lattice oracle
-    seed = 0 ; budget = 2000 ; max_lattice = 8   # max_lattice at most LATTICE_CAP
+    seed = 0 ; max_lattice = 8   # seed is only recorded; max_lattice <= LATTICE_CAP
 
 Values are bare words, quoted strings, or JSON arrays.  Unknown keys and kinds
 are rejected with the offending line.
@@ -220,7 +220,6 @@ class InstanceConfig:
     cocycle: Cocycle
     analyses: tuple[str, ...]
     seed: int
-    budget: int
     max_lattice: int
     name: str = "instance"
 
@@ -240,7 +239,7 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
     cocycle = _parse_cocycle(sections, "cocycle", group, basis, params)
     run = sections.section("run")
     analyses: tuple[str, ...] = ("validate", "verdict")
-    seed, budget, max_lattice = 0, 2000, 8
+    seed, max_lattice = 0, 8
     if run is not None:
         view = _SectionView("run", run)
         analyses_line = view.line_of("analyses")
@@ -253,10 +252,6 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
                                       analyses_line)
             analyses = parts
         seed = view.get_int("seed", seed)
-        budget = view.get_int("budget", budget)
-        if budget < 1:
-            # a sampled validation with no samples would pass on no checks
-            raise ConfigError("budget must be at least 1", view.line_of("budget"))
         max_lattice = view.get_int("max_lattice", max_lattice)
         if max_lattice < 1:
             raise ConfigError("max_lattice must be at least 1", view.line_of("max_lattice"))
@@ -267,7 +262,7 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
         if "oracle" in analyses:
             _check_oracle(group, analyses_line)
     return InstanceConfig(basis, params, group, subgroup, cocycle, analyses,
-                          seed, budget, max_lattice, name)
+                          seed, max_lattice, name)
 
 
 def _check_oracle(group: Group, line: int | None) -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 import re
 from itertools import product
 from math import isqrt, prod
@@ -79,9 +78,6 @@ class FreeAbelian(Group):
     def parse_element(self, text: str):
         vec = parse_int_vector(text, self.rank)
         return vec
-
-    def random_element(self, rng: random.Random, size: int = 6):
-        return tuple(rng.randint(-size, size) for _ in range(self.rank))
 
     def describe(self) -> str:
         return f"free abelian group Z^{self.rank}"

@@ -14,7 +14,6 @@ follow from the classes its kind declares.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -267,9 +266,6 @@ class Group:
 
     def parse_element(self, text: str) -> Element:
         raise GroupError(f"{self.name} has no element parser")
-
-    def random_element(self, rng: random.Random, size: int = 6) -> Element:
-        raise NotImplementedError
 
     def describe(self) -> str:
         return self.name

@@ -1,7 +1,7 @@
 """Finite groups given by explicit multiplication tables, plus named builtins.
 
 Tables are validated on load: Latin-square property, identity, inverses, and
-associativity (exhaustive up to order 64, sampled above).  Builtins carry a
+associativity (exactly, by Light's test on a generating set).  Builtins carry a
 coordinate map onto their abelianization, used to synthesize root-of-unity
 two-cocycles.
 """
@@ -9,7 +9,6 @@ two-cocycles.
 from __future__ import annotations
 
 import itertools
-import random
 import re
 from functools import cached_property
 from typing import Callable, Sequence
@@ -57,22 +56,18 @@ class FiniteTable(Group):
         for j in range(n):
             if {self.table[i][j] for i in range(n)} != idx:
                 raise GroupError("table columns must be permutations of 0..n-1")
+        # Light's test: the s with (x s) y = x (s y) for all x, y are closed
+        # under products, as (x st) y = ((x s) t) y = (x s)(t y) = x (s (t y))
+        # = x (st y); so the s of a set that generates the table under
+        # products alone decide associativity, in |S| n^2 lookups
         t = self.table
-        if n <= 64:
-            for a in range(n):
-                ta = t[a]
-                for b in range(n):
-                    tab = t[ta[b]]
-                    tb = t[b]
-                    for c in range(n):
-                        if tab[c] != ta[tb[c]]:
-                            raise GroupError(f"not associative at ({a},{b},{c})")
-        else:
-            rng = random.Random(0)
-            for _ in range(20000):
-                a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise GroupError(f"not associative at ({a},{b},{c})")
+        for s in _product_generators(t):
+            ts = t[s]
+            for x in range(n):
+                tx, txs = t[x], t[t[x][s]]
+                for y in range(n):
+                    if txs[y] != tx[ts[y]]:
+                        raise GroupError(f"not associative at ({x},{s},{y})")
 
     def _find_identity(self) -> int:
         for a in range(self.n):
@@ -227,9 +222,6 @@ class FiniteTable(Group):
             return i
         raise GroupError(f"element index {i} out of range for {self.name}")
 
-    def random_element(self, rng: random.Random, size: int = 6) -> int:
-        return rng.randrange(self.n)
-
     def describe(self) -> str:
         return f"{self.name} (finite, order {self.n})"
 
@@ -265,6 +257,29 @@ class FiniteTable(Group):
                    for s in self.all_subgroups() if helems <= s]
         entries.sort(key=lambda e: (-e.index_in_g, e.label))
         return LatticeResult("ok", tuple(entries))
+
+
+def _product_generators(t: Table) -> list[int]:
+    """Each element, in order, that products of the earlier picks do not
+    reach: a set generating the table under its products alone, with no
+    inverses assumed, found in n^2 lookups."""
+    reached, order, picked = [False] * len(t), [], []
+    for x in range(len(t)):
+        if reached[x]:
+            continue
+        picked.append(x)
+        reached[x] = True
+        order.append(x)
+        frontier = [x]
+        while frontier:
+            a = frontier.pop()
+            for b in list(order):
+                for c in (t[a][b], t[b][a]):
+                    if not reached[c]:
+                        reached[c] = True
+                        order.append(c)
+                        frontier.append(c)
+    return picked
 
 
 # -- builtin constructions ---------------------------------------------------

@@ -9,7 +9,6 @@ reduction plus minimal-period extraction.
 from __future__ import annotations
 
 import itertools
-import random
 import re
 import string
 from math import gcd
@@ -190,18 +189,6 @@ class FreeGroup(Group):
             _merge(out, self.letters.index(letter), exp)
             pos = m.end()
         return tuple(out)
-
-    def random_element(self, rng: random.Random, size: int = 6) -> Word:
-        length = rng.randrange(size + 1)
-        tokens = [s * (i + 1) for i in range(self.rank) for s in (1, -1)]
-        flat: list[int] = []
-        for _ in range(length):
-            while True:
-                tok = rng.choice(tokens)
-                if not flat or flat[-1] != -tok:
-                    break
-            flat.append(tok)
-        return self.from_flat(flat)
 
     def describe(self) -> str:
         return f"free group F_{self.rank} on {', '.join(self.letters)}"

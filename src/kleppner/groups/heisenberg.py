@@ -13,7 +13,6 @@ G/Z = Z^2, lifted.
 
 from __future__ import annotations
 
-import random
 from functools import reduce
 from itertools import combinations
 from math import gcd, prod
@@ -66,9 +65,6 @@ class Heisenberg(Group):
 
     def parse_element(self, text: str) -> Triple:
         return parse_int_vector(text, 3)
-
-    def random_element(self, rng: random.Random, size: int = 6) -> Triple:
-        return (rng.randint(-size, size), rng.randint(-size, size), rng.randint(-size, size))
 
     def describe(self) -> str:
         return "discrete Heisenberg group (Z^3, twisted product)"

@@ -9,8 +9,6 @@ generators generate.  The other queries split a product of factor subgroups
 
 from __future__ import annotations
 
-import random
-
 from .. import tribool as tb
 from .abelian import FreeAbelian
 from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult,
@@ -92,9 +90,6 @@ class DirectProduct(Group):
             raise GroupError(f"product element needs ';' separator: {text!r}")
         ls, rs = body.split(";", 1)
         return (self.left.parse_element(ls), self.right.parse_element(rs))
-
-    def random_element(self, rng: random.Random, size: int = 6):
-        return (self.left.random_element(rng, size), self.right.random_element(rng, size))
 
     def describe(self) -> str:
         return f"direct product ({self.left.describe()}) x ({self.right.describe()})"

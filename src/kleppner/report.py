@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .cocycles import ValidationBudget, check_twist_identities, validate_cocycle
+from .cocycles import check_twist_identities, validate_cocycle
 from .config import InstanceConfig
 from .groups.base import Group
 from .groups.structure import is_normal
@@ -160,7 +160,6 @@ def run(config: InstanceConfig) -> Report:
     p["subgroup"] = H.describe_desc()
     p["cocycle"] = sigma.describe()
     p["analyses"] = list(config.analyses)
-    budget = ValidationBudget(samples=config.budget, seed=config.seed)
 
     def timed(name, fn):
         t0 = time.perf_counter()
@@ -169,17 +168,12 @@ def run(config: InstanceConfig) -> Report:
         return out
 
     if "validate" in config.analyses:
-        res = timed("validate", lambda: validate_cocycle(sigma, budget))
-        p["validate"] = {"passed": res.passed, "mode": res.mode, "checks": res.checks,
-                         "witness": (None if res.witness is None
-                                     else [G.element_str(x) for x in res.witness]),
-                         "detail": res.detail}
-        ident = timed("identities", lambda: check_twist_identities(
-            sigma, ValidationBudget(samples=max(100, config.budget // 4), seed=config.seed)))
-        p["identities"] = {"passed": ident.passed, "mode": ident.mode, "checks": ident.checks,
-                           "witness": (None if ident.witness is None
-                                       else [G.element_str(x) for x in ident.witness]),
-                           "detail": ident.detail}
+        for name, check in (("validate", validate_cocycle), ("identities", check_twist_identities)):
+            res = timed(name, lambda: check(sigma))
+            p[name] = {"passed": res.passed, "mode": res.mode, "checks": res.checks,
+                       "witness": (None if res.witness is None
+                                   else [G.element_str(x) for x in res.witness]),
+                       "detail": res.detail}
 
     if "centralizers" in config.analyses:
         tw = timed("centralizers", lambda: sigma_centralizer(G, H, sigma))

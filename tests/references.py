@@ -7,6 +7,8 @@ helpers here build the same quantities as Phases, apart from the engine.
 ``reference_vector_key`` and ``reference_small_nonzero`` are the element order
 and witness search of ``intlinalg`` as first written, a key per entry through
 ``int_key`` and a fresh key of the best vector at every leaf.
+``random_element`` draws the seeded elements the tests sample with; the
+engine itself draws none.
 """
 
 import random
@@ -14,7 +16,8 @@ from fractions import Fraction
 from math import lcm
 
 from kleppner.cocycles import Beta, Cocycle, CocycleError
-from kleppner.groups import FiniteTable, Group, Subgroup
+from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, Group,
+                             Heisenberg, Subgroup)
 from kleppner.intlinalg import RowLattice, int_key
 from kleppner.phases import EMPTY_BASIS, Phase, _make
 from kleppner.randomized import _draw_beta
@@ -60,6 +63,31 @@ class TableBeta(Beta):
 
     def int_value(self, g) -> list[int]:
         return list(self.ints[g])
+
+
+def random_element(G: Group, rng: random.Random, size: int = 6):
+    """A seeded element of G: an index of a finite table; coordinates in
+    [-size, size] on Z^r and the Heisenberg group; a reduced word of length
+    at most size, letter by letter, on a free group; a pair on a product."""
+    if isinstance(G, FiniteTable):
+        return rng.randrange(G.order)
+    if isinstance(G, FreeAbelian):
+        return tuple(rng.randint(-size, size) for _ in range(G.rank))
+    if isinstance(G, Heisenberg):
+        return (rng.randint(-size, size), rng.randint(-size, size), rng.randint(-size, size))
+    if isinstance(G, DirectProduct):
+        return (random_element(G.left, rng, size), random_element(G.right, rng, size))
+    if isinstance(G, FreeGroup):
+        tokens = [s * (i + 1) for i in range(G.rank) for s in (1, -1)]
+        flat: list[int] = []
+        for _ in range(rng.randrange(size + 1)):
+            while True:
+                tok = rng.choice(tokens)
+                if not flat or flat[-1] != -tok:
+                    break
+            flat.append(tok)
+        return G.from_flat(flat)
+    raise TypeError(f"no seeded draw for {G.describe()}")
 
 
 def random_beta_table(G: FiniteTable, rng: random.Random) -> TableBeta:

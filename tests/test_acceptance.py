@@ -12,10 +12,10 @@ import zlib
 from fractions import Fraction
 
 import pytest
-from references import predicates, random_beta_table
+from references import predicates, random_beta_table, random_element
 
-from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, ProductCocycle,
-                               SeededBeta, TrivialCocycle, ValidationBudget,
+from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, PhaseTableCocycle,
+                               ProductCocycle, SeededBeta, TrivialCocycle,
                                check_twist_identities, rotation_cocycle, similarity_transform,
                                three_torus_cocycle, transport, validate_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
@@ -269,7 +269,7 @@ def _sigma_j_sampled_failures(sigma, samples, seed):
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
-        g, h, k = (G.random_element(rng, 8) for _ in range(3))
+        g, h, k = (random_element(G, rng, 8) for _ in range(3))
         args = [(g, h), (G.mul(g, h), k), (g, G.mul(h, k)), (h, k)]
         values = [sigma.int_value(x, y) for x, y in args]
         if values != [[_sigma_j_reference(sigma.j, x, y)] for x, y in args]:
@@ -296,48 +296,51 @@ def test_criterion_4_identity_suite():
 
     rot = rotation_cocycle(z2, b.symbol("theta"))
     heis_formal = HeisenbergCocycle(heis, bh.symbol("gamma"), bh.symbol("theta"))
+    z72 = from_name("Z_72")
     variants = [
-        (TrivialCocycle(f2), 700),
-        (rot, 700),
-        (rotation_cocycle(z2, Phase(Fraction(3, 7))), 700),
-        (three_torus_cocycle(z3, [b3.symbol("t1"), b3.symbol("t2"), b3.symbol("t3")]), 700),
-        (heis_formal, 700),
-        (HeisenbergCocycle(heis, Phase(Fraction(1, 3)), Phase(Fraction(1, 2))), 700),
-        (F2Z2Cocycle(f2z2, 1), 0),                      # pullback: 64 triples
-        (F2Z2Cocycle(f2z2, 2), 0),
-        (F2Z2Cocycle(f2z2, 3), 0),
-        (random_table_cocycle(z22, rng), 0),            # generators: 2 rows, 32 triples
-        (random_table_cocycle(from_name("D_4"), rng), 0),  # generators: 2 rows, 128 triples
-        (ProductCocycle(prod, rot, TrivialCocycle(z4)), 700),
-        (similarity_transform(rot, SeededBeta(z2, 5, 8)), 700),
-        (similarity_transform(heis_formal, SeededBeta(heis, 6, 12)), 700),
-        (transport(heis_formal, hsub)[0], 700),
+        TrivialCocycle(f2),                             # trivial: no triple
+        rot,
+        rotation_cocycle(z2, Phase(Fraction(3, 7))),
+        three_torus_cocycle(z3, [b3.symbol("t1"), b3.symbol("t2"), b3.symbol("t3")]),
+        heis_formal,
+        HeisenbergCocycle(heis, Phase(Fraction(1, 3)), Phase(Fraction(1, 2))),
+        F2Z2Cocycle(f2z2, 1),                           # pullback: 64 triples
+        F2Z2Cocycle(f2z2, 2),
+        F2Z2Cocycle(f2z2, 3),
+        random_table_cocycle(z22, rng),                 # generators: 2 rows, 32 triples
+        random_table_cocycle(from_name("D_4"), rng),    # generators: 2 rows, 128 triples
+        random_table_cocycle(from_name("S_4"), rng),    # generators: 2 rows, 1152 triples
+        random_table_cocycle(from_name("D_8"), rng),    # generators: 2 rows, 512 triples
+        PhaseTableCocycle.from_ints(z72, 1, [[0] * 72 for _ in range(72)]),  # 5184 triples
+        ProductCocycle(prod, rot, TrivialCocycle(z4)),  # the grid of rot
+        similarity_transform(rot, SeededBeta(z2, 5, 8)),
+        similarity_transform(heis_formal, SeededBeta(heis, 6, 12)),
+        transport(heis_formal, hsub)[0],                # the grid of heis_formal
     ]
-    # tuples of the sampled, exhaustive, generators and pullback modes and of
-    # the sigma_j formula check, and points of the exact polynomial grid,
-    # counted apart
+    # tuples of the exhaustive, generators and pullback modes and of the
+    # sigma_j formula check, and points of the exact polynomial grid, counted
+    # apart
     counts = {"tuples": 0, "grid": 0}
     failures = []
     for j in (1, 2, 3):
         failures += _sigma_j_sampled_failures(F2Z2Cocycle(f2z2, j), SIGMA_J_SAMPLES, 17 + j)
         counts["tuples"] += SIGMA_J_SAMPLES
-    for sigma, samples in variants:
-        budget = ValidationBudget(samples=samples or 2000, seed=17)
-        vres = validate_cocycle(sigma, budget)
-        ires = check_twist_identities(sigma, budget)
-        counts["grid" if vres.mode == "polynomial" else "tuples"] += vres.triples + ires.triples
+    for sigma in variants:
+        vres = validate_cocycle(sigma)
+        ires = check_twist_identities(sigma)
+        counts["grid" if "polynomial" in vres.mode else "tuples"] += vres.triples + ires.triples
         if not vres.passed:
             failures.append((sigma.describe(), "cocycle identity", vres.witness))
         if not ires.passed:
             failures.append((sigma.describe(), ires.detail, ires.witness))
     total_tuples = counts["tuples"] + counts["grid"]
-    print(f"\n  identity suite: {counts['tuples']} sampled, exhaustive, generators or "
-          f"pullback tuples and {counts['grid']} polynomial grid points across "
+    print(f"\n  identity suite: {counts['tuples']} sigma_j formula, exhaustive, generators "
+          f"or pullback tuples and {counts['grid']} polynomial grid points across "
           f"{len(variants)} variants")
     ok = not failures and total_tuples >= 10_000
     if failures:
         print("failures:", failures[:3])
-    _report(4, "cocycle and twist identities on sampled tuples and polynomial grids", ok)
+    _report(4, "cocycle and twist identities on exact tuples and polynomial grids", ok)
 
 
 # ---------------------------------------------------------------------------

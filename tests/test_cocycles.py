@@ -6,22 +6,23 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from references import TableBeta, commutation_phase, conj_twist, random_beta_table
+from references import (TableBeta, commutation_phase, conj_twist, random_beta_table,
+                        random_element)
 from test_acceptance import sweep_group_names
 
 import kleppner.cocycles as cocycles_mod
 import kleppner.oracle as oracle_mod
 from kleppner.cocycles import (BicharacterCocycle, Cocycle, CocycleError, F2Z2Cocycle, HeisenbergCocycle,
                                PhaseTableCocycle, ProductCocycle, PullbackCocycle, SeededBeta,
-                               SimilarityCocycle, TrivialCocycle, ValidationBudget,
-                               ValidationResult, _simplex, _triples, check_twist_identities,
+                               SimilarityCocycle, TrivialCocycle, ValidationResult, _simplex,
+                               _triples, check_twist_identities,
                                commutation_trivial, rotation_cocycle, similarity_transform,
                                three_torus_cocycle, transport, validate_cocycle)
 from kleppner.config import parse_config
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
                              from_name)
 from kleppner.oracle import OracleError, build_regular_rep
-from kleppner.phases import IrrationalBasis, Phase
+from kleppner.phases import EMPTY_BASIS, IrrationalBasis, Phase
 from kleppner.randomized import random_table_cocycle
 
 B = IrrationalBasis(["theta"])
@@ -99,7 +100,7 @@ def test_heisenberg_formula_restricts_to_theta_only():
 
 def test_validation_passes_for_all_variants():
     for sigma in all_shipped_variants():
-        res = validate_cocycle(sigma, ValidationBudget(samples=250, seed=1))
+        res = validate_cocycle(sigma)
         assert res.passed, (sigma.describe(), res.witness)
 
 
@@ -116,10 +117,12 @@ def test_validation_catches_corruption():
 
 class CubicForm(Cocycle):
     """sigma(g, h) = g_1 h_1^2 / 3 on Z^2: normalized, but the cocycle identity
-    is off by -2 g_1 h_1 k_1 / 3, so it fails whenever 3 divides none of them."""
+    is off by -2 g_1 h_1 k_1 / 3, so it fails whenever 3 divides none of them.
+    Its identity terms have degree 3, as stated."""
 
     kind = "cubic form"
     den = 3
+    degree = 3
 
     def __init__(self) -> None:
         self.group = Z2
@@ -140,19 +143,47 @@ class Shifted(CubicForm):
 
 def test_generic_validation_catches_non_cocycle():
     sigma = CubicForm()
-    res = validate_cocycle(sigma, ValidationBudget(samples=200, seed=2))
-    assert not res.passed and res.mode == "sampled" and res.detail == "cocycle identity fails"
+    res = validate_cocycle(sigma)
+    assert not res.passed and res.mode == "polynomial" and res.detail == "cocycle identity fails"
     g, h, k = res.witness
     lhs = sigma.value(g, h) + sigma.value(Z2.mul(g, h), k)
     rhs = sigma.value(g, Z2.mul(h, k)) + sigma.value(h, k)
     assert lhs != rhs  # the witness replays
-    assert not check_twist_identities(sigma, ValidationBudget(samples=200, seed=2)).passed
+    ident = check_twist_identities(sigma)
+    assert not ident.passed and ident.mode == "polynomial"
 
 
 def test_generic_validation_catches_unnormalized():
-    res = validate_cocycle(Shifted(), ValidationBudget(samples=20, seed=0))
+    res = validate_cocycle(Shifted())
     assert not res.passed and res.detail == "normalization fails"
     assert res.witness[1:] == (Z2.identity(), Z2.identity())
+
+
+def test_product_refuses_a_factor_that_does_not_vanish_at_the_identity():
+    """A product is validated factor by factor, which needs both factors to
+    vanish at (e, e): a factor that is the constant 1/2 is refused, on
+    either side."""
+    z2 = from_name("Z_2")
+    with pytest.raises(CocycleError, match=r"vanish at \(e, e\)"):
+        ProductCocycle(DirectProduct(Z2, z2), Shifted(), TrivialCocycle(z2))
+    with pytest.raises(CocycleError, match=r"vanish at \(e, e\)"):
+        ProductCocycle(DirectProduct(z2, Z2), TrivialCocycle(z2), Shifted())
+
+
+class Undegreed(CubicForm):
+    """CubicForm with no stated degree: no route checks it on Z^2."""
+
+    degree = None
+
+
+def test_a_kind_with_no_route_is_a_cocycle_error():
+    """A kind with no degree on Z^2 is neither a polynomial kind, a wrapper,
+    a pullback nor on a finite group: both validators refuse it rather than
+    guess, and so does a pullback of it to a subgroup."""
+    for sigma in (Undegreed(), transport(Undegreed(), Subgroup.sublattice(Z2, [(2, 0)]))[0]):
+        for validator in (validate_cocycle, check_twist_identities):
+            with pytest.raises(CocycleError, match="cubic form"):
+                validator(sigma)
 
 
 # normalized non-cocycle tables, one per reachable failure of the twist
@@ -191,7 +222,7 @@ def test_conj_twist_examples():
     assert conj_twist(rot, (0, 1), (1, 0)) == Phase(0, {"theta": -1}, B)
     rng = random.Random(2)
     for sigma in all_shipped_variants():
-        g = sigma.group.random_element(rng, 4)
+        g = random_element(sigma.group, rng, 4)
         e = sigma.group.identity()
         assert conj_twist(sigma, e, g).is_one()
         assert conj_twist(sigma, g, e).is_one()
@@ -199,7 +230,7 @@ def test_conj_twist_examples():
 
 def test_twist_identities_all_variants():
     for sigma in all_shipped_variants():
-        res = check_twist_identities(sigma, ValidationBudget(samples=150, seed=3))
+        res = check_twist_identities(sigma)
         assert res.passed, (sigma.describe(), res.witness, res.detail)
 
 
@@ -208,7 +239,7 @@ def test_similarity_zero_beta_is_pointwise_identity():
     same = similarity_transform(rot, SeededBeta(Z2, 4, denominator=1))
     rng = random.Random(4)
     for _ in range(50):
-        g, h = Z2.random_element(rng), Z2.random_element(rng)
+        g, h = random_element(Z2, rng), random_element(Z2, rng)
         assert same(g, h) == rot(g, h)
 
 
@@ -223,7 +254,7 @@ def test_similarity_preserves_commutation_phase():
     rot = rotation_cocycle(Z2, TH)
     twisted = similarity_transform(rot, SeededBeta(Z2, seed=9, denominator=12))
     for _ in range(100):
-        g, h = Z2.random_element(rng), Z2.random_element(rng)
+        g, h = random_element(Z2, rng), random_element(Z2, rng)
         assert commutation_phase(rot, g, h) == commutation_phase(twisted, g, h)
 
 
@@ -231,7 +262,7 @@ def test_similarity_of_similarity_validates():
     rot = rotation_cocycle(Z2, TH)
     stacked = similarity_transform(similarity_transform(rot, SeededBeta(Z2, 1, 4)),
                                    SeededBeta(Z2, 2, 8))
-    assert validate_cocycle(stacked, ValidationBudget(samples=150, seed=6)).passed
+    assert validate_cocycle(stacked).passed
 
 
 def test_transport_matches_pointwise():
@@ -240,8 +271,8 @@ def test_transport_matches_pointwise():
     restricted, asg = transport(rot, hpq)
     rng = random.Random(7)
     for _ in range(60):
-        x = asg.group.random_element(rng)
-        y = asg.group.random_element(rng)
+        x = random_element(asg.group, rng)
+        y = random_element(asg.group, rng)
         assert restricted(x, y) == rot(asg.embed(x), asg.embed(y))
 
 
@@ -256,7 +287,7 @@ def test_sigma_j_map_is_a_homomorphism_with_a_section(j):
     phi, A = sigma.embed, sigma.base.group
     rng = random.Random(j)
     for _ in range(500):
-        g, h = F2Z2.random_element(rng, 8), F2Z2.random_element(rng, 8)
+        g, h = random_element(F2Z2, rng, 8), random_element(F2Z2, rng, 8)
         assert phi(F2Z2.mul(g, h)) == A.mul(phi(g), phi(h)), (g, h)
         assert phi(g) == 2 * exponent_sum(g[0], j) + g[1], g
     for a in A.elements():
@@ -504,23 +535,24 @@ def test_trivial_group_table_checks_the_identity_row():
     sigma = PhaseTableCocycle(z1, [[Phase(Fraction(0))]])
     assert z1.generators() == ()
     expected = ValidationResult(True, None, 1, "generators", "", 1)
-    assert validate_cocycle(sigma) == reference_validate(sigma, ValidationBudget()) == expected
+    assert validate_cocycle(sigma) == reference_validate(sigma) == expected
 
 
 def test_table_above_64_elements_passes_on_generator_rows():
     """A table is validated exactly whatever its order: the zero table on
-    Z_72, above the 64 elements of exhaustive checking, passes in mode
-    "generators" on the 72^2 triples of its one generator's row."""
+    Z_72 passes in mode "generators" on the 72^2 triples of its one
+    generator's row, and so do its twist identities."""
     z72 = from_name("Z_72")
     sigma = PhaseTableCocycle.from_ints(z72, 1, [[0] * 72 for _ in range(72)])
     expected = ValidationResult(True, None, 5184, "generators", "", 5184)
-    assert validate_cocycle(sigma) == reference_validate(sigma, ValidationBudget()) == expected
+    assert validate_cocycle(sigma) == reference_validate(sigma) == expected
+    assert check_twist_identities(sigma) == expected
 
 
 def test_corrupted_table_above_64_elements_fails_with_first_triple():
     """One entry of 1/2 at (5, 7) in the zero table on Z_72: the generator
     row refuses it, and the rescan reports the first failing triple over all
-    of Z_72 in mode "exhaustive", not a sampled one."""
+    of Z_72 in mode "exhaustive"."""
     z72 = from_name("Z_72")
     ints = [[0] * 72 for _ in range(72)]
     ints[5][7] = 1
@@ -528,7 +560,177 @@ def test_corrupted_table_above_64_elements_fails_with_first_triple():
     witness, pos = full_table_scan(sigma)
     assert witness == (1, 4, 7)
     expected = ValidationResult(False, witness, pos, "exhaustive", "cocycle identity fails", pos)
-    assert validate_cocycle(sigma) == reference_validate(sigma, ValidationBudget()) == expected
+    assert validate_cocycle(sigma) == reference_validate(sigma) == expected
+
+
+def defect(sigma, a, b, c):
+    """The cocycle-identity defect d(a, b, c) = sigma(a, b) + sigma(ab, c)
+    - sigma(a, bc) - sigma(b, c) of an integer table, not reduced mod den."""
+    t, mul = sigma.ints, sigma.group.mul
+    return t[a][b] + t[mul(a, b)][c] - t[a][mul(b, c)] - t[b][c]
+
+
+@pytest.mark.parametrize("name", ["S_3", "D_4", "Q8", "Z_2 x Z_4"])
+def test_twist_residuals_are_sums_of_cocycle_defects(name, monkeypatch):
+    """Each residual of the twist identities, as check_twist_identities sums
+    it, is the signed sum of cocycle-identity defects that cocycles._triples
+    states, as exact integers, on every triple of random normalized integer
+    tables that are not cocycles (so every triple is checked):
+      left product at (r, s, t):  d(v, r, s) - d(r, u, s) + d(r, s, t),
+                                  u = s t s^-1, v = r u r^-1;
+      right product at (r, s, t): -d(r, s, t) + d(a, r, t) - d(a, b, r),
+                                  a = r s r^-1, b = r t r^-1;
+      power at (r, s, s^2):       the right-product one there.
+    So a table that is a cocycle satisfies every twist identity."""
+    G = from_name(name)
+    conj, mul = G.conj, G.mul
+    rng = random.Random(name)
+    summed = []
+
+    def record(den, plus, minus):
+        summed.append(sum(v[0] for v in plus) - sum(v[0] for v in minus))
+        return True
+
+    monkeypatch.setattr(cocycles_mod, "_vanishes", record)
+    nonzero = 0
+    for den in (5, 12, 12):
+        sigma = PhaseTableCocycle.from_ints(G, den, _normalized_int_table(G, rng, den, 1))
+        assert sigma.generator_row_failure is not None
+        summed.clear()
+        res = check_twist_identities(sigma)
+        assert res.passed and res.mode == "exhaustive" and res.triples == G.order ** 3
+        expected = []
+        for r, s, t in itertools.product(G.elements(), repeat=3):
+            u = conj(s, t)
+            expected.append(defect(sigma, conj(r, u), r, s) - defect(sigma, r, u, s)
+                            + defect(sigma, r, s, t))
+            for t_ in (t, mul(s, s)) if G.commutes(r, s) else (t,):
+                a, b = conj(r, s), conj(r, t_)
+                expected.append(-defect(sigma, r, s, t_) + defect(sigma, a, r, t_)
+                                - defect(sigma, a, b, r))
+        assert summed == expected
+        nonzero += sum(map(bool, expected))
+    assert nonzero
+
+
+def identity_residuals(sigma, g, h, k):
+    """detail -> the phase of that identity's residual at (g, h, k), in Phase
+    arithmetic: the cocycle identity, and the twist identities at
+    (r, s, t) = (g, h, k), the power one at (r, s, s^2) when r and s commute."""
+    G = sigma.group
+    mul, conj, v = G.mul, G.conj, sigma.value
+
+    def tw(x, y):
+        return v(x, y) - v(conj(x, y), x)
+
+    out = {
+        "cocycle identity fails": v(g, h) + v(mul(g, h), k) - v(g, mul(h, k)) - v(h, k),
+        "left-product identity fails": tw(mul(g, h), k) - tw(g, conj(h, k)) - tw(h, k),
+        "right-product identity fails": (tw(g, mul(h, k)) + v(h, k) - v(conj(g, h), conj(g, k))
+                                         - tw(g, h) - tw(g, k)),
+    }
+    if G.commutes(g, h):
+        h2 = mul(h, h)
+        out["power right-product identity fails"] = tw(g, mul(h, h2)) - tw(g, h) - tw(g, h2)
+    return out
+
+
+def replays(sigma, res):
+    """Whether the failing result's witness shows the failure it reports."""
+    G, e = sigma.group, sigma.group.identity()
+    if res.detail == "normalization fails":
+        x, *rest = res.witness
+        return rest == [e, e] and not (sigma.value(x, e).is_one() and sigma.value(e, x).is_one())
+    return not identity_residuals(sigma, *res.witness)[res.detail].is_one()
+
+
+def exhaustive_pass(sigma, validator):
+    """validator's answer read off every triple of sigma's finite group in
+    Phase arithmetic, apart from any route."""
+    G, e = sigma.group, sigma.group.identity()
+    elems = list(G.elements())
+    if validator is validate_cocycle:
+        if any(not sigma.value(x, e).is_one() or not sigma.value(e, x).is_one() for x in elems):
+            return False
+        details = ("cocycle identity fails",)
+    else:
+        details = ("left-product identity fails", "right-product identity fails",
+                   "power right-product identity fails")
+    return all(p.is_one() for g, h, k in itertools.product(elems, repeat=3)
+               for d, p in identity_residuals(sigma, g, h, k).items() if d in details)
+
+
+def config_kind_bases():
+    """A cocycle of each config kind on each group kind it accepts, wrappers
+    aside, plus failing formulas: a corrupted table, a broken Heisenberg
+    formula and a corrupted sigma_j."""
+    b3 = IrrationalBasis(["t1", "t2", "t3"])
+    bh = IrrationalBasis(["gamma", "theta"])
+    z3 = from_name("Z_3")
+    groups = [Z2, FreeAbelian(3), F2, HEIS, from_name("S_3"), F2Z2, DirectProduct(HEIS, z3)]
+    return [TrivialCocycle(G) for G in groups] + [
+        rotation_cocycle(Z2, TH),
+        three_torus_cocycle(FreeAbelian(3), [b3.symbol(n) for n in ("t1", "t2", "t3")]),
+        skew_bicharacter(),
+        HeisenbergCocycle(HEIS, bh.symbol("gamma"), bh.symbol("theta")),
+        random_table_cocycle(from_name("S_3"), random.Random(3)),
+        random_table_cocycle(z3, random.Random(4)),
+        F2Z2Cocycle(F2Z2, 2),
+        corrupted_z22()[1],
+        polynomial_mutants()[1][0],
+        corrupted_sigma_j(1),
+    ]
+
+
+def test_wrapper_results_are_read_off_their_parts():
+    """On each config kind and group kind: trivial passes with no check, a
+    similarity transform gets its base's result, a product the left factor's
+    and then the right one's, summed, with a failing factor's witness lifted
+    by e; each failing witness replays on the wrapper itself, and on a
+    finite product of at most 12 elements every answer is the one every
+    triple gives."""
+    rng = random.Random(40)
+    bases = config_kind_bases()
+    for validator in (validate_cocycle, check_twist_identities):
+        results = {id(base): validator(base) for base in bases}
+        assert {r.passed for r in results.values()} == {True, False}
+        for base in bases:
+            if isinstance(base, TrivialCocycle):
+                assert results[id(base)] == ValidationResult(True, None, 0, "trivial")
+            beta = SeededBeta(base.group, rng.randrange(1000), rng.choice((2, 6, 12)), base.basis)
+            twin = similarity_transform(base, beta)
+            res = validator(twin)
+            assert res == results[id(base)], base.describe()
+            assert res.passed or replays(twin, res), (twin.describe(), res)
+        failed = brute_forced = 0
+        for left, right in itertools.product(bases, repeat=2):
+            if EMPTY_BASIS not in (left.basis, right.basis) and left.basis != right.basis:
+                continue  # ProductCocycle refuses two different symbol bases
+            if rng.random() > 0.25 and not (left.group.is_finite and right.group.is_finite):
+                continue
+            G = DirectProduct(left.group, right.group)
+            sigma = ProductCocycle(G, left, right)
+            res, lres = validator(sigma), results[id(left)]
+            if lres.passed:
+                rres = results[id(right)]
+                assert res.mode == f"product({lres.mode}, {rres.mode})"
+                assert (res.passed, res.detail) == (rres.passed, rres.detail)
+                assert (res.checks, res.triples) == (lres.checks + rres.checks,
+                                                     lres.triples + rres.triples)
+                lifted = rres.witness and tuple((G.left.identity(), x) for x in rres.witness)
+            else:
+                assert res.mode == f"product({lres.mode}, unchecked)"
+                assert (res.passed, res.detail, res.checks, res.triples) == (
+                    False, lres.detail, lres.checks, lres.triples)
+                lifted = tuple((x, G.right.identity()) for x in lres.witness)
+            assert res.witness == lifted
+            if not res.passed:
+                failed += 1
+                assert replays(sigma, res), (sigma.describe(), res)
+            if G.is_finite and G.order <= 12:
+                assert res.passed == exhaustive_pass(sigma, validator), sigma.describe()
+                brute_forced += 1
+        assert failed and brute_forced >= 3
 
 
 def test_commutation_trivial_matches_commutation_phase():
@@ -540,8 +742,8 @@ def test_commutation_trivial_matches_commutation_phase():
     for sigma in all_shipped_variants():
         G = sigma.group
         for _ in range(40):
-            g = G.random_element(rng, 4)
-            h = G.random_element(rng, 4)
+            g = random_element(G, rng, 4)
+            h = random_element(G, rng, 4)
             for x, y in [(g, h), (g, G.mul(g, g)), (g, G.inv(g)), (g, G.identity())]:
                 same = commutation_trivial(sigma, x, y)
                 assert same == commutation_phase(sigma, x, y).is_one()
@@ -643,8 +845,8 @@ def _pairs(sigma, rng):
         return [(g, h) for g in G.elements() for h in G.elements()]
     out = []
     for _ in range(30):
-        g = G.random_element(rng, 4)
-        h = G.random_element(rng, 4)
+        g = random_element(G, rng, 4)
+        h = random_element(G, rng, 4)
         out += [(g, h), (h, g), (g, G.mul(g, g)), (g, G.inv(g)), (g, G.identity())]
     return out
 
@@ -678,44 +880,79 @@ def test_commutation_int_matches_int_values_and_phase():
 
 # -- the integer validators against their Phase-arithmetic reference ---------
 
-def reference_triples(sigma, budget):
-    """The triples and mode of both validators, enumerated here apart from
-    the engine's: the simplex grid of a polynomial kind, the section's image
-    of a pullback onto a finite group, every triple of a domain of at most
-    64 elements, else budget.samples seeded triples of words of length 8."""
+def reference_triples(sigma):
+    """The triples and mode of both validators on a kind checked on triples
+    of its own, enumerated here apart from the engine's: the simplex grid of
+    a polynomial kind, the section's image of a pullback onto a finite
+    group, every triple of a finite group."""
     if sigma.degree is None:
         if isinstance(sigma, PullbackCocycle) and sigma.section is not None:
             image = [sigma.section(a) for a in sigma.base.group.elements()]
             return itertools.product(image, repeat=3), "pullback"
         G = sigma.group
-        if G.is_finite and len(G.elements()) <= 64:
-            return itertools.product(G.elements(), repeat=3), "exhaustive"
-        rng, draw = random.Random(budget.seed), G.random_element
-        return ([draw(rng, 8) for _ in range(3)] for _ in range(budget.samples)), "sampled"
+        assert G.is_finite, sigma.describe()
+        return itertools.product(G.elements(), repeat=3), "exhaustive"
     m = len(sigma.group.identity())
     points = (p for p in itertools.product(range(sigma.degree + 1), repeat=3 * m)
               if sum(p) <= sigma.degree)
     return ((p[:m], p[m:2 * m], p[2 * m:]) for p in points), "polynomial"
 
 
-def reference_validate(sigma, budget):
+def reference_reduced(sigma, reference):
+    """reference(sigma) on a kind read off its parts, as the routes of
+    cocycles._triples say: None on any other kind."""
+    if isinstance(sigma, TrivialCocycle):
+        return ValidationResult(True, None, 0, "trivial")
+    if isinstance(sigma, SimilarityCocycle):
+        return reference(sigma.base)
+    if isinstance(sigma, ProductCocycle):
+        G, left = sigma.group, reference(sigma.left)
+        if not left.passed:
+            witness = tuple((x, G.right.identity()) for x in left.witness)
+            return ValidationResult(False, witness, left.checks, f"product({left.mode}, unchecked)",
+                                    left.detail, left.triples)
+        right = reference(sigma.right)
+        witness = None if right.passed else tuple((G.left.identity(), x) for x in right.witness)
+        return ValidationResult(right.passed, witness, left.checks + right.checks,
+                                f"product({left.mode}, {right.mode})", right.detail,
+                                left.triples + right.triples)
+    if isinstance(sigma, PullbackCocycle) and sigma.section is None and not sigma.group.is_finite:
+        base = reference(sigma.base)
+        assert base.passed, sigma.describe()
+        return base
+    return None
+
+
+def table_rows_hold(sigma):
+    """Whether a phase table satisfies the cocycle identity on the rows of
+    generating_rows, in Phase arithmetic; with the count of those triples."""
+    G = sigma.group
+    rows, elems = generating_rows(G), list(G.elements())
+    holds = all(sigma.value(g, h) + sigma.value(G.mul(g, h), k)
+                == sigma.value(g, G.mul(h, k)) + sigma.value(h, k)
+                for g in rows for h in elems for k in elems)
+    return holds, len(rows) * len(elems) ** 2
+
+
+def reference_validate(sigma):
     """validate_cocycle on Phase values and Phase arithmetic.  A phase table,
     of any order, passes in mode "generators" when the identity holds on the
     rows of generating_rows, and is otherwise checked on every triple in
-    order, in mode "exhaustive"; every other kind is checked on the triples
-    of reference_triples in order."""
+    order, in mode "exhaustive"; a wrapper is read off its parts by
+    reference_reduced; every other kind is checked on the triples of
+    reference_triples in order."""
     G = sigma.group
     e = G.identity()
     if isinstance(sigma, PhaseTableCocycle):
-        rows, elems = generating_rows(G), list(G.elements())
-        if all(sigma.value(g, h) + sigma.value(G.mul(g, h), k)
-               == sigma.value(g, G.mul(h, k)) + sigma.value(h, k)
-               for g in rows for h in elems for k in elems):
-            checks = len(rows) * len(elems) ** 2
+        holds, checks = table_rows_hold(sigma)
+        if holds:
             return ValidationResult(True, None, checks, "generators", "", checks)
-        triples_in, mode = itertools.product(elems, repeat=3), "exhaustive"
+        triples_in, mode = itertools.product(G.elements(), repeat=3), "exhaustive"
     else:
-        triples_in, mode = reference_triples(sigma, budget)
+        reduced = reference_reduced(sigma, reference_validate)
+        if reduced is not None:
+            return reduced
+        triples_in, mode = reference_triples(sigma)
     checks = triples = 0
     seen_norm = set()
     for g, h, k in triples_in:
@@ -735,14 +972,22 @@ def reference_validate(sigma, budget):
     return ValidationResult(True, None, checks, mode, "", triples)
 
 
-def reference_twist_identities(sigma, budget):
-    """check_twist_identities on Phase values, each twist taken separately."""
+def reference_twist_identities(sigma):
+    """check_twist_identities on Phase values, each twist taken separately; a
+    phase table whose generating rows hold passes in mode "generators"."""
     G = sigma.group
 
     def tw(h, g):
         return sigma.value(h, g) - sigma.value(G.conj(h, g), h)
 
-    triples_in, mode = reference_triples(sigma, budget)
+    if isinstance(sigma, PhaseTableCocycle):
+        holds, checks = table_rows_hold(sigma)
+        if holds:
+            return ValidationResult(True, None, checks, "generators", "", checks)
+    reduced = reference_reduced(sigma, reference_twist_identities)
+    if reduced is not None:
+        return reduced
+    triples_in, mode = reference_triples(sigma)
     checks = triples = 0
     for r, s, t in triples_in:
         triples += 1
@@ -780,18 +1025,32 @@ def valid_cases():
     ]
 
 
+def failing_wrappers():
+    """Similarity transforms and products over a failing table and a failing
+    Heisenberg formula, the failing part on either side of a product."""
+    z22, bad = corrupted_z22()
+    broken = polynomial_mutants()[1][0]
+    z4 = from_name("Z_4")
+    return [
+        similarity_transform(bad, random_beta_table(z22, random.Random(9))),
+        similarity_transform(broken, SeededBeta(HEIS, 7, 6, broken.basis)),
+        ProductCocycle(DirectProduct(z22, z4), bad, TrivialCocycle(z4)),
+        ProductCocycle(DirectProduct(z4, z22), TrivialCocycle(z4), bad),
+        ProductCocycle(DirectProduct(F2, HEIS), TrivialCocycle(F2), broken),
+        ProductCocycle(DirectProduct(HEIS, z22), broken, anticommute_table(z22)),
+    ]
+
+
 def reference_cases():
-    return valid_cases() + [CubicForm(), Shifted(), corrupted_z22()[1], corrupted_sigma_j(3)] + [
+    return valid_cases() + [Shifted(), corrupted_z22()[1], corrupted_sigma_j(3)] + [
         twist_failure_table(name, entries) for name, entries, _ in TWIST_FAILURES] + [
-        c for c, _detail in polynomial_mutants()]
+        c for c, _detail in polynomial_mutants()] + failing_wrappers()
 
 
 def test_validators_match_phase_reference():
-    budget = ValidationBudget(samples=150, seed=11)
     for sigma in reference_cases():
-        assert validate_cocycle(sigma, budget) == reference_validate(sigma, budget), \
-            sigma.describe()
-        assert check_twist_identities(sigma, budget) == reference_twist_identities(sigma, budget), \
+        assert validate_cocycle(sigma) == reference_validate(sigma), sigma.describe()
+        assert check_twist_identities(sigma) == reference_twist_identities(sigma), \
             sigma.describe()
 
 
@@ -811,26 +1070,26 @@ def counting(cls, *args):
     return sigma
 
 
-def validated_pairs(sigma, budget):
+def validated_pairs(sigma):
     """The pairs validate_cocycle touches on a passing sigma: (x, e) and
     (e, x) for each element x of a triple, and the four terms of the
     cocycle identity."""
     G, e = sigma.group, sigma.group.identity()
     out = set()
-    for g, h, k in reference_triples(sigma, budget)[0]:
+    for g, h, k in reference_triples(sigma)[0]:
         out.update(p for x in (g, h, k) for p in ((x, e), (e, x)))
         out.update([(g, h), (G.mul(g, h), k), (g, G.mul(h, k)), (h, k)])
     return out
 
 
-def twisted_pairs(sigma, budget):
+def twisted_pairs(sigma):
     """The pairs check_twist_identities touches on a passing sigma: every
     term of identity_terms at (r, s, t), and the power identity's terms at
     (r, s, s^2) when r and s commute."""
     G = sigma.group
     terms = identity_terms(G).values()
     out = set()
-    for r, s, t in reference_triples(sigma, budget)[0]:
+    for r, s, t in reference_triples(sigma)[0]:
         out.update(args(r, s, t) for args in terms)
         if G.commutes(r, s):
             s2 = G.mul(s, s)
@@ -840,28 +1099,27 @@ def twisted_pairs(sigma, budget):
 
 
 def test_each_validator_call_evaluates_each_pair_once():
-    """In each mode other than a table's, each validator asks int_value once
-    per distinct pair it touches, and a second call asks again for every
-    one: nothing is kept between calls."""
+    """In each mode that checks triples of sigma's own, each validator asks
+    int_value once per distinct pair it touches, and a second call asks
+    again for every one: nothing is kept between calls."""
     bh = IrrationalBasis(["gamma", "theta"])
-    z22 = from_name("Z_2 x Z_2")
-    heis = HeisenbergCocycle(HEIS, bh.rational(Fraction(1, 4)), bh.symbol("theta"))
+    s4 = from_name("S_4")
+    table = random_table_cocycle(s4, random.Random(8))
+    H = _nonabelian_proper_subgroup(s4)
+    asg = H.as_group()
     cases = [
         (counting(HeisenbergCocycle, HEIS, bh.symbol("gamma"), bh.symbol("theta")), "polynomial"),
         (counting(F2Z2Cocycle, F2Z2, 1), "pullback"),
-        (counting(SimilarityCocycle, anticommute_table(z22),
-                  random_beta_table(z22, random.Random(8))), "exhaustive"),
-        (counting(ProductCocycle, DirectProduct(F2, HEIS), TrivialCocycle(F2), heis), "sampled"),
+        (counting(PullbackCocycle, table, asg.group, asg.embed), "exhaustive"),
     ]
-    budget = ValidationBudget(samples=150, seed=11)
     for sigma, mode in cases:
         for validator, pairs in ((validate_cocycle, validated_pairs),
                                  (check_twist_identities, twisted_pairs)):
-            expected = pairs(sigma, budget)
+            expected = pairs(sigma)
             calls = []
             for _ in range(2):
                 sigma.pairs = []
-                res = validator(sigma, budget)
+                res = validator(sigma)
                 assert res.passed and res.mode == mode, (sigma.describe(), validator.__name__)
                 assert len(sigma.pairs) == len(set(sigma.pairs)), (mode, validator.__name__)
                 assert set(sigma.pairs) == expected, (mode, validator.__name__)
@@ -906,7 +1164,7 @@ def test_integer_forms_match_phase_formulas():
     rng = random.Random(12)
     for sigma in valid_cases():
         for _ in range(40):
-            g, h = sigma.group.random_element(rng, 5), sigma.group.random_element(rng, 5)
+            g, h = random_element(sigma.group, rng, 5), random_element(sigma.group, rng, 5)
             assert sigma.value(g, h) == phase_formula(sigma, g, h), sigma.describe()
 
 
@@ -1014,21 +1272,18 @@ def test_an_understated_degree_fails_the_degree_test():
         assert degree_violation(sigma, random.Random(17)) is not None, sigma.describe()
 
 
-def test_polynomial_grid_sizes_and_budget_independence():
+def test_polynomial_grid_sizes():
     """C(3m + d, d) points: 28 on Z^2, 55 on Z^3, 220 on the Heisenberg
-    group, whatever the budget and seed."""
+    group."""
     b3 = IrrationalBasis(["t1", "t2", "t3"])
     bh = IrrationalBasis(["gamma", "theta"])
     cases = [(rotation_cocycle(Z2, TH), 28),
              (three_torus_cocycle(FreeAbelian(3), [b3.symbol(n) for n in ("t1", "t2", "t3")]), 55),
              (HeisenbergCocycle(HEIS, bh.symbol("gamma"), bh.symbol("theta")), 220)]
     for sigma, points in cases:
-        mode, grid = _triples(sigma, ValidationBudget())
+        mode, grid = _triples(sigma)
         assert mode == "polynomial" and len(list(grid)) == points
-        results = {(validate_cocycle(sigma, b), check_twist_identities(sigma, b))
-                   for b in (ValidationBudget(), ValidationBudget(samples=7, seed=99))}
-        assert len(results) == 1
-        (v, i), = results
+        v, i = validate_cocycle(sigma), check_twist_identities(sigma)
         assert v.passed and v.mode == "polynomial" and v.checks == v.triples == points
         assert i.passed and i.mode == "polynomial" and i.triples == points
 
@@ -1058,12 +1313,6 @@ def test_simplex_grid_is_the_filtered_product_in_order():
             assert len(grid) == comb(3 * m + d, d)
 
 
-class CubicPolynomial(CubicForm):
-    """CubicForm with its true degree stated: a polynomial non-cocycle."""
-
-    degree = 3
-
-
 class DroppedBinomial(HeisenbergCocycle):
     """The Heisenberg formula without its gamma * b2 * C(a1) term: the
     cocycle identity is then off by gamma * g1 * h1 * k2."""
@@ -1090,7 +1339,7 @@ def polynomial_mutants():
     """(sigma, first grid failure): broken polynomial kinds with a stated degree."""
     bh = IrrationalBasis(["gamma", "theta"])
     return [
-        (CubicPolynomial(), ((1, 0), (1, 0), (1, 0))),
+        (CubicForm(), ((1, 0), (1, 0), (1, 0))),
         (DroppedBinomial(HEIS, bh.symbol("gamma"), bh.symbol("theta")),
          ((1, 0, 0), (1, 0, 0), (0, 1, 0))),
         (DroppedBinomial(HEIS, Phase(Fraction(1, 3)), Phase(Fraction(1, 2))),

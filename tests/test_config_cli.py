@@ -273,10 +273,7 @@ MALFORMED = {
                      "[cocycle.base]\nkind = trivial\n",
     # no computation reads a search cap, so `cap` is not a [run] key
     "run-cap": _Z2 + "[run]\ncap = 5\n",
-    # sampled validation on no samples would pass with no checks
-    "budget-zero": _Z2 + "[run]\nbudget = 0\n",
-    "budget-negative": _Z2 + "[run]\nbudget = -3\n",
-    # max_lattice caps the listed entries of an infinite chain; like budget, it is at least 1
+    # max_lattice caps the listed entries of an infinite chain; it is at least 1
     "max-lattice-zero": _Z2 + "[run]\nanalyses = lattice\nmax_lattice = 0\n",
     # the oracle's caps are checked before any analysis runs
     "oracle-over-cap": '[group]\nkind = finite\nname = "Z_66"\n'
@@ -294,6 +291,19 @@ def test_cli_rejects_malformed_value_in_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "line " in err
     assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("value", ["2000", "0"])
+def test_budget_is_not_a_run_key(tmp_path, capsys, value):
+    """Every validation route is exact and draws no sample, so `budget` is an
+    unknown [run] key: exit 1, one config error line at its line, no
+    traceback, whatever its value."""
+    path = tmp_path / "budget.tomlish"
+    path.write_text(f"[group]\nkind = free_abelian\nrank = 2\n\n[run]\nbudget = {value}\n")
+    assert main(["--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: unknown key 'budget' in [run] (line 6)\n"
 
 
 def test_report_flags_non_cocycle_table():
@@ -515,9 +525,9 @@ def test_wrapped_restriction_validates_on_its_subgroup(case):
     result = validate_cocycle(sigma)
     assert result.passed and check_twist_identities(sigma).passed
     if case.startswith("product"):
-        # {0, 2} x Z_2 has 4 elements: every triple, exhaustively
-        assert result.mode == "exhaustive"
-        assert result.checks == 4 ** 3
+        # the pullback to {0, 2} on its every triple, then the trivial factor
+        assert result.mode == "product(exhaustive, trivial)"
+        assert result.checks == 2 ** 3
 
 
 @pytest.mark.parametrize("case", list(RESTRICTED_BASES))

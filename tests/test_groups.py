@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import random
@@ -8,7 +9,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from references import PREDICATES, predicates
+from references import PREDICATES, predicates, random_element
 from test_acceptance import sweep_group_names
 
 from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, GroupError,
@@ -33,7 +34,7 @@ def test_group_axioms_random(name):
     rng = random.Random(7)
     e = g.identity()
     for _ in range(120):
-        a, b, c = (g.random_element(rng) for _ in range(3))
+        a, b, c = (random_element(g, rng) for _ in range(3))
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
         assert g.mul(a, g.inv(a)) == e
         assert g.mul(e, a) == a == g.mul(a, e)
@@ -45,7 +46,7 @@ def test_infinite_group_axioms_random(group):
     rng = random.Random(13)
     e = group.identity()
     for _ in range(150):
-        a, b, c = (group.random_element(rng, 5) for _ in range(3))
+        a, b, c = (random_element(group, rng, 5) for _ in range(3))
         assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
         assert group.mul(a, group.inv(a)) == e
         assert group.commutes(a, b) == (group.mul(a, b) == group.mul(b, a))
@@ -76,13 +77,88 @@ def test_table_validation_rejects_garbage():
                      [4, 3, 1, 2, 0]])
 
 
+def brute_force_non_associative(table):
+    """The first (a, b, c) in order with (ab)c != a(bc), or None."""
+    n = len(table)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
+def swapped_intercalate(n, a, c):
+    """The table of Z_n, n even, with the 2 x 2 Latin subsquare on rows a and
+    a + n/2 and columns c and c + n/2 swapped: a Latin square again."""
+    half = n // 2
+    t = [[(x + y) % n for y in range(n)] for x in range(n)]
+    for row in (a, a + half):
+        t[row][c], t[row][c + half] = t[row][c + half], t[row][c]
+    return t
+
+
+def test_associativity_check_matches_brute_force_above_64_elements():
+    """Light's test on a set that generates the table under products alone
+    refuses exactly the tables brute force refuses, at a triple that is not
+    associative: Z_n for even n above 64, each with one intercalate swapped
+    at several places, and group tables above 64 elements, which it accepts."""
+    for name in ("D_33", "D_40", "Z_8 x Z_9"):
+        assert brute_force_non_associative(from_name(name).table) is None
+    rng = random.Random(64)
+    for n in (66, 70, 72, 80):
+        FiniteTable([[(x + y) % n for y in range(n)] for x in range(n)])
+        for _ in range(3):
+            a, c = rng.randrange(n // 2), rng.randrange(n // 2)
+            t = swapped_intercalate(n, a, c)
+            assert brute_force_non_associative(t) is not None, (n, a, c)
+            with pytest.raises(GroupError, match=r"^not associative at \(\d+,\d+,\d+\)$") as err:
+                FiniteTable(t)
+            x, s, y = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(err.value)).groups())
+            assert t[t[x][s]][y] != t[x][t[s][y]]
+
+
+def test_seeded_draws_are_those_of_the_group_methods_they_replace():
+    """tests/references.random_element draws what Group.random_element drew
+    on each group kind before the engine stopped sampling: the first five
+    draws at seed 5 (three at the default size 6, two at size 8), and a
+    digest of 40 draws at each size 0..8 from seed 11."""
+    first_five = {
+        "free abelian": (FreeAbelian(3), [(3, -2, 5), (-1, 6, 5), (5, 4, 2), (-8, 6, -1),
+                                          (-7, -3, -5)]),
+        "finite": (from_name("S_4"), [19, 8, 23, 11, 22]),
+        "free": (FreeGroup(2), [((1, 2), (0, 1), (1, -1)),
+                                ((0, -2), (1, 1), (0, -1), (1, -1), (0, 1)),
+                                ((0, -2), (1, -1), (0, -1)), ((0, -2), (1, -1), (0, -3)),
+                                ((0, -2), (1, 1))]),
+        "heisenberg": (Heisenberg(), [(3, -2, 5), (-1, 6, 5), (5, 4, 2), (-8, 6, -1),
+                                      (-7, -3, -5)]),
+        "product": (DirectProduct(FreeGroup(2), from_name("Z_2")),
+                    [(((1, 2), (0, 1), (1, -1)), 0), (((0, 2), (1, 1), (0, -1), (1, -1)), 0),
+                     (((0, -2), (1, -1), (0, -1)), 1), (((0, 1), (1, -1)), 0),
+                     (((0, 2),), 0)]),
+    }
+    for kind, (G, want) in first_five.items():
+        rng = random.Random(5)
+        got = [random_element(G, rng) for _ in range(3)] + [random_element(G, rng, 8)
+                                                           for _ in range(2)]
+        assert got == want, kind
+    digests = [(FreeAbelian(3), "3d0336e6e4aa69bc"), (from_name("S_4"), "4f42d68d472c3376"),
+               (FreeGroup(2), "ff2909b80456aae3"), (FreeGroup(3), "f73a573a946dff4a"),
+               (Heisenberg(), "3d0336e6e4aa69bc"),
+               (DirectProduct(FreeGroup(2), from_name("Z_2")), "6bf7f13f8683a905"),
+               (DirectProduct(Heisenberg(), FreeAbelian(2)), "fe0ea5ce51d0c72d")]
+    for G, want in digests:
+        rng = random.Random(11)
+        draws = [random_element(G, rng, size) for size in range(9) for _ in range(40)]
+        assert hashlib.sha256(repr(draws).encode()).hexdigest()[:16] == want, G.describe()
+
+
 def test_heisenberg_product_and_inverse():
     h = Heisenberg()
     assert h.mul((1, 0, 0), (0, 1, 0)) == (1, 1, 1)
     assert h.mul((0, 1, 0), (1, 0, 0)) == (1, 1, 0)
     rng = random.Random(3)
     for _ in range(100):
-        a = h.random_element(rng)
+        a = random_element(h, rng)
         assert h.mul(a, h.inv(a)) == (0, 0, 0)
         assert h.mul(h.inv(a), a) == (0, 0, 0)
 
@@ -102,8 +178,8 @@ def test_free_group_reduction_vs_stack():
     f = FreeGroup(2)
     rng = random.Random(17)
     for _ in range(300):
-        a = f.random_element(rng, 8)
-        b = f.random_element(rng, 8)
+        a = random_element(f, rng, 8)
+        b = random_element(f, rng, 8)
         prod = f.mul(a, b)
         assert prod == reduce_by_stack(f, f.flatten(a) + f.flatten(b))
         assert f.contains(prod)
@@ -159,7 +235,7 @@ def test_class_closure_and_size_invariants():
     for _ in range(25):
         hset = rng.choice(subs)
         H = Subgroup.finite_subset(s4, hset)
-        g = s4.random_element(rng)
+        g = random_element(s4, rng)
         cls = h_conjugacy_class(g, H)
         assert cls.finite
         members = set(cls.elements)
@@ -251,7 +327,7 @@ def test_is_normal_implies_membership_of_conjugates():
     hsub = Subgroup.coordinate_zero(heis, {0})
     rng = random.Random(9)
     for _ in range(100):
-        g = heis.random_element(rng)
+        g = random_element(heis, rng)
         h = (0, rng.randint(-5, 5), rng.randint(-5, 5))
         assert hsub.contains(heis.conj(g, h))
 
@@ -960,7 +1036,7 @@ def test_slanted_centralizers_are_in_the_catalog():
     for label, basis in _named_subgroups():
         H = Subgroup.generated(HEIS, basis)
         for _ in range(5):
-            g = HEIS.random_element(rng, 4)
+            g = random_element(HEIS, rng, 4)
             cent = centralizer_generators(H, g)
             assert cent is not None and all(HEIS.commutes(h, g) and H.contains(h) for h in cent)
         centralizing = [x for x in ball if all(HEIS.commutes(x, h) for h in basis)]
@@ -1130,7 +1206,7 @@ def test_heisenberg_lattice_is_the_plane_lattice_lifted():
     contains H and (0, 0, 1).  Pinned: <(1,1,0), (0,0,1)> has a chain,
     <(2,0,0), (0,2,0), (0,0,1)> (quotient Z_2 x Z_2) five entries, G one."""
     z2, rng = FreeAbelian(2), random.Random(26)
-    drawn = [[(0, 0, 1)] + [HEIS.random_element(rng, 4) for _ in range(rng.randint(0, 3))]
+    drawn = [[(0, 0, 1)] + [random_element(HEIS, rng, 4) for _ in range(rng.randint(0, 3))]
              for _ in range(40)]
     statuses = set()
     for gens in drawn:

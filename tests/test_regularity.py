@@ -7,7 +7,7 @@ from itertools import product
 from math import lcm
 from pathlib import Path
 
-from references import commutation_phase
+from references import commutation_phase, random_element
 
 from kleppner import regularity
 from kleppner.cocycles import (BicharacterCocycle, F2Z2Cocycle, HeisenbergCocycle,
@@ -53,7 +53,7 @@ def test_trivial_cocycle_everything_regular():
     hpq = Subgroup.sublattice(Z2, [(2, 0), (0, 3)])
     triv = TrivialCocycle(Z2)
     for _ in range(30):
-        assert is_sigma_regular(Z2.random_element(rng), hpq, triv).holds
+        assert is_sigma_regular(random_element(Z2, rng), hpq, triv).holds
 
 
 def test_f2z2_central_element_not_regular():
@@ -77,7 +77,7 @@ def test_regularity_is_a_class_property():
     subs = s4.all_subgroups()
     for _ in range(20):
         H = Subgroup.finite_subset(s4, rng.choice(subs))
-        g = s4.random_element(rng)
+        g = random_element(s4, rng)
         cls = h_conjugacy_class(g, H)
         answers = {is_sigma_regular(x, H, sig).status for x in cls.elements}
         assert len(answers) == 1
@@ -589,7 +589,7 @@ def _diagonal_instances(rng):
         for _ in range(14):
             gens = []
             while len(gens) < rng.choice((1, 2)):
-                x = G.random_element(rng, size)
+                x = random_element(G, rng, size)
                 if x[0] != e[0] and x[1] != e[1]:
                     gens.append(x)
             out.append((G, Subgroup.generated(G, gens), sigmas))
@@ -605,7 +605,7 @@ def test_diagonal_subgroups_of_products_against_brute_force():
     for G, H, sigmas in _diagonal_instances(rng):
         steps = G.generators() + tuple(G.inv(s) for s in G.generators())
         ball = {G.mul(a, b) for a in steps for b in steps} | set(steps)
-        ball |= {G.random_element(rng, 3) for _ in range(20)}
+        ball |= {random_element(G, rng, 3) for _ in range(20)}
         cent = centralizer_of_subgroup(G, H)
         fc = fc_centralizer(G, H)
         for x in sorted(ball, key=G.element_key):
@@ -646,14 +646,14 @@ def test_pointwise_regularity_similarity_invariant():
     base = rotation_cocycle(Z2, Phase(Fraction(1, 3)))
     tw = similarity_transform(base, SeededBeta(Z2, 7, 8))
     for _ in range(60):
-        g = Z2.random_element(rng)
+        g = random_element(Z2, rng)
         assert is_sigma_regular(g, hpq, base).status == is_sigma_regular(g, hpq, tw).status
 
     hsub = Subgroup.coordinate_zero(HEIS, {0})
     hbase = heis_cocycle(Phase(Fraction(1, 4)), Phase(Fraction(1, 2)))
     htw = similarity_transform(hbase, SeededBeta(HEIS, 8, 12))
     for _ in range(60):
-        g = HEIS.random_element(rng, 4)
+        g = random_element(HEIS, rng, 4)
         assert is_sigma_regular(g, hsub, hbase).status == is_sigma_regular(g, hsub, htw).status
 
 

@@ -309,8 +309,8 @@ class PhaseTableCocycle(Cocycle):
     @cached_property
     def generator_row_failure(self) -> tuple | None:
         """_table_identity_failure on generator_rows: None exactly when the
-        table is a cocycle.  Scanned once per table; _validate_table_fast,
-        check_twist_identities and build_regular_rep read it."""
+        table is a cocycle.  Scanned once per table; _validate_table_fast
+        (under both validators) and build_regular_rep read it."""
         return _table_identity_failure(self, self.generator_rows)
 
     def int_value(self, g, h) -> list[int]:
@@ -594,11 +594,12 @@ def _triples(sigma: Cocycle):
       triples of the section's image (mode "pullback"): each term at
       (g, h, k) is the base's at (phi g, phi h, phi k).
     - Any other kind on a finite group gets every triple (mode "exhaustive").
-    Any other kind on an infinite group is a CocycleError.
+    Any other kind on an infinite group is a CocycleError.  A phase table
+    validates on its generator rows (_validate_table_fast), and a table
+    they refuse gets every triple.
 
-    A phase table validates on its generator rows (_validate_table_fast).
-    Its twist identities pass in the same mode "generators" when
-    ``generator_row_failure`` is None, since each twist residual, as
+    A cocycle's twist identities get validate_cocycle's result; only a
+    non-cocycle's take these routes.  Each twist residual, as
     check_twist_identities sums it, is term by term a signed sum of defects
     d(a, b, c) = sigma(a, b) + sigma(ab, c) - sigma(a, bc) - sigma(b, c):
       left product at (r, s, t):   d(v, r, s) - d(r, u, s) + d(r, s, t),
@@ -606,8 +607,7 @@ def _triples(sigma: Cocycle):
       right product at (r, s, t):  -d(r, s, t) + d(a, r, t) - d(a, b, r),
                                    a = r s r^-1, b = r t r^-1;
       power identity: the right-product one at (r, s, s^2)
-    (test_cocycles.py::test_twist_residuals_are_sums_of_cocycle_defects).
-    A table whose generator rows fail gets every triple."""
+    (test_cocycles.py::test_twist_residuals_are_sums_of_cocycle_defects)."""
     if sigma.degree is not None:
         m = len(sigma.group.identity())
         return "polynomial", [(p[:m], p[m:2 * m], p[2 * m:])
@@ -756,21 +756,21 @@ def validate_cocycle(sigma: Cocycle) -> ValidationResult:
 
 
 def check_twist_identities(sigma: Cocycle) -> ValidationResult:
-    """The left- and right-product conjugation-twist identities, by the route
-    of _triples: on triples, both at every triple, and the right-product one
-    on (r, s, s^2) when r and s commute.  Their commuting-pair forms need no
-    check of their own: on a commuting triple they compare the same two
-    phases as the general forms.
+    """The left- and right-product conjugation-twist identities.  A sigma that
+    passes validate_cocycle satisfies them (_triples) and gets its result;
+    any other is checked by the route of _triples: on triples, both at every
+    triple, and the right-product one on (r, s, s^2) when r, s commute (the
+    commuting-pair forms compare the same two phases as the general ones).
 
     With tw(h, g) = sigma(h, g) - sigma(h g h^-1, h), the identities are
       tw(rs, t)   = tw(r, s t s^-1) + tw(s, t)
       tw(r, st)   = -sigma(s, t) + sigma(r s r^-1, r t r^-1) + tw(r, s) + tw(r, t)
       tw(r, s^3)  = tw(r, s) + tw(r, s^2)           (r, s commuting)
     and each is checked as one signed sum of integer values, read through a
-    _CallValues: each distinct pair is evaluated once per call, and nothing
-    is kept afterwards."""
-    if isinstance(sigma, PhaseTableCocycle) and sigma.generator_row_failure is None:
-        return _validate_table_fast(sigma)
+    _CallValues apart from validate_cocycle's: each distinct pair is
+    evaluated once per scan, and nothing is kept afterwards."""
+    if (validated := validate_cocycle(sigma)).passed:
+        return validated
     reduced = _reduced(sigma, check_twist_identities)
     if reduced is not None:
         return reduced

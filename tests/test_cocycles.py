@@ -565,51 +565,79 @@ def test_corrupted_table_above_64_elements_fails_with_first_triple():
 
 def defect(sigma, a, b, c):
     """The cocycle-identity defect d(a, b, c) = sigma(a, b) + sigma(ab, c)
-    - sigma(a, bc) - sigma(b, c) of an integer table, not reduced mod den."""
-    t, mul = sigma.ints, sigma.group.mul
-    return t[a][b] + t[mul(a, b)][c] - t[a][mul(b, c)] - t[b][c]
+    - sigma(a, bc) - sigma(b, c) of sigma's integer values, slot by slot,
+    not reduced mod den."""
+    mul, v = sigma.group.mul, sigma.int_value
+    return [w + x - y - z for w, x, y, z in zip(v(a, b), v(mul(a, b), c), v(a, mul(b, c)),
+                                                 v(b, c))]
 
 
-@pytest.mark.parametrize("name", ["S_3", "D_4", "Q8", "Z_2 x Z_4"])
+def signed_defects(sigma, *terms):
+    """sum of sign * d(a, b, c) over the terms (sign, a, b, c), slot by slot."""
+    return [sum(col) for col in zip(*([sign * x for x in defect(sigma, a, b, c)]
+                                      for sign, a, b, c in terms))]
+
+
+def non_cocycles(name):
+    """Normalized non-cocycles: three random integer tables on a finite
+    group, or one polynomial kind checked on its grid."""
+    if name == "cubic form":
+        return [CubicForm()]
+    if name == "broken heisenberg":
+        return [polynomial_mutants()[1][0]]
+    G, rng = from_name(name), random.Random(name)
+    return [PhaseTableCocycle.from_ints(G, den, _normalized_int_table(G, rng, den, 1))
+            for den in (5, 12, 12)]
+
+
+@pytest.mark.parametrize("name", ["S_3", "D_4", "Q8", "Z_2 x Z_4", "cubic form",
+                                  "broken heisenberg"])
 def test_twist_residuals_are_sums_of_cocycle_defects(name, monkeypatch):
     """Each residual of the twist identities, as check_twist_identities sums
     it, is the signed sum of cocycle-identity defects that cocycles._triples
-    states, as exact integers, on every triple of random normalized integer
-    tables that are not cocycles (so every triple is checked):
+    states, as exact integer vectors, on every triple of random normalized
+    integer tables that are not cocycles, and on the grid of CubicForm and
+    of a broken Heisenberg formula:
       left product at (r, s, t):  d(v, r, s) - d(r, u, s) + d(r, s, t),
                                   u = s t s^-1, v = r u r^-1;
       right product at (r, s, t): -d(r, s, t) + d(a, r, t) - d(a, b, r),
                                   a = r s r^-1, b = r t r^-1;
       power at (r, s, s^2):       the right-product one there.
-    So a table that is a cocycle satisfies every twist identity."""
-    G = from_name(name)
-    conj, mul = G.conj, G.mul
-    rng = random.Random(name)
+    So a cocycle satisfies every twist identity.  Each sigma fails
+    validate_cocycle, whose result is taken first and handed back to
+    check_twist_identities, so that every triple's residuals are summed."""
     summed = []
 
     def record(den, plus, minus):
-        summed.append(sum(v[0] for v in plus) - sum(v[0] for v in minus))
+        summed.append([sum(v[i] for v in plus) - sum(v[i] for v in minus)
+                       for i in range(len(plus[0]))])
         return True
 
-    monkeypatch.setattr(cocycles_mod, "_vanishes", record)
     nonzero = 0
-    for den in (5, 12, 12):
-        sigma = PhaseTableCocycle.from_ints(G, den, _normalized_int_table(G, rng, den, 1))
-        assert sigma.generator_row_failure is not None
+    for sigma in non_cocycles(name):
+        G = sigma.group
+        conj, mul = G.conj, G.mul
+        failed = validate_cocycle(sigma)
+        assert not failed.passed
+        monkeypatch.setattr(cocycles_mod, "validate_cocycle", lambda _sigma: failed)
+        monkeypatch.setattr(cocycles_mod, "_vanishes", record)
         summed.clear()
         res = check_twist_identities(sigma)
-        assert res.passed and res.mode == "exhaustive" and res.triples == G.order ** 3
+        monkeypatch.undo()
+        triples, mode = reference_triples(sigma)
+        triples = list(triples)
+        assert res.passed and (res.mode, res.triples) == (mode, len(triples))
         expected = []
-        for r, s, t in itertools.product(G.elements(), repeat=3):
+        for r, s, t in triples:
             u = conj(s, t)
-            expected.append(defect(sigma, conj(r, u), r, s) - defect(sigma, r, u, s)
-                            + defect(sigma, r, s, t))
+            expected.append(signed_defects(sigma, (1, conj(r, u), r, s), (-1, r, u, s),
+                                           (1, r, s, t)))
             for t_ in (t, mul(s, s)) if G.commutes(r, s) else (t,):
                 a, b = conj(r, s), conj(r, t_)
-                expected.append(-defect(sigma, r, s, t_) + defect(sigma, a, r, t_)
-                                - defect(sigma, a, b, r))
+                expected.append(signed_defects(sigma, (-1, r, s, t_), (1, a, r, t_),
+                                               (-1, a, b, r)))
         assert summed == expected
-        nonzero += sum(map(bool, expected))
+        nonzero += sum(any(v) for v in expected)
     assert nonzero
 
 
@@ -973,18 +1001,28 @@ def reference_validate(sigma):
 
 
 def reference_twist_identities(sigma):
-    """check_twist_identities on Phase values, each twist taken separately; a
-    phase table whose generating rows hold passes in mode "generators"."""
+    """check_twist_identities in Phase arithmetic: a sigma that passes
+    reference_validate gets that result; otherwise a wrapper is read off its
+    parts by reference_reduced, and any other kind gets
+    reference_twist_scan."""
+    validated = reference_validate(sigma)
+    if validated.passed:
+        return validated
+    reduced = reference_reduced(sigma, reference_twist_identities)
+    return reduced if reduced is not None else reference_twist_scan(sigma)
+
+
+def reference_twist_scan(sigma):
+    """The twist identities on Phase values, each twist taken separately, on
+    every triple of reference_triples (of a table too), with wrappers read
+    off their parts: the full per-triple scan, whatever the cocycle
+    identity says."""
     G = sigma.group
 
     def tw(h, g):
         return sigma.value(h, g) - sigma.value(G.conj(h, g), h)
 
-    if isinstance(sigma, PhaseTableCocycle):
-        holds, checks = table_rows_hold(sigma)
-        if holds:
-            return ValidationResult(True, None, checks, "generators", "", checks)
-    reduced = reference_reduced(sigma, reference_twist_identities)
+    reduced = reference_reduced(sigma, reference_twist_scan)
     if reduced is not None:
         return reduced
     triples_in, mode = reference_triples(sigma)
@@ -1054,6 +1092,21 @@ def test_validators_match_phase_reference():
             sigma.describe()
 
 
+def test_every_cocycle_passes_the_full_twist_scan():
+    """check_twist_identities hands a cocycle validate_cocycle's result; on
+    every case of reference_cases() (all_shipped_variants() among them) that
+    passes validation (polynomial, pullback, exhaustive, table and wrapper
+    kinds), the full per-triple Phase scan of the twist identities passes
+    too."""
+    modes = set()
+    for sigma in reference_cases():
+        if reference_validate(sigma).passed:
+            scan = reference_twist_scan(sigma)
+            assert scan.passed, (sigma.describe(), scan)
+            modes.add(scan.mode)
+    assert {"polynomial", "pullback", "exhaustive", "trivial"} <= modes
+
+
 # -- each validator call evaluates a pair once and keeps nothing --------------
 
 def counting(cls, *args):
@@ -1083,9 +1136,9 @@ def validated_pairs(sigma):
 
 
 def twisted_pairs(sigma):
-    """The pairs check_twist_identities touches on a passing sigma: every
-    term of identity_terms at (r, s, t), and the power identity's terms at
-    (r, s, s^2) when r and s commute."""
+    """The pairs check_twist_identities' own scan touches when it passes:
+    every term of identity_terms at (r, s, t), and the power identity's
+    terms at (r, s, s^2) when r and s commute."""
     G = sigma.group
     terms = identity_terms(G).values()
     out = set()
@@ -1098,33 +1151,54 @@ def twisted_pairs(sigma):
     return out
 
 
+def symmetric_non_cocycle(G, rng, den):
+    """A normalized symmetric integer table on an abelian G that is not a
+    cocycle.  On an abelian group every twist tw(h, g) = sigma(h, g) -
+    sigma(g, h) of a symmetric table is 0, so it satisfies every twist
+    identity while it fails the cocycle identity."""
+    n, e = G.order, G.identity()
+    ints = [[0] * n for _ in range(n)]
+    for g in G.elements():
+        for h in G.elements():
+            if e not in (g, h) and g <= h:
+                ints[g][h] = ints[h][g] = rng.randrange(den)
+    return counting(PhaseTableCocycle, G, [[Phase(Fraction(v, den)) for v in row] for row in ints])
+
+
 def test_each_validator_call_evaluates_each_pair_once():
     """In each mode that checks triples of sigma's own, each validator asks
     int_value once per distinct pair it touches, and a second call asks
-    again for every one: nothing is kept between calls."""
+    again for every one: nothing is kept between calls.  On a cocycle,
+    check_twist_identities touches exactly validate_cocycle's pairs; on a
+    non-cocycle table that satisfies the twist identities (validation reads
+    its integer rows, not int_value) its own scan touches twisted_pairs."""
     bh = IrrationalBasis(["gamma", "theta"])
     s4 = from_name("S_4")
     table = random_table_cocycle(s4, random.Random(8))
     H = _nonabelian_proper_subgroup(s4)
     asg = H.as_group()
-    cases = [
+    cases = []
+    for sigma, mode in [
         (counting(HeisenbergCocycle, HEIS, bh.symbol("gamma"), bh.symbol("theta")), "polynomial"),
         (counting(F2Z2Cocycle, F2Z2, 1), "pullback"),
         (counting(PullbackCocycle, table, asg.group, asg.embed), "exhaustive"),
-    ]
-    for sigma, mode in cases:
-        for validator, pairs in ((validate_cocycle, validated_pairs),
-                                 (check_twist_identities, twisted_pairs)):
-            expected = pairs(sigma)
-            calls = []
-            for _ in range(2):
-                sigma.pairs = []
-                res = validator(sigma)
-                assert res.passed and res.mode == mode, (sigma.describe(), validator.__name__)
-                assert len(sigma.pairs) == len(set(sigma.pairs)), (mode, validator.__name__)
-                assert set(sigma.pairs) == expected, (mode, validator.__name__)
-                calls.append(sigma.pairs)
-            assert calls[0] == calls[1], (mode, validator.__name__)
+    ]:
+        pairs = validated_pairs(sigma)
+        cases += [(sigma, validator, mode, pairs)
+                  for validator in (validate_cocycle, check_twist_identities)]
+    symmetric = symmetric_non_cocycle(from_name("Z_2 x Z_4"), random.Random(12), 5)
+    assert not validate_cocycle(symmetric).passed
+    cases.append((symmetric, check_twist_identities, "exhaustive", twisted_pairs(symmetric)))
+    for sigma, validator, mode, expected in cases:
+        calls = []
+        for _ in range(2):
+            sigma.pairs = []
+            res = validator(sigma)
+            assert res.passed and res.mode == mode, (sigma.describe(), validator.__name__)
+            assert len(sigma.pairs) == len(set(sigma.pairs)), (mode, validator.__name__)
+            assert set(sigma.pairs) == expected, (mode, validator.__name__)
+            calls.append(sigma.pairs)
+        assert calls[0] == calls[1], (mode, validator.__name__)
 
 
 def exponent_sum(word, j):

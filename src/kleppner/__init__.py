@@ -12,9 +12,8 @@ All arithmetic is exact: rational phases plus formal irrational symbols.
 
 from .cocycles import (BicharacterCocycle, Cocycle, F2Z2Cocycle, HeisenbergCocycle,
                        PhaseTableCocycle, ProductCocycle, SeededBeta, SimilarityCocycle,
-                       TrivialCocycle, check_twist_identities,
-                       commutation_trivial, rotation_cocycle, similarity_transform,
-                       three_torus_cocycle, transport, validate_cocycle)
+                       TrivialCocycle, commutation_trivial, rotation_cocycle,
+                       similarity_transform, three_torus_cocycle, transport, validate_cocycle)
 from .config import ConfigError, InstanceConfig, parse_config
 from .groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, Group, Heisenberg,
                      Subgroup, centralizer_generators, centralizer_of_subgroup,

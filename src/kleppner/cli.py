@@ -1,7 +1,8 @@
 """Batch front end: read an instance config, run the analyses, print a report.
 
 Exit codes: 0 = analyses completed (verdict content does not matter),
-1 = usage, config or input error, or standard output closed before the report
+1 = usage, config or input error, sigma failing validation with any analysis
+besides ``validate`` requested, or standard output closed before the report
 was written (one line on stderr), 2 = internal oracle mismatch.
 """
 

@@ -6,7 +6,7 @@ given by formulas; tables live on finite table groups and reach others by pullba
 Each variant states its formula once, in integer form: ``int_value(g, h)`` is
 ``den`` times the exponent, as the integer vector of a Phase over ``basis``
 (the rational slot first, then one slot per symbol).  ``value`` is derived from
-it, and the validators add and subtract these vectors instead of Phases.
+it, and validation adds and subtracts these vectors instead of Phases.
 ``commutation_int(g, h)`` is the integer form of sigma(g, h) - sigma(h, g),
 which regularity reads; kinds with a cheaper exact formula override it: a
 bicharacter sums x_j y_k - y_j x_k once per pair j < k against the entries of
@@ -47,8 +47,8 @@ class Cocycle:
     den: int = 1
     kind: str = "abstract"
     # a stated upper bound on the total degree, in the coordinates of the
-    # arguments, of sigma and of every term of the cocycle identity and the
-    # twist identities; None when sigma is not such a polynomial
+    # arguments, of sigma and of every term of the cocycle identity; None
+    # when sigma is not such a polynomial
     degree: Optional[int] = None
 
     def int_value(self, g: Element, h: Element) -> list[int]:
@@ -309,8 +309,8 @@ class PhaseTableCocycle(Cocycle):
     @cached_property
     def generator_row_failure(self) -> tuple | None:
         """_table_identity_failure on generator_rows: None exactly when the
-        table is a cocycle.  Scanned once per table; _validate_table_fast
-        (under both validators) and build_regular_rep read it."""
+        table is a cocycle.  Scanned once per table; _validate_table_fast and
+        build_regular_rep read it."""
         return _table_identity_failure(self, self.generator_rows)
 
     def int_value(self, g, h) -> list[int]:
@@ -563,7 +563,7 @@ def _simplex(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def _triples(sigma: Cocycle):
-    """(mode, triples) for sigma.  Both validators take one exact route per
+    """(mode, triples) for sigma.  validate_cocycle takes one exact route per
     kind, stated here once.
 
     Read off sigma's parts by _reduced, before any triple:
@@ -588,26 +588,14 @@ def _triples(sigma: Cocycle):
       binom(x, alpha), each c_alpha an integer combination of R's values on
       this grid and each binomial an integer at every integer x, so R
       vanishes on Z^{3m} exactly when it does here; the g-components cover
-      {|x| <= d} for normalization, and the power identity is the
-      right-product one at (r, s, s^2).  The grid is made anew on each call.
+      {|x| <= d} for normalization.  The grid is made anew on each call.
     - A pullback along phi onto a finite group with a section gets the
       triples of the section's image (mode "pullback"): each term at
       (g, h, k) is the base's at (phi g, phi h, phi k).
     - Any other kind on a finite group gets every triple (mode "exhaustive").
     Any other kind on an infinite group is a CocycleError.  A phase table
     validates on its generator rows (_validate_table_fast), and a table
-    they refuse gets every triple.
-
-    A cocycle's twist identities get validate_cocycle's result; only a
-    non-cocycle's take these routes.  Each twist residual, as
-    check_twist_identities sums it, is term by term a signed sum of defects
-    d(a, b, c) = sigma(a, b) + sigma(ab, c) - sigma(a, bc) - sigma(b, c):
-      left product at (r, s, t):   d(v, r, s) - d(r, u, s) + d(r, s, t),
-                                   u = s t s^-1, v = r u r^-1;
-      right product at (r, s, t):  -d(r, s, t) + d(a, r, t) - d(a, b, r),
-                                   a = r s r^-1, b = r t r^-1;
-      power identity: the right-product one at (r, s, s^2)
-    (test_cocycles.py::test_twist_residuals_are_sums_of_cocycle_defects)."""
+    they refuse gets every triple."""
     if sigma.degree is not None:
         m = len(sigma.group.identity())
         return "polynomial", [(p[:m], p[m:2 * m], p[2 * m:])
@@ -620,25 +608,25 @@ def _triples(sigma: Cocycle):
     raise CocycleError(f"no exact validation route for {sigma.describe()} on {G.describe()}")
 
 
-def _reduced(sigma: Cocycle, check: Callable[[Cocycle], ValidationResult]) -> ValidationResult | None:
-    """check(sigma) read off the cocycles sigma is built from, by the routes
-    of _triples; None when sigma is checked on triples of its own."""
+def _reduced(sigma: Cocycle) -> ValidationResult | None:
+    """validate_cocycle(sigma) read off the cocycles sigma is built from, by
+    the routes of _triples; None when sigma is checked on triples of its own."""
     if isinstance(sigma, TrivialCocycle):
         return ValidationResult(True, None, 0, "trivial")
     if isinstance(sigma, SimilarityCocycle):
-        return check(sigma.base)
+        return validate_cocycle(sigma.base)
     if isinstance(sigma, ProductCocycle):
-        G, left = sigma.group, check(sigma.left)
+        G, left = sigma.group, validate_cocycle(sigma.left)
         if not left.passed:
             e = G.right.identity()
             return replace(left, witness=tuple((x, e) for x in left.witness),
                            mode=f"product({left.mode}, unchecked)")
-        right, e = check(sigma.right), G.left.identity()
+        right, e = validate_cocycle(sigma.right), G.left.identity()
         return replace(right, witness=right.witness and tuple((e, x) for x in right.witness),
                        checks=left.checks + right.checks, triples=left.triples + right.triples,
                        mode=f"product({left.mode}, {right.mode})")
     if isinstance(sigma, PullbackCocycle) and sigma.section is None and not sigma.group.is_finite:
-        base = check(sigma.base)
+        base = validate_cocycle(sigma.base)
         if not base.passed:
             raise CocycleError(f"{sigma.describe()}: its base fails ({base.detail}), and no "
                                "exact route decides the pullback itself")
@@ -711,8 +699,8 @@ def _vanishes(den: int, plus: list, minus: list) -> bool:
 
 class _CallValues(dict):
     """sigma.int_value keyed by (g, h), each pair evaluated on its first
-    read.  Each validator call makes its own and drops it on return, so a
-    pair is evaluated once per call and nothing is kept after it."""
+    read.  Each validate_cocycle call makes its own and drops it on return, so
+    a pair is evaluated once per call and nothing is kept after it."""
 
     def __init__(self, sigma: Cocycle) -> None:
         super().__init__()
@@ -729,7 +717,7 @@ def validate_cocycle(sigma: Cocycle) -> ValidationResult:
     evaluated once per call, and nothing is kept afterwards."""
     if isinstance(sigma, PhaseTableCocycle):
         return _validate_table_fast(sigma)
-    reduced = _reduced(sigma, validate_cocycle)
+    reduced = _reduced(sigma)
     if reduced is not None:
         return reduced
     G = sigma.group
@@ -752,59 +740,4 @@ def validate_cocycle(sigma: Cocycle) -> ValidationResult:
                          [val[g, G.mul(h, k)], val[h, k]]):
             return ValidationResult(False, (g, h, k), checks, mode,
                                     "cocycle identity fails", triples)
-    return ValidationResult(True, None, checks, mode, "", triples)
-
-
-def check_twist_identities(sigma: Cocycle) -> ValidationResult:
-    """The left- and right-product conjugation-twist identities.  A sigma that
-    passes validate_cocycle satisfies them (_triples) and gets its result;
-    any other is checked by the route of _triples: on triples, both at every
-    triple, and the right-product one on (r, s, s^2) when r, s commute (the
-    commuting-pair forms compare the same two phases as the general ones).
-
-    With tw(h, g) = sigma(h, g) - sigma(h g h^-1, h), the identities are
-      tw(rs, t)   = tw(r, s t s^-1) + tw(s, t)
-      tw(r, st)   = -sigma(s, t) + sigma(r s r^-1, r t r^-1) + tw(r, s) + tw(r, t)
-      tw(r, s^3)  = tw(r, s) + tw(r, s^2)           (r, s commuting)
-    and each is checked as one signed sum of integer values, read through a
-    _CallValues apart from validate_cocycle's: each distinct pair is
-    evaluated once per scan, and nothing is kept afterwards."""
-    if (validated := validate_cocycle(sigma)).passed:
-        return validated
-    reduced = _reduced(sigma, check_twist_identities)
-    if reduced is not None:
-        return reduced
-    G = sigma.group
-    den, val = sigma.den, _CallValues(sigma)
-    mode, points = _triples(sigma)
-    checks = 0
-    triples = 0
-    for r, s, t in points:
-        triples += 1
-        rs, st = G.mul(r, s), G.mul(s, t)
-        sts = G.conj(s, t)
-        rstr = G.conj(rs, t)  # = r (s t s^-1) r^-1
-        v_st = val[s, t]
-        checks += 1
-        if not _vanishes(den, [val[rs, t], val[rstr, r], val[sts, s]],
-                         [val[rstr, rs], val[r, sts], v_st]):
-            return ValidationResult(False, (r, s, t), checks, mode,
-                                    "left-product identity fails", triples)
-        rsr, rtr = G.conj(r, s), G.conj(r, t)
-        v_rs, v_rsr_r = val[r, s], val[rsr, r]
-        checks += 1
-        if not _vanishes(den, [val[r, st], v_st, v_rsr_r, val[rtr, r]],
-                         [val[G.conj(r, st), r], val[rsr, rtr], v_rs, val[r, t]]):
-            return ValidationResult(False, (r, s, t), checks, mode,
-                                    "right-product identity fails", triples)
-        # powers always commute: force coverage of the commuting-pair identity;
-        # r fixes every power of s under conjugation
-        if G.commutes(r, s):
-            s2 = G.mul(s, s)
-            s3 = G.mul(s, s2)
-            checks += 1
-            if not _vanishes(den, [val[r, s3], v_rsr_r, val[s2, r]],
-                             [val[s3, r], v_rs, val[r, s2]]):
-                return ValidationResult(False, (r, s, s2), checks, mode,
-                                        "power right-product identity fails", triples)
     return ValidationResult(True, None, checks, mode, "", triples)

@@ -283,7 +283,9 @@ class CommutantReport:
 def relative_commutant_dim(G: FiniteTable, H: Subgroup, sigma: Cocycle,
                            verify: bool = False,
                            rep: RegularRep | None = None) -> CommutantReport:
-    """Dimension of {T in span lam(G) : T commutes with lam(H)}, both routes."""
+    """Dimension of {T in span lam(G) : T commutes with lam(H)}, both routes.
+    sigma must be a 2-cocycle; this function does not validate it, though a
+    rep it builds refuses a broken projective relation (build_regular_rep)."""
     if H.parent is not G:
         raise OracleError("H must be a subgroup of G")
     if rep is None:

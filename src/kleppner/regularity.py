@@ -123,7 +123,8 @@ class SigmaCentralizerResult:
 def sigma_centralizer(G: Group, H: Subgroup, sigma: Cocycle, *,
                       restricted: bool = False) -> SigmaCentralizerResult:
     """With restricted, the twisted centre of (H, sigma|_H): C_G(H) becomes
-    Z(H) = C_G(H) ∩ H."""
+    Z(H) = C_G(H) ∩ H.  sigma must be a 2-cocycle; this function does not
+    validate it."""
     if H.parent is not G or sigma.group is not G:
         raise GroupError("group, subgroup and cocycle must be aligned")
     name = "Z(H)" if restricted else "C_G(H)"
@@ -251,7 +252,8 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle, *,
 
     With restricted, only the classes of elements of H count, which is
     Kleppner's condition for (H, sigma|_H): each strategy reads Z(H) =
-    C_G(H) ∩ H for C_G(H) and FC_G(H) ∩ H for FC_G(H).
+    C_G(H) ∩ H for C_G(H) and FC_G(H) ∩ H for FC_G(H).  sigma must be a
+    2-cocycle; this function does not validate it.
     """
     if H.parent is not G or sigma.group is not G:
         raise GroupError("group, subgroup and cocycle must be aligned")
@@ -311,7 +313,8 @@ def relative_kleppner(G: Group, H: Subgroup, sigma: Cocycle, *,
 
 def kleppner(G: Group, sigma: Cocycle, H: Optional[Subgroup] = None) -> TriBool:
     """No nontrivial finite sigma-regular conjugacy class in G; given H, in
-    (H, sigma|_H), with H's classes decided inside G."""
+    (H, sigma|_H), with H's classes decided inside G.  sigma must be a
+    2-cocycle; this function does not validate it."""
     if H is None or H.is_full():
         return relative_kleppner(G, Subgroup.full(G), sigma)
     return relative_kleppner(G, H, sigma, restricted=True)

@@ -96,7 +96,8 @@ def _verdict(conclusion: str, rule: str, premises: Iterable[tuple[str, str]],
 
 def twisted_simplicity(G: Group, sigma: Cocycle, H: Optional[Subgroup] = None) -> Verdict:
     """Simplicity of the twisted group algebra of (G, sigma), or given H of
-    (H, sigma|_H), by catalog rules; witnesses are elements of G."""
+    (H, sigma|_H), by catalog rules; witnesses are elements of G.  sigma must
+    be a 2-cocycle; this function does not validate it."""
     if sigma.group is not G or (H is not None and H.parent is not G):
         raise GroupError("group, subgroup and cocycle must be aligned")
     if H is None:
@@ -139,6 +140,7 @@ def cstar_irreducible(G: Group, H: Subgroup, sigma: Cocycle) -> Verdict:
 
     Only decided for normal H; for non-normal subgroups the criteria used
     here genuinely break down, so the engine refuses instead of guessing.
+    sigma must be a 2-cocycle; this function does not validate it.
     """
     if H.parent is not G or sigma.group is not G:
         raise GroupError("group, subgroup and cocycle must be aligned")
@@ -247,7 +249,8 @@ def intermediate_lattice(G: Group, H: Subgroup, sigma: Cocycle,
 
     Requires an irreducible inclusion (the correspondence is bijective there);
     finite quotients are enumerated completely, a recognized Z-graded quotient
-    is emitted as a truncated family, everything else is unknown.
+    is emitted as a truncated family, everything else is unknown.  sigma must
+    be a 2-cocycle; this function does not validate it.
     """
     if verdict is None:
         verdict = cstar_irreducible(G, H, sigma)

@@ -8,14 +8,19 @@ helpers here build the same quantities as Phases, apart from the engine.
 and witness search of ``intlinalg`` as first written, a key per entry through
 ``int_key`` and a fresh key of the best vector at every leaf.
 ``random_element`` draws the seeded elements the tests sample with; the
-engine itself draws none.
+engine itself draws none.  ``reference_twist_scan`` checks the
+conjugation-twist identities on every triple of a cocycle's validation route
+(``reference_triples``, wrappers read off their parts by
+``reference_reduced``), in Phase arithmetic.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
-from kleppner.cocycles import Beta, Cocycle, CocycleError
+from kleppner.cocycles import (Beta, Cocycle, CocycleError, ProductCocycle, PullbackCocycle,
+                               SimilarityCocycle, TrivialCocycle, ValidationResult)
 from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, Group,
                              Heisenberg, Subgroup)
 from kleppner.intlinalg import RowLattice, int_key
@@ -130,3 +135,82 @@ def reference_small_nonzero(lat: RowLattice):
 
     search(0, [0] * lat.n, 0)
     return best
+
+
+def reference_triples(sigma):
+    """The triples and mode of validate_cocycle on a kind checked on triples
+    of its own, enumerated apart from the engine's: the simplex grid of
+    a polynomial kind, the section's image of a pullback onto a finite
+    group, every triple of a finite group."""
+    if sigma.degree is None:
+        if isinstance(sigma, PullbackCocycle) and sigma.section is not None:
+            image = [sigma.section(a) for a in sigma.base.group.elements()]
+            return itertools.product(image, repeat=3), "pullback"
+        G = sigma.group
+        assert G.is_finite, sigma.describe()
+        return itertools.product(G.elements(), repeat=3), "exhaustive"
+    m = len(sigma.group.identity())
+    points = (p for p in itertools.product(range(sigma.degree + 1), repeat=3 * m)
+              if sum(p) <= sigma.degree)
+    return ((p[:m], p[m:2 * m], p[2 * m:]) for p in points), "polynomial"
+
+
+def reference_reduced(sigma, reference):
+    """reference(sigma) on a kind read off its parts, as the routes of
+    cocycles._triples say: None on any other kind."""
+    if isinstance(sigma, TrivialCocycle):
+        return ValidationResult(True, None, 0, "trivial")
+    if isinstance(sigma, SimilarityCocycle):
+        return reference(sigma.base)
+    if isinstance(sigma, ProductCocycle):
+        G, left = sigma.group, reference(sigma.left)
+        if not left.passed:
+            witness = tuple((x, G.right.identity()) for x in left.witness)
+            return ValidationResult(False, witness, left.checks, f"product({left.mode}, unchecked)",
+                                    left.detail, left.triples)
+        right = reference(sigma.right)
+        witness = None if right.passed else tuple((G.left.identity(), x) for x in right.witness)
+        return ValidationResult(right.passed, witness, left.checks + right.checks,
+                                f"product({left.mode}, {right.mode})", right.detail,
+                                left.triples + right.triples)
+    if isinstance(sigma, PullbackCocycle) and sigma.section is None and not sigma.group.is_finite:
+        base = reference(sigma.base)
+        assert base.passed, sigma.describe()
+        return base
+    return None
+
+
+def reference_twist_scan(sigma):
+    """The twist identities on Phase values, each twist taken separately, on
+    every triple of reference_triples (of a table too), with wrappers read
+    off their parts: the full per-triple scan, whatever the cocycle
+    identity says."""
+    G = sigma.group
+
+    def tw(h, g):
+        return sigma.value(h, g) - sigma.value(G.conj(h, g), h)
+
+    reduced = reference_reduced(sigma, reference_twist_scan)
+    if reduced is not None:
+        return reduced
+    triples_in, mode = reference_triples(sigma)
+    checks = triples = 0
+    for r, s, t in triples_in:
+        triples += 1
+        checks += 1
+        if tw(G.mul(r, s), t) != tw(r, G.conj(s, t)) + tw(s, t):
+            return ValidationResult(False, (r, s, t), checks, mode,
+                                    "left-product identity fails", triples)
+        rhs2 = (-sigma.value(s, t) + sigma.value(G.conj(r, s), G.conj(r, t))
+                + tw(r, s) + tw(r, t))
+        checks += 1
+        if tw(r, G.mul(s, t)) != rhs2:
+            return ValidationResult(False, (r, s, t), checks, mode,
+                                    "right-product identity fails", triples)
+        if G.commutes(r, s):
+            s2 = G.mul(s, s)
+            checks += 1
+            if tw(r, G.mul(s, s2)) != tw(r, s) + tw(r, s2):
+                return ValidationResult(False, (r, s, s2), checks, mode,
+                                        "power right-product identity fails", triples)
+    return ValidationResult(True, None, checks, mode, "", triples)

@@ -12,11 +12,11 @@ import zlib
 from fractions import Fraction
 
 import pytest
-from references import predicates, random_beta_table, random_element
+from references import predicates, random_beta_table, random_element, reference_twist_scan
 
 from kleppner.cocycles import (F2Z2Cocycle, HeisenbergCocycle, PhaseTableCocycle,
                                ProductCocycle, SeededBeta, TrivialCocycle,
-                               check_twist_identities, rotation_cocycle, similarity_transform,
+                               rotation_cocycle, similarity_transform,
                                three_torus_cocycle, transport, validate_cocycle)
 from kleppner.groups import (DirectProduct, FreeAbelian, FreeGroup, Heisenberg, Subgroup,
                              from_name)
@@ -327,10 +327,14 @@ def test_criterion_4_identity_suite():
         counts["tuples"] += SIGMA_J_SAMPLES
     for sigma in variants:
         vres = validate_cocycle(sigma)
-        ires = check_twist_identities(sigma)
-        counts["grid" if "polynomial" in vres.mode else "tuples"] += vres.triples + ires.triples
         if not vres.passed:
             failures.append((sigma.describe(), "cocycle identity", vres.witness))
+        counts["grid" if "polynomial" in vres.mode else "tuples"] += vres.triples
+        if sigma.group is z72:
+            continue  # the twist scan would read all 72^3 triples of the zero table
+        # the twist identities on every triple of the route, in Phase arithmetic
+        ires = reference_twist_scan(sigma)
+        counts["grid" if "polynomial" in ires.mode else "tuples"] += ires.triples
         if not ires.passed:
             failures.append((sigma.describe(), ires.detail, ires.witness))
     total_tuples = counts["tuples"] + counts["grid"]

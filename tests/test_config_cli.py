@@ -1,16 +1,24 @@
+import contextlib
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from references import reference_twist_scan
+from test_cocycles import (TWIST_FAILURES, reference_validate, symmetric_non_cocycle,
+                           twist_failure_table)
 
+import kleppner.report as report_mod
 from kleppner.cli import main
-from kleppner.cocycles import (ProductCocycle, SeededBeta, SimilarityCocycle, TrivialCocycle,
-                               check_twist_identities, transport, validate_cocycle)
-from kleppner.config import LATTICE_CAP, RANK_CAP, ConfigError, parse_config
+from kleppner.cocycles import (CocycleError, PhaseTableCocycle, ProductCocycle, SeededBeta,
+                               SimilarityCocycle, TrivialCocycle, transport, validate_cocycle)
+from kleppner.config import ANALYSES, LATTICE_CAP, RANK_CAP, ConfigError, parse_config
 from kleppner.groups import DirectProduct, from_name
 from kleppner.report import run
 
@@ -306,8 +314,7 @@ def test_budget_is_not_a_run_key(tmp_path, capsys, value):
     assert captured.err == "config error: unknown key 'budget' in [run] (line 6)\n"
 
 
-def test_report_flags_non_cocycle_table():
-    text = """
+_NON_COCYCLE_Z3 = """
 [group]
 kind = finite
 name = "Z_3"
@@ -316,12 +323,150 @@ name = "Z_3"
 kind = table
 table = [["0","0","0"],["0","0","0"],["0","2/3","0"]]
 """
-    config = parse_config(text)
+
+
+def test_report_flags_non_cocycle_table():
+    """The default analyses (validate verdict) on a non-cocycle: the verdict
+    assumes a 2-cocycle, so run refuses with the validation's witness."""
+    with pytest.raises(CocycleError, match=r"^sigma is not a 2-cocycle: cocycle identity fails at "):
+        run(parse_config(_NON_COCYCLE_Z3))
+
+
+def test_report_flags_non_cocycle_table_under_validate_alone():
+    config = parse_config(_NON_COCYCLE_Z3 + "\n[run]\nanalyses = validate\n")
     payload = run(config).payload
     assert payload["validate"]["passed"] is False
     names = {config.group.element_str(x) for x in config.group.elements()}
     witness = payload["validate"]["witness"]
     assert len(witness) == 3 and set(witness) <= names
+    assert payload["identities"] == NOT_CHECKED
+
+
+# the z2z2_oracle fixture with entry (1, 2) set to 1/3: the identity fails at
+# ((0,1), (0,1), (1,0)), and every analysis but validate assumes a cocycle
+_PROBE = (FIXTURES / "z2z2_oracle.tomlish").read_text().replace(
+    '["0","0","1/2","1/2"],', '["0","0","1/3","1/2"],', 1)
+PROBE_ERROR = ("error: sigma is not a 2-cocycle: cocycle identity fails at "
+               "(0,1), (0,1), (1,0)\n")
+NOT_CHECKED = {"passed": False, "mode": "not-checked", "checks": 0, "witness": None,
+               "detail": "sigma is not a 2-cocycle"}
+
+
+def _probe(analyses):
+    return re.sub(r"(?m)^analyses = .*$", f"analyses = {analyses}", _PROBE)
+
+
+@pytest.mark.parametrize("analyses", ["validate kleppner verdict", "validate oracle"])
+def test_a_non_cocycle_decides_nothing(analyses, tmp_path, capsys):
+    """A decision or the oracle on a non-cocycle is exit 1 with one error
+    line naming the failing triple, and nothing on standard output."""
+    path = tmp_path / "probe.tomlish"
+    path.write_text(_probe(analyses))
+    assert main(["--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == PROBE_ERROR
+
+
+def test_a_non_cocycle_under_validate_alone_reports_its_witness(tmp_path, capsys):
+    path = tmp_path / "probe.tomlish"
+    path.write_text(_probe("validate"))
+    assert main(["--input", str(path), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["validate"] == {"passed": False, "mode": "exhaustive", "checks": 23,
+                                   "witness": ["(0,1)", "(0,1)", "(1,0)"],
+                                   "detail": "cocycle identity fails"}
+    assert payload["identities"] == NOT_CHECKED
+
+
+def _table_config(name, den, ints, analyses=None):
+    """A config of the integer table ints over den on the named group."""
+    rows = ", ".join("[" + ", ".join(f'"{v}/{den}"' for v in row) + "]" for row in ints)
+    text = f'[group]\nkind = finite\nname = "{name}"\n\n[cocycle]\nkind = table\ntable = [{rows}]\n'
+    return text + (f"\n[run]\nanalyses = {analyses}\n" if analyses else "")
+
+
+@pytest.mark.parametrize("name, sigma", [
+    *((name, twist_failure_table(name, entries)) for name, entries, _ in TWIST_FAILURES),
+    ("Z_2 x Z_4", symmetric_non_cocycle(from_name("Z_2 x Z_4"), random.Random(12), 5)),
+], ids=[name for name, _, _ in TWIST_FAILURES] + ["symmetric Z_2 x Z_4"])
+def test_non_cocycle_tables_exit_1(name, sigma, tmp_path, capsys):
+    """Each table that fails a twist identity, and a symmetric one that
+    passes every twist identity, fails validation: the default analyses
+    exit 1 with one error line."""
+    path = tmp_path / "table.tomlish"
+    path.write_text(_table_config(name, sigma.den, sigma.ints))
+    assert main(["--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: sigma is not a 2-cocycle: cocycle identity fails at ")
+
+
+@pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
+def test_run_validates_once(path, monkeypatch):
+    """report.run validates sigma once, whether or not validate is asked for,
+    and the identities block of a cocycle is its validation."""
+    calls = []
+
+    def counted(sigma):
+        calls.append(sigma)
+        return validate_cocycle(sigma)
+
+    monkeypatch.setattr(report_mod, "validate_cocycle", counted)
+    config = parse_config(path.read_text(), name=path.stem)
+    payload = run(config).payload
+    assert len(calls) == 1
+    assert payload["identities"] == payload["validate"]
+    decisions = tuple(a for a in config.analyses if a != "validate")
+    run(parse_config(re.sub(r"(?m)^analyses = .*$", "analyses = " + " ".join(decisions),
+                            path.read_text())))
+    assert len(calls) == 2
+
+
+FUZZ_GROUPS = ("Z_2", "Z_3", "Z_2 x Z_2", "S_3")
+
+
+@st.composite
+def fuzz_tables(draw):
+    """A rational table on a small finite group, normalized or not, and a
+    nonempty list of analyses."""
+    name = draw(st.sampled_from(FUZZ_GROUPS))
+    G = from_name(name)
+    e = G.identity()
+    den = draw(st.integers(1, 12))
+    normalized = draw(st.booleans())
+    ints = [[0 if normalized and e in (g, h) else draw(st.integers(0, den - 1))
+             for h in G.elements()] for g in G.elements()]
+    analyses = draw(st.lists(st.sampled_from(ANALYSES), min_size=1, max_size=4, unique=True))
+    return name, den, ints, analyses
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=fuzz_tables())
+def test_fuzzed_tables_exit_0_or_1_in_one_line(case, tmp_path_factory):
+    """Every drawn table config ends in exit 0 or 1 with at most one line on
+    stderr and no traceback: exit 1 on a table that is not normalized, and
+    otherwise exit 0 with a decision analysis requested exactly when the
+    table is a 2-cocycle by the Phase reference."""
+    name, den, ints, analyses = case
+    path = tmp_path_factory.mktemp("fuzz") / "table.tomlish"
+    path.write_text(_table_config(name, den, ints, " ".join(analyses)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--input", str(path), "--format", "json"])
+    assert code in (0, 1)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+    G = from_name(name)
+    e = G.identity()
+    if any(ints[e][g] or ints[g][e] for g in G.elements()):
+        assert code == 1 and err.getvalue().startswith("config error: phase table is not normalized")
+        return
+    cocycle = reference_validate(PhaseTableCocycle.from_ints(G, den, ints)).passed
+    # exit 0 with a decision requested only on a cocycle, and every cocycle decided
+    assert code == (0 if cocycle or set(analyses) == {"validate"} else 1), err.getvalue()
 
 
 # F_2 x 1 is F_2, which is C*-simple, and its centralizer in itself is trivial
@@ -523,7 +668,7 @@ def _wrapped_restriction(case):
 def test_wrapped_restriction_validates_on_its_subgroup(case):
     sigma = _wrapped_restriction(case)
     result = validate_cocycle(sigma)
-    assert result.passed and check_twist_identities(sigma).passed
+    assert result.passed and reference_twist_scan(sigma).passed
     if case.startswith("product"):
         # the pullback to {0, 2} on its every triple, then the trivial factor
         assert result.mode == "product(exhaustive, trivial)"

@@ -96,10 +96,11 @@ class FreeAbelian(Group):
         return Subgroup.full(self)
 
     def fc_centralizer(self, H):
-        return FCInfo(Subgroup.full(self), central=True, note="abelian group")
+        return FCInfo(Subgroup.full(self), central=True)
 
     def intermediate_subgroups(self, H, max_entries):
-        """The K between H and Z^n, read off the Smith diagonal of H's basis.
+        """The K between H and Z^n, read off the invariant factors of H's
+        basis (``smith_normal_form``), which give the shape of Z^n / H.
         A cyclic quotient Z_m (Z when m = 0) has K_d = H + d*Z^n for each
         d | m, by decreasing d for m > 0, as the Gamma_d chain for m = 0;
         a noncyclic finite quotient of order at most QUOTIENT_CAP has every
@@ -108,8 +109,7 @@ class FreeAbelian(Group):
         if H.is_full():
             return LatticeResult("ok", (LatticeEntry("the full group", Subgroup.full(self), 1),))
         rows = RowLattice(n, H.generators()).basis()
-        _, d, _ = smith_normal_form(rows)
-        diag = [d[i][i] for i in range(len(rows))]
+        diag = smith_normal_form(rows)
         free, torsion = n - len(rows), sum(x > 1 for x in diag)
         if free + torsion == 1:
             m = prod(diag) if torsion else 0

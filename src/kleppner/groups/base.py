@@ -83,7 +83,6 @@ class FCInfo:
 
     subgroup: Optional["Subgroup"]    # None = unknown
     central: Optional[bool] = None    # subgroup known to lie in the center of G?
-    note: str = ""
 
     @property
     def known(self) -> bool:
@@ -301,7 +300,7 @@ class Group:
         return H if all(self.commutes(a, b) for a, b in itertools.combinations(gens, 2)) else None
 
     def fc_centralizer(self, H) -> FCInfo:
-        return FCInfo(None, note=f"no FC-centralizer rule for {self.name}")
+        return FCInfo(None)
 
     def is_normal(self, H) -> TriBool:
         """Conjugates of H's generators by the generators of G and their

@@ -239,7 +239,7 @@ class FiniteTable(Group):
         return Subgroup.finite_subset(self, cents)
 
     def fc_centralizer(self, H):
-        return FCInfo(Subgroup.full(self), central=self.is_abelian, note="finite group")
+        return FCInfo(Subgroup.full(self), central=self.is_abelian)
 
     def is_normal(self, H):
         elems = H.enumerate_elements()

@@ -252,10 +252,9 @@ class FreeGroup(Group):
         if root is None:
             # a finite-index centralizer inside a noncyclic subgroup of a free
             # group would be cyclic of finite index, which is impossible
-            return FCInfo(Subgroup.trivial(self), central=True,
-                          note="noncyclic subgroups of free groups act with infinite orbits")
-        return FCInfo(Subgroup.generated(self, [root]), central=False,
-                      note="finite classes meet the maximal cyclic centralizer")
+            return FCInfo(Subgroup.trivial(self), central=True)
+        # a finite class lies in the maximal cyclic subgroup that centralizes H
+        return FCInfo(Subgroup.generated(self, [root]), central=False)
 
 
 @subgroup_kind

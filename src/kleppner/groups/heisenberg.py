@@ -134,7 +134,7 @@ class Heisenberg(Group):
         # a class is a singleton or infinite, so FC_G(H) = C_G(H)
         c = self.centralizer_of_subgroup(H)
         central = all(self.commutes(s, t) for s in c.generators() for t in self.generators())
-        return FCInfo(c, central=central, note="Heisenberg classes are singletons or infinite")
+        return FCInfo(c, central=central)
 
     def intermediate_subgroups(self, H, max_entries):
         """A subgroup that contains the centre Z = <(0, 0, 1)> is the preimage

@@ -174,12 +174,11 @@ class DirectProduct(Group):
         li = self.left.fc_centralizer(parts[0])
         ri = self.right.fc_centralizer(parts[1])
         if li.subgroup is None or ri.subgroup is None:
-            return FCInfo(None, note=li.note or ri.note)
+            return FCInfo(None)
         central = None
         if li.central is not None and ri.central is not None:
             central = li.central and ri.central
-        return FCInfo(Subgroup.product(self, li.subgroup, ri.subgroup), central=central,
-                      note="componentwise")
+        return FCInfo(Subgroup.product(self, li.subgroup, ri.subgroup), central=central)
 
     def is_normal(self, H):
         parts = self._factors(H)
@@ -187,8 +186,11 @@ class DirectProduct(Group):
             return super().is_normal(H)
         left, right = (is_normal(S) for S in parts)
         if left.fails or right.fails:
-            bad = left if left.fails else right
-            return tb.fails(bad.witness, "a factor subgroup is not normal in its factor")
+            # the factor's pair (s, h), lifted into G with e in the other slot
+            el, er = self.left.identity(), self.right.identity()
+            pair = (tuple((x, er) for x in left.witness) if left.fails
+                    else tuple((el, x) for x in right.witness))
+            return tb.fails(pair, "a factor subgroup is not normal in its factor")
         if left.holds and right.holds:
             return tb.holds("both factor subgroups are normal")
         return tb.unknown("factor normality undecided")

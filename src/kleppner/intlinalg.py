@@ -1,15 +1,17 @@
-"""Exact integer linear algebra: reduced echelon lattices, SNF, kernels.
+"""Exact integer linear algebra: reduced echelon lattices, Smith diagonals, kernels.
 
 Everything here works on small matrices (ambient dimension <= a handful), so
 the implementations favour clarity over asymptotics.  All arithmetic is on
 Python ints.  Every lattice is kept as its reduced echelon (Hermite) basis,
 built by inserting one vector at a time, and every kernel is read off one
-such basis of [A^T | I].  The Smith form, with both unimodular transforms,
-serves the shape of a quotient Z^n / L.
+such basis of [A^T | I].  The shape of a quotient Z^n / L is read off the
+Smith diagonal of L's basis, which alternating Hermite forms of the rows and
+the columns reach.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -147,97 +149,28 @@ def _unit(n: int, i: int, c: int = 1) -> list[int]:
     return [c if k == i else 0 for k in range(n)]
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [_unit(n, i) for i in range(n)]
+def smith_normal_form(a: Sequence[Sequence[int]]) -> list[int]:
+    """The invariant factors [d_1, ..., d_r] of A, r its rank: the nonzero
+    diagonal of its Smith form, positive, each dividing the next.
 
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, D, V) with U*A*V = D diagonal, U and V unimodular.
-
-    Diagonal entries are nonnegative and form a divisibility chain.
-    """
-    d = [list(row) for row in a]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    u = _identity(m)
-    v = _identity(n)
-
-    def row_combine(i1, i2, x, y, xa, ya):
-        # rows i1,i2 <- (x*r1 + y*r2, xa*r1 + ya*r2) applied to d and u
-        for mat in (d, u):
-            r1, r2 = mat[i1], mat[i2]
-            for k in range(len(r1)):
-                r1[k], r2[k] = x * r1[k] + y * r2[k], xa * r1[k] + ya * r2[k]
-
-    def col_combine(j1, j2, x, y, xa, ya):
-        for mat in (d, v):
-            for row in mat:
-                row[j1], row[j2] = x * row[j1] + y * row[j2], xa * row[j1] + ya * row[j2]
-
-    t = 0
-    while t < min(m, n):
-        # locate a pivot of minimal absolute value in the trailing block
-        pos = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    best = abs(d[i][j])
-                    pos = (i, j)
-        if pos is None:
+    Hermite forms of the rows and of the columns alternate until the matrix
+    is diagonal.  That ends: each step replaces the first pivot by the gcd
+    of its row, a divisor of it, so within finitely many steps the pivot
+    divides its row; the next step then clears that row and its column, and
+    the same holds for the block after them.  Each pair of diagonal entries
+    is then replaced by its gcd and lcm (Cohen 1993, section 2.4)."""
+    rows = RowLattice(len(a[0]) if a else 0, a).rows
+    while True:
+        cols = RowLattice(len(rows), zip(*rows)).rows
+        if not any(any(c[i + 1:]) for i, c in enumerate(cols)):
             break
-        i0, j0 = pos
-        if i0 != t:
-            d[t], d[i0] = d[i0], d[t]
-            u[t], u[i0] = u[i0], u[t]
-        if j0 != t:
-            for mat in (d, v):
-                for row in mat:
-                    row[t], row[j0] = row[j0], row[t]
-        while True:
-            # clear column t
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    if d[i][t] % d[t][t] == 0:
-                        q = d[i][t] // d[t][t]
-                        row_combine(t, i, 1, 0, -q, 1)
-                    else:
-                        x, y, g = xgcd(d[t][t], d[i][t])
-                        aa, bb = d[t][t] // g, d[i][t] // g
-                        row_combine(t, i, x, y, -bb, aa)
-            # clear row t
-            dirty = False
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    if d[t][j] % d[t][t] == 0:
-                        q = d[t][j] // d[t][t]
-                        col_combine(t, j, 1, 0, -q, 1)
-                    else:
-                        x, y, g = xgcd(d[t][t], d[t][j])
-                        aa, bb = d[t][t] // g, d[t][j] // g
-                        col_combine(t, j, x, y, -bb, aa)
-                        dirty = True
-            if not dirty and all(d[i][t] == 0 for i in range(t + 1, m)):
-                break
-        # enforce divisibility of the remaining block by d[t][t]
-        fixed = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    row_combine(t, i, 1, 1, 0, 1)  # add row i to row t
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        if d[t][t] < 0:
-            for k in range(n):
-                d[t][k] = -d[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
-        t += 1
-    return u, d, v
+        rows = RowLattice(len(cols), zip(*cols)).rows
+    diag = [c[i] for i, c in enumerate(cols)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 def _hermite_kernel(a: Sequence[Sequence[int]], n: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .cocycles import CocycleError, validate_cocycle
@@ -35,10 +35,7 @@ def _witness_str(G: Group, witness: Any) -> Any:
         if witness.finite:
             return {"class": [G.element_str(x) for x in witness.elements]}
         return {"certificate": witness.certificate or witness.reason}
-    try:
-        return G.element_str(witness)
-    except Exception:
-        return str(witness)
+    return G.element_str(witness)
 
 
 def _tribool_dict(G: Group, t: TriBool) -> dict:
@@ -103,6 +100,9 @@ class Report:
         for name in ("validate", "identities"):
             if name in p:
                 r = p[name]
+                if r["mode"] == "not-checked":
+                    lines.append(f"{name}: not checked ({r['detail']})")
+                    continue
                 lines.append(f"{name}: {'pass' if r['passed'] else 'FAIL'} "
                              f"({r['mode']}, {r['checks']} checks)"
                              + (f" witness={r['witness']}" if r.get("witness") else ""))
@@ -209,7 +209,11 @@ def run(config: InstanceConfig) -> Report:
         verdict = timed("verdict", lambda: cstar_irreducible(G, H, sigma))
     if "verdict" in config.analyses:
         p["verdict"] = _verdict_dict(G, verdict)
-        p["normal"] = _tribool_dict(G, is_normal(H))
+        normal = is_normal(H)
+        p["normal"] = _tribool_dict(G, replace(normal, witness=None))
+        if normal.fails:
+            # the pair (s, h) of G whose conjugate s h s^-1 leaves H
+            p["normal"]["witness"] = [G.element_str(x) for x in normal.witness]
         ts = twisted_simplicity(G, sigma, H)
         p["subgroup-simplicity"] = _verdict_dict(G, ts)
 

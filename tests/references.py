@@ -7,6 +7,8 @@ helpers here build the same quantities as Phases, apart from the engine.
 ``reference_vector_key`` and ``reference_small_nonzero`` are the element order
 and witness search of ``intlinalg`` as first written, a key per entry through
 ``int_key`` and a fresh key of the best vector at every leaf.
+``reference_smith_form`` is the pivot-search Smith elimination that builds
+both unimodular transforms; the engine keeps only the diagonal.
 ``random_element`` draws the seeded elements the tests sample with; the
 engine itself draws none.  ``reference_twist_scan`` checks the
 conjugation-twist identities on every triple of a cocycle's validation route
@@ -18,12 +20,13 @@ import itertools
 import random
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from kleppner.cocycles import (Beta, Cocycle, CocycleError, ProductCocycle, PullbackCocycle,
                                SimilarityCocycle, TrivialCocycle, ValidationResult)
 from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, Group,
                              Heisenberg, Subgroup)
-from kleppner.intlinalg import RowLattice, int_key
+from kleppner.intlinalg import RowLattice, _unit, int_key, xgcd
 from kleppner.phases import EMPTY_BASIS, Phase, _make
 from kleppner.randomized import _draw_beta
 
@@ -136,6 +139,98 @@ def reference_small_nonzero(lat: RowLattice):
     search(0, [0] * lat.n, 0)
     return best
 
+
+def _identity(n: int) -> list[list[int]]:
+    return [_unit(n, i) for i in range(n)]
+
+
+def reference_smith_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (U, D, V) with U*A*V = D diagonal, U and V unimodular.
+
+    Diagonal entries are nonnegative and form a divisibility chain.
+    """
+    d = [list(row) for row in a]
+    m = len(d)
+    n = len(d[0]) if m else 0
+    u = _identity(m)
+    v = _identity(n)
+
+    def row_combine(i1, i2, x, y, xa, ya):
+        # rows i1,i2 <- (x*r1 + y*r2, xa*r1 + ya*r2) applied to d and u
+        for mat in (d, u):
+            r1, r2 = mat[i1], mat[i2]
+            for k in range(len(r1)):
+                r1[k], r2[k] = x * r1[k] + y * r2[k], xa * r1[k] + ya * r2[k]
+
+    def col_combine(j1, j2, x, y, xa, ya):
+        for mat in (d, v):
+            for row in mat:
+                row[j1], row[j2] = x * row[j1] + y * row[j2], xa * row[j1] + ya * row[j2]
+
+    t = 0
+    while t < min(m, n):
+        # locate a pivot of minimal absolute value in the trailing block
+        pos = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
+                    best = abs(d[i][j])
+                    pos = (i, j)
+        if pos is None:
+            break
+        i0, j0 = pos
+        if i0 != t:
+            d[t], d[i0] = d[i0], d[t]
+            u[t], u[i0] = u[i0], u[t]
+        if j0 != t:
+            for mat in (d, v):
+                for row in mat:
+                    row[t], row[j0] = row[j0], row[t]
+        while True:
+            # clear column t
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    if d[i][t] % d[t][t] == 0:
+                        q = d[i][t] // d[t][t]
+                        row_combine(t, i, 1, 0, -q, 1)
+                    else:
+                        x, y, g = xgcd(d[t][t], d[i][t])
+                        aa, bb = d[t][t] // g, d[i][t] // g
+                        row_combine(t, i, x, y, -bb, aa)
+            # clear row t
+            dirty = False
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    if d[t][j] % d[t][t] == 0:
+                        q = d[t][j] // d[t][t]
+                        col_combine(t, j, 1, 0, -q, 1)
+                    else:
+                        x, y, g = xgcd(d[t][t], d[t][j])
+                        aa, bb = d[t][t] // g, d[t][j] // g
+                        col_combine(t, j, x, y, -bb, aa)
+                        dirty = True
+            if not dirty and all(d[i][t] == 0 for i in range(t + 1, m)):
+                break
+        # enforce divisibility of the remaining block by d[t][t]
+        fixed = False
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if d[i][j] % d[t][t] != 0:
+                    row_combine(t, i, 1, 1, 0, 1)  # add row i to row t
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        if d[t][t] < 0:
+            for k in range(n):
+                d[t][k] = -d[t][k]
+            for k in range(m):
+                u[t][k] = -u[t][k]
+        t += 1
+    return u, d, v
 
 def reference_triples(sigma):
     """The triples and mode of validate_cocycle on a kind checked on triples

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -13,13 +14,16 @@ from hypothesis import given, settings, strategies as st
 from references import reference_twist_scan
 from test_cocycles import (TWIST_FAILURES, reference_validate, symmetric_non_cocycle,
                            twist_failure_table)
+from test_verdicts import _restriction_instances
 
 import kleppner.report as report_mod
 from kleppner.cli import main
 from kleppner.cocycles import (CocycleError, PhaseTableCocycle, ProductCocycle, SeededBeta,
                                SimilarityCocycle, TrivialCocycle, transport, validate_cocycle)
-from kleppner.config import ANALYSES, LATTICE_CAP, RANK_CAP, ConfigError, parse_config
-from kleppner.groups import DirectProduct, from_name
+from kleppner.config import (ANALYSES, LATTICE_CAP, RANK_CAP, ConfigError, InstanceConfig,
+                             parse_config)
+from kleppner.groups import DirectProduct, from_name, is_normal
+from kleppner.groups.subgroups import Classification
 from kleppner.report import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -65,6 +69,70 @@ def test_subgroup_simplicity_notes_name_elements_of_g(path):
     for text in named:
         config.group.parse_element(text)
     assert named or path.stem != "heisenberg_rational"
+
+
+# one non-normal H in each group kind whose is_normal gives a pair (s, h)
+NON_NORMAL = {
+    "S_3": '[group]\nkind = finite\nname = S_3\n\n'
+           '[subgroup]\nkind = finite_subset\nelements = ["0","1"]\n',
+    "F_2": '[group]\nkind = free\nrank = 2\n\n'
+           '[subgroup]\nkind = generated\ngenerators = ["a"]\n',
+    "Heisenberg": '[group]\nkind = heisenberg\n\n'
+                  '[subgroup]\nkind = coordinate_zero\ncoords = [1, 2]\n',
+    "F_2 x Z_2": '[group]\nkind = product\n\n[group.left]\nkind = free\nrank = 2\n\n'
+                 '[group.right]\nkind = finite\nname = Z_2\n\n[subgroup]\nkind = product\n\n'
+                 '[subgroup.left]\nkind = generated\ngenerators = ["a"]\n\n'
+                 '[subgroup.right]\nkind = full\n',
+}
+
+
+@pytest.mark.parametrize("name", NON_NORMAL)
+def test_normality_witness_is_a_pair_of_elements_of_g(name, tmp_path, capsys):
+    """A non-normal H reports the pair (s, h) of G whose conjugate s h s^-1
+    leaves H, each written as an element of G; on a product the factor's
+    pair is lifted into G."""
+    text = NON_NORMAL[name] + "\n[run]\nanalyses = validate verdict\n"
+    path = tmp_path / "non_normal.tomlish"
+    path.write_text(text)
+    assert main(["--input", str(path), "--format", "json"]) == 0
+    normal = json.loads(capsys.readouterr().out)["normal"]
+    config = parse_config(text)
+    G, H = config.group, config.subgroup
+    engine = is_normal(H)
+    assert engine.fails and normal["status"] == "fails"
+    s, h = engine.witness
+    assert normal["witness"] == [G.element_str(s), G.element_str(h)]
+    assert H.contains(h) is True and H.contains(G.conj(s, h)) is False
+
+
+def test_every_other_report_witness_is_an_element_or_a_class(monkeypatch):
+    """Apart from normality's pair, every witness the report writes is an
+    element of G or a Classification, over the fixtures, the non-normal
+    probes, the in-place restriction instances and one pass of the decide
+    workload."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    seen = {"element": 0, "class": 0}
+    written = report_mod._witness_str
+
+    def checked(G, witness):
+        if isinstance(witness, Classification):
+            seen["class"] += 1
+        elif witness is not None:
+            assert G.contains(witness), witness
+            seen["element"] += 1
+        return written(G, witness)
+
+    monkeypatch.setattr(report_mod, "_witness_str", checked)
+    analyses = ("centralizers", "kleppner", "relative-kleppner", "verdict", "lattice")
+    configs = [parse_config(path.read_text()) for path in ALL_FIXTURES]
+    configs += [parse_config(text) for text in NON_NORMAL.values()]
+    instances = [(c.group, c.subgroup, c.cocycle) for c in configs]
+    instances += list(_restriction_instances(workloads))
+    instances += [(it.G, it.H, it.sigma) for it in workloads.Decide(FIXTURES.parent, 1).items]
+    for G, H, sigma in instances:
+        run(InstanceConfig(None, {}, G, H, sigma, analyses, 0, 6))
+    assert min(seen.values()) > 500, seen
 
 
 def test_empty_config_reports_missing_group():
@@ -379,6 +447,18 @@ def test_a_non_cocycle_under_validate_alone_reports_its_witness(tmp_path, capsys
                                    "witness": ["(0,1)", "(0,1)", "(1,0)"],
                                    "detail": "cocycle identity fails"}
     assert payload["identities"] == NOT_CHECKED
+
+
+def test_text_report_says_identities_of_a_non_cocycle_were_not_checked(tmp_path, capsys):
+    """The text report shows the validation failure, and the twist
+    identities as not checked rather than as a second failure."""
+    path = tmp_path / "probe.tomlish"
+    path.write_text(_probe("validate"))
+    assert main(["--input", str(path), "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "validate: FAIL (exhaustive, 23 checks) witness=['(0,1)', '(0,1)', '(1,0)']" in lines
+    assert "identities: not checked (sigma is not a 2-cocycle)" in lines
+    assert not any(line.startswith("identities: FAIL") for line in lines)
 
 
 def _table_config(name, den, ints, analyses=None):

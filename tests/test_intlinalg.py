@@ -1,9 +1,10 @@
 import random
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
-from references import reference_small_nonzero, reference_vector_key
+from references import reference_small_nonzero, reference_smith_form, reference_vector_key
 
 from kleppner.groups import INFINITE, FreeAbelian, Subgroup
 from kleppner.intlinalg import (RowLattice, echelon_contains, integer_kernel, kernel_mod,
@@ -39,7 +40,7 @@ def test_snf_properties():
     for _ in range(300):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(m)]
-        u, d, v = smith_normal_form(a)
+        u, d, v = reference_smith_form(a)
         assert mm(mm(u, a), v) == d
         prev = None
         for i in range(min(m, n)):
@@ -52,6 +53,54 @@ def test_snf_properties():
             prev = d[i][i]
         # U and V are unimodular
         assert abs(det(u)) == 1 and abs(det(v)) == 1
+
+
+def _reference_diagonal(a):
+    """The nonzero diagonal of the reference Smith form of a."""
+    _, d, _ = reference_smith_form(a)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+
+
+def test_smith_diagonal_matches_the_reference_elimination():
+    rng = random.Random(13)
+    shapes = {"deficient": 0, "single": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.3:
+            # rank deficient: every row a combination of the first few
+            base = a[:rng.randint(1, max(1, min(len(a), n) - 1))]
+            coeffs = [[rng.randint(-2, 2) for _ in base] for _ in a]
+            a = [[sum(c * b[k] for c, b in zip(row, base)) for k in range(n)] for row in coeffs]
+        diag = smith_normal_form(a)
+        assert diag == _reference_diagonal(a), a
+        assert all(x > 0 for x in diag) and all(y % x == 0 for x, y in zip(diag, diag[1:])), a
+        shapes["deficient"] += len(diag) < min(len(a), n)
+        shapes["single"] += len(a) == 1
+    assert min(shapes.values()) > 100, shapes
+    assert smith_normal_form([]) == []
+    assert smith_normal_form([[0, 0, 0]]) == []
+    assert smith_normal_form([[6, -4, 10]]) == [2]
+    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+
+
+def _minors_gcd(a, k):
+    """D_k: the gcd of every k x k minor of a (D_0 = 1)."""
+    return gcd(*(det([[a[i][j] for j in cols] for i in rows])
+                 for rows in combinations(range(len(a)), k)
+                 for cols in combinations(range(len(a[0])), k))) if k else 1
+
+
+def test_smith_diagonal_is_the_quotient_of_determinantal_divisors():
+    """d_k = D_k / D_(k-1), D_k the gcd of the k x k minors: the invariant
+    factors by a route that forms no normal form at all."""
+    rng = random.Random(14)
+    for _ in range(400):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+        divisors = [_minors_gcd(a, k) for k in range(min(m, n) + 1)]
+        want = [divisors[k] // divisors[k - 1] for k in range(1, len(divisors)) if divisors[k]]
+        assert smith_normal_form(a) == want, a
 
 
 def test_integer_kernel_is_saturated():
@@ -201,7 +250,7 @@ def _smith_kernel(a):
     """Kernel columns of V in U A V = D, the independent route: the columns
     past the nonzero diagonal."""
     m, n = len(a), len(a[0])
-    _, d, v = smith_normal_form(a)
+    _, d, v = reference_smith_form(a)
     return [tuple(v[i][j] for i in range(n)) for j in range(n) if j >= m or d[j][j] == 0]
 
 
@@ -262,7 +311,7 @@ def _smith_contains(gens, v):
     an integer solution exactly when D y = U v has one."""
     n = len(v)
     a = [[g[i] for g in gens] for i in range(n)]
-    u, d, _ = smith_normal_form(a)
+    u, d, _ = reference_smith_form(a)
     uv = [sum(x * y for x, y in zip(row, v)) for row in u]
     return all(uv[i] % d[i][i] == 0 if i < len(gens) and d[i][i] else uv[i] == 0
                for i in range(n))
@@ -274,7 +323,7 @@ def test_lattice_index_matches_snf():
         n = rng.randint(1, 3)
         gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         cols = [[gens[i][k] for i in range(n)] for k in range(n)]
-        _, d, _ = smith_normal_form(cols)
+        _, d, _ = reference_smith_form(cols)
         expected = 1
         full = True
         for i in range(n):

@@ -15,8 +15,9 @@ A function counts as reached when its code object was entered at least once.
 
     python3 tools/reach.py
 
-It reads no file it writes and writes none.  It is a measuring aid: no
-timed run and no CI step runs it.
+It reads no file it writes and writes none.  No timed run calls it; the
+tier-1 CI workflow runs it and fails when the ``unreached:`` count rises
+above the ceiling that workflow step names.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Grammar (one file = one instance):
     [group]
     kind = free_abelian | free | heisenberg | finite | product
     rank = 2                # free_abelian (at most RANK_CAP), free
-    name = "Z_4"            # finite builtin, or table = [[...], ...]
+    name = "Z_4"            # builtin, or table = [[...]]; order <= FINITE_ORDER_CAP
     [group.left] / [group.right]   # factors of a product
 
     [subgroup]
@@ -33,8 +33,8 @@ Grammar (one file = one instance):
     analyses = validate kleppner relative-kleppner centralizers verdict lattice oracle
     seed = 0 ; max_lattice = 8   # seed is only recorded; max_lattice <= LATTICE_CAP
 
-Values are bare words, quoted strings, or JSON arrays.  Unknown keys and kinds
-are rejected with the offending line.
+Values are bare words, quoted strings, or JSON arrays; headers nest at most
+NESTING_CAP levels.  Unknown keys and kinds are rejected with the offending line.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .cocycles import (BicharacterCocycle, Cocycle, F2Z2Cocycle, HeisenbergCocyc
                        three_torus_cocycle)
 from .groups.abelian import FreeAbelian
 from .groups.base import Group, GroupError
-from .groups.finite import FiniteTable, from_name
+from .groups.finite import FiniteTable, builtin, from_name
 from .groups.free import FreeGroup
 from .groups.heisenberg import Heisenberg
 from .groups.product import DirectProduct
@@ -66,6 +66,15 @@ RANK_CAP = 64
 # the most intermediate-lattice entries a config may ask for: each entry is a
 # subgroup in the report, so the report and memory grow linearly with it
 LATTICE_CAP = 1000
+
+# the largest order of a finite group, builtin, table or product: a table
+# holds order^2 entries; Z_512 runs every analysis but the oracle in 0.6 s,
+# Z_1000 in 2 s, and Z_50000 runs out of memory
+FINITE_ORDER_CAP = 512
+
+# the deepest a section header may nest ([cocycle.base.base] nests two
+# levels): each level is one recursive parse and one wrapper to validate
+NESTING_CAP = 8
 
 ANALYSES = ("validate", "kleppner", "relative-kleppner", "centralizers",
             "verdict", "lattice", "oracle")
@@ -115,6 +124,9 @@ def _tokenize(text: str) -> _Sections:
         m = _SECTION_RE.match(line.strip())
         if m:
             current = m.group(1).lower()
+            if current.count(".") > NESTING_CAP:
+                raise ConfigError(f"section nested {current.count('.')} levels deep exceeds "
+                                  f"the nesting cap {NESTING_CAP}", lineno)
             if current in out.data:
                 raise ConfigError(f"duplicate section [{current}]", lineno)
             out.data[current] = {}
@@ -265,6 +277,12 @@ def parse_config(text: str, name: str = "instance") -> InstanceConfig:
                           seed, max_lattice, name)
 
 
+def _check_order(order: int, line: int | None) -> None:
+    if order > FINITE_ORDER_CAP:
+        raise ConfigError(f"finite group order {order} exceeds the order cap "
+                          f"{FINITE_ORDER_CAP}", line)
+
+
 def _check_oracle(group: Group, line: int | None) -> None:
     """Refuse an oracle run that the oracle would refuse, before any analysis."""
     if not group.is_finite:
@@ -328,12 +346,16 @@ def _parse_group(sections: _Sections, path: str) -> Group:
             if (name is None) == (table is None):
                 raise ConfigError(f"finite group needs exactly one of name/table in [{path}]",
                                   sections.lines[path])
+            _check_order(len(table) if name is None else builtin(name)[2],
+                         view.line_of("name") or view.line_of("table"))
             if table is not None and any(len(row) != len(table) for row in table):
                 raise ConfigError(f"table in [{path}] must be square", view.line_of("table"))
             g = from_name(name) if name else FiniteTable(table, name="custom")
         elif kind == "product":
             g = DirectProduct(_parse_group(sections, path + ".left"),
                               _parse_group(sections, path + ".right"))
+            if g.is_finite:
+                _check_order(g.order, sections.lines[path])
         else:
             raise ConfigError(f"unknown group kind {kind!r}", view.line_of("kind"))
     except GroupError as exc:

@@ -7,8 +7,7 @@ from itertools import product
 from math import isqrt, prod
 
 from ..intlinalg import RowLattice, echelon_contains, smith_normal_form
-from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult,
-                   finite_class, vector_key)
+from .base import Element, Group, GroupError, LatticeEntry, LatticeResult, vector_key
 from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
 # intermediate_subgroups lists the subgroups of a noncyclic finite quotient
@@ -21,7 +20,7 @@ DIVISOR_SCAN_CAP = 10 ** 6
 
 class FreeAbelian(Group):
     exact_kernel = "abelian"
-    torsion_free = virtually_nilpotent = amenable = True
+    torsion_free = virtually_nilpotent = amenable = fc_is_centralizer = True
 
     def __init__(self, rank: int) -> None:
         if rank < 0:
@@ -86,17 +85,11 @@ class FreeAbelian(Group):
         return Subgroup.sublattice(self, gens)
 
     # -- structure queries: every class is a singleton ---------------------
-    def h_conjugacy_class(self, g, H):
-        return finite_class([g])
-
     def centralizer_generators(self, H, g):
         return H.generators()
 
     def centralizer_of_subgroup(self, H):
         return Subgroup.full(self)
-
-    def fc_centralizer(self, H):
-        return FCInfo(Subgroup.full(self), central=True)
 
     def intermediate_subgroups(self, H, max_entries):
         """The K between H and Z^n, read off the invariant factors of H's

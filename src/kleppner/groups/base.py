@@ -5,10 +5,11 @@ Elements are plain immutable Python values in a variant-specific normal form
 operations.  Everything is pure and safe to share.
 
 Each kind also answers the structure queries that ``structure.py`` exposes
-(H-classes, centralizers, FC-centralizers, normality, intermediate
-subgroups); the Group base class gives the undecided answers, apart from
-the generator check for normality.  The catalog predicates of every subgroup
-follow from the classes its kind declares.
+(centralizers, FC-centralizers, normality, intermediate subgroups); the
+Group base class gives the undecided answers, apart from the generator check
+for normality and FC_G(H) = C_G(H) on the kinds that declare it.  The
+catalog predicates of every subgroup follow from the classes its kind
+declares.
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ class Group:
     # the classes that every subgroup inherits (virtually nilpotent includes
     # finitely generated); they decide the catalog predicates
     torsion_free = virtually_nilpotent = amenable = free = False
+    # every finite H-class is a singleton, for every H, so FC_G(H) = C_G(H)
+    fc_is_centralizer = False
 
     # -- core operations -------------------------------------------------
     def mul(self, a: Element, b: Element) -> Element:
@@ -274,12 +277,8 @@ class Group:
 
     # -- structure queries ------------------------------------------------
     # Each kind overrides the queries it answers in closed form; apart from
-    # is_normal, center_of_subgroup and predicate, these defaults are the
-    # undecided answers.
-
-    def h_conjugacy_class(self, g: Element, H) -> Classification:
-        """{h g h^-1 : h in H}."""
-        return unknown_class(f"no H-class rule for {self.name}")
+    # is_normal, center_of_subgroup, fc_centralizer and predicate, these
+    # defaults are the undecided answers.
 
     def centralizer_generators(self, H, g: Element) -> Optional[tuple]:
         """A finite generating set of C_H(g), or None."""
@@ -300,7 +299,13 @@ class Group:
         return H if all(self.commutes(a, b) for a, b in itertools.combinations(gens, 2)) else None
 
     def fc_centralizer(self, H) -> FCInfo:
-        return FCInfo(None)
+        """FC_G(H), the elements with a finite H-class: C_G(H) on a kind with
+        fc_is_centralizer, central when it commutes with G's generators."""
+        c = self.centralizer_of_subgroup(H) if self.fc_is_centralizer else None
+        if c is None:
+            return FCInfo(None)
+        return FCInfo(c, central=self.is_abelian or all(
+            self.commutes(s, t) for s in c.generators() for t in self.generators()))
 
     def is_normal(self, H) -> TriBool:
         """Conjugates of H's generators by the generators of G and their

@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
+from math import factorial
 from typing import Callable, Sequence
 
 from .. import tribool as tb
-from .base import FCInfo, Group, GroupError, LatticeEntry, LatticeResult, finite_class
+from .base import FCInfo, Group, GroupError, LatticeEntry, LatticeResult
 from .subgroups import Subgroup
 
 Table = tuple[tuple[int, ...], ...]
@@ -226,9 +227,6 @@ class FiniteTable(Group):
         return f"{self.name} (finite, order {self.n})"
 
     # -- structure queries: every subgroup is enumerated -------------------
-    def h_conjugacy_class(self, g, H):
-        return finite_class(sorted({self.conj(h, g) for h in H.enumerate_elements()}))
-
     def centralizer_generators(self, H, g):
         cents = [h for h in H.enumerate_elements() if self.commutes(h, g)]
         return Subgroup.finite_subset(self, cents).generators()
@@ -375,20 +373,28 @@ def symmetric(n: int) -> FiniteTable:
     return _from_func(perms, mult, names, f"S_{n}", ab_coords=coords)
 
 
-_NAME_RE = re.compile(r"^\s*(Z_(\d+)\s*x\s*Z_(\d+)|Z_(\d+)|D_(\d+)|Q8|S_(\d+))\s*$")
+_NAME_RE = re.compile(r"^\s*(Z_(\d+)\s*x\s*Z_(\d+)|Z_(\d+)|D_(\d+)|Q8|S_([1-5]))\s*$")
 
 
-def from_name(name: str) -> FiniteTable:
-    """Builtin lookup: "Z_n", "Z_m x Z_n", "D_n", "Q8", "S_3", "S_4"."""
+def builtin(name: str) -> tuple[Callable, tuple, int]:
+    """The constructor of the builtin group name, its arguments and the
+    group's order, read off the name before any table is built."""
     m = _NAME_RE.match(name)
     if not m:
         raise GroupError(f"unknown builtin group {name!r}")
     if m.group(2):
-        return cyclic_product(int(m.group(2)), int(m.group(3)))
+        a, b = int(m.group(2)), int(m.group(3))
+        return cyclic_product, (a, b), a * b
     if m.group(4):
-        return cyclic(int(m.group(4)))
+        return cyclic, (int(m.group(4)),), int(m.group(4))
     if m.group(5):
-        return dihedral(int(m.group(5)))
+        return dihedral, (int(m.group(5)),), 2 * int(m.group(5))
     if m.group(6):
-        return symmetric(int(m.group(6)))
-    return quaternion8()
+        return symmetric, (int(m.group(6)),), factorial(int(m.group(6)))
+    return quaternion8, (), 8
+
+
+def from_name(name: str) -> FiniteTable:
+    """Builtin lookup: "Z_n", "Z_m x Z_n", "D_n", "Q8", "S_1" to "S_5"."""
+    make, args, _ = builtin(name)
+    return make(*args)

@@ -14,7 +14,7 @@ import string
 from math import gcd
 
 from .abelian import FreeAbelian
-from .base import Element, FCInfo, Group, GroupError, finite_class, infinite_class
+from .base import Element, Group, GroupError
 from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
 Word = tuple[tuple[int, int], ...]
@@ -34,7 +34,9 @@ def _merge(word: list[tuple[int, int]], letter: int, exp: int) -> None:
 
 
 class FreeGroup(Group):
-    torsion_free = free = True
+    # a finite class of x makes C_H(x) of finite index in H; centralizers
+    # are cyclic, so H is cyclic and x commutes with it
+    torsion_free = free = fc_is_centralizer = True
 
     def __init__(self, rank: int, letters: tuple[str, ...] | None = None) -> None:
         if rank < 2:
@@ -86,9 +88,6 @@ class FreeGroup(Group):
         return ((self.letters.index(name), 1),)
 
     # -- word structure -----------------------------------------------------
-    def word_length(self, w: Word) -> int:
-        return sum(abs(e) for _, e in w)
-
     def flatten(self, w: Word) -> list[int]:
         """Signed single letters: letter i as i+1, inverse as -(i+1)."""
         out: list[int] = []
@@ -136,26 +135,16 @@ class FreeGroup(Group):
         return root
 
     def power_of(self, x: Word, w: Word) -> int | None:
-        """k with x == w^k, if any (w nontrivial)."""
+        """k with x == w^k, if any (w nontrivial): x = r^m and w = r^n for
+        one primitive root r, up to its inversion, with n | m."""
         if not x:
             return 0
-        lw = self.word_length(w)
-        if lw == 0:
+        (r, m), (s, n) = self.primitive_root(x), self.primitive_root(w)
+        if s == self.inv(r):
+            m = -m
+        elif s != r:
             return None
-        # |w^k| >= k for nontrivial w, so the exponent is bounded
-        bound = self.word_length(x) + 1
-        acc = self.identity()
-        for k in range(1, bound + 1):
-            acc = self.mul(acc, w)
-            if acc == x:
-                return k
-        acc = self.identity()
-        winv = self.inv(w)
-        for k in range(1, bound + 1):
-            acc = self.mul(acc, winv)
-            if acc == x:
-                return -k
-        return None
+        return m // n if m % n == 0 else None
 
     # -- presentation ---------------------------------------------------------
     def element_key(self, x: Word):
@@ -197,14 +186,6 @@ class FreeGroup(Group):
     # A subgroup is read off its generators: none (trivial), pairwise
     # commuting ones (cyclic: powers of one primitive root), or a
     # noncommuting pair (noncyclic).
-    def h_conjugacy_class(self, g, H):
-        for h in H.generators():
-            if not self.commutes(h, g):
-                return infinite_class(
-                    f"{self.element_str(h)} does not commute with {self.element_str(g)}; "
-                    "iterated conjugates are pairwise distinct in a free group")
-        return finite_class([g])
-
     def _common_root(self, gens) -> Word | None:
         """The primitive root of the nontrivial words gens when they commute
         pairwise, so that they generate a cyclic subgroup; None otherwise."""
@@ -243,18 +224,6 @@ class FreeGroup(Group):
             # subgroups, and so do their centralizers
             return Subgroup.trivial(self)
         return Subgroup.generated(self, [root])
-
-    def fc_centralizer(self, H):
-        gens = tuple(w for w in H.generators() if w)
-        if not gens:
-            return FCInfo(Subgroup.full(self), central=False)
-        root = self._common_root(gens)
-        if root is None:
-            # a finite-index centralizer inside a noncyclic subgroup of a free
-            # group would be cyclic of finite index, which is impossible
-            return FCInfo(Subgroup.trivial(self), central=True)
-        # a finite class lies in the maximal cyclic subgroup that centralizes H
-        return FCInfo(Subgroup.generated(self, [root]), central=False)
 
 
 @subgroup_kind

@@ -19,8 +19,7 @@ from math import gcd, prod
 
 from ..intlinalg import integer_kernel
 from .abelian import FreeAbelian, parse_int_vector
-from .base import (Element, FCInfo, Group, LatticeEntry, LatticeResult, finite_class,
-                   infinite_class, vector_key)
+from .base import Element, Group, LatticeEntry, LatticeResult, vector_key
 from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
 Triple = tuple[int, int, int]
@@ -29,7 +28,8 @@ Triple = tuple[int, int, int]
 class Heisenberg(Group):
     name = "Heisenberg"
     rank = 3
-    torsion_free = virtually_nilpotent = amenable = True
+    # conjugation shifts only a3, by a linear form: a finite class is a singleton
+    torsion_free = virtually_nilpotent = amenable = fc_is_centralizer = True
 
     def mul(self, a: Triple, b: Triple) -> Triple:
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
@@ -88,16 +88,6 @@ class Heisenberg(Group):
         return Subgroup.full(self) if H.index() == 1 else H
 
     # -- structure queries: everything goes through the commutation form ----
-    def h_conjugacy_class(self, g, H):
-        # conjugation shifts only the third coordinate, by h1*g2 - h2*g1
-        d = 0
-        for h in H.generators():
-            d = gcd(d, h[0] * g[1] - h[1] * g[0])
-        if d == 0:
-            return finite_class([g])
-        return infinite_class(
-            f"orbit is {{({g[0]}, {g[1]}, {g[2]} + {d}*t) : t in Z}}, infinite")
-
     def centralizer_generators(self, H, g):
         """h commutes with g iff h1*g2 = h2*g1."""
         gens = H.generators()
@@ -129,12 +119,6 @@ class Heisenberg(Group):
         # in <(0, 0, d3)>, its central basis vector
         return super().center_of_subgroup(H) or Subgroup.generated(
             self, [h for h in H.generators() if h[:2] == (0, 0)])
-
-    def fc_centralizer(self, H):
-        # a class is a singleton or infinite, so FC_G(H) = C_G(H)
-        c = self.centralizer_of_subgroup(H)
-        central = all(self.commutes(s, t) for s in c.generators() for t in self.generators())
-        return FCInfo(c, central=central)
 
     def intermediate_subgroups(self, H, max_entries):
         """A subgroup that contains the centre Z = <(0, 0, 1)> is the preimage

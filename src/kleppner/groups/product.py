@@ -1,8 +1,8 @@
 """Direct products of two catalog groups and their product subgroups;
 elements are pairs.
 
-Commuting is componentwise, so C_G(H), FC_G(H) and every H-class are read off
-the projections of any H, the factor subgroups that the components of H's
+Commuting is componentwise, so C_G(H) and FC_G(H) are read off the
+projections of any H, the factor subgroups that the components of H's
 generators generate.  The other queries split a product of factor subgroups
 (a ``ProductSubgroup``, or the full or trivial subgroup).
 """
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from .. import tribool as tb
 from .abelian import FreeAbelian
-from .base import (Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult,
-                   finite_class, infinite_class, unknown_class)
+from .base import Element, FCInfo, Group, GroupError, LatticeEntry, LatticeResult
 from .structure import is_normal
 from .subgroups import INFINITE, AsGroup, Infinite, Subgroup, subgroup_kind
 
@@ -115,26 +114,6 @@ class DirectProduct(Group):
         gens = H.generators()
         return (Subgroup.generated(self.left, [h[0] for h in gens]),
                 Subgroup.generated(self.right, [h[1] for h in gens]))
-
-    def h_conjugacy_class(self, g, H):
-        parts = self._projections(H)
-        left = self.left.h_conjugacy_class(g[0], parts[0])
-        right = self.right.h_conjugacy_class(g[1], parts[1])
-        if left.infinite or right.infinite:
-            side = "left" if left.infinite else "right"
-            cert = left.certificate if left.infinite else right.certificate
-            return infinite_class(f"{side} component class is infinite: {cert}")
-        if left.unknown or right.unknown:
-            return unknown_class(left.reason or right.reason)
-        # the orbit of g lies in the finite product of the factor classes, and
-        # each generator of H permutes it, so its inverse is one of its powers
-        gens, orbit, frontier = H.generators(), {g}, [g]
-        while frontier:
-            x = frontier.pop()
-            new = {self.conj(h, x) for h in gens} - orbit
-            orbit |= new
-            frontier += new
-        return finite_class(sorted(orbit, key=self.element_key))
 
     def centralizer_generators(self, H, g):
         parts = self._factors(H)

@@ -1,15 +1,15 @@
 """Conjugacy, centralizer and structural queries over the group catalog.
 
-These functions are the front door; each group kind answers the queries in
-its own class.  Finite tables enumerate (finite.py); free abelian groups have
-singleton classes (abelian.py); the Heisenberg group works through the linear
-form (h1,h2) -> h1*g2 - h2*g1 (heisenberg.py); free groups use cyclic
-centralizers (free.py); direct products read their answers off the factor
-projections of H (product.py).  The Group base class (base.py) gives the
-undecided answers, an unknown class, None and an unknown FC-centralizer,
-with no search, the generator conjugation check for normality and the
-centre of an abelian or finite subgroup; it also derives the catalog
-predicates.
+These functions are the front door; each group kind answers the centralizer
+and normality queries in its own class.  Every H-class is read off FC_G(H),
+the elements whose H-class is finite: the class of g is infinite when g lies
+outside it, and otherwise the orbit of g under conjugation by H's generators
+(``h_orbit``).  FC_G(H) is all of a finite table (finite.py), the product of
+the factors' answers on the projections of H (product.py), and C_G(H) on
+Z^n, the Heisenberg group and free groups, whose finite H-classes are
+singletons (base.py).  The Group base class gives the undecided answers
+elsewhere, the generator conjugation check for normality and the centre of
+an abelian or finite subgroup; it also derives the catalog predicates.
 """
 
 from __future__ import annotations
@@ -18,16 +18,38 @@ from typing import Optional
 
 from .. import tribool as tb
 from ..tribool import TriBool
-from .base import Element, FCInfo, Group, GroupError
+from .base import Element, FCInfo, Group, GroupError, infinite_class, unknown_class
 from .subgroups import Classification, Subgroup, finite_class
 
 
 def h_conjugacy_class(g: Element, H: Subgroup) -> Classification:
+    """{h g h^-1 : h in H}: infinite outside FC_G(H), the orbit of g inside."""
     G = H.parent
     G.check_element(g)
     if g == G.identity():
         return finite_class([g])
-    return G.h_conjugacy_class(g, H)
+    fc = G.fc_centralizer(H)
+    inside = fc.subgroup.contains(g) if fc.known else None
+    if inside is None:
+        return unknown_class(f"membership of {G.element_str(g)} in FC_G(H) undecided")
+    if not inside:
+        return infinite_class(f"{G.element_str(g)} lies outside FC_G(H) = "
+                              f"{fc.subgroup.describe_desc()}")
+    return finite_class(h_orbit(g, H))
+
+
+def h_orbit(g: Element, H: Subgroup) -> tuple:
+    """The orbit of g in FC_G(H) under conjugation by H's generators, sorted
+    by element_key: it is finite, so each generator permutes it, its inverse
+    is one of its powers, and the orbit is the H-class of g."""
+    G = H.parent
+    gens, orbit, frontier = H.generators(), {g}, [g]
+    while frontier:
+        x = frontier.pop()
+        new = {G.conj(h, x) for h in gens} - orbit
+        orbit |= new
+        frontier += new
+    return tuple(sorted(orbit, key=G.element_key))
 
 
 def centralizer_generators(H: Subgroup, g: Element) -> Optional[tuple]:

@@ -11,7 +11,7 @@ The relative Kleppner decision runs a fixed, reported strategy chain:
       and it centralizes H, every finite H-class is such a singleton, so a
       trivial C_G^sigma(H) decides that the condition holds;
   (x) the catalog enumerates a finite FC_G(H): decide its finitely many
-      classes, with the enumerator of (a);
+      classes, each the orbit of its least element under H's generators;
   (e) unknown, with the blocking reason.
 
 Kleppner's condition for a restriction (H, sigma|_H) runs the same chain
@@ -40,7 +40,7 @@ from . import tribool as tb
 from .cocycles import Cocycle, commutation_trivial
 from .groups.base import Classification, Element, Group, GroupError
 from .groups.structure import (centralizer_generators, centralizer_of_subgroup,
-                               fc_centralizer, h_conjugacy_class)
+                               fc_centralizer, h_orbit)
 from .groups.subgroups import Subgroup, finite_class
 from .intlinalg import RowLattice, integer_kernel, kernel_mod
 from .tribool import TriBool
@@ -206,8 +206,9 @@ def _first_regular_class(G: Group, H: Subgroup, sigma: Cocycle,
                          elems) -> tuple[Optional[Classification], bool]:
     """The first regular nontrivial H-class of the finite H-invariant set elems
     (None: all of G, a finite table), classes taken in order of their least
-    element so that a witness is least, and whether some class was undecided.
-    An undecided class is skipped: a later regular class still refutes."""
+    element so that a witness is least, and whether the regularity of some
+    class was undecided.  An undecided class is skipped: a later regular
+    class still refutes.  elems lies in FC_G(H), so every class is finite."""
     e = G.identity()
     helems = H.enumerate_elements()
     if G.exact_kernel == "finite":
@@ -219,27 +220,21 @@ def _first_regular_class(G: Group, H: Subgroup, sigma: Cocycle,
             if g != e and (elems is None or g in elems) and not obs[g] & hmask:
                 return finite_class(orbit), False
         return None, False
-    # None marks a class the catalog cannot bound
-    classes, seen = [], set()
-    for s in sorted(elems, key=G.element_key):
-        if s not in seen:
-            cls = h_conjugacy_class(s, H)
-            seen.update(cls.elements)
-            if not cls.infinite:
-                classes.append(cls.elements if cls.finite else None)
-    undecided = False
-    for orbit in classes:
-        if orbit is None:
-            undecided = True
-        elif orbit[0] == e:
+    # the class of each element not yet seen has it as its least element
+    seen, undecided = set(), False
+    for rep in sorted(elems, key=G.element_key):
+        if rep in seen:
             continue
-        elif helems is not None:
+        orbit = h_orbit(rep, H)
+        seen.update(orbit)
+        if rep == e:
+            continue
+        if helems is not None:
             # regular: trivial twist against every h in C_H(rep)
-            rep = orbit[0]
             if all(commutation_trivial(sigma, rep, h) for h in helems if G.commutes(h, rep)):
                 return finite_class(orbit), undecided
         else:
-            reg = is_sigma_regular(orbit[0], H, sigma)
+            reg = is_sigma_regular(rep, H, sigma)
             if reg.holds:
                 return finite_class(orbit), undecided
             undecided = undecided or reg.unknown

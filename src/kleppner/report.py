@@ -32,9 +32,7 @@ def _witness_str(G: Group, witness: Any) -> Any:
     if witness is None:
         return None
     if isinstance(witness, Classification):
-        if witness.finite:
-            return {"class": [G.element_str(x) for x in witness.elements]}
-        return {"certificate": witness.certificate or witness.reason}
+        return {"class": [G.element_str(x) for x in witness.elements]}
     return G.element_str(witness)
 
 

@@ -10,7 +10,10 @@ and witness search of ``intlinalg`` as first written, a key per entry through
 ``reference_smith_form`` is the pivot-search Smith elimination that builds
 both unimodular transforms; the engine keeps only the diagonal.
 ``random_element`` draws the seeded elements the tests sample with; the
-engine itself draws none.  ``reference_twist_scan`` checks the
+engine itself draws none.  ``reference_orbit`` walks an H-class under H's
+generators and their inverses up to a cap, apart from FC_G(H);
+``reference_power_of`` finds the k with x = w^k in a free group by
+multiplying w out, apart from primitive roots.  ``reference_twist_scan`` checks the
 conjugation-twist identities on every triple of a cocycle's validation route
 (``reference_triples``, wrappers read off their parts by
 ``reference_reduced``), in Phase arithmetic.
@@ -96,6 +99,39 @@ def random_element(G: Group, rng: random.Random, size: int = 6):
             flat.append(tok)
         return G.from_flat(flat)
     raise TypeError(f"no seeded draw for {G.describe()}")
+
+
+def reference_orbit(G: Group, g, H: Subgroup, cap: int = 64):
+    """The H-class of g, walked under conjugation by H's generators and their
+    inverses and sorted by element_key, when it closes within cap elements;
+    None when the walk passes cap."""
+    steps = [s for h in H.generators() for s in (h, G.inv(h))]
+    orbit, frontier = {g}, [g]
+    while frontier:
+        x = frontier.pop()
+        for s in steps:
+            y = G.conj(s, x)
+            if y not in orbit:
+                if len(orbit) == cap:
+                    return None
+                orbit.add(y)
+                frontier.append(y)
+    return tuple(sorted(orbit, key=G.element_key))
+
+
+def reference_power_of(F: FreeGroup, x, w):
+    """k with x == w^k, if any (w nontrivial): w multiplied out up to |x| + 1
+    times in each direction, since |w^k| >= k."""
+    if not x:
+        return 0
+    bound = sum(abs(e) for _, e in x) + 1
+    for step, sign in ((w, 1), (F.inv(w), -1)):
+        acc = F.identity()
+        for k in range(1, bound + 1):
+            acc = F.mul(acc, step)
+            if acc == x:
+                return sign * k
+    return None
 
 
 def random_beta_table(G: FiniteTable, rng: random.Random) -> TableBeta:

@@ -20,8 +20,8 @@ import kleppner.report as report_mod
 from kleppner.cli import main
 from kleppner.cocycles import (CocycleError, PhaseTableCocycle, ProductCocycle, SeededBeta,
                                SimilarityCocycle, TrivialCocycle, transport, validate_cocycle)
-from kleppner.config import (ANALYSES, LATTICE_CAP, RANK_CAP, ConfigError, InstanceConfig,
-                             parse_config)
+from kleppner.config import (ANALYSES, FINITE_ORDER_CAP, LATTICE_CAP, NESTING_CAP, RANK_CAP,
+                             ConfigError, InstanceConfig, parse_config)
 from kleppner.groups import DirectProduct, from_name, is_normal
 from kleppner.groups.subgroups import Classification
 from kleppner.report import run
@@ -107,7 +107,7 @@ def test_normality_witness_is_a_pair_of_elements_of_g(name, tmp_path, capsys):
 
 def test_every_other_report_witness_is_an_element_or_a_class(monkeypatch):
     """Apart from normality's pair, every witness the report writes is an
-    element of G or a Classification, over the fixtures, the non-normal
+    element of G or a finite Classification, over the fixtures, the non-normal
     probes, the in-place restriction instances and one pass of the decide
     workload."""
     monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
@@ -117,6 +117,7 @@ def test_every_other_report_witness_is_an_element_or_a_class(monkeypatch):
 
     def checked(G, witness):
         if isinstance(witness, Classification):
+            assert witness.finite, witness
             seen["class"] += 1
         elif witness is not None:
             assert G.contains(witness), witness
@@ -617,6 +618,75 @@ def test_max_lattice_above_the_cap_is_a_config_error(tmp_path, capsys):
                                        f"the lattice cap {LATTICE_CAP} (line {line})\n")
     path.write_text(text.replace("max_lattice = 5\n", f"max_lattice = {LATTICE_CAP}\n"))
     assert parse_config(path.read_text()).max_lattice == LATTICE_CAP
+
+
+def _refused(tmp_path, capsys, text):
+    """The one stderr line of cli.main on the config text, which must exit 1."""
+    path = tmp_path / "capped.tomlish"
+    path.write_text(text)
+    assert main(["--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def _finite_config(group):
+    return f"{group}\n[cocycle]\nkind = trivial\n\n[run]\nanalyses = kleppner\n"
+
+
+def test_finite_order_above_the_cap_is_a_config_error(tmp_path, capsys):
+    # a builtin is refused on the order its name gives, before any table
+    # is built, and S_n on its degree before any factorial
+    cap = FINITE_ORDER_CAP
+    for name, order in (("Z_50000", 50000), (f"D_{cap // 2 + 1}", cap + 2),
+                        (f"Z_2 x Z_{cap}", 2 * cap)):
+        err = _refused(tmp_path, capsys, _finite_config(f"[group]\nkind = finite\nname = {name}"))
+        assert err == (f"config error: finite group order {order} exceeds the order cap "
+                       f"{cap} (line 3)\n")
+    err = _refused(tmp_path, capsys, _finite_config("[group]\nkind = finite\nname = S_100000"))
+    assert err == "config error: unknown builtin group 'S_100000' (line 1)\n"
+    # a table on its row count, before its rows are read
+    rows = ", ".join(["[0]"] * (cap + 1))
+    err = _refused(tmp_path, capsys, _finite_config(f"[group]\nkind = finite\ntable = [{rows}]"))
+    assert err == (f"config error: finite group order {cap + 1} exceeds the order cap "
+                   f"{cap} (line 3)\n")
+    # a product of two finite factors on the product of their orders
+    product = ("[group]\nkind = product\n\n[group.left]\nkind = finite\nname = Z_2\n\n"
+               f"[group.right]\nkind = finite\nname = Z_{cap // 2 + 1}\n")
+    err = _refused(tmp_path, capsys, _finite_config(product))
+    assert err == (f"config error: finite group order {cap + 2} exceeds the order cap "
+                   f"{cap} (line 1)\n")
+    # the cap admits every builtin up to S_5 and a product of order cap
+    for name in ("S_5", f"Z_{cap}", f"Z_2 x Z_{cap // 2}"):
+        assert parse_config(_finite_config(f"[group]\nkind = finite\nname = {name}")
+                            ).group.order <= cap
+    assert parse_config(_finite_config(product.replace(f"Z_{cap // 2 + 1}", f"Z_{cap // 2}"))
+                        ).group.order == cap
+
+
+def _nested_config(depth):
+    """A rotation cocycle on Z^2 inside depth similarity wrappers; the last
+    section header nests depth levels."""
+    parts = ["[group]\nkind = free_abelian\nrank = 2\n"]
+    for k in range(depth):
+        parts.append(f"[{'.'.join(['cocycle'] + ['base'] * k)}]\nkind = similarity\n")
+    parts.append(f"[{'.'.join(['cocycle'] + ['base'] * depth)}]\nkind = rotation\ntheta = 1/3\n")
+    return "\n".join(parts) + "\n[run]\nanalyses = validate kleppner\n"
+
+
+def test_section_nesting_above_the_cap_is_a_config_error(tmp_path, capsys):
+    line = _nested_config(NESTING_CAP + 1).splitlines().index(
+        f"[{'.'.join(['cocycle'] + ['base'] * (NESTING_CAP + 1))}]") + 1
+    err = _refused(tmp_path, capsys, _nested_config(NESTING_CAP + 1))
+    assert err == (f"config error: section nested {NESTING_CAP + 1} levels deep exceeds the "
+                   f"nesting cap {NESTING_CAP} (line {line})\n")
+    # 500 levels, which once ended in a RecursionError, are refused the same way
+    assert "nesting cap" in _refused(tmp_path, capsys, _nested_config(500))
+    # at the cap the wrappers run, with the answer of the bare rotation
+    payload = run(parse_config(_nested_config(NESTING_CAP))).payload
+    bare = run(parse_config(_nested_config(0))).payload
+    assert payload["validate"]["passed"]
+    assert payload["kleppner"]["status"] == bare["kleppner"]["status"] == "fails"
 
 
 # restriction is not a cocycle kind: sigma restricted to H is decided inside G

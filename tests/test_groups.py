@@ -9,7 +9,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from references import PREDICATES, predicates, random_element
+from references import PREDICATES, predicates, random_element, reference_power_of
 from test_acceptance import sweep_group_names
 
 from kleppner.groups import (DirectProduct, FiniteTable, FreeAbelian, FreeGroup, GroupError,
@@ -204,6 +204,27 @@ def test_free_group_roots_and_commuting():
     assert not f.commutes(f.gen("a"), f.gen("b"))
     assert f.power_of(f.power(root, 5), root) == 5
     assert f.power_of(f.gen("a"), root) is None
+
+
+def test_power_of_matches_the_multiplying_reference():
+    # members x = w^k and near misses: other powers of w's primitive root,
+    # powers of its conjugates and random words
+    rng = random.Random(4120)
+    members = 0
+    for f in (FreeGroup(2), FreeGroup(3)):
+        for _ in range(1700):
+            w = random_element(f, rng, 4) or f.gen("b")
+            r, n = f.primitive_root(w)
+            u = random_element(f, rng, 2)
+            cases = [f.power(w, rng.randint(-5, 5)), f.power(r, rng.randint(-9, 9)),
+                     f.mul(f.mul(u, f.power(w, rng.randint(1, 3))), f.inv(u)),
+                     f.power(f.inv(w), rng.randint(0, 3)), random_element(f, rng, 6),
+                     f.power(random_element(f, rng, 2), rng.randint(2, 4))]
+            for x in cases:
+                k = f.power_of(x, w)
+                assert k == reference_power_of(f, x, w), (x, w)
+                members += k is not None
+    assert members > 8000
 
 
 def test_h_conjugacy_classes():
@@ -793,8 +814,9 @@ def test_heisenberg_generated_subgroups_use_closed_form():
 
 
 def test_orbit_bfs_fallback_paths():
-    # a generated diagonal subgroup of a product: its classes are read off the
-    # classes of its projections <a> in F_2 and Z_2, with no search
+    # a generated diagonal subgroup of a product: its classes are read off
+    # FC_G(H) = <a> x Z_2, the product of the answers on its projections <a>
+    # in F_2 and Z_2, with no search
     f = FreeGroup(2)
     g = DirectProduct(f, from_name("Z_2"))
     diag = Subgroup.generated(g, [(f.gen("a"), 1)])
@@ -803,7 +825,8 @@ def test_orbit_bfs_fallback_paths():
     assert fixed.finite and fixed.elements == ((f.identity(), 1),)
     runaway = h_conjugacy_class((f.gen("b"), 0), diag)
     assert runaway.infinite
-    assert runaway.certificate.startswith("left component class is infinite")
+    assert runaway.certificate == ("(b, 0) lies outside FC_G(H) = "
+                                   "(cyclic subgroup <a>) x (the full group Z_2)")
 
 
 def test_generated_heisenberg_plane_membership():

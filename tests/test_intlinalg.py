@@ -210,30 +210,41 @@ def _assert_reduced_echelon(rows):
 
 def _spanning_set(rng, n):
     """Random vectors of Z^n with zero, duplicate and negated vectors,
-    negative leading entries and, often, fewer independent vectors than n."""
+    negative leading entries and, often, fewer independent vectors than n;
+    with a bound on the rank they span: n, or the number of base vectors
+    that every vector combines."""
     gens = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)]
             for _ in range(rng.randint(0, n + 2))]
+    bound = n
     if gens and rng.random() < 0.5:
-        # rank deficient: every vector a combination of the first few
+        # rank deficient: every vector a combination of the first few, one
+        # coefficient per base vector
         base = gens[:rng.randint(1, max(1, n - 1))]
-        gens = [[sum(rng.randint(-2, 2) * b[k] for b in base) for k in range(n)]
-                for _ in range(len(gens))]
+        bound = len(base)
+        coeffs = [[rng.randint(-2, 2) for _ in base] for _ in gens]
+        gens = [[sum(c * b[k] for c, b in zip(row, base)) for k in range(n)] for row in coeffs]
     extras = [[0] * n]
     if gens:
         extras += [list(rng.choice(gens)), [-x for x in rng.choice(gens)]]
     gens += rng.sample(extras, rng.randint(0, len(extras)))
     rng.shuffle(gens)
-    return gens
+    return gens, bound
 
 
 def test_row_lattice_matches_the_append_and_resort_reference():
     rng = random.Random(6)
+    deficient = 0
     for _ in range(600):
         n = rng.randint(1, 6)
-        gens = _spanning_set(rng, n)
+        gens, bound = _spanning_set(rng, n)
         lat = RowLattice(n, gens)
         assert lat.rows == _AppendAndResort(n, gens).rows, gens
         _assert_reduced_echelon(lat.rows)
+        assert lat.rank <= bound, gens
+        deficient += bound < n
+    # a third of the draws combine fewer than n base vectors: half of those
+    # with n >= 2 and some vector drawn
+    assert deficient > 150, deficient
     # negative pivots, a duplicate, a negated vector and the zero vector
     gens = [[-2, 4, 1], [0, -3, 5], [-2, 4, 1], [2, -4, -1], [0, 0, 0]]
     assert RowLattice(3, gens).rows == _AppendAndResort(3, gens).rows == [[2, 2, -11], [0, 3, -5]]
@@ -256,14 +267,20 @@ def _smith_kernel(a):
 
 def test_integer_kernel_is_the_reduced_basis_of_the_smith_kernel():
     rng = random.Random(7)
+    dependent = 0
     for _ in range(400):
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         a = [[rng.choice((0, rng.randint(-7, 7))) for _ in range(n)] for _ in range(m)]
         if rng.random() < 0.3:
-            a.append([sum(rng.randint(-2, 2) * r[k] for r in a) for k in range(n)])
+            # a dependent row: one coefficient per row, so the rank stays
+            coeffs = [rng.randint(-2, 2) for _ in a]
+            a.append([sum(c * r[k] for c, r in zip(coeffs, a)) for k in range(n)])
+            assert RowLattice(n, a).rank == RowLattice(n, a[:-1]).rank, a
+            dependent += 1
         ker = integer_kernel(a)
         assert ker == RowLattice(n, _smith_kernel(a)).basis(), a
         _assert_reduced_echelon([list(v) for v in ker])
+    assert dependent > 100, dependent
     assert integer_kernel([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert integer_kernel([[0, 0]]) == [(1, 0), (0, 1)]
 
